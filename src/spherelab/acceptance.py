@@ -1,8 +1,9 @@
 """The twelve gating checks, runnable programmatically or via the CLI.
 
-Each function performs one self-contained verification and returns a
-CriterionResult with the measured quantities it judged.  Thresholds are
-hard-coded on purpose: they are the contract, not tunables.
+Each function returns a CriterionResult with the measured quantities it
+judged.  Criteria 03, 04, 06, 09 and 12 are pinned experiment configs: each
+passes iff every runner check passes, plus any criterion-only condition.
+Thresholds and configs are hard-coded on purpose: they are the contract.
 """
 
 from __future__ import annotations
@@ -10,23 +11,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .arcs import approx_total, arc_multiplier, exact_multiplier_many
-from .experiments import TRANSFER_THETAS, decay_grid, random_hermitian_probe
+from .experiments import (TRANSFER_THETAS, ExperimentConfig, RunReport,
+                          n_polar, random_hermitian_probe, run_experiment)
 from .farey import farey_sequence, major_arcs, verify_partition
-from .gauss import gauss_dft
-from .heat import heat_direct_batch, heat_multiplier_direct, \
-    heat_multiplier_poisson, on_arc
-from .lattice import box_counts_oracle, rep_counts, sphere_shell
-from .ncmax import MaxNormProblem, hermitian_element, ncmax_diag_oracle, \
-    ncmax_grid_oracle_2x2, ncmax_norm, schatten_norm
+from .heat import heat_direct_batch
+from .lattice import box_counts_oracle, rep_counts
+from .ncmax import MaxNormProblem, hermitian_element, matrix_abs, \
+    ncmax_diag_oracle, ncmax_grid_oracle_2x2, ncmax_norm, schatten_norm
 from .sphere import j_main, j_main_integral, sphere_ft_montecarlo, \
     sphere_ft_quadrature, unit_sphere_ft
-from .transfer import diagonal_phase_family, maximal_ratio_experiment, \
-    permutation_phase_family, truncation_identity_check
+from .transfer import diagonal_phase_family, permutation_phase_family, \
+    truncation_identity_check
 
 
 @dataclass
@@ -39,7 +37,8 @@ class CriterionResult:
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        parts = " ".join(f"{k}={_short(v)}" for k, v in self.details.items())
+        parts = " ".join(f"{k}={_short(v)}" for k, v in self.details.items()
+                         if k != "csv")
         return f"[{status}] {self.number:02d} {self.name} ({self.wall_time:.1f}s): {parts}"
 
 
@@ -82,47 +81,31 @@ def criterion_02_rep_counts() -> CriterionResult:
                            {"d_max": 5, "k_max": 50, "max_abs_diff": worst})
 
 
+def _pinned(kind: str, **params) -> RunReport:
+    return run_experiment(ExperimentConfig(kind, params))
+
+
 def criterion_03_gauss_dft() -> CriterionResult:
-    """DFT of the normalized complete sum is the pure quadratic phase."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    ks = rng.integers(-10, 11, size=(20, 5))
-    worst = 0.0
-    for q in range(1, 26):
-        for a in range(q):
-            if math.gcd(a, q) != 1:
-                continue
-            for k in ks:
-                kk = tuple(int(v) for v in k)
-                phase = np.exp(2j * np.pi * ((sum(v * v for v in kk) * a) % q) / q)
-                worst = max(worst, abs(gauss_dft(a, q, kk) - phase))
-    return CriterionResult(3, "gauss-dft", worst < 1e-12,
-                           {"q_max": 25, "k_samples": 20, "max_err": worst,
-                            "tol": 1e-12})
+    """DFT of the normalized complete sum is the pure quadratic phase, and
+    no sum exceeds its magnitude bound."""
+    rep = _pinned("gauss", d=5, q_max=25, L=20, seed=0, tol=1e-12)
+    return CriterionResult(3, "gauss-dft", rep.passed,
+                           {"q_max": rep.summary["q_max"],
+                            "k_samples": rep.summary["k_samples"],
+                            "max_err": rep.summary["max_dft_err"],
+                            "tol": rep.checks[0].threshold})
 
 
 def criterion_04_poisson_forms() -> CriterionResult:
     """Lattice sum vs image-sum resummation of the kernel transform."""
-    worst = 0.0
-    for d in (2, 3, 5):
-        rng = np.random.Generator(np.random.PCG64(400 + d))
-        for eps in (1.0, 0.25, 0.0625):
-            for _ in range(20):
-                q = int(rng.integers(1, 9))
-                a = int(rng.integers(0, q))
-                while math.gcd(a, q) != 1 and not (q == 1 and a == 0):
-                    a = int(rng.integers(0, q))
-                t = float(rng.uniform(-0.5, 0.5)) / (q * q)
-                xi = rng.uniform(-0.5, 0.5, size=d)
-                params = on_arc(eps, a, q, t)
-                direct = complex(np.atleast_1d(
-                    heat_multiplier_direct(params, xi, tol=1e-14).value)[0])
-                image = complex(heat_multiplier_poisson(params, xi,
-                                                        tol=1e-14).value)
-                rel = abs(direct - image) / max(abs(direct), abs(image), 1e-300)
-                worst = max(worst, rel)
-    return CriterionResult(4, "poisson-forms", worst < 1e-8,
-                           {"dims": "2,3,5", "draws_per_case": 20,
-                            "max_rel_err": worst, "tol": 1e-8})
+    dims = (2, 3, 5)
+    reps = [_pinned("poisson_check", d=d, L=20, seed=400 + d, tol=1e-8)
+            for d in dims]
+    return CriterionResult(4, "poisson-forms", all(r.passed for r in reps),
+                           {"dims": ",".join(map(str, dims)),
+                            "draws_per_case": reps[0].summary["draws_per_eps"],
+                            "max_rel_err": max(r.summary["max_rel_err"] for r in reps),
+                            "tol": reps[0].checks[0].threshold})
 
 
 ENVELOPE_REL_OFFSETS = np.array([-0.9, -0.5, -0.2, 0.0, 0.2, 0.5, 0.9])
@@ -175,21 +158,15 @@ def criterion_05_kernel_envelope() -> CriterionResult:
 
 def criterion_06_arc_reconstruction() -> CriterionResult:
     """Summing all arc pieces rebuilds the exact shell multiplier."""
-    d, order = 5, 2
-    eps = float(order) ** -2.0
-    arcs = major_arcs(farey_sequence(order))
-    rng = np.random.Generator(np.random.PCG64(0))
-    xis = rng.uniform(-0.5, 0.5, size=(8, d))
-    worst = 0.0
-    for k in (1, 2, 4):
-        shell = sphere_shell(d, k)
-        exact = exact_multiplier_many(shell, xis)
-        for xi, m_exact in zip(xis, exact):
-            total = sum(arc_multiplier(d, k, arc, xi, eps) for arc in arcs)
-            worst = max(worst, abs(total - complex(m_exact)))
-    return CriterionResult(6, "arc-reconstruction", worst < 1e-6,
-                           {"d": 5, "ks": "1,2,4", "order": order,
-                            "frequencies": 8, "max_err": worst, "tol": 1e-6})
+    ks = (1, 2, 4)
+    reps = [_pinned("reconstruct", d=5, K=k, Lambda=2, L=8, seed=0, tol=1e-6)
+            for k in ks]
+    return CriterionResult(6, "arc-reconstruction", all(r.passed for r in reps),
+                           {"d": reps[0].summary["d"], "ks": ",".join(map(str, ks)),
+                            "order": reps[0].summary["order"],
+                            "frequencies": len(reps[0].rows),
+                            "max_err": max(r.summary["max_abs_err"] for r in reps),
+                            "tol": reps[0].checks[0].threshold})
 
 
 def criterion_07_sphere_ft() -> CriterionResult:
@@ -201,12 +178,8 @@ def criterion_07_sphere_ft() -> CriterionResult:
         for rho in rhos:
             xi = np.zeros(d)
             xi[0] = rho
-            if d == 3:
-                n_polar = max(32, 24 * math.ceil(rho))
-            else:
-                n_polar = min(48, 32 + 8 * max(0, math.ceil(rho) - 1))
-            quad = sphere_ft_quadrature(d, xi, n_polar=n_polar,
-                                        n_azimuth=3 * n_polar)
+            n = n_polar(d, rho)
+            quad = sphere_ft_quadrature(d, xi, n_polar=n, n_azimuth=3 * n)
             worst_quad = max(worst_quad, abs(quad - float(unit_sphere_ft(d, rho))))
         mc = sphere_ft_montecarlo(d, 1.0, n_samples=1_000_000, seed=0)
         worst_mc = max(worst_mc, abs(mc - float(unit_sphere_ft(d, 1.0))))
@@ -245,27 +218,15 @@ def criterion_08_mainterm_identity() -> CriterionResult:
 def criterion_09_approx_decay() -> CriterionResult:
     """Scaled deviation between the exact multiplier and the rational
     approximation stays in a narrow band with the predicted slope."""
-    orders = (2, 3, 4, 6, 8)
-    grid = decay_grid()
-    sups = []
-    for order in orders:
-        sup_dev = 0.0
-        for lam in range(order, 2 * order):
-            k = lam * lam
-            shell = sphere_shell(5, k)
-            exact = exact_multiplier_many(shell, grid)
-            approx = np.array([approx_total(5, k, xi, q_max=30).value
-                               for xi in grid])
-            sup_dev = max(sup_dev, float(np.abs(exact - approx).max()))
-        sups.append(sup_dev)
-    normalized = [s * math.sqrt(o) for s, o in zip(sups, orders)]
-    band = max(normalized) / min(normalized)
-    slope = float(np.polyfit(np.log(orders), np.log(sups), 1)[0])
-    ok = band <= 3.0 and -0.8 <= slope <= -0.2
-    return CriterionResult(9, "approx-decay", ok,
-                           {"orders": "2,3,4,6,8", "band": band,
-                            "band_limit": 3.0, "loglog_slope": slope,
-                            "slope_range": "[-0.8,-0.2]"})
+    rep = _pinned("decay", q_max=30, Lambda=8)
+    band_check, slope_low, slope_high = rep.checks
+    return CriterionResult(9, "approx-decay", rep.passed,
+                           {"orders": ",".join(str(r[0]) for r in rep.rows),
+                            "band": rep.summary["band"],
+                            "band_limit": band_check.threshold,
+                            "loglog_slope": rep.summary["loglog_slope"],
+                            "slope_range": f"[{slope_low.threshold},"
+                                           f"{slope_high.threshold}]"})
 
 
 def _random_diag_problem(rng) -> MaxNormProblem:
@@ -290,7 +251,7 @@ def criterion_10_ncmax() -> CriterionResult:
         worst_rel = max(worst_rel, abs(cert.objective - oracle) / max(oracle, 1e-12))
         lower = max(schatten_norm(x, prob.p) for x in prob.family)
         upper = schatten_norm(
-            hermitian_element(sum(_abs_entries(x.entries) for x in prob.family)),
+            hermitian_element(sum(matrix_abs(x.entries) for x in prob.family)),
             prob.p)
         if cert.objective < lower - 1e-7 * max(1.0, lower) or \
                 cert.objective - cert.gap > upper + 1e-7 * max(1.0, upper):
@@ -311,11 +272,6 @@ def criterion_10_ncmax() -> CriterionResult:
                             "sandwich_ok": sandwich_ok})
 
 
-def _abs_entries(m: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(m)
-    return (vec * np.abs(lam)) @ vec.conj().T
-
-
 def criterion_11_transfer_identity() -> CriterionResult:
     """Orbit truncation reproduces automorphism averages exactly inside
     the guard window."""
@@ -334,52 +290,41 @@ def criterion_11_transfer_identity() -> CriterionResult:
 def criterion_12_ratio_table() -> CriterionResult:
     """Maximal-ratio trend table: monotone, certified below the summed
     envelope bound, exported as CSV."""
-    fam = diagonal_phase_family([float(t) for t in TRANSFER_THETAS], n=2)
-    x = random_hermitian_probe(2, 7)
-    rows = maximal_ratio_experiment(fam, x, (1, 4, 9, 16), p=2.0, tol=1e-7)
-    ratios = [r[1] for r in rows]
-    monotone = all(rows[i + 1][1] >= rows[i][1] - rows[i][4] - rows[i + 1][4]
-                   for i in range(len(rows) - 1))
-    below = all(ratio - gap <= upper + 1e-9
-                for _, ratio, _, upper, gap in rows)
-    csv_lines = ["K,ratio,lower_bound,upper_bound,solver_gap"]
-    csv_lines += [",".join(repr(float(v)) if i else str(int(v))
-                           for i, v in enumerate(row)) for row in rows]
-    csv_text = "\r\n".join(csv_lines) + "\r\n"
-    ok = monotone and below and len(rows) == 4
-    return CriterionResult(12, "ratio-table", ok,
-                           {"ratios": ",".join(f"{r:.6f}" for r in ratios),
-                            "monotone": monotone, "below_upper": below,
-                            "csv": csv_text})
+    rep = _pinned("transfer", family="diagonal", n=2, p=2.0, K=16, seed=7,
+                  tol=1e-7)
+    monotone, below = rep.checks
+    return CriterionResult(12, "ratio-table", rep.passed and len(rep.rows) == 4,
+                           {"ratios": ",".join(f"{r[1]:.6f}" for r in rep.rows),
+                            "monotone": monotone.passed,
+                            "below_upper": below.passed,
+                            "csv": rep.csv_text()})
 
 
-ALL_CRITERIA = (
-    criterion_01_farey_partition,
-    criterion_02_rep_counts,
-    criterion_03_gauss_dft,
-    criterion_04_poisson_forms,
-    criterion_05_kernel_envelope,
-    criterion_06_arc_reconstruction,
-    criterion_07_sphere_ft,
-    criterion_08_mainterm_identity,
-    criterion_09_approx_decay,
-    criterion_10_ncmax,
-    criterion_11_transfer_identity,
-    criterion_12_ratio_table,
-)
+# suite name -> criterion, in run order
+CRITERIA = {
+    "farey-partition": criterion_01_farey_partition,
+    "rep-count-oracle": criterion_02_rep_counts,
+    "gauss-dft": criterion_03_gauss_dft,
+    "poisson-forms": criterion_04_poisson_forms,
+    "kernel-envelope": criterion_05_kernel_envelope,
+    "arc-reconstruction": criterion_06_arc_reconstruction,
+    "sphere-ft-oracle": criterion_07_sphere_ft,
+    "mainterm-identity": criterion_08_mainterm_identity,
+    "approx-decay": criterion_09_approx_decay,
+    "ncmax-oracles": criterion_10_ncmax,
+    "transfer-identity": criterion_11_transfer_identity,
+    "ratio-table": criterion_12_ratio_table,
+}
+
 
 def suite_names() -> list[str]:
-    return ["farey-partition", "rep-count-oracle", "gauss-dft",
-            "poisson-forms", "kernel-envelope", "arc-reconstruction",
-            "sphere-ft-oracle", "mainterm-identity", "approx-decay",
-            "ncmax-oracles", "transfer-identity", "ratio-table"]
+    return list(CRITERIA)
 
 
 def run_criteria(names=None) -> list[CriterionResult]:
-    wanted = set(names) if names else None
     results = []
-    for fn, name in zip(ALL_CRITERIA, suite_names()):
-        if wanted is not None and name not in wanted:
+    for name, fn in CRITERIA.items():
+        if names and name not in names:
             continue
         t0 = time.perf_counter()
         res = fn()

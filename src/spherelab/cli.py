@@ -9,8 +9,6 @@ any assertion fails, so the exit code is usable in scripts.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from pathlib import Path
@@ -21,13 +19,13 @@ from .acceptance import run_criteria, suite_names
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
 from .errors import ConfigError
-from .experiments import (TRANSFER_THETAS, ExperimentConfig, load_config,
-                          random_hermitian_probe, read_ncmax_problem,
+from .experiments import (TRANSFER_THETAS, ExperimentConfig, csv_text,
+                          load_config, ncmax_checks, random_hermitian_probe,
+                          ratio_table_checks, read_ncmax_problem,
                           run_experiment)
-from .farey import farey_sequence, major_arcs, verify_partition
 from .gauss import gauss_magnitude_bound, gauss_sum
 from .lattice import DEFAULT_POINT_BUDGET, rep_counts, sphere_shell
-from .ncmax import MaxNormProblem, ncmax_norm, schatten_norm
+from .ncmax import MaxNormProblem, ncmax_norm
 from .transfer import (diagonal_phase_family, maximal_ratio_experiment,
                        truncation_identity_check)
 
@@ -35,26 +33,11 @@ _FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
 
 
 def _write_csv(args, columns, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    text = buf.getvalue()
+    text = csv_text(columns, rows)
     if args.out is not None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 def _parse_vector(text: str, d: int) -> np.ndarray:
@@ -84,21 +67,19 @@ def _cmd_shell(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    arcs = major_arcs(farey_sequence(args.order))
-    ok = verify_partition(arcs)
-    rows = [(a.center.numerator, a.center.denominator,
-             a.left.numerator, a.left.denominator,
-             a.right.numerator, a.right.denominator) for a in arcs]
-    _write_csv(args, ("a", "q", "left_num", "left_den",
-                      "right_num", "right_den"), rows)
-    print(f"order={args.order} arcs={len(arcs)} partition_exact={ok}",
-          file=_FOOTER)
-    return 0 if ok else 1
+    report = run_experiment(ExperimentConfig("farey", {"Lambda": args.order}))
+    _write_csv(args, report.columns, report.rows)
+    print(f"order={args.order} arcs={report.summary['arc_count']} "
+          f"partition_exact={report.passed}", file=_FOOTER)
+    return 0 if report.passed else 1
 
 
 def _cmd_gauss(args) -> int:
     if args.ell:
-        l_vec = tuple(int(float(v)) for v in args.ell.replace(",", " ").split())
+        try:
+            l_vec = tuple(int(v) for v in args.ell.replace(",", " ").split())
+        except ValueError:
+            raise SystemExit(f"error: --ell expects integers: {args.ell!r}") from None
         d = len(l_vec)
     else:
         d = args.d
@@ -116,51 +97,45 @@ def _cmd_gauss(args) -> int:
     return 0 if abs(val) <= bound + 1e-12 else 1
 
 
-def _multiplier_rows(args, values, envelopes):
+def _write_multiplier_csv(args, xis, values, envelopes) -> None:
     cols = (*(f"xi_{i + 1}" for i in range(args.d)),
             "re", "im", "|value|", "bound_envelope")
-    rows = []
-    for xi, val, env in zip(args.xi_vectors, values, envelopes):
-        val = complex(val)
-        rows.append((*[float(v) for v in xi], val.real, val.imag,
-                     abs(val), env))
-    return cols, rows
+    values = [complex(v) for v in values]
+    _write_csv(args, cols, [(*map(float, xi), v.real, v.imag, abs(v), env)
+                            for xi, v, env in zip(xis, values, envelopes)])
 
 
 def _cmd_mult(args) -> int:
-    args.xi_vectors = [_parse_vector(t, args.d) for t in args.xi]
-    shell = sphere_shell(args.d, args.k)
-    values = exact_multiplier_many(shell, np.array(args.xi_vectors))
+    xis = [_parse_vector(t, args.d) for t in args.xi]
+    values = exact_multiplier_many(sphere_shell(args.d, args.k), np.array(xis))
     # the exact multiplier is an average of unit phases
-    cols, rows = _multiplier_rows(args, values, [1.0] * len(values))
-    _write_csv(args, cols, rows)
+    _write_multiplier_csv(args, xis, values, [1.0] * len(values))
     return 0
 
 
 def _cmd_approx(args) -> int:
-    args.xi_vectors = [_parse_vector(t, args.d) for t in args.xi]
-    values, envs = [], []
-    for xi in args.xi_vectors:
-        res = approx_total(args.d, args.k, xi, q_max=args.q_max)
-        values.append(res.value)
-        envs.append(res.tail_bound)  # bound on the dropped q > q_max part
-    cols, rows = _multiplier_rows(args, values, envs)
-    _write_csv(args, cols, rows)
+    xis = [_parse_vector(t, args.d) for t in args.xi]
+    results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
+    # each tail_bound bounds the dropped q > q_max part
+    _write_multiplier_csv(args, xis, [r.value for r in results],
+                          [r.tail_bound for r in results])
     return 0
 
 
 def _cmd_ncmax(args) -> int:
-    prob = read_ncmax_problem(args.input)
+    try:
+        prob = read_ncmax_problem(args.input)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: --input {args.input}: {exc}") from None
     if args.p is not None:
         prob = MaxNormProblem(p=args.p, family=prob.family)
     cert = ncmax_norm(prob, tol=args.tol)
-    lower = max(schatten_norm(x, prob.p) for x in prob.family)
+    lower, checks = ncmax_checks(prob, cert, args.tol)
     _write_csv(args, ("n", "N", "p", "objective", "lower_bound", "residual",
                       "gap", "newton_steps", "converged"),
                [(prob.n, len(prob.family), prob.p, cert.objective, lower,
                  cert.residual, cert.gap, cert.newton_steps, cert.converged)])
-    ok = cert.converged and cert.objective >= lower - args.tol * max(1.0, lower)
-    return 0 if ok else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_transfer(args) -> int:
@@ -181,9 +156,7 @@ def _cmd_transfer(args) -> int:
     rows = maximal_ratio_experiment(fam, x, k_list, args.p)
     _write_csv(args, ("K", "ratio", "lower_bound", "upper_bound",
                       "solver_gap"), rows)
-    ok = all(rows[i + 1][1] >= rows[i][1] - rows[i][4] - rows[i + 1][4]
-             for i in range(len(rows) - 1))
-    ok = ok and all(r[1] - r[4] <= r[3] + 1e-9 for r in rows)
+    ok = all(c.passed for c in ratio_table_checks(rows))
     if args.window is not None:
         dev = truncation_identity_check(fam, x, args.window, args.cap ** 2)
         print(f"truncation_identity_deviation = {dev!r}", file=_FOOTER)
@@ -192,36 +165,25 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = args.suite if args.suite else None
-    unknown = set(names or []) - set(suite_names())
-    if unknown:
-        raise SystemExit(f"error: unknown suite(s) {sorted(unknown)}; "
-                         f"choose from {suite_names()}")
-    results = run_criteria(names)
+    results = run_criteria(args.suite)
     for res in results:
-        line_details = {k: v for k, v in res.details.items() if k != "csv"}
-        res_display = type(res)(res.number, res.name, res.passed,
-                                line_details, res.wall_time)
-        print(res_display.summary_line())
+        print(res.summary_line())
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
     return 0 if n_pass == len(results) else 1
 
 
 def _cmd_experiment(args) -> int:
-    if args.action != "run":
-        raise SystemExit("error: only 'experiment run <file>' is supported")
     try:
         cfg = load_config(args.file)
+        if args.out is not None:
+            cfg = ExperimentConfig(cfg.kind, cfg.parameters, Path(args.out))
+        if args.seed is not None and "seed" in cfg.parameters:
+            cfg = ExperimentConfig(cfg.kind, {**cfg.parameters, "seed": args.seed},
+                                   cfg.output)
+        report = run_experiment(cfg)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
-    if args.out is not None:
-        cfg = ExperimentConfig(cfg.kind, cfg.parameters, Path(args.out))
-    if args.seed is not None and "seed" in cfg.parameters:
-        merged = dict(cfg.parameters)
-        merged["seed"] = args.seed
-        cfg = ExperimentConfig(cfg.kind, merged, cfg.output)
-    report = run_experiment(cfg)
     sys.stdout.write(report.report_text())
     if cfg.output is None:
         sys.stdout.write(report.csv_text())
@@ -237,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "automorphism transference.")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the RNG seed where one is used")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="resource budget for enumeration/summation")
     parser.add_argument("--out", type=str, default=None,
                         help="write the CSV table to this path")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cache", type=str, default=None,
                    help="cache directory (read hit or write after enumerating)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="point budget for the enumeration")
     p.set_defaults(func=_cmd_shell)
 
     p = sub.add_parser("farey", help="major-arc partition table")
@@ -305,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--suite", action="append", default=None,
-                   help=f"criterion name (repeatable); one of {suite_names()}")
+                   choices=suite_names(), help="criterion name (repeatable)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("experiment", help="run a config-file experiment")

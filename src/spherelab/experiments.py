@@ -35,7 +35,7 @@ from .transfer import (diagonal_phase_family, maximal_ratio_experiment,
 KINDS = ("farey", "gauss", "poisson_check", "decay", "sphere_ft", "ncmax",
          "transfer", "reconstruct")
 
-_INT_KEYS = ("d", "L", "K", "Lambda", "q_max", "n", "J", "cap", "seed", "budget")
+_INT_KEYS = ("d", "L", "K", "Lambda", "q_max", "n", "seed")
 _FLOAT_KEYS = ("p", "tol")
 _STR_KEYS = ("family", "input")
 
@@ -130,12 +130,7 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_fmt(v) for v in row])
-        return buf.getvalue()
+        return csv_text(self.columns, self.rows)
 
     def report_text(self) -> str:
         """Summary + checks as flat text.  Excludes wall time by design:
@@ -161,6 +156,16 @@ class RunReport:
         report_path = out_path.with_suffix(".report.txt")
         report_path.write_text(self.report_text())
         return out_path, report_path
+
+
+def csv_text(columns, rows) -> str:
+    """RFC-4180 table text with CRLF line ends, one ``_fmt`` cell per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
 
 
 def _fmt(v) -> str:
@@ -364,6 +369,14 @@ def _run_decay(cfg: ExperimentConfig) -> RunReport:
                      rows, summary, checks)
 
 
+def n_polar(d: int, rho: float) -> int:
+    """Polar nodes per angle for the product quadrature at radius rho (the
+    azimuth gets three times as many); d = 3 affords more than d >= 4."""
+    if d == 3:
+        return max(32, 24 * math.ceil(rho))
+    return min(48, 32 + 8 * max(0, math.ceil(rho) - 1))
+
+
 def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     d, n_mc, tol = P["d"], P["L"], P["tol"]
@@ -379,12 +392,8 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
         closed = float(unit_sphere_ft(d, rho))
         xi = np.zeros(d)
         xi[0] = rho
-        if d == 3:
-            n_polar = max(32, 24 * math.ceil(rho))
-        else:
-            n_polar = min(48, 32 + 8 * max(0, math.ceil(rho) - 1))
-        quad = sphere_ft_quadrature(d, xi, n_polar=n_polar,
-                                    n_azimuth=3 * n_polar)
+        n = n_polar(d, rho)
+        quad = sphere_ft_quadrature(d, xi, n_polar=n, n_azimuth=3 * n)
         err = abs(closed - quad)
         worst = max(worst, err)
         rows.append((rho, closed, quad, err))
@@ -406,26 +415,38 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
 
 def read_ncmax_problem(path) -> MaxNormProblem:
     """Matrix family file: first line ``n N p``, then N blocks of n lines,
-    each line n complex entries like ``0.5-0.25j`` (plain reals fine)."""
-    lines = [ln for ln in Path(path).read_text().splitlines()
+    each line n complex entries like ``0.5-0.25j`` (plain reals fine).
+    Every ValueError names the file line it is about."""
+    text = Path(path).read_text().splitlines()
+    lines = [(no, ln.split()) for no, ln in enumerate(text, start=1)
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty problem file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("first line must be 'n N p'")
-    n, count = int(head[0]), int(head[1])
-    p = math.inf if head[2] == "inf" else float(head[2])
+    head_no, head = lines[0]
+    try:
+        n, count = int(head[0]), int(head[1])
+        p = math.inf if head[2] == "inf" else float(head[2])
+        if len(head) != 3 or n < 1 or count < 1 or not p >= 1.0:
+            raise ValueError
+    except (ValueError, IndexError):
+        raise ValueError(f"line {head_no}: expected 'n N p' with n, N >= 1 "
+                         f"and p >= 1, got {' '.join(head)!r}") from None
     body = lines[1:]
     if len(body) != n * count:
-        raise ValueError(f"expected {n * count} matrix rows, got {len(body)}")
+        no = body[n * count][0] if len(body) > n * count else len(text)
+        raise ValueError(f"line {no}: expected {n * count} matrix rows after "
+                         f"line {head_no}, got {len(body)}")
     family = []
     for j in range(count):
-        entries = np.array([[complex(tok) for tok in body[j * n + i].split()]
-                            for i in range(n)])
-        if entries.shape != (n, n):
-            raise ValueError(f"matrix {j + 1} is not {n}x{n}")
-        family.append(hermitian_element(entries))
+        block = body[j * n:(j + 1) * n]
+        for no, toks in block:
+            if len(toks) != n:
+                raise ValueError(f"line {no}: expected {n} entries, got {len(toks)}")
+        try:
+            family.append(hermitian_element(
+                [[complex(tok) for tok in toks] for _, toks in block]))
+        except ValueError as exc:
+            raise ValueError(f"lines {block[0][0]}-{block[-1][0]}: {exc}") from None
     return MaxNormProblem(p=p, family=tuple(family))
 
 
@@ -439,22 +460,29 @@ def write_ncmax_problem(prob: MaxNormProblem, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _run_ncmax(cfg: ExperimentConfig) -> RunReport:
-    P = cfg.parameters
-    prob = read_ncmax_problem(P["input"])
-    cert = ncmax_norm(prob, tol=P["tol"])
+def ncmax_checks(prob: MaxNormProblem, cert, tol: float) -> tuple[float, list]:
+    """Largest single p-norm (a lower bound on the optimum), certificate checks."""
     lower = max(schatten_norm(x, prob.p) for x in prob.family)
-    rows = [(prob.n, len(prob.family), prob.p, cert.objective, lower,
-             cert.gap, cert.newton_steps, cert.converged)]
-    sandwich_ok = (cert.objective >= lower - P["tol"] * max(lower, 1.0)
-                   and cert.gap >= -1e-12)
-    checks = [
+    floor = lower - tol * max(lower, 1.0)
+    return lower, [
         CheckResult("converged", float(cert.converged), 1.0, cert.converged,
                     relation="=="),
-        CheckResult("lower_sandwich", cert.objective,
-                    lower - P["tol"] * max(lower, 1.0), sandwich_ok,
+        CheckResult("lower_sandwich", cert.objective, floor,
+                    cert.objective >= floor and cert.gap >= -1e-12,
                     relation=">="),
     ]
+
+
+def _run_ncmax(cfg: ExperimentConfig) -> RunReport:
+    P = cfg.parameters
+    try:
+        prob = read_ncmax_problem(P["input"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError("input", f"{P['input']}: {exc}") from None
+    cert = ncmax_norm(prob, tol=P["tol"])
+    lower, checks = ncmax_checks(prob, cert, P["tol"])
+    rows = [(prob.n, len(prob.family), prob.p, cert.objective, lower,
+             cert.gap, cert.newton_steps, cert.converged)]
     summary = {"objective": cert.objective, "gap": cert.gap,
                "residual": cert.residual}
     return RunReport(cfg, ("n", "N", "p", "objective", "lower_bound", "gap",
@@ -474,34 +502,38 @@ TRANSFER_THETAS = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                    Fraction(1, 11), Fraction(1, 13))
 
 
+def ratio_table_checks(rows) -> list:
+    """Monotone and below-upper checks on maximal_ratio_experiment rows
+    (K, ratio, lower_bound, upper_bound, solver_gap).  The solver certifies
+    each norm within [ratio - gap, ratio], so both hold up to the gaps."""
+    min_step = min((rows[i + 1][1] - rows[i][1] + rows[i][4] + rows[i + 1][4]
+                    for i in range(len(rows) - 1)), default=0.0)
+    max_over_upper = max(r[1] - r[4] - r[3] for r in rows)
+    return [
+        CheckResult("monotone_nondecreasing", min_step, 0.0,
+                    min_step >= 0.0, relation=">="),
+        CheckResult("ratio_below_upper", max_over_upper, 1e-9,
+                    max_over_upper <= 1e-9),
+    ]
+
+
 def _run_transfer(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     family_name, p, k_cap, tol = P["family"], P["p"], P["K"], P["tol"]
     if family_name == "diagonal":
-        fam = diagonal_phase_family([float(t) for t in TRANSFER_THETAS], n=2)
+        fam = diagonal_phase_family(TRANSFER_THETAS, n=P["n"])
     elif family_name == "permutation":
         fam = permutation_phase_family()
     elif family_name == "trivial":
         fam = trivial_family(P["n"], 5)
     else:
         raise ConfigError("family", f"unknown family {family_name!r}")
-    x = random_hermitian_probe(fam.n, P["seed"])
-    k_list = [j * j for j in range(1, int(math.isqrt(k_cap)) + 1)]
-    if not k_list:
+    if k_cap < 1:
         raise ConfigError("K", "must be >= 1")
-    table = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)
-    rows = [(K, ratio, lower, upper, gap) for K, ratio, lower, upper, gap in table]
-    # the solver certifies each norm within [ratio - gap, ratio], so both
-    # structural checks are asserted up to the certified gaps
-    min_step = min((rows[i + 1][1] - rows[i][1] + rows[i][4] + rows[i + 1][4]
-                    for i in range(len(rows) - 1)), default=0.0)
-    max_over_upper = max(r[1] - r[4] - r[3] for r in rows)
-    checks = [
-        CheckResult("monotone_nondecreasing", min_step, 0.0,
-                    min_step >= 0.0, relation=">="),
-        CheckResult("ratio_below_upper", max_over_upper, 1e-9,
-                    max_over_upper <= 1e-9),
-    ]
+    x = random_hermitian_probe(fam.n, P["seed"])
+    k_list = [j * j for j in range(1, math.isqrt(k_cap) + 1)]
+    rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)
+    checks = ratio_table_checks(rows)
     if family_name == "trivial":
         dev = max(abs(r[1] - 1.0) for r in rows)
         checks.append(CheckResult("trivial_ratio_one", dev, 1e-6, dev <= 1e-6))

@@ -199,7 +199,7 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL,
                                   gap=0.0, converged=True, newton_steps=0)
 
     # Strictly feasible start: the sum of moduli dominates every |x_j|.
-    a = sum(_matrix_abs(x) for x in xs) + (tol * scale) * np.eye(n)
+    a = sum(matrix_abs(x) for x in xs) + (tol * scale) * np.eye(n)
 
     basis = _hermitian_basis(n)
     nu = 2.0 * big_n * n          # total barrier degree, controls the gap
@@ -276,7 +276,8 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL,
                               newton_steps=steps)
 
 
-def _matrix_abs(x: np.ndarray) -> np.ndarray:
+def matrix_abs(x: np.ndarray) -> np.ndarray:
+    """|x| = (x* x)^{1/2} of a hermitian matrix, through its eigenbasis."""
     lam, vecs = np.linalg.eigh(x)
     return (vecs * np.abs(lam)) @ vecs.conj().T
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .lattice import DEFAULT_POINT_BUDGET, sphere_shell
 from .ncmax import (AlgebraElement, MaxNormProblem, hermitian_element,
-                    ncmax_norm, schatten_norm)
+                    matrix_abs, ncmax_norm, schatten_norm)
 from .torus import LatticeFunction, spherical_convolve
 
 UNITARY_TOL = 1e-12
@@ -224,12 +224,7 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
         prob = MaxNormProblem(p=p, family=tuple(averages))
         cert = ncmax_norm(prob, tol=tol)
         lower = max(schatten_norm(y, p) for y in averages) / base
-        summ = sum(_matrix_abs(y.entries) for y in averages)
+        summ = sum(matrix_abs(y.entries) for y in averages)
         upper = schatten_norm(hermitian_element(summ), p) / base
         rows.append((k_top, cert.objective / base, lower, upper, cert.gap / base))
     return rows
-
-
-def _matrix_abs(m: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(m)
-    return (vecs * np.abs(lam)) @ vecs.conj().T

@@ -215,3 +215,59 @@ def test_cli_out_writes_file(tmp_path):
     run_cli("--out", str(out), "rd", "--d", "2", "--max-k", "4")
     header, rows = parse_csv(out.read_text())
     assert [int(r[1]) for r in rows] == [1, 4, 4, 0, 4]
+
+
+def test_cli_verify_selected_suites():
+    proc = run_cli("verify", "--suite", "rep-count-oracle", "--suite", "poisson-forms")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("[PASS] 02 rep-count-oracle (")
+    assert lines[1].startswith("[PASS] 04 poisson-forms (")
+    assert lines[2] == "2/2 criteria passed"
+
+
+def test_cli_verify_rejects_unknown_suite():
+    proc = run_cli("verify", "--suite", "nope", expect=2)
+    assert "--suite" in proc.stderr and "'nope'" in proc.stderr
+
+
+def test_cli_gauss_rejects_fractional_ell():
+    proc = run_cli("gauss", "--a", "1", "--q", "3", "--ell", "1.5,0.9", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --ell") and "1.5,0.9" in proc.stderr
+
+
+def test_cli_budget_belongs_to_shell():
+    run_cli("--budget", "100", "rd", "--d", "2", "--max-k", "4", expect=2)
+    proc = run_cli("rd", "--d", "2", "--max-k", "4", "--budget", "100", expect=2)
+    assert "unrecognized arguments: --budget 100" in proc.stderr
+    proc = run_cli("shell", "--d", "2", "--k", "1", "--budget", "100")
+    assert len(parse_csv(proc.stdout)[1]) == 4
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("kind = decay\nLambda = 1\n", "Lambda"),
+        ("kind = transfer\nK = 0\n", "K"),
+        ("kind = transfer\nK = -4\n", "K"),
+        ("kind = transfer\nfamily = circulant\n", "family"),
+    ],
+)
+def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    proc = run_cli("experiment", "run", str(cfg), expect=1)
+    assert proc.stderr.startswith(f"error: config key '{key}'"), proc.stderr
+
+
+def test_cli_bad_problem_file_names_the_line(tmp_path):
+    problem = tmp_path / "short.txt"
+    problem.write_text("2 1 2\n1 0\n")
+    proc = run_cli("ncmax", "--input", str(problem), expect=1)
+    assert proc.stderr.startswith("error: --input") and "line 2:" in proc.stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kind = ncmax\ninput = {problem}\n")
+    proc = run_cli("experiment", "run", str(cfg), expect=1)
+    assert proc.stderr.startswith("error: config key 'input'")
+    assert "line 2:" in proc.stderr

@@ -8,16 +8,19 @@ import pytest
 from spherelab.errors import ConfigError
 from spherelab.experiments import (
     DECAY_OFFSETS,
+    TRANSFER_THETAS,
     ExperimentConfig,
     decay_grid,
     load_config,
     parse_config,
+    random_hermitian_probe,
     read_ncmax_problem,
     run_experiment,
     write_ncmax_problem,
 )
 from spherelab.farey import farey_sequence, major_arcs
 from spherelab.ncmax import MaxNormProblem, hermitian_element
+from spherelab.transfer import diagonal_phase_family, maximal_ratio_experiment
 
 
 def test_parse_happy_path():
@@ -43,6 +46,7 @@ def test_parse_defaults_filled():
         ("kind = farey\nLambda = 3\nwidgets = 1\n", "widgets"),
         ("kind = farey\nLambda = 3\nseed = 1\n", "seed"),
         ("kind = ncmax\ntol = big\ninput = f\n", "tol"),
+        ("kind = transfer\ncap = 3\n", "cap"),
     ],
 )
 def test_parse_errors_name_the_key(text, key):
@@ -129,6 +133,44 @@ def test_transfer_runner_trivial():
     report = run_experiment(cfg)
     assert report.passed
     assert abs(report.summary["max_ratio"] - 1.0) < 1e-6
+
+
+def test_transfer_runner_diagonal_uses_n():
+    cfg = ExperimentConfig(
+        "transfer",
+        {"family": "diagonal", "n": 4, "p": 2.0, "K": 4, "seed": 7, "tol": 1e-7},
+    )
+    report = run_experiment(cfg)
+    fam = diagonal_phase_family(TRANSFER_THETAS, n=4)
+    probe = random_hermitian_probe(4, 7)
+    assert report.rows == maximal_ratio_experiment(fam, probe, [1, 4], 2.0, tol=1e-7)
+    assert report.passed
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("", None),
+        ("2 1\n1 0\n0 1\n", 1),
+        ("2 x 2\n1 0\n0 1\n", 1),
+        ("2 1 0.5\n1 0\n0 1\n", 1),
+        ("# family\n2 1 2\n1 0\n", 3),
+        ("2 1 2\n1 0\n0 1\n\n1 1\n", 5),
+        ("2 1 2\n1 0\n0 1 2\n", 3),
+        ("2 2 2\n1 0\n0 1\n1 2\n0 1\n", 4),
+        ("2 1 2\n1 0\n0 oops\n", 2),
+    ],
+)
+def test_read_ncmax_problem_names_the_line(tmp_path, text, line):
+    path = tmp_path / "fam.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_ncmax_problem(path)
+    if line is None:
+        assert "empty" in str(err.value)
+    else:
+        assert str(err.value).startswith(f"line {line}:") or \
+            str(err.value).startswith(f"lines {line}-")
 
 
 def test_reconstruct_runner_quick():
