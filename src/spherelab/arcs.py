@@ -19,9 +19,10 @@ arc integral by its stationary main term yields the rational approximant
                                               j_main(xi - l/q),
 
 where w_q is the narrow cutoff at modulus q (so at most one image l
-contributes at any xi).  Summing approximants over all coprime pairs
-(q, a), q <= q_max, 1 <= a <= q, plus the (1, 0) pair, gives the full
-approximation whose distance to m_k decays like L^{2 - d/2} at k ~ L^2.
+contributes at any xi).  Summing approximants over q <= q_max and the
+units a of Z/q (the single a = 0 for q = 1, the one arc around 0 mod 1)
+gives the full approximation whose distance to m_k decays like
+L^{2 - d/2} at k ~ L^2.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from .cutoff import NARROW, CutoffSpec, cutoff
 from .errors import BudgetExceededError
 from .farey import MajorArc
-from .gauss import gauss_sum
+from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
 from .lattice import SphereShell
 from .sphere import _rd, j_main, radial_constant
@@ -49,10 +50,23 @@ def exact_multiplier(shell: SphereShell, xi) -> float:
     return float(value.real)
 
 
+# most phase entries (frequencies x shell points) held at once
+_PHASE_BLOCK = 1 << 18
+
+
 def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
-    """exact_multiplier at several frequency points (rows of xis)."""
-    phases = xis @ shell.points.T
-    return np.exp(2j * np.pi * phases).sum(axis=1).real / shell.count
+    """exact_multiplier at several frequency points (rows of xis).
+
+    Rows are taken in blocks of at most _PHASE_BLOCK phase entries (and at
+    least one row), so the temporaries stay bounded on large shells.
+    """
+    xis = np.asarray(xis, dtype=float)
+    rows = max(1, _PHASE_BLOCK // max(shell.count, 1))
+    out = np.empty(len(xis))
+    for start in range(0, len(xis), rows):
+        phases = xis[start:start + rows] @ shell.points.T
+        out[start:start + rows] = np.exp(2j * np.pi * phases).sum(axis=1).real
+    return out / shell.count
 
 
 def arc_multiplier(
@@ -138,11 +152,19 @@ def approx_total(
     tail_tol: float | None = None,
     q_budget: int = 2000,
 ) -> ApproxTotal:
-    """Sum of approximants over coprime pairs with q <= q_max plus (1, 0).
+    """Sum of approximants over q <= q_max and the units a of Z/q.
 
     Either q_max is given, or it is chosen as the smallest modulus whose
     envelope tail bound is below tail_tol (error if that exceeds q_budget).
+
+    Works per modulus: the images l = rint(q xi) and the narrow cutoffs of
+    every q come from one vectorized pass, and a modulus whose cutoff
+    vanishes is skipped.  For a surviving q the Gauss sums at every a are
+    products of gauss_sum_1d_all_a tables, one per distinct l_i mod q.
+    approx_arc_multiplier is the per-pair oracle of this sum.
     """
+    if d < 5:
+        raise ValueError(f"d={d}: the approximant sum needs d >= 5")
     if q_max is None:
         if tail_tol is None:
             raise ValueError("give q_max or tail_tol")
@@ -153,9 +175,24 @@ def approx_total(
                 raise BudgetExceededError(
                     f"tail_tol={tail_tol} needs q_max > {q_budget}"
                 )
-    total = approx_arc_multiplier(d, k, 0, 1, xi)  # the (1, 0) pair
-    for q in range(1, q_max + 1):
-        for a in range(1, q + 1):
-            if math.gcd(a, q) == 1:
-                total += approx_arc_multiplier(d, k, a, q, xi)
-    return ApproxTotal(value=total, tail_bound=approx_tail_bound(d, k, q_max), q_max=q_max)
+    elif q_max < 1:
+        raise ValueError(f"q_max={q_max}: need q_max >= 1")
+    xi = np.asarray(xi, dtype=float)
+    qs = np.arange(1, q_max + 1)
+    ls = np.rint(qs[:, None] * xi).astype(np.int64)
+    us = xi - ls / qs[:, None]
+    # the narrow cutoff at modulus q is the modulus-1 profile at q * u
+    ws = cutoff(CutoffSpec(NARROW, 1), qs[:, None] * us)
+    total = 0.0 + 0.0j
+    for i in np.flatnonzero(ws):
+        q = int(qs[i])
+        a = np.arange(q, dtype=np.int64)
+        units = np.gcd(a, q) == 1
+        g = np.ones(q, dtype=complex)
+        residues, counts = np.unique(ls[i] % q, return_counts=True)
+        for r, c in zip(residues, counts):
+            g *= gauss_sum_1d_all_a(q, int(r)) ** int(c)
+        phase = np.exp(-2j * np.pi * ((k % q) * a % q) / q)
+        total += (phase[units] * g[units]).sum() * ws[i] * j_main(d, k, us[i])
+    return ApproxTotal(value=complex(total), tail_bound=approx_tail_bound(d, k, q_max),
+                       q_max=q_max)

@@ -18,7 +18,7 @@ import numpy as np
 from .acceptance import run_criteria, suite_names
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .experiments import (TRANSFER_THETAS, ExperimentConfig, csv_text,
                           load_config, ncmax_checks, random_hermitian_probe,
                           ratio_table_checks, read_ncmax_problem,
@@ -56,10 +56,13 @@ def _cmd_rd(args) -> int:
 
 def _cmd_shell(args) -> int:
     budget = args.budget if args.budget else DEFAULT_POINT_BUDGET
-    if args.cache:
-        shell = load_or_enumerate(args.d, args.k, args.cache, budget=budget)
-    else:
-        shell = sphere_shell(args.d, args.k, point_budget=budget)
+    try:
+        if args.cache:
+            shell = load_or_enumerate(args.d, args.k, args.cache, budget=budget)
+        else:
+            shell = sphere_shell(args.d, args.k, point_budget=budget)
+    except BudgetExceededError as exc:
+        raise SystemExit(f"error: --budget {budget}: {exc}") from None
     cols = tuple(f"x_{i + 1}" for i in range(args.d))
     _write_csv(args, cols, [tuple(int(v) for v in pt) for pt in shell.points])
     print(f"d={args.d} k={args.k} count={shell.count}", file=_FOOTER)
@@ -114,6 +117,10 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    if args.d < 5:
+        raise SystemExit(f"error: --d {args.d}: the approximant sum needs d >= 5")
+    if args.q_max < 1:
+        raise SystemExit(f"error: --q-max {args.q_max}: need q_max >= 1")
     xis = [_parse_vector(t, args.d) for t in args.xi]
     results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
     # each tail_bound bounds the dropped q > q_max part
@@ -139,6 +146,10 @@ def _cmd_ncmax(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    if args.window is not None and args.cap > args.window:
+        # the identity is checked at sites |n|_inf <= J - cap
+        raise SystemExit(f"error: --J {args.window}: the truncation identity "
+                         f"needs --cap {args.cap} <= J")
     if args.theta:
         thetas = args.theta.replace(",", " ").split()
         if args.d is not None and args.d != len(thetas):

@@ -42,6 +42,24 @@ def gauss_sum_1d_all(a: int, q: int) -> np.ndarray:
     return phases.mean(axis=1)
 
 
+def gauss_sum_1d_all_a(q: int, l: int) -> np.ndarray:
+    """Vector of q^{-1} sum_n e((a n^2 + l n)/q) over every a = 0..q-1.
+
+    The linear phases e(l n / q) are binned by the residue n^2 mod q, and
+    one length-q inverse FFT sums the bins against e(a r / q) for all a at
+    once: O(q log q) instead of O(q) per a.  Entries at a not coprime to q
+    are computed too; the caller picks the units.
+    """
+    if q < 1:
+        raise ValueError(f"modulus q must be >= 1, got {q}")
+    n = np.arange(q, dtype=np.int64)
+    linear = np.exp(2j * np.pi * ((l % q) * n % q) / q)
+    squares = n * n % q
+    bins = (np.bincount(squares, weights=linear.real, minlength=q)
+            + 1j * np.bincount(squares, weights=linear.imag, minlength=q))
+    return np.fft.ifft(bins)
+
+
 def gauss_sum_1d(a: int, q: int, l: int) -> complex:
     """q^{-1} sum_n e((n^2 a + n l)/q)."""
     _check_coprime(a, q)

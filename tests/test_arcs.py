@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherelab.arcs import (
     approx_arc_multiplier,
@@ -69,11 +71,61 @@ def test_approximant_envelope():
 
 
 def test_approx_total_sums_low_arcs():
-    xi = np.array([0.23, -0.11, 0.05, 0.0, 0.37])
-    total = approx_total(5, 4, xi, q_max=1)
-    two_terms = approx_arc_multiplier(5, 4, 0, 1, xi) + approx_arc_multiplier(5, 4, 1, 1, xi)
-    assert abs(total.value - two_terms) < 1e-15
-    assert total.q_max == 1
+    # q = 1 has the single unit a = 0: one arc around 0 mod 1, counted once
+    for xi in (np.array([0.23, -0.11, 0.05, 0.0, 0.37]),
+               np.array([0.1, -0.05, 0.02, 0.0, 0.12])):
+        total = approx_total(5, 4, xi, q_max=1)
+        one_term = approx_arc_multiplier(5, 4, 0, 1, xi)
+        assert abs(total.value - one_term) < 1e-15
+        assert total.q_max == 1
+    assert abs(one_term) > 0.1  # the second point lies inside the q = 1 cutoff
+
+
+@pytest.mark.parametrize("k", [4, 9, 16, 36, 64, 100, 144, 225])
+def test_approx_total_near_zero_is_one(k):
+    # the exact multiplier is 1 at xi = 0; a doubled q = 1 term reads ~2.2
+    assert abs(approx_total(5, k, np.zeros(5), q_max=30).value - 1.0) < 0.05
+
+
+DECAY_LADDER = [lam * lam for order in (2, 3, 4, 6, 8)
+                for lam in range(order, 2 * order)]
+
+
+def _pair_sum(d, k, xi, q_max):
+    """Sum of the per-pair approximants, q = 1 counted once (a = 0)."""
+    total = approx_arc_multiplier(d, k, 0, 1, xi)
+    for q in range(2, q_max + 1):
+        for a in range(1, q):
+            if math.gcd(a, q) == 1:
+                total += approx_arc_multiplier(d, k, a, q, xi)
+    return total
+
+
+@st.composite
+def _frequencies(draw):
+    coords = st.floats(-0.5, 0.5, allow_nan=False)
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(coords, min_size=5, max_size=5)))
+    # near a rational point, so that moduli other than 1 are active
+    q = draw(st.integers(1, 12))
+    a = draw(st.lists(st.integers(0, q - 1), min_size=5, max_size=5))
+    noise = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=5, max_size=5))
+    return np.array(a) / q + 0.02 * np.array(noise)
+
+
+@given(k=st.sampled_from(DECAY_LADDER), q_max=st.sampled_from([1, 2, 7, 30, 60]),
+       xi=_frequencies())
+@settings(max_examples=40, deadline=None)
+def test_approx_total_matches_pair_sum(k, q_max, xi):
+    fast = approx_total(5, k, xi, q_max=q_max).value
+    assert abs(fast - _pair_sum(5, k, xi, q_max)) < 1e-12
+
+
+def test_approx_total_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="d=3"):
+        approx_total(3, 4, np.zeros(3), q_max=10)
+    with pytest.raises(ValueError, match="q_max=0"):
+        approx_total(5, 4, np.zeros(5), q_max=0)
 
 
 def test_approx_total_tail_control():

@@ -271,3 +271,22 @@ def test_cli_bad_problem_file_names_the_line(tmp_path):
     proc = run_cli("experiment", "run", str(cfg), expect=1)
     assert proc.stderr.startswith("error: config key 'input'")
     assert "line 2:" in proc.stderr
+
+
+def test_cli_approx_rejects_bad_arguments():
+    proc = run_cli("approx", "--d", "3", "--k", "4", "--xi", "0,0,0", expect=1)
+    assert proc.stdout == "" and proc.stderr.startswith("error: --d 3")
+    proc = run_cli("approx", "--k", "4", "--q-max", "0", "--xi", "0,0,0,0,0", expect=1)
+    assert proc.stdout == "" and proc.stderr.startswith("error: --q-max 0")
+
+
+def test_cli_shell_over_budget():
+    proc = run_cli("shell", "--d", "5", "--k", "40", "--budget", "100", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --budget 100") and "2800 points" in proc.stderr
+
+
+def test_cli_transfer_window_below_cap():
+    proc = run_cli("transfer", "--J", "3", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --J 3") and "Traceback" not in proc.stderr

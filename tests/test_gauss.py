@@ -16,6 +16,7 @@ from spherelab.gauss import (
     gauss_sum,
     gauss_sum_1d,
     gauss_sum_1d_all,
+    gauss_sum_1d_all_a,
 )
 
 
@@ -59,6 +60,16 @@ def test_magnitude_envelope(q, data):
     if q % 2 == 1:
         # odd modulus: the magnitude is exactly q^{-1/2} for every shift
         assert abs(mag - q**-0.5) < 1e-12
+
+
+@given(q=st.integers(1, 64), l=st.integers(-10_000, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_all_a_table_matches_direct_sums(q, l):
+    table = gauss_sum_1d_all_a(q, l)
+    assert table.shape == (q,)
+    for a in range(q):
+        if math.gcd(a, q) == 1:
+            assert abs(table[a] - gauss_sum_1d(a, q, l)) < 1e-13
 
 
 def test_envelope_saturated_mod_four():
