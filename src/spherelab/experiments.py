@@ -228,6 +228,11 @@ def parse_config(text: str, output: str | None = None) -> ExperimentConfig:
     for key in params:
         if key not in allowed:
             raise ConfigError(key, f"not a parameter of kind = {kind}")
+    # the permutation family is fixed at 3x3 and the n default (2) serves
+    # the other families, so only an n written in the config is checked
+    if kind == "transfer" and params.get("family") == "permutation" \
+            and params.get("n", 3) != 3:
+        raise ConfigError("n", f"the permutation family has n = 3, got {params['n']}")
     merged = dict(defaults)
     merged.update(params)
     return ExperimentConfig(kind=kind, parameters=merged,

@@ -21,7 +21,11 @@ import math
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
 REL_TOL_DFT = 1e-12
+# Largest q x q phase matrix gauss_sum_1d_all builds (q <= 4096, 256 MiB).
+MAX_TABLE_ENTRIES = 1 << 24
 
 
 def _check_coprime(a: int, q: int) -> None:
@@ -34,6 +38,10 @@ def _check_coprime(a: int, q: int) -> None:
 def gauss_sum_1d_all(a: int, q: int) -> np.ndarray:
     """Vector of the 1-d normalized sums for every shift l = 0..q-1."""
     _check_coprime(a, q)
+    if q * q > MAX_TABLE_ENTRIES:
+        raise BudgetExceededError(
+            f"gauss_sum_1d_all at q={q} needs a {q}x{q} phase matrix, "
+            f"over the budget of {MAX_TABLE_ENTRIES} entries")
     n = np.arange(q, dtype=np.int64)
     quad = (n * n % q) * (a % q) % q
     # phase matrix over (shift, n), arguments kept as exact residues mod q

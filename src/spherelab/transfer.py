@@ -19,12 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError
-from .lattice import DEFAULT_POINT_BUDGET, sphere_shell
+from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell
 from .ncmax import (AlgebraElement, MaxNormProblem, hermitian_element,
                     matrix_abs, ncmax_norm, schatten_norm)
-from .torus import LatticeFunction, spherical_convolve
+from .torus import LatticeFunction
 
 UNITARY_TOL = 1e-12
+# auto_spherical_average conjugates shell points in blocks of about this
+# many matrix entries, so its stacks stay a few MB whatever the shell size.
+AVERAGE_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,14 @@ def trivial_family(n: int, d: int) -> AutomorphismFamily:
     return AutomorphismFamily(n=n, d=d, unitaries=np.stack([np.eye(n)] * d))
 
 
-def _power_table(u: np.ndarray, span: int) -> dict:
-    """U^m for m in [-span, span]; negative powers via the adjoint."""
-    tab = {0: np.eye(u.shape[0], dtype=complex)}
+def _power_table(u: np.ndarray, span: int) -> np.ndarray:
+    """U^m for m in [-span, span], stacked at index m + span; negative
+    powers via the adjoint."""
+    tab = np.empty((2 * span + 1,) + u.shape, dtype=complex)
+    tab[span] = np.eye(u.shape[0])
     for m in range(1, span + 1):
-        tab[m] = u @ tab[m - 1]
-        tab[-m] = tab[m].conj().T
+        tab[span + m] = u @ tab[span + m - 1]
+        tab[span - m] = tab[span + m].conj().T
     return tab
 
 
@@ -101,18 +106,29 @@ def gamma_apply(fam: AutomorphismFamily, n_vec, x: AlgebraElement) -> AlgebraEle
 
 def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
                            k: int) -> AlgebraElement:
-    """Mean of gamma^n x over the shell |n|^2 = k."""
+    """Mean of gamma^n x over the shell |n|^2 = k.
+
+    U^n is gathered from per-axis power tables for a block of shell points
+    at once and the conjugates are summed in shell order, the first one
+    onto the running sum, so the additions are those of a point-by-point
+    loop.
+    """
     shell = sphere_shell(fam.d, k)
     if shell.count == 0:
         raise ValueError(f"empty shell: no lattice points with |n|^2 = {k}")
     span = math.isqrt(k)
     tabs = [_power_table(fam.unitaries[i], span) for i in range(fam.d)]
+    rows = shell.points + span
+    block = max(1, AVERAGE_BLOCK_ENTRIES // (fam.n * fam.n))
     acc = np.zeros((fam.n, fam.n), dtype=complex)
-    for pt in shell.points:
-        u = tabs[0][int(pt[0])]
+    for lo in range(0, shell.count, block):
+        idx = rows[lo:lo + block]
+        u = tabs[0][idx[:, 0]]
         for i in range(1, fam.d):
-            u = u @ tabs[i][int(pt[i])]
-        acc += u @ x.entries @ u.conj().T
+            u = u @ tabs[i][idx[:, i]]
+        terms = u @ x.entries @ u.conj().swapaxes(-1, -2)
+        terms[0] += acc
+        acc = terms.sum(axis=0)
     return AlgebraElement(n=fam.n, entries=acc / shell.count, hermitian=x.hermitian)
 
 
@@ -127,8 +143,7 @@ def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndar
     for axis in range(fam.d - 1, -1, -1):
         tab = _power_table(fam.unitaries[axis], span)
         new = np.empty((width,) + cur.shape, dtype=complex)
-        for row, m in enumerate(range(-span, span + 1)):
-            um = tab[m]
+        for row, um in enumerate(tab):
             new[row] = np.einsum("ab,...bc,dc->...ad", um, cur, um.conj())
         cur = new
     return cur
@@ -159,6 +174,31 @@ def orbit_truncation(fam: AutomorphismFamily, x: AlgebraElement, window: int,
     return LatticeFunction(dimension=fam.d, side=side, values=vals)
 
 
+def inner_shell_average(box: np.ndarray, shell: SphereShell,
+                        margin: int) -> np.ndarray:
+    """(1/count) sum_{|m|^2=k} box[n - m] at the sites n of a box of odd
+    side centred on 0 that lie at least margin inside its edge.
+
+    With |m|_inf <= margin every n - m stays in the box, so this is the
+    lattice spherical convolution of the box padded by zeros, restricted to
+    those sites, with no torus built: one slice add per shell point, in
+    shell order (the additions of torus.spherical_convolve there).
+    """
+    d = shell.dimension
+    if shell.count == 0:
+        raise ValueError(f"empty shell: no lattice points with |m|^2 = {shell.k}")
+    if int(np.abs(shell.points).max()) > margin:
+        raise ValueError(f"shell k={shell.k} reaches beyond the margin {margin}")
+    width = box.shape[0] - 2 * margin
+    if width < 1:
+        raise ValueError(f"margin {margin} leaves no inner site")
+    out = np.zeros((width,) * d + box.shape[d:], dtype=complex)
+    for point in shell.points:
+        out += box[tuple(slice(margin - c, margin - c + width) for c in point)]
+    out /= shell.count
+    return out
+
+
 def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
                               window: int, k_cap_sq: int) -> float:
     """Max deviation between lattice and automorphism spherical averages.
@@ -174,17 +214,18 @@ def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
         raise ValueError("k_cap_sq must be a perfect square")
     if cap > window:
         raise ValueError("need cap <= window")
-    side = 2 * (window + cap) + 1
-    g = orbit_truncation(fam, x, window, side=side)
+    width = 2 * window + 1
+    if width ** fam.d > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"{width}^{fam.d} orbit sites exceed the budget of {DEFAULT_POINT_BUDGET}")
+    box = _orbit_box(fam, x, window)
     inner = window - cap
-    idx = np.arange(-inner, inner + 1) % side
     worst = 0.0
     for k in range(1, k_cap_sq + 1):
         shell = sphere_shell(fam.d, k)
         if shell.count == 0:
             continue
-        conv = spherical_convolve(shell, g)
-        lhs = conv.values[np.ix_(*([idx] * fam.d))]
+        lhs = inner_shell_average(box, shell, cap)
         avg = auto_spherical_average(fam, x, k)
         rhs = _orbit_box(fam, avg, inner)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -213,12 +254,13 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     base = schatten_norm(x, p)
     if base == 0.0:
         raise ValueError("x must be nonzero")
+    counts = rep_counts(fam.d, k_list[-1])
     averages = []
     rows = []
     next_k = 1
     for k_top in k_list:
         for k in range(next_k, k_top + 1):
-            if sphere_shell(fam.d, k).count > 0:
+            if counts[k] > 0:
                 averages.append(auto_spherical_average(fam, x, k))
         next_k = k_top + 1
         prob = MaxNormProblem(p=p, family=tuple(averages))

@@ -47,6 +47,8 @@ def test_parse_defaults_filled():
         ("kind = farey\nLambda = 3\nseed = 1\n", "seed"),
         ("kind = ncmax\ntol = big\ninput = f\n", "tol"),
         ("kind = transfer\ncap = 3\n", "cap"),
+        ("kind = transfer\nfamily = permutation\nn = 5\n", "n"),
+        ("kind = transfer\nfamily = permutation\nn = 2\n", "n"),
     ],
 )
 def test_parse_errors_name_the_key(text, key):
@@ -133,6 +135,15 @@ def test_transfer_runner_trivial():
     report = run_experiment(cfg)
     assert report.passed
     assert abs(report.summary["max_ratio"] - 1.0) < 1e-6
+
+
+def test_transfer_permutation_family_takes_n_three():
+    # the family is fixed at 3x3: an explicit n = 3 runs it like an omitted n
+    left_out = run_experiment(parse_config("kind = transfer\nfamily = permutation\nK = 4\n"))
+    explicit = run_experiment(parse_config("kind = transfer\nfamily = permutation\nn = 3\nK = 4\n"))
+    assert explicit.rows == left_out.rows
+    assert "n = 2" in left_out.report_text()   # the omitted n still echoes its default
+    assert explicit.passed
 
 
 def test_transfer_runner_diagonal_uses_n():

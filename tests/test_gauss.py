@@ -3,6 +3,7 @@ checked against direct O(q^d) summation, and the shift transform against a
 hand-rolled transform of the raw values."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab.errors import BudgetExceededError
 from spherelab.gauss import (
+    MAX_TABLE_ENTRIES,
     gauss_dft,
     gauss_magnitude_bound,
     gauss_sum,
@@ -117,3 +120,17 @@ def test_rejects_non_reduced():
         gauss_sum_1d(2, 4, 0)
     with pytest.raises(ValueError):
         gauss_dft(3, 9, (1,))
+
+
+@pytest.mark.parametrize("q", [4097, 20_000])
+def test_all_shift_table_budget_checked_before_allocation(q):
+    # q = 20000 would need a 6.4 GB phase matrix; the refusal allocates nothing
+    assert q * q > MAX_TABLE_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"q={q}"):
+            gauss_sum_1d_all(1, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -9,10 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherelab.ncmax import (
     MaxNormProblem,
+    _barrier_hessian,
+    _hermitian_basis,
+    _slacks,
     hermitian_element,
+    matrix_abs,
     ncmax_diag_oracle,
     ncmax_grid_oracle_2x2,
     ncmax_norm,
@@ -130,3 +136,23 @@ def test_rejects_mixed_dimensions():
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_element(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@given(n=st.integers(1, 4), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_barrier_hessian_matches_per_term_traces(n, count, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    xs = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    # a strictly feasible envelope, pushed off the boundary by a random margin
+    a = sum(matrix_abs(x) for x in xs) + rng.uniform(0.05, 2.0) * np.eye(n)
+    yinvs = np.linalg.inv(_slacks(a, xs))
+    yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
+    basis = _hermitian_basis(n)
+    ref = np.zeros((n * n, n * n))
+    for w in yinvs:
+        for k, bk in enumerate(basis):
+            for l, bl in enumerate(basis):
+                ref[k, l] += np.trace(w @ bk @ w @ bl).real
+    got = _barrier_hessian(yinvs, basis)
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())

@@ -5,14 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spherelab import transfer
+from spherelab.errors import BudgetExceededError
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe
+from spherelab.lattice import rep_counts, sphere_shell
 from spherelab.ncmax import AlgebraElement, hermitian_element, schatten_norm
+from spherelab.torus import LatticeFunction, spherical_convolve
 from spherelab.transfer import (
     AutomorphismFamily,
     auto_spherical_average,
     diagonal_phase_family,
     gamma_apply,
+    inner_shell_average,
     maximal_ratio_experiment,
     orbit_truncation,
     permutation_phase_family,
@@ -103,6 +110,12 @@ def test_truncation_identity():
     assert truncation_identity_check(FAM5, x, 4, 4) < 1e-10
 
 
+def test_truncation_identity_budget_checked_before_allocation():
+    # 23^5 orbit sites are over the default budget of 5,000,000
+    with pytest.raises(BudgetExceededError, match="23\\^5"):
+        truncation_identity_check(FAM5, random_hermitian_probe(2, 7), 11, 1)
+
+
 def test_permutation_family_commutes():
     fam = permutation_phase_family()
     u = fam.unitaries
@@ -138,3 +151,70 @@ def test_ratio_table_structure():
         assert b[1] >= a[1] - a[4] - b[4]  # monotone up to certified gaps
     assert rows[0][2] == rows[1][2] == rows[2][2]  # shared lower bound
     assert base > 0.0
+
+
+# window bounds keep the oracle torus small: side 2*(window + cap) + 1 is
+# at most 25 at d=2, 17 at d=3 and 9 at d=5
+WINDOW_MAX = {2: 6, 3: 4, 5: 2}
+
+
+@given(d=st.sampled_from(sorted(WINDOW_MAX)), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_inner_shell_average_is_the_roll_convolution(d, data):
+    window = data.draw(st.integers(1, WINDOW_MAX[d]), label="window")
+    cap = data.draw(st.integers(1, window), label="cap")
+    ks = [k for k in range(1, cap * cap + 1) if rep_counts(d, k)[k] > 0]
+    k = data.draw(st.sampled_from(ks), label="k")
+    dim = data.draw(st.sampled_from([1, 2]), label="matrix_dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (2 * window + 1,) * d + ((dim, dim) if dim > 1 else ())
+    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # the roll path: the box on a torus wide enough that nothing wraps
+    side = 2 * (window + cap) + 1
+    vals = np.zeros((side,) * d + shape[d:], dtype=complex)
+    vals[np.ix_(*[np.arange(-window, window + 1) % side] * d)] = box
+    shell = sphere_shell(d, k)
+    conv = spherical_convolve(shell, LatticeFunction(d, side, vals))
+    inner = np.arange(-(window - cap), window - cap + 1) % side
+    expected = conv.values[np.ix_(*[inner] * d)]
+    got = inner_shell_average(box, shell, cap)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_inner_shell_average_rejects_a_shell_beyond_the_margin():
+    box = np.zeros((7, 7))
+    with pytest.raises(ValueError, match="margin"):
+        inner_shell_average(box, sphere_shell(2, 4), 1)
+
+
+AVERAGE_FAMILIES = [
+    ("diagonal", FAM5, 2),
+    ("permutation", permutation_phase_family(), 3),
+    ("trivial", trivial_family(2, 5), 2),
+    ("diagonal_n4_d3", diagonal_phase_family((0.1, 0.37, 0.9), n=4), 4),
+]
+
+
+@pytest.mark.parametrize("name,fam,n", AVERAGE_FAMILIES, ids=[f[0] for f in AVERAGE_FAMILIES])
+def test_average_is_the_mean_of_gamma_over_the_shell(name, fam, n):
+    x = random_hermitian_probe(n, 11)
+    for k in (1, 2, 3, 4, 5, 9):
+        shell = sphere_shell(fam.d, k)
+        if shell.count == 0:
+            continue
+        oracle = np.mean([gamma_apply(fam, pt, x).entries for pt in shell.points], axis=0)
+        avg = auto_spherical_average(fam, x, k)
+        assert np.abs(avg.entries - oracle).max() < 1e-13
+
+
+def test_average_blocks_add_in_shell_order(monkeypatch):
+    # the running sum is carried onto the first point of the next block, so
+    # any block size gives the bits of a single pass over the shell
+    x = random_hermitian_probe(3, 5)
+    fam = permutation_phase_family()
+    whole = auto_spherical_average(fam, x, 9).entries
+    monkeypatch.setattr(transfer, "AVERAGE_BLOCK_ENTRIES", 7 * 9)
+    assert np.array_equal(auto_spherical_average(fam, x, 9).entries, whole)
+    monkeypatch.setattr(transfer, "AVERAGE_BLOCK_ENTRIES", 1)
+    assert np.array_equal(auto_spherical_average(fam, x, 9).entries, whole)
