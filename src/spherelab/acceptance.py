@@ -1,8 +1,10 @@
 """The twelve gating checks, runnable programmatically or via the CLI.
 
-Each function returns a CriterionResult with the measured quantities it
-judged.  Criteria 03, 04, 06, 09 and 12 are pinned experiment configs: each
-passes iff every runner check passes, plus any criterion-only condition.
+Each criterion returns (passed, details), the details being the measured
+quantities it judged; run_criteria wraps them in a CriterionResult named by
+the criterion's key in CRITERIA and numbered by its position there.
+Criteria 03, 04, 06, 09 and 12 are pinned experiment configs: each passes
+iff every runner check passes, plus any criterion-only condition.
 Thresholds and configs are hard-coded on purpose: they are the contract.
 """
 
@@ -15,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiments import (TRANSFER_THETAS, ExperimentConfig, RunReport,
-                          n_polar, random_hermitian_probe, run_experiment)
+                          quadrature_at_radius, random_hermitian_probe,
+                          run_experiment)
 from .farey import farey_sequence, major_arcs, verify_partition
 from .heat import heat_direct_batch
 from .lattice import box_counts_oracle, rep_counts
-from .ncmax import MaxNormProblem, hermitian_element, matrix_abs, \
-    ncmax_diag_oracle, ncmax_grid_oracle_2x2, ncmax_norm, schatten_norm
-from .sphere import j_main, j_main_integral, sphere_ft_montecarlo, \
-    sphere_ft_quadrature, unit_sphere_ft
-from .transfer import diagonal_phase_family, permutation_phase_family, \
-    truncation_identity_check
+from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, \
+    ncmax_diag_oracle, ncmax_grid_oracle_2x2, ncmax_norm
+from .sphere import j_main, j_main_integral, sphere_ft_montecarlo, unit_sphere_ft
+from .transfer import TRUNCATION_TOL, diagonal_phase_family, \
+    permutation_phase_family, truncation_identity_check
 
 
 @dataclass
@@ -50,7 +52,7 @@ def _short(v) -> str:
     return str(v)
 
 
-def criterion_01_farey_partition() -> CriterionResult:
+def criterion_01_farey_partition() -> tuple[bool, dict]:
     """Exact cover of [0,1] by arcs, plus Farey neighbor identities."""
     cover_ok = all(verify_partition(major_arcs(farey_sequence(order)))
                    for order in range(1, 51))
@@ -65,66 +67,67 @@ def criterion_01_farey_partition() -> CriterionResult:
                 break
         if not neighbor_ok:
             break
-    return CriterionResult(1, "farey-partition", cover_ok and neighbor_ok,
-                           {"cover_orders": 50, "neighbor_orders": 200,
-                            "cover_ok": cover_ok, "neighbor_ok": neighbor_ok})
+    return cover_ok and neighbor_ok, {"cover_orders": 50, "neighbor_orders": 200,
+                                      "cover_ok": cover_ok,
+                                      "neighbor_ok": neighbor_ok}
 
 
-def criterion_02_rep_counts() -> CriterionResult:
+def criterion_02_rep_counts() -> tuple[bool, dict]:
     """Shell counting table against brute-force box enumeration."""
     worst = 0
     for d in range(1, 6):
         table = rep_counts(d, 50).counts
         brute = box_counts_oracle(d, 50)
         worst = max(worst, max(abs(a - b) for a, b in zip(table, brute)))
-    return CriterionResult(2, "rep-count-oracle", worst == 0,
-                           {"d_max": 5, "k_max": 50, "max_abs_diff": worst})
+    return worst == 0, {"d_max": 5, "k_max": 50, "max_abs_diff": worst}
 
 
 def _pinned(kind: str, **params) -> RunReport:
     return run_experiment(ExperimentConfig(kind, params))
 
 
-def criterion_03_gauss_dft() -> CriterionResult:
+def criterion_03_gauss_dft() -> tuple[bool, dict]:
     """DFT of the normalized complete sum is the pure quadratic phase, and
     no sum exceeds its magnitude bound."""
     rep = _pinned("gauss", d=5, q_max=25, L=20, seed=0, tol=1e-12)
-    return CriterionResult(3, "gauss-dft", rep.passed,
-                           {"q_max": rep.summary["q_max"],
-                            "k_samples": rep.summary["k_samples"],
-                            "max_err": rep.summary["max_dft_err"],
-                            "tol": rep.checks[0].threshold})
+    return rep.passed, {"q_max": rep.summary["q_max"],
+                        "k_samples": rep.summary["k_samples"],
+                        "max_err": rep.summary["max_dft_err"],
+                        "tol": rep.checks[0].threshold}
 
 
-def criterion_04_poisson_forms() -> CriterionResult:
+def criterion_04_poisson_forms() -> tuple[bool, dict]:
     """Lattice sum vs image-sum resummation of the kernel transform."""
     dims = (2, 3, 5)
     reps = [_pinned("poisson_check", d=d, L=20, seed=400 + d, tol=1e-8)
             for d in dims]
-    return CriterionResult(4, "poisson-forms", all(r.passed for r in reps),
-                           {"dims": ",".join(map(str, dims)),
-                            "draws_per_case": reps[0].summary["draws_per_eps"],
-                            "max_rel_err": max(r.summary["max_rel_err"] for r in reps),
-                            "tol": reps[0].checks[0].threshold})
+    ok = all(r.passed for r in reps)
+    return ok, {"dims": ",".join(map(str, dims)),
+                "draws_per_case": reps[0].summary["draws_per_eps"],
+                "max_rel_err": max(r.summary["max_rel_err"] for r in reps),
+                "tol": reps[0].checks[0].threshold}
 
 
 ENVELOPE_REL_OFFSETS = np.array([-0.9, -0.5, -0.2, 0.0, 0.2, 0.5, 0.9])
+ENVELOPE_D = 5
 
 
-def _envelope_frequencies(d: int = 5) -> np.ndarray:
+def _envelope_frequencies() -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(1))
     rational = np.array([[0.5, 0, 0, 0, 0],
                          [1 / 3, 1 / 3, 0, 0, 0],
                          [0.25, 0.5, 0, 0, 0]])
-    return np.vstack([np.zeros((1, d)), rng.uniform(-0.5, 0.5, size=(12, d)),
-                      rational])
+    return np.vstack([np.zeros((1, ENVELOPE_D)),
+                      rng.uniform(-0.5, 0.5, size=(12, ENVELOPE_D)), rational])
 
 
-def envelope_sup(order: int, d: int = 5) -> float:
-    """Normalized kernel size q^{d/2} (order^-2 + |t|)^{d/2} |K|, maximized
-    over a fixed arc/offset/frequency design that exists at every order."""
+def envelope_sup(order: int) -> float:
+    """Normalized kernel size q^{d/2} (order^-2 + |t|)^{d/2} |K| in d = 5,
+    maximized over a fixed arc/offset/frequency design that exists at every
+    order."""
+    d = ENVELOPE_D
     eps = float(order) ** -2.0
-    xis = _envelope_frequencies(d)
+    xis = _envelope_frequencies()
     arcs = [arc for arc in major_arcs(farey_sequence(order))
             if arc.center.denominator <= 2]
     sup = 0.0
@@ -144,54 +147,48 @@ def envelope_sup(order: int, d: int = 5) -> float:
     return sup
 
 
-def criterion_05_kernel_envelope() -> CriterionResult:
+def criterion_05_kernel_envelope() -> tuple[bool, dict]:
     """The normalized kernel sup must not grow as the order doubles twice."""
     sups = {order: envelope_sup(order) for order in (2, 4, 8)}
     growth_24 = sups[4] / sups[2]
     growth_48 = sups[8] / sups[4]
     ok = growth_24 <= 1.1 and growth_48 <= 1.1
-    return CriterionResult(5, "kernel-envelope", ok,
-                           {"sup_2": sups[2], "sup_4": sups[4],
-                            "sup_8": sups[8], "growth_2_to_4": growth_24,
-                            "growth_4_to_8": growth_48, "limit": 1.1})
+    return ok, {"sup_2": sups[2], "sup_4": sups[4],
+                "sup_8": sups[8], "growth_2_to_4": growth_24,
+                "growth_4_to_8": growth_48, "limit": 1.1}
 
 
-def criterion_06_arc_reconstruction() -> CriterionResult:
+def criterion_06_arc_reconstruction() -> tuple[bool, dict]:
     """Summing all arc pieces rebuilds the exact shell multiplier."""
     ks = (1, 2, 4)
     reps = [_pinned("reconstruct", d=5, K=k, Lambda=2, L=8, seed=0, tol=1e-6)
             for k in ks]
-    return CriterionResult(6, "arc-reconstruction", all(r.passed for r in reps),
-                           {"d": reps[0].summary["d"], "ks": ",".join(map(str, ks)),
-                            "order": reps[0].summary["order"],
-                            "frequencies": len(reps[0].rows),
-                            "max_err": max(r.summary["max_abs_err"] for r in reps),
-                            "tol": reps[0].checks[0].threshold})
+    ok = all(r.passed for r in reps)
+    return ok, {"d": reps[0].summary["d"], "ks": ",".join(map(str, ks)),
+                "order": reps[0].summary["order"],
+                "frequencies": len(reps[0].rows),
+                "max_err": max(r.summary["max_abs_err"] for r in reps),
+                "tol": reps[0].checks[0].threshold}
 
 
-def criterion_07_sphere_ft() -> CriterionResult:
+def criterion_07_sphere_ft() -> tuple[bool, dict]:
     """Bessel closed form vs quadrature, Monte Carlo, and pinned values."""
     worst_quad = 0.0
     worst_mc = 0.0
     for d in (3, 5):
         rhos = [0.1, 0.5, 1.0, 2.0, 3.0] if d == 5 else [0.1, 0.5, 1.0, 2.0, 5.0]
         for rho in rhos:
-            xi = np.zeros(d)
-            xi[0] = rho
-            n = n_polar(d, rho)
-            quad = sphere_ft_quadrature(d, xi, n_polar=n, n_azimuth=3 * n)
-            worst_quad = max(worst_quad, abs(quad - float(unit_sphere_ft(d, rho))))
+            worst_quad = max(worst_quad, quadrature_at_radius(d, rho)[2])
         mc = sphere_ft_montecarlo(d, 1.0, n_samples=1_000_000, seed=0)
         worst_mc = max(worst_mc, abs(mc - float(unit_sphere_ft(d, 1.0))))
     at_zero = float(unit_sphere_ft(5, 0.0))
     pin = abs(float(unit_sphere_ft(5, 1.0)) + 3.0 / (4.0 * math.pi ** 2))
     ok = worst_quad < 1e-8 and worst_mc < 1e-3 and at_zero == 1.0 and pin < 1e-10
-    return CriterionResult(7, "sphere-ft-oracle", ok,
-                           {"max_quad_err": worst_quad, "max_mc_err": worst_mc,
-                            "value_at_zero": at_zero, "pinned_d5_err": pin})
+    return ok, {"max_quad_err": worst_quad, "max_mc_err": worst_mc,
+                "value_at_zero": at_zero, "pinned_d5_err": pin}
 
 
-def criterion_08_mainterm_identity() -> CriterionResult:
+def criterion_08_mainterm_identity() -> tuple[bool, dict]:
     """Full-line oscillatory integral equals the closed main-term formula,
     independently of the Gaussian width."""
     d = 5
@@ -210,23 +207,21 @@ def criterion_08_mainterm_identity() -> CriterionResult:
                                    abs(val - closed) / max(1.0, abs(closed)))
             worst_eps = max(worst_eps, abs(vals[0] - vals[1]))
     ok = worst_closed < 1e-4 and worst_eps < 1e-4
-    return CriterionResult(8, "mainterm-identity", ok,
-                           {"d": 5, "ks": "1,4", "max_closed_err": worst_closed,
-                            "max_eps_dependence": worst_eps, "tol": 1e-4})
+    return ok, {"d": 5, "ks": "1,4", "max_closed_err": worst_closed,
+                "max_eps_dependence": worst_eps, "tol": 1e-4}
 
 
-def criterion_09_approx_decay() -> CriterionResult:
+def criterion_09_approx_decay() -> tuple[bool, dict]:
     """Scaled deviation between the exact multiplier and the rational
     approximation stays in a narrow band with the predicted slope."""
     rep = _pinned("decay", q_max=30, Lambda=8)
     band_check, slope_low, slope_high = rep.checks
-    return CriterionResult(9, "approx-decay", rep.passed,
-                           {"orders": ",".join(str(r[0]) for r in rep.rows),
-                            "band": rep.summary["band"],
-                            "band_limit": band_check.threshold,
-                            "loglog_slope": rep.summary["loglog_slope"],
-                            "slope_range": f"[{slope_low.threshold},"
-                                           f"{slope_high.threshold}]"})
+    return rep.passed, {"orders": ",".join(str(r[0]) for r in rep.rows),
+                        "band": rep.summary["band"],
+                        "band_limit": band_check.threshold,
+                        "loglog_slope": rep.summary["loglog_slope"],
+                        "slope_range": f"[{slope_low.threshold},"
+                                       f"{slope_high.threshold}]"}
 
 
 def _random_diag_problem(rng) -> MaxNormProblem:
@@ -238,7 +233,7 @@ def _random_diag_problem(rng) -> MaxNormProblem:
     return MaxNormProblem(p=p, family=family)
 
 
-def criterion_10_ncmax() -> CriterionResult:
+def criterion_10_ncmax() -> tuple[bool, dict]:
     """Barrier solver against the pinching oracle, the 2x2 grid oracle,
     and its own certificate bounds."""
     rng = np.random.Generator(np.random.PCG64(10))
@@ -249,10 +244,7 @@ def criterion_10_ncmax() -> CriterionResult:
         cert = ncmax_norm(prob, tol=1e-7)
         oracle = ncmax_diag_oracle(prob)
         worst_rel = max(worst_rel, abs(cert.objective - oracle) / max(oracle, 1e-12))
-        lower = max(schatten_norm(x, prob.p) for x in prob.family)
-        upper = schatten_norm(
-            hermitian_element(sum(matrix_abs(x.entries) for x in prob.family)),
-            prob.p)
+        lower, upper = envelope_bounds(prob)
         if cert.objective < lower - 1e-7 * max(1.0, lower) or \
                 cert.objective - cert.gap > upper + 1e-7 * max(1.0, upper):
             sandwich_ok = False
@@ -266,13 +258,12 @@ def criterion_10_ncmax() -> CriterionResult:
         grid_errs.append(abs(grid - solved) / max(grid, 1e-12))
     worst_grid = max(grid_errs)
     ok = worst_rel < 1e-5 and worst_grid < 1e-4 and sandwich_ok
-    return CriterionResult(10, "ncmax-oracles", ok,
-                           {"diag_problems": 100, "max_rel_err": worst_rel,
-                            "grid_rel_err": worst_grid,
-                            "sandwich_ok": sandwich_ok})
+    return ok, {"diag_problems": 100, "max_rel_err": worst_rel,
+                "grid_rel_err": worst_grid,
+                "sandwich_ok": sandwich_ok}
 
 
-def criterion_11_transfer_identity() -> CriterionResult:
+def criterion_11_transfer_identity() -> tuple[bool, dict]:
     """Orbit truncation reproduces automorphism averages exactly inside
     the guard window."""
     fam_a = diagonal_phase_family([float(t) for t in TRANSFER_THETAS], n=2)
@@ -282,22 +273,19 @@ def criterion_11_transfer_identity() -> CriterionResult:
     dev_b = truncation_identity_check(fam_b, random_hermitian_probe(3, 7),
                                       window=5, k_cap_sq=4)
     worst = max(dev_a, dev_b)
-    return CriterionResult(11, "transfer-identity", worst < 1e-10,
-                           {"dev_n2_d5": dev_a, "dev_n3_d3": dev_b,
-                            "tol": 1e-10})
+    return worst < TRUNCATION_TOL, {"dev_n2_d5": dev_a, "dev_n3_d3": dev_b, "tol": TRUNCATION_TOL}
 
 
-def criterion_12_ratio_table() -> CriterionResult:
+def criterion_12_ratio_table() -> tuple[bool, dict]:
     """Maximal-ratio trend table: monotone, certified below the summed
     envelope bound, exported as CSV."""
     rep = _pinned("transfer", family="diagonal", n=2, p=2.0, K=16, seed=7,
                   tol=1e-7)
     monotone, below = rep.checks
-    return CriterionResult(12, "ratio-table", rep.passed and len(rep.rows) == 4,
-                           {"ratios": ",".join(f"{r[1]:.6f}" for r in rep.rows),
-                            "monotone": monotone.passed,
-                            "below_upper": below.passed,
-                            "csv": rep.csv_text()})
+    return rep.passed and len(rep.rows) == 4, {"ratios": ",".join(f"{r[1]:.6f}" for r in rep.rows),
+                                               "monotone": monotone.passed,
+                                               "below_upper": below.passed,
+                                               "csv": rep.csv_text()}
 
 
 # suite name -> criterion, in run order
@@ -323,11 +311,11 @@ def suite_names() -> list[str]:
 
 def run_criteria(names=None) -> list[CriterionResult]:
     results = []
-    for name, fn in CRITERIA.items():
+    for number, (name, fn) in enumerate(CRITERIA.items(), start=1):
         if names and name not in names:
             continue
         t0 = time.perf_counter()
-        res = fn()
-        res.wall_time = time.perf_counter() - t0
-        results.append(res)
+        passed, details = fn()
+        results.append(CriterionResult(number, name, passed, details,
+                                       time.perf_counter() - t0))
     return results

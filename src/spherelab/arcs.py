@@ -31,7 +31,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .cutoff import NARROW, CutoffSpec, cutoff
 from .errors import BudgetExceededError
@@ -39,11 +38,12 @@ from .farey import MajorArc
 from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
 from .lattice import SphereShell
-from .sphere import _rd, j_main, radial_constant
+from .sphere import _rd, j_main, panel_quadrature, radial_constant
 
 
 def exact_multiplier(shell: SphereShell, xi) -> float:
     """Normalized exponential sum over the shell; real by symmetry."""
+    shell.check_nonempty()
     xi = np.asarray(xi, dtype=float)
     phases = shell.points @ xi
     value = np.exp(2j * np.pi * phases).sum() / shell.count
@@ -52,6 +52,9 @@ def exact_multiplier(shell: SphereShell, xi) -> float:
 
 # most phase entries (frequencies x shell points) held at once
 _PHASE_BLOCK = 1 << 18
+MAX_ARC_PANELS = 200_000
+# approx_total with tail_tol searches q_max up to this modulus
+TAIL_Q_BUDGET = 2000
 
 
 def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
@@ -60,8 +63,9 @@ def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
     Rows are taken in blocks of at most _PHASE_BLOCK phase entries (and at
     least one row), so the temporaries stay bounded on large shells.
     """
+    shell.check_nonempty()
     xis = np.asarray(xis, dtype=float)
-    rows = max(1, _PHASE_BLOCK // max(shell.count, 1))
+    rows = max(1, _PHASE_BLOCK // shell.count)
     out = np.empty(len(xis))
     for start in range(0, len(xis), rows):
         phases = xis[start:start + rows] @ shell.points.T
@@ -69,36 +73,17 @@ def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
     return out / shell.count
 
 
-def arc_multiplier(
-    d: int,
-    k: int,
-    arc: MajorArc,
-    xi,
-    eps: float,
-    nodes_per_panel: int = 12,
-    max_panels: int = 200_000,
-    tol: float = 1e-12,
-) -> complex:
+def arc_multiplier(d: int, k: int, arc: MajorArc, xi, eps: float) -> complex:
     """One arc piece of the circle decomposition, by panel quadrature.
 
-    Panels span at most a quarter period of e^{-2 pi i k s} and at most
-    eps/2 (the kernel scale near the arc center); Gauss-Legendre nodes on
-    each panel.  eps must equal order^{-2} for the arc's Farey order.
+    panel_quadrature over the arc, at most MAX_ARC_PANELS panels.  eps must
+    equal order^{-2} for the arc's Farey order.
     """
     if not math.isclose(eps, arc.order ** -2.0, rel_tol=1e-9):
         raise ValueError(f"eps={eps} does not match arc order {arc.order}")
-    lo, hi = float(arc.left), float(arc.right)
-    width = min(1.0 / (4.0 * max(k, 1)), eps / 2.0)
-    n_panels = int(math.ceil((hi - lo) / width))
-    if n_panels > max_panels:
-        raise BudgetExceededError(f"{n_panels} arc panels exceed cap {max_panels}")
-    edges = np.linspace(lo, hi, n_panels + 1)
-    gl_x, gl_w = leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
-    kernel = heat_direct_batch(eps, s, xi, tol=tol).value
+    s, w = panel_quadrature(float(arc.left), float(arc.right), k, eps,
+                            MAX_ARC_PANELS)
+    kernel = heat_direct_batch(eps, s, xi).value
     osc = np.exp(-2j * np.pi * np.mod(k * s, 1.0))
     integral = complex((w * osc * kernel).sum())
     return math.exp(2.0 * math.pi * eps * k) / _rd(d, k) * integral
@@ -150,12 +135,12 @@ def approx_total(
     xi,
     q_max: int | None = None,
     tail_tol: float | None = None,
-    q_budget: int = 2000,
 ) -> ApproxTotal:
     """Sum of approximants over q <= q_max and the units a of Z/q.
 
     Either q_max is given, or it is chosen as the smallest modulus whose
-    envelope tail bound is below tail_tol (error if that exceeds q_budget).
+    envelope tail bound is below tail_tol (error if that exceeds
+    TAIL_Q_BUDGET).
 
     Works per modulus: the images l = rint(q xi) and the narrow cutoffs of
     every q come from one vectorized pass, and a modulus whose cutoff
@@ -171,9 +156,9 @@ def approx_total(
         q_max = 1
         while approx_tail_bound(d, k, q_max) >= tail_tol:
             q_max += 1
-            if q_max > q_budget:
+            if q_max > TAIL_Q_BUDGET:
                 raise BudgetExceededError(
-                    f"tail_tol={tail_tol} needs q_max > {q_budget}"
+                    f"tail_tol={tail_tol} needs q_max > {TAIL_Q_BUDGET}"
                 )
     elif q_max < 1:
         raise ValueError(f"q_max={q_max}: need q_max >= 1")

@@ -3,7 +3,9 @@
 Every subcommand prints an RFC-4180 CSV table (complex values as re/im
 column pairs) to stdout or, with --out, to a file.  Commands that carry
 assertions (farey, ncmax, transfer, verify, experiment) exit nonzero when
-any assertion fails, so the exit code is usable in scripts.
+any assertion fails, so the exit code is usable in scripts.  Input the
+library rejects with a ValueError or BudgetExceededError ends in one
+``error: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .acceptance import run_criteria, suite_names
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError
 from .experiments import (TRANSFER_THETAS, ExperimentConfig, csv_text,
                           load_config, ncmax_checks, random_hermitian_probe,
                           ratio_table_checks, read_ncmax_problem,
@@ -26,8 +28,8 @@ from .experiments import (TRANSFER_THETAS, ExperimentConfig, csv_text,
 from .gauss import gauss_magnitude_bound, gauss_sum
 from .lattice import DEFAULT_POINT_BUDGET, rep_counts, sphere_shell
 from .ncmax import MaxNormProblem, ncmax_norm
-from .transfer import (diagonal_phase_family, maximal_ratio_experiment,
-                       truncation_identity_check)
+from .transfer import (TRUNCATION_TOL, diagonal_phase_family,
+                       maximal_ratio_experiment, truncation_identity_check)
 
 _FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
 
@@ -171,7 +173,7 @@ def _cmd_transfer(args) -> int:
     if args.window is not None:
         dev = truncation_identity_check(fam, x, args.window, args.cap ** 2)
         print(f"truncation_identity_deviation = {dev!r}", file=_FOOTER)
-        ok = ok and dev < 1e-10
+        ok = ok and dev < TRUNCATION_TOL
     return 0 if ok else 1
 
 
@@ -185,16 +187,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        cfg = load_config(args.file)
-        if args.out is not None:
-            cfg = ExperimentConfig(cfg.kind, cfg.parameters, Path(args.out))
-        if args.seed is not None and "seed" in cfg.parameters:
-            cfg = ExperimentConfig(cfg.kind, {**cfg.parameters, "seed": args.seed},
-                                   cfg.output)
-        report = run_experiment(cfg)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    cfg = load_config(args.file)
+    if args.out is not None:
+        cfg = ExperimentConfig(cfg.kind, cfg.parameters, Path(args.out))
+    if args.seed is not None and "seed" in cfg.parameters:
+        cfg = ExperimentConfig(cfg.kind, {**cfg.parameters, "seed": args.seed},
+                               cfg.output)
+    report = run_experiment(cfg)
     sys.stdout.write(report.report_text())
     if cfg.output is None:
         sys.stdout.write(report.csv_text())
@@ -290,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, BudgetExceededError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .farey import farey_sequence, major_arcs, verify_partition
 from .gauss import gauss_dft, gauss_magnitude_bound, gauss_sum
 from .heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc
 from .lattice import sphere_shell
-from .ncmax import MaxNormProblem, hermitian_element, ncmax_norm, schatten_norm
+from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, ncmax_norm
 from .sphere import sphere_ft_montecarlo, sphere_ft_quadrature, unit_sphere_ft
 from .transfer import (diagonal_phase_family, maximal_ratio_experiment,
                        permutation_phase_family, trivial_family)
@@ -382,6 +382,17 @@ def n_polar(d: int, rho: float) -> int:
     return min(48, 32 + 8 * max(0, math.ceil(rho) - 1))
 
 
+def quadrature_at_radius(d: int, rho: float) -> tuple[float, float, float]:
+    """(closed form, product quadrature, |difference|) of the sphere
+    transform at xi = rho e_1, with n_polar(d, rho) polar nodes."""
+    closed = float(unit_sphere_ft(d, rho))
+    xi = np.zeros(d)
+    xi[0] = rho
+    n = n_polar(d, rho)
+    quad = sphere_ft_quadrature(d, xi, n_polar=n, n_azimuth=3 * n)
+    return closed, quad, abs(closed - quad)
+
+
 def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     d, n_mc, tol = P["d"], P["L"], P["tol"]
@@ -394,14 +405,9 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
     rows = []
     worst = 0.0
     for rho in rhos:
-        closed = float(unit_sphere_ft(d, rho))
-        xi = np.zeros(d)
-        xi[0] = rho
-        n = n_polar(d, rho)
-        quad = sphere_ft_quadrature(d, xi, n_polar=n, n_azimuth=3 * n)
-        err = abs(closed - quad)
-        worst = max(worst, err)
-        rows.append((rho, closed, quad, err))
+        row = quadrature_at_radius(d, rho)
+        worst = max(worst, row[2])
+        rows.append((rho, *row))
     checks = [CheckResult("quadrature_abs_err", worst, tol, worst < tol,
                           relation="<")]
     summary = {"d": d, "max_quad_err": worst,
@@ -467,7 +473,7 @@ def write_ncmax_problem(prob: MaxNormProblem, path) -> None:
 
 def ncmax_checks(prob: MaxNormProblem, cert, tol: float) -> tuple[float, list]:
     """Largest single p-norm (a lower bound on the optimum), certificate checks."""
-    lower = max(schatten_norm(x, prob.p) for x in prob.family)
+    lower = envelope_bounds(prob)[0]
     floor = lower - tol * max(lower, 1.0)
     return lower, [
         CheckResult("converged", float(cert.converged), 1.0, cert.converged,

@@ -20,7 +20,8 @@ and cross-checked in the tests.
 
 On an arc of Farey order L (so eps = L^{-2}, |t| < 1/(q L)) the normalized
 magnitude q^{d/2} (eps + |t|)^{d/2} |H(xi)| stays bounded by an absolute
-constant; an empirical sampler for that statistic lives in experiments.
+constant; an empirical sampler for that statistic is
+acceptance.envelope_sup.
 """
 
 from __future__ import annotations
@@ -137,16 +138,12 @@ def heat_multiplier_direct(
     return HeatValue(value=complex(out.value[0]), tail_bound=out.tail_bound, radius=out.radius)
 
 
-def heat_multiplier_poisson(
-    params: HeatParams,
-    xi,
-    tol: float = DEFAULT_TOL,
-    budget: float = DEFAULT_BOX_BUDGET,
-) -> HeatValue:
+def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) -> HeatValue:
     """Gauss-sum resummation of the heat multiplier at s = a/q + t.
 
     Per coordinate the image sum runs over the integers l with Gaussian
-    factor above tol; the complex power uses the principal branch.
+    factor above tol, at most DEFAULT_BOX_BUDGET of them; the complex power
+    uses the principal branch.
     """
     if params.q is None:
         raise ValueError("poisson form needs the rational split (a, q, t)")
@@ -166,7 +163,7 @@ def heat_multiplier_poisson(
     for i in range(d):
         lo = math.floor(q * (xi[i] - reach)) - 1
         hi = math.ceil(q * (xi[i] + reach)) + 1
-        if (hi - lo + 1) > budget:
+        if (hi - lo + 1) > DEFAULT_BOX_BUDGET:
             raise BudgetExceededError(f"poisson image window {hi - lo + 1} exceeds budget")
         l = np.arange(lo, hi + 1, dtype=np.int64)
         u = xi[i] - l / q

@@ -42,6 +42,11 @@ class SphereShell:
     def count(self) -> int:
         return self.points.shape[0]
 
+    def check_nonempty(self) -> None:
+        """Raise a ValueError naming k when no point lies on the shell."""
+        if self.count == 0:
+            raise ValueError(f"empty shell: no lattice points with |m|^2 = {self.k}")
+
 
 def rep_counts(d: int, max_k: int) -> RepCountTable:
     """Count representations of 0..max_k as ordered sums of d signed squares.

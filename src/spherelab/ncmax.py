@@ -22,6 +22,9 @@ import numpy as np
 HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_NEWTON_BUDGET = 20_000
+# ncmax_grid_oracle_2x2: refinement stages, grid points per axis and stage
+GRID_STAGES = 12
+GRID_POINTS = 15
 
 # Backtracking constants: Armijo fraction, step shrink factor.
 ARMIJO = 0.25
@@ -182,9 +185,9 @@ def _barrier_hessian(yinvs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (bflat @ gram @ bflat.T).real
 
 
-def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL,
-               newton_budget: int = DEFAULT_NEWTON_BUDGET) -> MaxNormCertificate:
-    """Interior-point solve of the maximal-envelope norm.
+def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
+    """Interior-point solve of the maximal-envelope norm, in at most
+    DEFAULT_NEWTON_BUDGET Newton steps.
 
     Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
     decreasing mu-path; each center is found by Newton's method over a real
@@ -225,7 +228,7 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL,
     while True:
         # Newton centering at the current mu.
         for _ in range(60):
-            if steps >= newton_budget:
+            if steps >= DEFAULT_NEWTON_BUDGET:
                 break
             lam, vecs = np.linalg.eigh(a)
             yinvs = np.linalg.inv(_slacks(a, xs))
@@ -272,7 +275,7 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL,
         if gap <= tol * obj:
             converged = True
             break
-        if steps >= newton_budget:
+        if steps >= DEFAULT_NEWTON_BUDGET:
             break
         mu *= 0.125
 
@@ -287,6 +290,16 @@ def matrix_abs(x: np.ndarray) -> np.ndarray:
     """|x| = (x* x)^{1/2} of a hermitian matrix, through its eigenbasis."""
     lam, vecs = np.linalg.eigh(x)
     return (vecs * np.abs(lam)) @ vecs.conj().T
+
+
+def envelope_bounds(prob: MaxNormProblem) -> tuple[float, float]:
+    """max_j ||x_j||_p and ||sum_j |x_j| ||_p, between which the maximal
+    norm lies: every feasible a dominates each |x_j|, and sum_j |x_j| is
+    feasible."""
+    lower = max(schatten_norm(x, prob.p) for x in prob.family)
+    upper = schatten_norm(
+        hermitian_element(sum(matrix_abs(x.entries) for x in prob.family)), prob.p)
+    return lower, upper
 
 
 def ncmax_diag_oracle(prob: MaxNormProblem) -> float:
@@ -306,14 +319,14 @@ def ncmax_diag_oracle(prob: MaxNormProblem) -> float:
     return schatten_norm(hermitian_element(np.diag(env)), prob.p)
 
 
-def ncmax_grid_oracle_2x2(prob: MaxNormProblem, stages: int = 12,
-                          points: int = 15) -> float:
+def ncmax_grid_oracle_2x2(prob: MaxNormProblem) -> float:
     """Brute-force optimum for n = 2 by staged grid refinement.
 
     A hermitian 2x2 envelope is four reals (a11, a22, Re a12, Im a12).  Each
-    stage scans a grid over the current box, keeps the best feasible point,
-    and shrinks the box around it.  Feasibility of a 2x2 order constraint is
-    exact: trace >= 0 and determinant >= 0.
+    of GRID_STAGES stages scans a GRID_POINTS^4 grid over the current box,
+    keeps the best feasible point, and shrinks the box around it.
+    Feasibility of a 2x2 order constraint is exact: trace >= 0 and
+    determinant >= 0.
     """
     if prob.n != 2:
         raise ValueError("grid oracle only covers n = 2")
@@ -325,8 +338,8 @@ def ncmax_grid_oracle_2x2(prob: MaxNormProblem, stages: int = 12,
     best = math.inf
     slack = 1e-12 * max(radius, 1.0)
 
-    for _ in range(stages):
-        axes = [np.linspace(c - h, c + h, points) for c, h in zip(center, half)]
+    for _ in range(GRID_STAGES):
+        axes = [np.linspace(c - h, c + h, GRID_POINTS) for c, h in zip(center, half)]
         g11, g22, gre, gim = np.meshgrid(*axes, indexing="ij")
         g11, g22, gre, gim = (g.ravel() for g in (g11, g22, gre, gim))
 
@@ -358,5 +371,5 @@ def ncmax_grid_oracle_2x2(prob: MaxNormProblem, stages: int = 12,
         if val[k] < best:
             best = float(val[k])
         center = np.array([g11[k], g22[k], gre[k], gim[k]])
-        half = half * (2.2 / (points - 1))
+        half = half * (2.2 / (GRID_POINTS - 1))
     return best

@@ -41,6 +41,9 @@ from .errors import BudgetExceededError
 from .lattice import rep_counts
 
 _SERIES_CUTOFF = 0.1  # switch to the power series when pi*rho is below this
+PANEL_NODES = 12      # Gauss-Legendre nodes per panel of panel_quadrature
+J_MAIN_T_MAX = 1.0e3  # j_main_integral integrates over |t| <= this
+J_MAIN_MAX_PANELS = 2_000_000
 
 
 @lru_cache(maxsize=None)
@@ -174,22 +177,35 @@ def heat_phase_factor(d: int, eps: float, t: np.ndarray, xi_norm_sq: float) -> n
     return z ** (-d / 2) * np.exp(-np.pi * xi_norm_sq / z)
 
 
-def j_main_integral(
-    d: int,
-    k: int,
-    xi,
-    eps: float,
-    t_max: float = 1.0e3,
-    nodes_per_panel: int = 12,
-    max_panels: int = 2_000_000,
-) -> tuple[float, float]:
+def panel_quadrature(lo: float, hi: float, k: int, eps: float,
+                     max_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [lo, hi] for e^{-2 pi i k s} times
+    a heat kernel of damping eps.
+
+    Panels span at most a quarter period of the oscillation and at most
+    eps/2 (the kernel scale near its center), PANEL_NODES nodes each.  The
+    panel count is checked against max_panels before anything is allocated.
+    """
+    width = min(1.0 / (4.0 * max(k, 1)), eps / 2.0)
+    n_panels = int(math.ceil((hi - lo) / width))
+    if n_panels > max_panels:
+        raise BudgetExceededError(f"{n_panels} panels exceed cap {max_panels}")
+    edges = np.linspace(lo, hi, n_panels + 1)
+    gl_x, gl_w = leggauss(PANEL_NODES)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    weights = (half[:, None] * gl_w[None, :]).ravel()
+    return nodes, weights
+
+
+def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     """Full-line oscillatory integral form of j_main; returns (value, tail_bound).
 
-    Panels are capped at a quarter period of the e^{-2 pi i k t} oscillation
-    and at eps/2 so the kernel's scale near t = 0 is resolved; fixed-order
-    Gauss-Legendre nodes per panel.  The omitted |t| > t_max tail is bounded
-    by 2 * Integral (2t)^{-d/2} dt = (2/(d-2)) (2 t_max)^{1-d/2} * 2^{...};
-    the exact expression used is below and is returned scaled like the value.
+    panel_quadrature over |t| <= t_max = J_MAIN_T_MAX.  The omitted
+    |t| > t_max tail is bounded by 2 * Integral (2t)^{-d/2} dt
+    = (2/(d-2)) (2 t_max)^{1-d/2} * 2^{...}; the exact expression used is
+    below and is returned scaled like the value.
     """
     if d < 3:
         raise ValueError("the full-line integral needs d >= 3 to converge")
@@ -198,16 +214,8 @@ def j_main_integral(
         raise ValueError(f"k={k} has no representation as {d} squares")
     xi = np.asarray(xi, dtype=float)
     xi_norm_sq = float(xi @ xi)
-    width = min(1.0 / (4.0 * max(k, 1)), eps / 2.0)
-    n_panels = int(math.ceil(2.0 * t_max / width))
-    if n_panels > max_panels:
-        raise BudgetExceededError(f"{n_panels} quadrature panels exceed cap {max_panels}")
-    edges = np.linspace(-t_max, t_max, n_panels + 1)
-    gl_x, gl_w = leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
+    t_max = J_MAIN_T_MAX
+    t, w = panel_quadrature(-t_max, t_max, k, eps, J_MAIN_MAX_PANELS)
     osc = np.exp(-2j * np.pi * np.mod(k * t, 1.0))
     integrand = osc * heat_phase_factor(d, eps, t, xi_norm_sq)
     integral = complex((w * integrand).sum())

@@ -20,14 +20,16 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell
-from .ncmax import (AlgebraElement, MaxNormProblem, hermitian_element,
-                    matrix_abs, ncmax_norm, schatten_norm)
+from .ncmax import (AlgebraElement, MaxNormProblem, envelope_bounds,
+                    ncmax_norm, schatten_norm)
 from .torus import LatticeFunction
 
 UNITARY_TOL = 1e-12
 # auto_spherical_average conjugates shell points in blocks of about this
 # many matrix entries, so its stacks stay a few MB whatever the shell size.
 AVERAGE_BLOCK_ENTRIES = 1 << 18
+# largest deviation the truncation identity admits (it is roundoff only)
+TRUNCATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,9 @@ class AutomorphismFamily:
     unitaries: np.ndarray  # shape (d, n, n)
 
     def __post_init__(self):
+        for name in ("n", "d"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}={getattr(self, name)}: need {name} >= 1")
         u = np.asarray(self.unitaries, dtype=complex)
         if u.shape != (self.d, self.n, self.n):
             raise ValueError(f"unitaries must have shape {(self.d, self.n, self.n)}")
@@ -114,8 +119,7 @@ def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
     loop.
     """
     shell = sphere_shell(fam.d, k)
-    if shell.count == 0:
-        raise ValueError(f"empty shell: no lattice points with |n|^2 = {k}")
+    shell.check_nonempty()
     span = math.isqrt(k)
     tabs = [_power_table(fam.unitaries[i], span) for i in range(fam.d)]
     rows = shell.points + span
@@ -135,11 +139,15 @@ def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
 def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
     """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
 
-    Built one axis at a time: conjugating an already-assembled block by
-    U_i^m fills the next axis in a single vectorized pass.
+    The site count is checked against DEFAULT_POINT_BUDGET before anything
+    is allocated.  Built one axis at a time: conjugating an already-assembled
+    block by U_i^m fills the next axis in a single vectorized pass.
     """
-    cur = x.entries.astype(complex)
     width = 2 * span + 1
+    if width ** fam.d > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"{width}^{fam.d} orbit sites exceed the budget of {DEFAULT_POINT_BUDGET}")
+    cur = x.entries.astype(complex)
     for axis in range(fam.d - 1, -1, -1):
         tab = _power_table(fam.unitaries[axis], span)
         new = np.empty((width,) + cur.shape, dtype=complex)
@@ -149,29 +157,15 @@ def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndar
     return cur
 
 
-def orbit_truncation(fam: AutomorphismFamily, x: AlgebraElement, window: int,
-                     side: int | None = None,
-                     budget: int = DEFAULT_POINT_BUDGET) -> LatticeFunction:
-    """Matrix-valued lattice function g(n) = gamma^n x for |n|_inf <= window.
-
-    The sup-norm box keeps the site count at exactly (2*window+1)^d.  The
-    torus side defaults to the minimal faithful value 2*window+1; pass a
-    larger side to leave room for convolution without wrap-around.
-    """
+def orbit_truncation(fam: AutomorphismFamily, x: AlgebraElement,
+                     window: int) -> LatticeFunction:
+    """Matrix-valued lattice function g(m) = gamma^m x for |m|_inf <= window
+    on the torus of side 2*window+1, with g(m) at the site m mod side."""
     if window < 0:
         raise ValueError("window must be >= 0")
-    if side is None:
-        side = 2 * window + 1
-    if side < 2 * window + 1:
-        raise ValueError("side must cover the orbit window")
-    if side ** fam.d > budget:
-        raise BudgetExceededError(
-            f"{side}^{fam.d} lattice sites exceed the budget of {budget}")
-    vals = np.zeros((side,) * fam.d + (fam.n, fam.n), dtype=complex)
     box = _orbit_box(fam, x, window)
-    idx = np.arange(-window, window + 1) % side
-    vals[np.ix_(*([idx] * fam.d))] = box
-    return LatticeFunction(dimension=fam.d, side=side, values=vals)
+    vals = np.fft.ifftshift(box, axes=range(fam.d))
+    return LatticeFunction(dimension=fam.d, side=2 * window + 1, values=vals)
 
 
 def inner_shell_average(box: np.ndarray, shell: SphereShell,
@@ -185,8 +179,7 @@ def inner_shell_average(box: np.ndarray, shell: SphereShell,
     shell order (the additions of torus.spherical_convolve there).
     """
     d = shell.dimension
-    if shell.count == 0:
-        raise ValueError(f"empty shell: no lattice points with |m|^2 = {shell.k}")
+    shell.check_nonempty()
     if int(np.abs(shell.points).max()) > margin:
         raise ValueError(f"shell k={shell.k} reaches beyond the margin {margin}")
     width = box.shape[0] - 2 * margin
@@ -214,10 +207,6 @@ def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
         raise ValueError("k_cap_sq must be a perfect square")
     if cap > window:
         raise ValueError("need cap <= window")
-    width = 2 * window + 1
-    if width ** fam.d > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"{width}^{fam.d} orbit sites exceed the budget of {DEFAULT_POINT_BUDGET}")
     box = _orbit_box(fam, x, window)
     inner = window - cap
     worst = 0.0
@@ -230,13 +219,6 @@ def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
         rhs = _orbit_box(fam, avg, inner)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
-
-
-def window_count_ratio(window: int, cap: int, d: int) -> float:
-    """Fraction of box sites that survive shrinking the window by cap."""
-    if not 0 <= cap <= window:
-        raise ValueError("need 0 <= cap <= window")
-    return ((2 * (window - cap) + 1) / (2 * window + 1)) ** d
 
 
 def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
@@ -265,8 +247,7 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
         next_k = k_top + 1
         prob = MaxNormProblem(p=p, family=tuple(averages))
         cert = ncmax_norm(prob, tol=tol)
-        lower = max(schatten_norm(y, p) for y in averages) / base
-        summ = sum(matrix_abs(y.entries) for y in averages)
-        upper = schatten_norm(hermitian_element(summ), p) / base
-        rows.append((k_top, cert.objective / base, lower, upper, cert.gap / base))
+        lower, upper = envelope_bounds(prob)
+        rows.append((k_top, cert.objective / base, lower / base, upper / base,
+                     cert.gap / base))
     return rows

@@ -2,6 +2,7 @@
 approximants with their dropped-tail envelope."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherelab.arcs import (
+    MAX_ARC_PANELS,
+    TAIL_Q_BUDGET,
     approx_arc_multiplier,
     approx_tail_bound,
     approx_total,
@@ -16,6 +19,7 @@ from spherelab.arcs import (
     exact_multiplier,
     exact_multiplier_many,
 )
+from spherelab.errors import BudgetExceededError
 from spherelab.farey import farey_sequence, major_arcs
 from spherelab.gauss import gauss_magnitude_bound
 from spherelab.lattice import rep_counts, sphere_shell
@@ -158,3 +162,33 @@ def test_arc_multiplier_requires_matching_damping():
     arc = major_arcs(farey_sequence(2))[0]
     with pytest.raises(ValueError):
         arc_multiplier(5, 1, arc, np.zeros(5), eps=1.0)  # order 2 needs 1/4
+
+
+def test_arc_panel_cap_checked_before_allocation():
+    # the order-2 arc [0, 1/3] at k = 200000 needs panels of width 1/800000,
+    # 266,667 of them, over the cap of 200,000
+    arc = major_arcs(farey_sequence(2))[0]
+    assert arc.center == 0 and MAX_ARC_PANELS == 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="266667 panels exceed cap 200000"):
+            arc_multiplier(5, 200_000, arc, np.full(5, 0.1), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_approx_total_tail_search_stops_at_its_budget():
+    # the tail bound falls like q^{-1/2} in d = 5, so 1e-12 is out of reach
+    with pytest.raises(BudgetExceededError, match=f"q_max > {TAIL_Q_BUDGET}"):
+        approx_total(5, 4, np.zeros(5), tail_tol=1e-12)
+
+
+def test_exact_multiplier_rejects_an_empty_shell():
+    shell = sphere_shell(1, 2)  # 2 is no square
+    assert shell.count == 0
+    with pytest.raises(ValueError, match="empty shell.*= 2"):
+        exact_multiplier(shell, np.array([0.1]))
+    with pytest.raises(ValueError, match="empty shell.*= 2"):
+        exact_multiplier_many(shell, np.array([[0.1], [0.2]]))

@@ -290,3 +290,33 @@ def test_cli_transfer_window_below_cap():
     proc = run_cli("transfer", "--J", "3", expect=1)
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: --J 3") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gauss", "--a", "1", "--q", "0"),
+        ("gauss", "--a", "1", "--q", "-3"),
+        ("farey", "--order", "0"),
+        ("rd", "--d", "0", "--max-k", "3"),
+        ("rd", "--d", "3", "--max-k", "-1"),
+        ("shell", "--d", "3", "--k", "-1"),
+        ("transfer", "--cap", "0"),
+        ("transfer", "--n", "0"),
+        ("transfer", "--p", "0.5"),
+        ("transfer", "--theta", "1/3,x"),
+        ("mult", "--k", "2", "--xi", "0.1,abc,0,0,0"),
+    ],
+)
+def test_cli_bad_inputs_give_one_error_line(argv):
+    proc = run_cli(*argv, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_mult_rejects_an_empty_shell():
+    # no integer is a square root of 2, so the d = 1 shell at k = 2 is empty
+    proc = run_cli("mult", "--d", "1", "--k", "2", "--xi", "0.1", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: empty shell") and "= 2" in proc.stderr

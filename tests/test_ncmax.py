@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab import ncmax
 from spherelab.ncmax import (
     MaxNormProblem,
     _barrier_hessian,
     _hermitian_basis,
     _slacks,
+    envelope_bounds,
     hermitian_element,
     matrix_abs,
     ncmax_diag_oracle,
@@ -156,3 +158,19 @@ def test_barrier_hessian_matches_per_term_traces(n, count, seed):
                 ref[k, l] += np.trace(w @ bk @ w @ bl).real
     got = _barrier_hessian(yinvs, basis)
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_envelope_bounds_of_a_diagonal_family():
+    # max_j ||x_j||_2 = sqrt(10) and ||diag(1+3, 3+1)||_2 = sqrt(32)
+    prob = MaxNormProblem(p=2.0, family=(_diag(1, -3), _diag(-3, 1)))
+    lower, upper = envelope_bounds(prob)
+    assert abs(lower - math.sqrt(10)) < 1e-14
+    assert abs(upper - math.sqrt(32)) < 1e-14
+    assert lower <= ncmax_norm(prob).objective <= upper
+
+
+def test_newton_budget_stops_the_solve(monkeypatch):
+    prob = MaxNormProblem(p=2.0, family=(SZ, SX))
+    monkeypatch.setattr(ncmax, "DEFAULT_NEWTON_BUDGET", 3)
+    cert = ncmax_norm(prob)
+    assert cert.newton_steps == 3 and not cert.converged

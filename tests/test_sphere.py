@@ -5,11 +5,14 @@ product-rule angular quadrature and stratified Monte Carlo.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spherelab.errors import BudgetExceededError
 from spherelab.sphere import (
+    J_MAIN_MAX_PANELS,
     j_main,
     j_main_integral,
     radial_constant,
@@ -82,3 +85,17 @@ def test_rejects_bad_arguments():
         j_main(3, 7, np.zeros(3))  # 7 is not a sum of three squares
     with pytest.raises(ValueError):
         j_main_integral(2, 1, np.zeros(2), eps=0.25)
+
+
+def test_main_term_panel_cap_checked_before_allocation():
+    # k = 300 gives panels of width 1/1200 over [-1000, 1000]: 2.4M of them,
+    # over the cap of 2M
+    assert J_MAIN_MAX_PANELS == 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="2400000 panels exceed cap 2000000"):
+            j_main_integral(5, 300, np.array([0.2, 0.1, 0.0, 0.0, 0.0]), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -25,7 +25,6 @@ from spherelab.transfer import (
     permutation_phase_family,
     trivial_family,
     truncation_identity_check,
-    window_count_ratio,
 )
 
 SX = hermitian_element(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -97,6 +96,30 @@ def test_orbit_truncation_shapes():
     assert np.abs(single.values[(0,) * 5] - x.entries).max() == 0.0
 
 
+def test_orbit_truncation_puts_gamma_m_at_m_mod_side():
+    x = random_hermitian_probe(2, 7)
+    fam = diagonal_phase_family(TRANSFER_THETAS[:3], n=2)
+    for window in (0, 1, 3):
+        orb = orbit_truncation(fam, x, window)
+        side = 2 * window + 1
+        assert orb.side == side
+        for m in ((0, 0, 0), (window, -window, min(window, 1)), (-window, 0, window)):
+            site = tuple(c % side for c in m)
+            expected = gamma_apply(fam, m, x).entries
+            assert np.abs(orb.values[site] - expected).max() < 1e-14
+
+
+def test_orbit_truncation_budget_checked_before_allocation():
+    with pytest.raises(BudgetExceededError, match="23\\^5"):
+        orbit_truncation(FAM5, random_hermitian_probe(2, 7), 11)
+
+
+@pytest.mark.parametrize("n,d,name", [(0, 2, "n"), (-1, 2, "n"), (2, 0, "d")])
+def test_family_rejects_empty_dimensions_by_name(n, d, name):
+    with pytest.raises(ValueError, match=f"^{name}="):
+        AutomorphismFamily(n=n, d=d, unitaries=np.ones((1, 1, 1)))
+
+
 def test_orbit_of_trivial_family_is_constant():
     x = random_hermitian_probe(2, 8)
     orb = orbit_truncation(trivial_family(2, 5), x, 1)
@@ -125,16 +148,6 @@ def test_permutation_family_commutes():
     x = random_hermitian_probe(3, 4)
     dev = truncation_identity_check(fam, x, 3, 1)
     assert dev < 1e-10
-
-
-def test_window_count_ratio():
-    for window in (4, 8, 16):
-        val = window_count_ratio(window, 2, 5)
-        direct = ((2 * (window - 2) + 1) / (2 * window + 1)) ** 5
-        assert abs(val - direct) < 1e-15
-    assert window_count_ratio(6, 0, 5) == 1.0
-    with pytest.raises(ValueError):
-        window_count_ratio(2, 3, 5)
 
 
 def test_ratio_table_structure():
