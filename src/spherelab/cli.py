@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,19 @@ def _write_csv(args, columns, rows) -> None:
 
 
 def _parse_vector(text: str, d: int) -> np.ndarray:
+    """One --xi value: d comma-separated finite reals."""
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != d:
-        raise SystemExit(f"error: expected {d} comma-separated components, "
-                         f"got {len(parts)} in {text!r}")
-    return np.array([float(p) for p in parts])
+        raise SystemExit(f"error: --xi {text!r}: expected {d} comma-separated "
+                         f"components, got {len(parts)}")
+    bad = SystemExit(f"error: --xi {text!r}: expected finite real numbers")
+    try:
+        vec = np.array([float(p) for p in parts])
+    except ValueError:
+        raise bad from None
+    if not np.all(np.isfinite(vec)):
+        raise bad
+    return vec
 
 
 def _cmd_rd(args) -> int:
@@ -148,12 +157,18 @@ def _cmd_ncmax(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    if args.cap < 1:
+        raise SystemExit(f"error: --cap {args.cap}: need cap >= 1")
     if args.window is not None and args.cap > args.window:
         # the identity is checked at sites |n|_inf <= J - cap
         raise SystemExit(f"error: --J {args.window}: the truncation identity "
                          f"needs --cap {args.cap} <= J")
     if args.theta:
-        thetas = args.theta.replace(",", " ").split()
+        try:
+            thetas = [Fraction(t) for t in args.theta.replace(",", " ").split()]
+        except (ValueError, ZeroDivisionError):
+            raise SystemExit(f"error: --theta {args.theta!r}: expected "
+                             f"fractions or decimals like 1/3,0.2") from None
         if args.d is not None and args.d != len(thetas):
             raise SystemExit(f"error: --d {args.d} but {len(thetas)} thetas")
     else:

@@ -1,13 +1,15 @@
 """Farey fractions and the exact interval partition of [0,1] they induce.
 
-Everything here is exact rational arithmetic (fractions.Fraction).  For an
-order L, the reduced fractions a/q in [0,1] with q <= L split [0,1] into
-one interval per fraction.  Writing a1/q1 < a/q < a2/q2 for consecutive
-fractions, the interval owned by a/q is
+Everything here is exact: integer recurrences, with fractions.Fraction
+results.  For an order L, the reduced fractions a/q in [0,1] with q <= L
+split [0,1] into one interval per fraction.  Writing a1/q1 < a/q < a2/q2
+for consecutive fractions, the interval owned by a/q is
 
     [ a/q - beta/(q L),  a/q + alpha/(q L) )
+        = [ (a + a1)/(q + q1),  (a + a2)/(q + q2) )
 
-with alpha = L/(q + q2) and beta = L/(q + q1).  The endpoint fractions 0/1
+with alpha = L/(q + q2) and beta = L/(q + q1): its ends are the mediants
+with its neighbours, because a q1 - a1 q = 1.  The endpoint fractions 0/1
 and 1/1 both use alpha = beta = L/(1 + L); the 0/1 interval starts at 0 and
 the 1/1 interval is [1 - beta/L, 1], closed on the right.  Both weights lie
 strictly between 1/2 and 1, and the intervals tile [0,1] exactly.
@@ -18,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -50,59 +53,52 @@ class MajorArc:
 def farey_sequence(order: int) -> FareySequence:
     """All reduced fractions in [0,1] with denominator <= order, ascending.
 
-    Uses the classical next-term recurrence: from consecutive terms p/q,
-    p'/q' the following term is (j*p' - p)/(j*q' - q) with
-    j = floor((order + q)/q').
+    Uses the classical next-term recurrence on integer pairs: from
+    consecutive terms p/q, p'/q' the following term is (j*p' - p)/(j*q' - q)
+    with j = floor((order + q)/q').
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    p, q, p2, q2 = 0, 1, 1, order
     terms = [Fraction(0, 1), Fraction(1, order)]
-    while terms[-1] != 1:
-        p, q = terms[-2].numerator, terms[-2].denominator
-        p2, q2 = terms[-1].numerator, terms[-1].denominator
+    while p2 != q2:
         j = (order + q) // q2
-        terms.append(Fraction(j * p2 - p, j * q2 - q))
+        p, q, p2, q2 = p2, q2, j * p2 - p, j * q2 - q
+        terms.append(Fraction(p2, q2))
     return FareySequence(order=order, fractions=tuple(terms))
 
 
 def major_arcs(seq: FareySequence) -> list[MajorArc]:
-    """The exact partition of [0,1] owned by the fractions of seq."""
+    """The exact partition of [0,1] owned by the fractions of seq.
+
+    Each interior endpoint is the mediant (a + a')/(q + q') of two
+    neighbours, built from their integer numerators and denominators.
+    """
     L = seq.order
     fracs = seq.fractions
+    nums = [f.numerator for f in fracs]
+    dens = [f.denominator for f in fracs]
+    bounds = [Fraction(0, 1)]
+    bounds += [Fraction(a + a2, q + q2)
+               for a, q, a2, q2 in zip(nums, dens, nums[1:], dens[1:])]
+    bounds.append(Fraction(1, 1))
+    # sums[i] = q_i + q_{i+1}; the end fractions 0/1 and 1/1 both get the
+    # weight pair (edge, edge)
+    sums = [q + q2 for q, q2 in zip(dens, dens[1:])]
     edge = Fraction(L, 1 + L)
-    arcs: list[MajorArc] = []
-    for i, f in enumerate(fracs):
-        q = f.denominator
-        if f == 0:
-            alpha = beta = edge
-            left = Fraction(0, 1)
-            right = alpha / L
-            closed = False
-        elif f == 1:
-            alpha = beta = edge
-            left = 1 - beta / L
-            right = Fraction(1, 1)
-            closed = True
-        else:
-            q1 = fracs[i - 1].denominator
-            q2 = fracs[i + 1].denominator
-            alpha = Fraction(L, q + q2)
-            beta = Fraction(L, q + q1)
-            left = f - beta / (q * L)
-            right = f + alpha / (q * L)
-            closed = False
-        arcs.append(
-            MajorArc(
-                center=f,
-                left=left,
-                right=right,
-                alpha=alpha,
-                beta=beta,
-                order=L,
-                closed_right=closed,
-            )
+    last = len(fracs) - 1
+    return [
+        MajorArc(
+            center=f,
+            left=bounds[i],
+            right=bounds[i + 1],
+            alpha=Fraction(L, sums[i]) if 0 < i < last else edge,
+            beta=Fraction(L, sums[i - 1]) if 0 < i < last else edge,
+            order=L,
+            closed_right=i == last,
         )
-    return arcs
+        for i, f in enumerate(fracs)
+    ]
 
 
 def verify_partition(arcs: list[MajorArc]) -> bool:
@@ -128,8 +124,7 @@ def locate_arc(s, arcs: list[MajorArc]) -> tuple[Fraction, Fraction]:
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise ValueError(f"s must lie in [0,1], got {s}")
-    lefts = [arc.left for arc in arcs]
-    i = bisect_right(lefts, s) - 1
+    i = bisect_right(arcs, s, key=attrgetter("left")) - 1
     arc = arcs[i]
     if not arc.contains(s):
         raise AssertionError(f"partition lookup failed for s={s}")

@@ -44,6 +44,10 @@ _SERIES_CUTOFF = 0.1  # switch to the power series when pi*rho is below this
 PANEL_NODES = 12      # Gauss-Legendre nodes per panel of panel_quadrature
 J_MAIN_T_MAX = 1.0e3  # j_main_integral integrates over |t| <= this
 J_MAIN_MAX_PANELS = 2_000_000
+# sphere_ft_quadrature: cap on its inner grid n_polar^(d-3) * n_azimuth, and
+# phases per streamed block of the outer polar angle
+QUADRATURE_INNER_BUDGET = 1 << 22
+QUADRATURE_BLOCK_ENTRIES = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -107,38 +111,54 @@ def sphere_ft(d: int, lam: float, xi) -> float:
 def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> float:
     """Deterministic product-angle quadrature of the surface integral.
 
-    Hyperspherical coordinates: Gauss-Legendre in each polar angle on
-    [0, pi] with weight sin^{d-1-j}, equispaced points in the azimuth.
-    Evaluates at a full vector frequency xi (not just a radius), so it
-    also exercises rotational invariance.
+    Hyperspherical coordinates: Gauss-Legendre in each polar angle theta_j
+    on [0, pi] with weight sin^{d-2-j}, equispaced points in the azimuth
+    phi.  Evaluates at a full vector frequency xi (not just a radius), so
+    it also exercises rotational invariance.
+
+    The phase xi.x nests as P_j = xi_j cos theta_j + sin theta_j P_{j+1},
+    from P_{d-2} = xi_{d-2} cos phi + xi_{d-1} sin phi.  P and its weight
+    are built once over the inner angles (theta_1 .. theta_{d-3} and phi);
+    the outer angle theta_0 is then streamed in blocks of at most
+    QUADRATURE_BLOCK_ENTRIES phases.  Every node of the product grid is
+    still evaluated.  The inner grid size is checked against
+    QUADRATURE_INNER_BUDGET before anything is allocated.
     """
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if n_polar < 1:
+        raise ValueError(f"n_polar must be >= 1, got {n_polar}")
+    if n_azimuth < 1:
+        raise ValueError(f"n_azimuth must be >= 1, got {n_azimuth}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"xi must have shape ({d},)")
+    inner = n_polar ** max(d - 3, 0) * n_azimuth
+    if inner > QUADRATURE_INNER_BUDGET:
+        raise BudgetExceededError(f"inner grid of {inner} nodes exceeds cap "
+                                  f"{QUADRATURE_INNER_BUDGET}")
+    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    phase = xi[d - 2] * np.cos(phi) + xi[d - 1] * np.sin(phi)
+    if d == 2:
+        return float(np.cos(2.0 * np.pi * phase).sum()) / n_azimuth
     nodes, weights = leggauss(n_polar)
     theta = 0.5 * np.pi * (nodes + 1.0)
     w_theta = 0.5 * np.pi * weights
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-
-    grids = [theta] * (d - 2) + [phi]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    weight = np.ones_like(mesh[0])
-    for j in range(d - 2):
-        weight = weight * (w_theta * np.sin(theta) ** (d - 2 - j))[
-            tuple(slice(None) if i == j else None for i in range(d - 1))
-        ]
-    # cartesian coordinates from the angle grid
-    x = []
-    sin_prod = np.ones_like(mesh[0])
-    for j in range(d - 2):
-        x.append(sin_prod * np.cos(mesh[j]))
-        sin_prod = sin_prod * np.sin(mesh[j])
-    x.append(sin_prod * np.cos(mesh[-1]))
-    x.append(sin_prod * np.sin(mesh[-1]))
-
-    phase = sum(xi[i] * x[i] for i in range(d))
-    total = float((weight * np.cos(2.0 * np.pi * phase)).sum())
-    return total / float(weight.sum())
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    weight = np.ones(n_azimuth)
+    for j in range(d - 3, 0, -1):
+        phase = (xi[j] * cos_t + sin_t * phase).ravel()
+        weight = (w_theta[:, None] * sin_t ** (d - 2 - j) * weight).ravel()
+    w_outer = w_theta * sin_t[:, 0] ** (d - 2)
+    rows = max(1, QUADRATURE_BLOCK_ENTRIES // inner)
+    total = 0.0
+    for lo in range(0, n_polar, rows):
+        block = np.multiply(sin_t[lo:lo + rows], phase)
+        block += xi[0] * cos_t[lo:lo + rows]
+        block *= 2.0 * np.pi
+        np.cos(block, out=block)
+        total += float(w_outer[lo:lo + rows] @ (block @ weight))
+    return total / (float(w_outer.sum()) * float(weight.sum()))
 
 
 def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: int = 0) -> float:

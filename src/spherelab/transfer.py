@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,7 +59,7 @@ class AutomorphismFamily:
 
 def diagonal_phase_family(thetas, n: int = 2) -> AutomorphismFamily:
     """U_i = diag(1, e^{2 pi i theta_i}, ..., e^{2 pi i theta_i (n-1)})."""
-    thetas = [float(Fraction(t)) if isinstance(t, str) else float(t) for t in thetas]
+    thetas = [float(t) for t in thetas]
     rows = [np.diag(np.exp(2j * np.pi * th * np.arange(n))) for th in thetas]
     return AutomorphismFamily(n=n, d=len(thetas), unitaries=np.stack(rows))
 

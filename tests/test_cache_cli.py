@@ -315,6 +315,24 @@ def test_cli_bad_inputs_give_one_error_line(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("transfer", "--cap", "0"), "--cap"),
+        (("transfer", "--theta", "1/3,x"), "--theta"),
+        (("transfer", "--theta", "1/0,1/3"), "--theta"),
+        (("mult", "--k", "2", "--xi", "0.1,abc,0,0,0"), "--xi"),
+        (("mult", "--k", "2", "--xi", "0.1,nan,0,0,0"), "--xi"),
+        (("approx", "--k", "2", "--xi", "0.1,0,0"), "--xi"),
+    ],
+)
+def test_cli_rejections_name_their_flag(argv, flag):
+    proc = run_cli(*argv, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {flag} "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_mult_rejects_an_empty_shell():
     # no integer is a square root of 2, so the d = 1 shell at k = 2 is empty
     proc = run_cli("mult", "--d", "1", "--k", "2", "--xi", "0.1", expect=1)

@@ -65,6 +65,28 @@ def test_partition(order):
     assert verify_partition(major_arcs(farey_sequence(order)))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 17, 200])
+def test_arc_ends_match_the_weight_form(order):
+    # arcs are built from mediants; each end must also be
+    # a/q -+ weight/(q L), the form the arc multiplier integrates over
+    arcs = major_arcs(farey_sequence(order))
+    for arc in arcs[1:-1]:
+        q = arc.center.denominator
+        assert arc.left == arc.center - arc.beta / (q * order)
+        assert arc.right == arc.center + arc.alpha / (q * order)
+    edge = F(order, order + 1)
+    assert (arcs[0].left, arcs[0].right) == (F(0), edge / order)
+    assert (arcs[-1].left, arcs[-1].right) == (1 - edge / order, F(1))
+    assert arcs[0].alpha == arcs[0].beta == arcs[-1].alpha == arcs[-1].beta == edge
+
+
+def test_locate_on_a_subset_of_arcs():
+    # callers may search a filtered list of arcs, not only a full partition
+    arcs = [a for a in major_arcs(farey_sequence(5)) if a.center.denominator == 5]
+    assert locate_arc(F(2, 5), arcs) == (F(2, 5), F(0))
+    assert locate_arc(F(41, 100), arcs)[0] == F(2, 5)
+
+
 def test_halfwidth_weights_in_band():
     # interior weights order/(q + q') are strictly inside (1/2, 1) because
     # consecutive denominators are coprime and sum past the order

@@ -9,10 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from spherelab.errors import BudgetExceededError
 from spherelab.sphere import (
     J_MAIN_MAX_PANELS,
+    QUADRATURE_INNER_BUDGET,
     j_main,
     j_main_integral,
     radial_constant,
@@ -51,6 +55,98 @@ def test_quadrature_oracle():
     xi5 = np.array([0.8, 0.0, 0.0, 0.0, 0.0])
     q5 = sphere_ft_quadrature(5, xi5, n_polar=24, n_azimuth=72)
     assert abs(q5 - unit_sphere_ft(5, 0.8)) < 1e-10
+
+
+def _full_mesh_quadrature(d, xi, n_polar, n_azimuth):
+    """Reference for sphere_ft_quadrature: the same product rule, with the
+    whole n_polar^(d-2) * n_azimuth angle mesh and its cartesian
+    coordinates built at once."""
+    nodes, weights = leggauss(n_polar)
+    theta = 0.5 * np.pi * (nodes + 1.0)
+    w_theta = 0.5 * np.pi * weights
+    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    mesh = np.meshgrid(*([theta] * (d - 2) + [phi]), indexing="ij")
+    weight = np.ones_like(mesh[0])
+    for j in range(d - 2):
+        weight = weight * (w_theta * np.sin(theta) ** (d - 2 - j))[
+            tuple(slice(None) if i == j else None for i in range(d - 1))
+        ]
+    x = []
+    sin_prod = np.ones_like(mesh[0])
+    for j in range(d - 2):
+        x.append(sin_prod * np.cos(mesh[j]))
+        sin_prod = sin_prod * np.sin(mesh[j])
+    x.append(sin_prod * np.cos(mesh[-1]))
+    x.append(sin_prod * np.sin(mesh[-1]))
+    phase = sum(xi[i] * x[i] for i in range(d))
+    return float((weight * np.cos(2.0 * np.pi * phase)).sum()) / float(weight.sum())
+
+
+@st.composite
+def _quadrature_cases(draw):
+    d = draw(st.integers(2, 6))
+    xi = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    norm = float(np.linalg.norm(xi))
+    radius = draw(st.floats(0.0, 3.0))
+    if norm > 0:
+        xi = xi * (radius / norm)
+    return d, xi, draw(st.integers(1, 12)), draw(st.integers(1, 36))
+
+
+@given(_quadrature_cases())
+@settings(max_examples=60, deadline=None)
+def test_quadrature_matches_full_mesh_reference(case):
+    d, xi, n_polar, n_azimuth = case
+    streamed = sphere_ft_quadrature(d, xi, n_polar=n_polar, n_azimuth=n_azimuth)
+    assert abs(streamed - _full_mesh_quadrature(d, xi, n_polar, n_azimuth)) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d, rho, n_polar, tol", [(2, 0.7, 32, 1e-12),
+                                                   (3, 0.7, 32, 1e-12),
+                                                   (5, 0.8, 24, 1e-10)])
+def test_quadrature_is_rotation_invariant(seed, d, rho, n_polar, tol):
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    xi = rotation @ (rho * np.eye(d)[0])
+    quad = sphere_ft_quadrature(d, xi, n_polar=n_polar, n_azimuth=3 * n_polar)
+    assert abs(quad - unit_sphere_ft(d, rho)) < tol
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_streams_the_outer_angle():
+    # the full d = 5, n_polar = 48 mesh has 15.9M nodes and took 1.7 GiB
+    xi = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
+    peak = _traced_peak(lambda: sphere_ft_quadrature(5, xi, n_polar=48, n_azimuth=144))
+    assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("d, n_polar, n_azimuth, name", [(1, 32, 96, "d"),
+                                                         (3, 0, 96, "n_polar"),
+                                                         (3, 32, 0, "n_azimuth")])
+def test_quadrature_rejects_bad_arguments_by_name(d, n_polar, n_azimuth, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        sphere_ft_quadrature(d, np.full(d, 0.3), n_polar=n_polar, n_azimuth=n_azimuth)
+
+
+def test_quadrature_inner_grid_checked_before_allocation():
+    # d = 7: the inner grid is 48^4 * 144 nodes, far over the cap
+    inner = 48 ** 4 * 144
+    assert inner > QUADRATURE_INNER_BUDGET
+
+    def over_budget():
+        with pytest.raises(BudgetExceededError, match=f"{inner} nodes exceeds cap"):
+            sphere_ft_quadrature(7, np.full(7, 0.1), n_polar=48, n_azimuth=144)
+
+    assert _traced_peak(over_budget) < 1 << 20
 
 
 def test_montecarlo_oracle():
