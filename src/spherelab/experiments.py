@@ -53,6 +53,12 @@ _SCHEMA = {
     "reconstruct": ({"d", "K"}, {"Lambda": 2, "L": 8, "seed": 0, "tol": 1e-6}),
 }
 
+# Smallest accepted value of each bounded integer key, then the kinds that
+# differ: sphere_ft needs a sphere in d >= 2, and L = 0 there skips the
+# Monte Carlo run.
+_LOWER_BOUNDS = {"d": 1, "L": 1, "q_max": 1, "Lambda": 1}
+_KIND_LOWER_BOUNDS = {"sphere_ft": {"d": 2, "L": 0}}
+
 # Fixed evaluation grid for the decay experiment: rational base frequencies
 # with small denominators (where the rational approximants are actually
 # active) plus small irrational offsets, kept well away from the integer
@@ -235,6 +241,10 @@ def parse_config(text: str, output: str | None = None) -> ExperimentConfig:
         raise ConfigError("n", f"the permutation family has n = 3, got {params['n']}")
     merged = dict(defaults)
     merged.update(params)
+    lower = {**_LOWER_BOUNDS, **_KIND_LOWER_BOUNDS.get(kind, {})}
+    for key, value in merged.items():
+        if key in lower and value < lower[key]:
+            raise ConfigError(key, f"must be >= {lower[key]}, got {value}")
     return ExperimentConfig(kind=kind, parameters=merged,
                             output=Path(out) if out else None)
 
@@ -281,7 +291,7 @@ def _run_gauss(cfg: ExperimentConfig) -> RunReport:
     worst_mag_ratio = 0.0
     for q in range(1, q_max + 1):
         for a in range(q):
-            if math.gcd(a, q) != 1 and not (q == 1 and a == 0):
+            if math.gcd(a, q) != 1:
                 continue
             dft_err = 0.0
             for k in ks:
@@ -315,7 +325,7 @@ def _run_poisson(cfg: ExperimentConfig) -> RunReport:
         for _ in range(n_draws):
             q = int(rng.integers(1, 9))
             a = int(rng.integers(0, q))
-            while math.gcd(a, q) != 1 and not (q == 1 and a == 0):
+            while math.gcd(a, q) != 1:
                 a = int(rng.integers(0, q))
             t = float(rng.uniform(-0.5, 0.5)) / (q * q)
             xi = rng.uniform(-0.5, 0.5, size=d)

@@ -11,8 +11,11 @@ DFT over the shift l collapses to a single phase,
     sum_l e(k.l/q) G(a/q, l) = e(|k|^2 a / q),
 
 which this module asserts at every evaluation (it is a strong correctness
-check on the implementation).  All phase arguments are reduced mod q in
-integer arithmetic before any floating multiply by 2 pi / q.
+check on the implementation).  gauss_sum_1d sums directly and is the
+oracle; the tables over every shift (gauss_sum_1d_all) and over every a
+(gauss_sum_1d_all_a) are each one length-q inverse FFT.  All phase
+arguments are reduced mod q in integer arithmetic before any floating
+multiply by 2 pi / q.
 """
 
 from __future__ import annotations
@@ -21,11 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError
-
 REL_TOL_DFT = 1e-12
-# Largest q x q phase matrix gauss_sum_1d_all builds (q <= 4096, 256 MiB).
-MAX_TABLE_ENTRIES = 1 << 24
 
 
 def _check_coprime(a: int, q: int) -> None:
@@ -36,18 +35,14 @@ def _check_coprime(a: int, q: int) -> None:
 
 
 def gauss_sum_1d_all(a: int, q: int) -> np.ndarray:
-    """Vector of the 1-d normalized sums for every shift l = 0..q-1."""
+    """Vector of the 1-d normalized sums for every shift l = 0..q-1.
+
+    numpy's inverse DFT is q^{-1} sum_n x_n e(l n / q), so one length-q
+    ifft of the quadratic phases e(a n^2 / q) gives every shift at once.
+    """
     _check_coprime(a, q)
-    if q * q > MAX_TABLE_ENTRIES:
-        raise BudgetExceededError(
-            f"gauss_sum_1d_all at q={q} needs a {q}x{q} phase matrix, "
-            f"over the budget of {MAX_TABLE_ENTRIES} entries")
     n = np.arange(q, dtype=np.int64)
-    quad = (n * n % q) * (a % q) % q
-    # phase matrix over (shift, n), arguments kept as exact residues mod q
-    args = (quad[None, :] + n[None, :] * n[:, None] % q) % q
-    phases = np.exp(2j * np.pi * args / q)
-    return phases.mean(axis=1)
+    return np.fft.ifft(np.exp(2j * np.pi * ((n * n % q) * (a % q) % q) / q))
 
 
 def gauss_sum_1d_all_a(q: int, l: int) -> np.ndarray:

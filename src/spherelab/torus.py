@@ -1,11 +1,8 @@
-"""Functions on the discrete torus (Z/L)^d and multiplier application.
+"""Functions on the discrete torus (Z/L)^d and the direct shell average.
 
-Frequencies live on the dual grid xi = j/L, j in {0..L-1}^d.  The DFT
-convention is f_hat(j/L) = sum_n f(n) e^{-2 pi i n.j / L} (numpy fftn), so
-convolution by a kernel K corresponds to pointwise multiplication by the
-field sum_m K(m) e^{-2 pi i m.xi}; for the symmetric (m <-> -m) kernels
-used here the sign of the exponent is immaterial.  Values may be scalar or
-matrix valued; matrix values occupy two trailing axes.
+Values may be scalar or matrix valued; matrix values occupy two trailing
+axes.  spherical_convolve rolls the function once per shell point, and is
+the oracle that transfer.inner_shell_average is checked against.
 """
 
 from __future__ import annotations
@@ -17,39 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import SphereShell
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    dimension: int
-    side: int
-
-    def __post_init__(self):
-        if self.dimension < 1 or self.side < 1:
-            raise ValueError(f"bad grid ({self.dimension}, {self.side})")
-
-    def frequency(self, j: tuple[int, ...]) -> np.ndarray:
-        return np.asarray(j, dtype=float) / self.side
-
-    def all_frequencies(self) -> np.ndarray:
-        """Array of shape (side^d, d) listing j/L in C order."""
-        axes = [np.arange(self.side, dtype=float) / self.side] * self.dimension
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-@dataclass(frozen=True)
-class MultiplierField:
-    """A multiplier sampled on a FrequencyGrid (values shape (L,)*d)."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        expected = (self.grid.side,) * self.grid.dimension
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape}, expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -72,59 +36,6 @@ class LatticeFunction:
     def matrix_dim(self) -> int:
         trailing = self.values.shape[self.dimension:]
         return trailing[0] if trailing else 1
-
-
-def delta_function(d: int, L: int, matrix_dim: int = 1) -> LatticeFunction:
-    shape = (L,) * d if matrix_dim == 1 else (L,) * d + (matrix_dim, matrix_dim)
-    values = np.zeros(shape, dtype=complex)
-    if matrix_dim == 1:
-        values[(0,) * d] = 1.0
-    else:
-        values[(0,) * d] = np.eye(matrix_dim)
-    return LatticeFunction(dimension=d, side=L, values=values)
-
-
-def random_function(d: int, L: int, seed: int, matrix_dim: int = 1, hermitian: bool = False) -> LatticeFunction:
-    rng = np.random.default_rng(seed)
-    shape = (L,) * d if matrix_dim == 1 else (L,) * d + (matrix_dim, matrix_dim)
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if matrix_dim > 1 and hermitian:
-        values = 0.5 * (values + np.swapaxes(values, -1, -2).conj())
-    return LatticeFunction(dimension=d, side=L, values=values)
-
-
-def sample_multiplier(grid: FrequencyGrid, fn, label: str = "") -> MultiplierField:
-    """Sample a pointwise multiplier function fn(xi) on the full grid."""
-    xi = grid.all_frequencies()
-    vals = np.asarray([fn(x) for x in xi], dtype=complex)
-    return MultiplierField(grid=grid, values=vals.reshape((grid.side,) * grid.dimension), label=label)
-
-
-def sample_exact_multiplier(shell: SphereShell, L: int) -> MultiplierField:
-    """Exact normalized-shell multiplier on the grid, via the DFT of the
-    periodized kernel (identical to pointwise sampling, and fast)."""
-    d = shell.dimension
-    kernel = np.zeros((L,) * d, dtype=complex)
-    for point in shell.points:
-        kernel[tuple(int(c) % L for c in point)] += 1.0
-    kernel /= shell.count
-    values = np.fft.fftn(kernel)
-    grid = FrequencyGrid(dimension=d, side=L)
-    return MultiplierField(grid=grid, values=values, label=f"exact shell d={d} k={shell.k}")
-
-
-def apply_multiplier(fld: MultiplierField, f: LatticeFunction) -> LatticeFunction:
-    """IDFT( field * DFT(f) ), acting entrywise on matrix values."""
-    d, L = fld.grid.dimension, fld.grid.side
-    if f.dimension != d or f.side != L:
-        raise ValueError("field and function live on different grids")
-    axes = tuple(range(d))
-    spec = np.fft.fftn(f.values, axes=axes)
-    mult = fld.values
-    if f.values.ndim > d:
-        mult = mult[(...,) + (None,) * (f.values.ndim - d)]
-    out = np.fft.ifftn(spec * mult, axes=axes)
-    return LatticeFunction(dimension=d, side=L, values=out)
 
 
 def spherical_convolve(shell: SphereShell, f: LatticeFunction, cyclic_ok: bool = False) -> LatticeFunction:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from spherelab.cache import load_or_enumerate, read_shell, shell_path, write_shell
-from spherelab.errors import CacheFormatError, ShellCountMismatchError
+from spherelab.errors import CacheFormatError, ConfigError, ShellCountMismatchError
+from spherelab.experiments import parse_config
 from spherelab.lattice import sphere_shell
 
 
@@ -259,6 +260,31 @@ def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
     cfg.write_text(text)
     proc = run_cli("experiment", "run", str(cfg), expect=1)
     assert proc.stderr.startswith(f"error: config key '{key}'"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("kind = poisson_check\nd = 0\n", "d"),
+        ("kind = gauss\nL = 0\n", "L"),
+        ("kind = gauss\nq_max = 0\n", "q_max"),
+        ("kind = gauss\nd = 0\n", "d"),
+        ("kind = reconstruct\nd = 5\nK = 3\nL = 0\n", "L"),
+        ("kind = sphere_ft\nd = 1\n", "d"),
+        ("kind = farey\nLambda = 0\n", "Lambda"),
+    ],
+)
+def test_config_keys_below_their_bound_are_rejected_by_name(tmp_path, text, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text(text)
+    proc = run_cli("experiment", "run", str(cfg), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: config key '{key}'"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_bad_problem_file_names_the_line(tmp_path):

@@ -11,9 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherelab.errors import BudgetExceededError
 from spherelab.gauss import (
-    MAX_TABLE_ENTRIES,
     gauss_dft,
     gauss_magnitude_bound,
     gauss_sum,
@@ -68,11 +66,14 @@ def test_magnitude_envelope(q, data):
 @given(q=st.integers(1, 64), l=st.integers(-10_000, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_all_a_table_matches_direct_sums(q, l):
+    # both FFT tables, over every a and over every shift, against direct sums
     table = gauss_sum_1d_all_a(q, l)
     assert table.shape == (q,)
     for a in range(q):
         if math.gcd(a, q) == 1:
-            assert abs(table[a] - gauss_sum_1d(a, q, l)) < 1e-13
+            direct = gauss_sum_1d(a, q, l)
+            assert abs(table[a] - direct) < 1e-13
+            assert abs(gauss_sum_1d_all(a, q)[l % q] - direct) < 1e-13
 
 
 def test_envelope_saturated_mod_four():
@@ -124,13 +125,15 @@ def test_rejects_non_reduced():
 
 @pytest.mark.parametrize("q", [4097, 20_000])
 def test_all_shift_table_budget_checked_before_allocation(q):
-    # q = 20000 would need a 6.4 GB phase matrix; the refusal allocates nothing
-    assert q * q > MAX_TABLE_ENTRIES
+    # one length-q FFT stays inside an 8 MiB budget, where a q x q phase
+    # matrix would not (6.4 GB at q = 20000)
+    assert 16 * q * q > 8 << 20
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match=f"q={q}"):
-            gauss_sum_1d_all(1, q)
+        table = gauss_sum_1d_all(1, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 8 << 20
+    for l in (0, 1, 7, 2_345, q - 1):
+        assert abs(table[l] - gauss_sum_1d(1, q, l)) < 1e-13

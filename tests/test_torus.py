@@ -1,39 +1,18 @@
 """Discrete-torus functions: shell averaging by direct rolls must agree
-with multiplier application through the FFT."""
+with multiplication by the shell kernel's DFT."""
 
 import numpy as np
 import pytest
 
-from spherelab.arcs import exact_multiplier_many
 from spherelab.lattice import sphere_shell
-from spherelab.torus import (
-    FrequencyGrid,
-    LatticeFunction,
-    apply_multiplier,
-    delta_function,
-    random_function,
-    sample_exact_multiplier,
-    sample_multiplier,
-    spherical_convolve,
-)
+from spherelab.torus import LatticeFunction, spherical_convolve
 
 
-def test_delta_and_random():
-    delta = delta_function(3, 4)
-    assert delta.values[0, 0, 0] == 1.0
-    assert np.count_nonzero(delta.values) == 1
-    f = random_function(2, 5, seed=3, matrix_dim=2, hermitian=True)
-    assert f.matrix_dim == 2
-    herm_gap = np.abs(f.values - np.swapaxes(f.values, -1, -2).conj()).max()
-    assert herm_gap < 1e-15
-
-
-def test_grid_frequencies():
-    grid = FrequencyGrid(2, 4)
-    freqs = grid.all_frequencies()
-    assert freqs.shape == (16, 2)
-    assert freqs[0].tolist() == [0.0, 0.0]
-    assert freqs[-1].tolist() == [0.75, 0.75]
+def _random(d, L, seed, trailing=()):
+    rng = np.random.default_rng(seed)
+    shape = (L,) * d + trailing
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return LatticeFunction(dimension=d, side=L, values=values)
 
 
 def test_constant_is_fixed_point():
@@ -45,7 +24,9 @@ def test_constant_is_fixed_point():
 
 def test_delta_spreads_to_shell():
     shell = sphere_shell(5, 1)
-    out = spherical_convolve(shell, delta_function(5, 4), cyclic_ok=True)
+    delta = np.zeros((4,) * 5, dtype=complex)
+    delta[(0,) * 5] = 1.0
+    out = spherical_convolve(shell, LatticeFunction(5, 4, delta), cyclic_ok=True)
     vals = out.values
     assert np.count_nonzero(np.abs(vals) > 1e-15) == 10
     sites = np.argwhere(np.abs(vals) > 1e-15)
@@ -58,32 +39,19 @@ def test_delta_spreads_to_shell():
 
 def test_fft_route_matches_direct_rolls():
     shell = sphere_shell(3, 2)
-    f = random_function(3, 8, seed=11)
+    f = _random(3, 8, seed=11)
     direct = spherical_convolve(shell, f, cyclic_ok=True)
-    fld = sample_exact_multiplier(shell, 8)
-    via_fft = apply_multiplier(fld, f)
-    assert np.abs(direct.values - via_fft.values).max() < 1e-10
-
-
-def test_sampled_field_matches_pointwise_multiplier():
-    shell = sphere_shell(3, 1)
-    fld = sample_exact_multiplier(shell, 4)
-    freqs = fld.grid.all_frequencies()
-    expected = exact_multiplier_many(shell, freqs).reshape(4, 4, 4)
-    assert np.abs(fld.values - expected).max() < 1e-12
-
-
-def test_identity_multiplier():
-    grid = FrequencyGrid(2, 6)
-    fld = sample_multiplier(grid, lambda xi: 1.0, label="one")
-    f = random_function(2, 6, seed=2)
-    out = apply_multiplier(fld, f)
-    assert np.abs(out.values - f.values).max() < 1e-12
+    # the periodized kernel's DFT is the shell multiplier on the grid j/8
+    kernel = np.zeros((8, 8, 8))
+    for point in shell.points:
+        kernel[tuple(int(c) % 8 for c in point)] += 1.0 / shell.count
+    via_fft = np.fft.ifftn(np.fft.fftn(kernel) * np.fft.fftn(f.values))
+    assert np.abs(direct.values - via_fft).max() < 1e-10
 
 
 def test_matrix_values_entrywise():
     shell = sphere_shell(2, 1)
-    f = random_function(2, 6, seed=9, matrix_dim=2)
+    f = _random(2, 6, seed=9, trailing=(2, 2))
     out = spherical_convolve(shell, f, cyclic_ok=True)
     for i in range(2):
         for j in range(2):
@@ -94,7 +62,7 @@ def test_matrix_values_entrywise():
 
 def test_translation_equivariance():
     shell = sphere_shell(2, 2)
-    f = random_function(2, 7, seed=4)
+    f = _random(2, 7, seed=4)
     shift = (3, 5)
     rolled = LatticeFunction(dimension=2, side=7, values=np.roll(f.values, shift, axis=(0, 1)))
     a = spherical_convolve(shell, rolled, cyclic_ok=True).values
@@ -104,7 +72,7 @@ def test_translation_equivariance():
 
 def test_wraparound_warning():
     shell = sphere_shell(2, 2)
-    f = random_function(2, 2, seed=1)
+    f = _random(2, 2, seed=1)
     with pytest.warns(UserWarning):
         spherical_convolve(shell, f)
     spherical_convolve(shell, f, cyclic_ok=True)  # no warning when declared
@@ -113,8 +81,3 @@ def test_wraparound_warning():
 def test_shape_validation():
     with pytest.raises(ValueError):
         LatticeFunction(dimension=2, side=4, values=np.zeros((4, 4, 2, 3)))
-    with pytest.raises(ValueError):
-        apply_multiplier(
-            sample_exact_multiplier(sphere_shell(2, 1), 4),
-            random_function(2, 5, seed=0),
-        )
