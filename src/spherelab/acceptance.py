@@ -305,10 +305,6 @@ CRITERIA = {
 }
 
 
-def suite_names() -> list[str]:
-    return list(CRITERIA)
-
-
 def run_criteria(names=None) -> list[CriterionResult]:
     results = []
     for number, (name, fn) in enumerate(CRITERIA.items(), start=1):

@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cutoff import NARROW, CutoffSpec, cutoff
-from .errors import BudgetExceededError
+from .cutoff import cutoff
 from .farey import MajorArc
 from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
@@ -53,8 +52,6 @@ def exact_multiplier(shell: SphereShell, xi) -> float:
 # most phase entries (frequencies x shell points) held at once
 _PHASE_BLOCK = 1 << 18
 MAX_ARC_PANELS = 200_000
-# approx_total with tail_tol searches q_max up to this modulus
-TAIL_Q_BUDGET = 2000
 
 
 def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
@@ -101,12 +98,12 @@ def approx_arc_multiplier(d: int, k: int, a: int, q: int, xi) -> complex:
     At most one lattice image l/q falls inside the narrow cutoff support,
     so the image sum collapses to a single term (or vanishes).
     """
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
+    if q < 1 or math.gcd(a, q) != 1:
+        raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got a={a}, q={q}")
     xi = np.asarray(xi, dtype=float)
     l = np.rint(q * xi).astype(np.int64)
     u = xi - l / q
-    w = cutoff(CutoffSpec(NARROW, q), u)
+    w = cutoff(q * u)
     if w == 0.0:
         return 0.0 + 0.0j
     phase = np.exp(-2j * np.pi * ((k % q) * (a % q) % q) / q)
@@ -124,23 +121,16 @@ def approx_tail_bound(d: int, k: int, q_max: int) -> float:
                             * (2/(d-4)) q_max^{(4-d)/2},   d >= 5.
     """
     if d < 5:
-        raise ValueError("the approximant tail only sums for d >= 5")
+        raise ValueError(f"d={d}: the approximant sum needs d >= 5")
+    if k < 1:
+        # at k = 0 the main term vanishes while the multiplier is 1
+        raise ValueError(f"k={k}: the approximant needs k >= 1")
     amp = 2.0 ** (d / 2) * radial_constant(d) * k ** ((d - 2) / 2.0) / _rd(d, k)
     return amp * (2.0 / (d - 4)) * q_max ** ((4 - d) / 2.0)
 
 
-def approx_total(
-    d: int,
-    k: int,
-    xi,
-    q_max: int | None = None,
-    tail_tol: float | None = None,
-) -> ApproxTotal:
+def approx_total(d: int, k: int, xi, q_max: int) -> ApproxTotal:
     """Sum of approximants over q <= q_max and the units a of Z/q.
-
-    Either q_max is given, or it is chosen as the smallest modulus whose
-    envelope tail bound is below tail_tol (error if that exceeds
-    TAIL_Q_BUDGET).
 
     Works per modulus: the images l = rint(q xi) and the narrow cutoffs of
     every q come from one vectorized pass, and a modulus whose cutoff
@@ -148,26 +138,15 @@ def approx_total(
     products of gauss_sum_1d_all_a tables, one per distinct l_i mod q.
     approx_arc_multiplier is the per-pair oracle of this sum.
     """
-    if d < 5:
-        raise ValueError(f"d={d}: the approximant sum needs d >= 5")
-    if q_max is None:
-        if tail_tol is None:
-            raise ValueError("give q_max or tail_tol")
-        q_max = 1
-        while approx_tail_bound(d, k, q_max) >= tail_tol:
-            q_max += 1
-            if q_max > TAIL_Q_BUDGET:
-                raise BudgetExceededError(
-                    f"tail_tol={tail_tol} needs q_max > {TAIL_Q_BUDGET}"
-                )
-    elif q_max < 1:
+    if q_max < 1:
         raise ValueError(f"q_max={q_max}: need q_max >= 1")
+    # checks d and k before any work
+    tail_bound = approx_tail_bound(d, k, q_max)
     xi = np.asarray(xi, dtype=float)
     qs = np.arange(1, q_max + 1)
     ls = np.rint(qs[:, None] * xi).astype(np.int64)
     us = xi - ls / qs[:, None]
-    # the narrow cutoff at modulus q is the modulus-1 profile at q * u
-    ws = cutoff(CutoffSpec(NARROW, 1), qs[:, None] * us)
+    ws = cutoff(qs[:, None] * us)
     total = 0.0 + 0.0j
     for i in np.flatnonzero(ws):
         q = int(qs[i])
@@ -179,5 +158,4 @@ def approx_total(
             g *= gauss_sum_1d_all_a(q, int(r)) ** int(c)
         phase = np.exp(-2j * np.pi * ((k % q) * a % q) / q)
         total += (phase[units] * g[units]).sum() * ws[i] * j_main(d, k, us[i])
-    return ApproxTotal(value=complex(total), tail_bound=approx_tail_bound(d, k, q_max),
-                       q_max=q_max)
+    return ApproxTotal(value=complex(total), tail_bound=tail_bound, q_max=q_max)

@@ -5,7 +5,8 @@ column pairs) to stdout or, with --out, to a file.  Commands that carry
 assertions (farey, ncmax, transfer, verify, experiment) exit nonzero when
 any assertion fails, so the exit code is usable in scripts.  Input the
 library rejects with a ValueError or BudgetExceededError ends in one
-``error: ...`` line on stderr and exit status 1.
+``error: ...`` line on stderr and exit status 1; a numeric flag below its
+lower bound is rejected before the command runs, naming the flag.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import run_criteria, suite_names
+from .acceptance import CRITERIA, run_criteria
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
 from .errors import BudgetExceededError
@@ -33,6 +34,11 @@ from .transfer import (TRUNCATION_TOL, diagonal_phase_family,
                        maximal_ratio_experiment, truncation_identity_check)
 
 _FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
+
+# Smallest accepted value of each numeric flag, by argparse dest; a flag
+# left unset (None) is not checked.
+_LOWER_BOUNDS = {"d": 1, "k": 0, "max_k": 0, "order": 1, "q": 1, "n": 1,
+                 "p": 1, "cap": 1, "q_max": 1, "budget": 1, "seed": 0}
 
 
 def _write_csv(args, columns, rows) -> None:
@@ -66,14 +72,13 @@ def _cmd_rd(args) -> int:
 
 
 def _cmd_shell(args) -> int:
-    budget = args.budget if args.budget else DEFAULT_POINT_BUDGET
     try:
         if args.cache:
-            shell = load_or_enumerate(args.d, args.k, args.cache, budget=budget)
+            shell = load_or_enumerate(args.d, args.k, args.cache, budget=args.budget)
         else:
-            shell = sphere_shell(args.d, args.k, point_budget=budget)
+            shell = sphere_shell(args.d, args.k, point_budget=args.budget)
     except BudgetExceededError as exc:
-        raise SystemExit(f"error: --budget {budget}: {exc}") from None
+        raise SystemExit(f"error: --budget {args.budget}: {exc}") from None
     cols = tuple(f"x_{i + 1}" for i in range(args.d))
     _write_csv(args, cols, [tuple(int(v) for v in pt) for pt in shell.points])
     print(f"d={args.d} k={args.k} count={shell.count}", file=_FOOTER)
@@ -130,8 +135,8 @@ def _cmd_mult(args) -> int:
 def _cmd_approx(args) -> int:
     if args.d < 5:
         raise SystemExit(f"error: --d {args.d}: the approximant sum needs d >= 5")
-    if args.q_max < 1:
-        raise SystemExit(f"error: --q-max {args.q_max}: need q_max >= 1")
+    if args.k < 1:
+        raise SystemExit(f"error: --k {args.k}: the approximant needs k >= 1")
     xis = [_parse_vector(t, args.d) for t in args.xi]
     results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
     # each tail_bound bounds the dropped q > q_max part
@@ -157,8 +162,6 @@ def _cmd_ncmax(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    if args.cap < 1:
-        raise SystemExit(f"error: --cap {args.cap}: need cap >= 1")
     if args.window is not None and args.cap > args.window:
         # the identity is checked at sites |n|_inf <= J - cap
         raise SystemExit(f"error: --J {args.window}: the truncation identity "
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cache", type=str, default=None,
                    help="cache directory (read hit or write after enumerating)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET,
                    help="point budget for the enumeration")
     p.set_defaults(func=_cmd_shell)
 
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--suite", action="append", default=None,
-                   choices=suite_names(), help="criterion name (repeatable)")
+                   choices=list(CRITERIA), help="criterion name (repeatable)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("experiment", help="run a config-file experiment")
@@ -304,6 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, bound in _LOWER_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not value >= bound:
+            raise SystemExit(f"error: --{dest.replace('_', '-')} {value}: "
+                             f"need {dest} >= {bound}")
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:

@@ -1,39 +1,20 @@
-"""Smooth compactly supported cutoffs on the frequency torus.
+"""Smooth compactly supported cutoff on the frequency torus.
 
-Two tensor-product bump profiles are used, both built from the classical
-exp(-1/y) transition.  With Q = (-1/2, 1/2]^d:
+One tensor-product bump profile, built from the classical exp(-1/y)
+transition.  Per coordinate it is exactly 1 on |u| <= 1/8, exactly 0 on
+|u| >= 1/4 and smooth between, so with Q = (-1/2, 1/2]^d it is supported in
+Q/2 and identically 1 on Q/4.
 
-  narrow ("inner"): supported in Q/2, identically 1 on Q/4;
-  wide   ("outer"): supported in Q,   identically 1 on Q/2.
-
-A CutoffSpec carries a modulus q; evaluation at xi returns the profile at
-q*xi, so the narrow cutoff at modulus q is supported in Q/(2q) and equals 1
-on Q/(4q).  The translates by l/q of the narrow cutoff therefore have
-pairwise disjoint supports.  Per coordinate the narrow profile transitions
-on 1/8 <= |u| <= 1/4 (exactly 1 inside, exactly 0 outside); the wide one
-transitions on 1/4 <= |u| <= 1/2.
+The narrow cutoff at modulus q is this profile at q*u: supported in
+Q/(2q) and equal to 1 on Q/(4q), so its translates by l/q have pairwise
+disjoint supports.  Callers pass the scaled argument q*u.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-NARROW = "narrow"
-WIDE = "wide"
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    kind: str  # NARROW or WIDE
-    q: int
-
-    def __post_init__(self):
-        if self.kind not in (NARROW, WIDE):
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        if self.q < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.q}")
+_PLATEAU, _EDGE = 0.125, 0.25
 
 
 def smooth_step(y):
@@ -48,24 +29,13 @@ def smooth_step(y):
     return fy / (fy + fc)
 
 
-def _profile_1d(u, inner: float, outer: float):
-    """1 on |u| <= inner, 0 on |u| >= outer, smooth transition between."""
-    u = np.abs(np.asarray(u, dtype=float))
-    return smooth_step((outer - u) / (outer - inner))
+def cutoff(u) -> float | np.ndarray:
+    """Evaluate the profile at a point u in R^d (tensor product).
 
-
-def cutoff(spec: CutoffSpec, xi) -> float | np.ndarray:
-    """Evaluate the cutoff at a frequency point xi in R^d (tensor product).
-
-    xi has shape (d,) or (..., d); returns a scalar or an array of the
+    u has shape (d,) or (..., d); returns a scalar or an array of the
     leading shape.  Values are exactly 0 outside the support cube and
     exactly 1 on the inner cube.
     """
-    xi = np.asarray(xi, dtype=float)
-    scaled = spec.q * xi
-    if spec.kind == NARROW:
-        vals = _profile_1d(scaled, 0.125, 0.25)
-    else:
-        vals = _profile_1d(scaled, 0.25, 0.5)
-    out = vals.prod(axis=-1)
+    u = np.abs(np.asarray(u, dtype=float))
+    out = smooth_step((_EDGE - u) / (_EDGE - _PLATEAU)).prod(axis=-1)
     return float(out) if out.ndim == 0 else out

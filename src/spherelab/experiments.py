@@ -55,9 +55,10 @@ _SCHEMA = {
 
 # Smallest accepted value of each bounded integer key, then the kinds that
 # differ: sphere_ft needs a sphere in d >= 2, and L = 0 there skips the
-# Monte Carlo run.
-_LOWER_BOUNDS = {"d": 1, "L": 1, "q_max": 1, "Lambda": 1}
-_KIND_LOWER_BOUNDS = {"sphere_ft": {"d": 2, "L": 0}}
+# Monte Carlo run; a transfer table needs at least the radius K = 1.
+_LOWER_BOUNDS = {"d": 1, "L": 1, "q_max": 1, "Lambda": 1, "K": 0, "n": 1,
+                 "seed": 0}
+_KIND_LOWER_BOUNDS = {"sphere_ft": {"d": 2, "L": 0}, "transfer": {"K": 1}}
 
 # Fixed evaluation grid for the decay experiment: rational base frequencies
 # with small denominators (where the rational approximants are actually
@@ -190,10 +191,10 @@ def _rng_for(seed: int) -> tuple[np.random.Generator, str]:
     return np.random.Generator(np.random.PCG64(seed)), f"numpy PCG64 seed={seed}"
 
 
-def parse_config(text: str, output: str | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     kind = None
     params: dict = {}
-    out = output
+    out = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -549,8 +550,6 @@ def _run_transfer(cfg: ExperimentConfig) -> RunReport:
         fam = trivial_family(P["n"], 5)
     else:
         raise ConfigError("family", f"unknown family {family_name!r}")
-    if k_cap < 1:
-        raise ConfigError("K", "must be >= 1")
     x = random_hermitian_probe(fam.n, P["seed"])
     k_list = [j * j for j in range(1, math.isqrt(k_cap) + 1)]
     rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)

@@ -89,16 +89,12 @@ def _theta_tail(eps: float, r: int) -> float:
     return 2.0 * math.exp(-2.0 * math.pi * eps * (r + 1) ** 2) / (1.0 - ratio)
 
 
-def heat_direct_batch(
-    eps: float,
-    s_values: np.ndarray,
-    xi,
-    tol: float = DEFAULT_TOL,
-    budget: float = DEFAULT_BOX_BUDGET,
-) -> HeatValue:
+def heat_direct_batch(eps: float, s_values: np.ndarray, xi,
+                      tol: float = DEFAULT_TOL) -> HeatValue:
     """Direct theta evaluation at several circle points s at once.
 
-    Returns HeatValue whose .value is an array aligned with s_values.
+    Returns HeatValue whose .value is an array aligned with s_values.  The
+    term count is checked against DEFAULT_BOX_BUDGET before any allocation.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1:
@@ -109,9 +105,9 @@ def heat_direct_batch(
     # the lattice cube is never materialized: the sum over Z^d splits into a
     # product of d one-axis sums, so the cost is s-count x d x (2r+1)
     work = float(s_values.size) * d * (2 * r + 1)
-    if work > budget:
+    if work > DEFAULT_BOX_BUDGET:
         raise BudgetExceededError(
-            f"theta evaluation needs {work:g} terms, budget {budget:g}")
+            f"theta evaluation needs {work:g} terms, budget {DEFAULT_BOX_BUDGET:g}")
     n = np.arange(-r, r + 1, dtype=np.int64)
     gauss = np.exp(-2.0 * np.pi * (n * n) * eps)
     # phase (n^2 s mod 1) per (s, n); reduction keeps the exp argument small
@@ -127,14 +123,9 @@ def heat_direct_batch(
     return HeatValue(value=vals, tail_bound=bound, radius=r)
 
 
-def heat_multiplier_direct(
-    params: HeatParams,
-    xi,
-    tol: float = DEFAULT_TOL,
-    budget: float = DEFAULT_BOX_BUDGET,
-) -> HeatValue:
+def heat_multiplier_direct(params: HeatParams, xi, tol: float = DEFAULT_TOL) -> HeatValue:
     """Truncated lattice (theta product) form of the heat multiplier."""
-    out = heat_direct_batch(params.eps, np.array([params.s]), xi, tol, budget)
+    out = heat_direct_batch(params.eps, np.array([params.s]), xi, tol)
     return HeatValue(value=complex(out.value[0]), tail_bound=out.tail_bound, radius=out.radius)
 
 

@@ -7,8 +7,6 @@ the oracle that transfer.inner_shell_average is checked against.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,21 +36,14 @@ class LatticeFunction:
         return trailing[0] if trailing else 1
 
 
-def spherical_convolve(shell: SphereShell, f: LatticeFunction, cyclic_ok: bool = False) -> LatticeFunction:
+def spherical_convolve(shell: SphereShell, f: LatticeFunction) -> LatticeFunction:
     """Direct normalized shell average (1/count) sum_{|m|^2=k} f(n - m).
 
-    Cyclic (torus) semantics: indices wrap mod L.  A warning is raised when
-    the shell diameter is large enough for wraparound to matter, unless the
-    caller declares cyclic semantics intended.
+    Cyclic (torus) semantics: indices wrap mod L.
     """
     d, L = f.dimension, f.side
     if shell.dimension != d:
         raise ValueError("shell dimension does not match the function")
-    if not cyclic_ok and L <= 2 * math.isqrt(shell.k):
-        warnings.warn(
-            f"torus side {L} <= 2*sqrt(k) for k={shell.k}: convolution wraps around",
-            stacklevel=2,
-        )
     out = np.zeros_like(np.asarray(f.values, dtype=complex))
     axes = tuple(range(d))
     for point in shell.points:

@@ -57,7 +57,7 @@ class AutomorphismFamily:
         object.__setattr__(self, "unitaries", u)
 
 
-def diagonal_phase_family(thetas, n: int = 2) -> AutomorphismFamily:
+def diagonal_phase_family(thetas, n: int) -> AutomorphismFamily:
     """U_i = diag(1, e^{2 pi i theta_i}, ..., e^{2 pi i theta_i (n-1)})."""
     thetas = [float(t) for t in thetas]
     rows = [np.diag(np.exp(2j * np.pi * th * np.arange(n))) for th in thetas]

@@ -272,6 +272,9 @@ def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
         ("kind = reconstruct\nd = 5\nK = 3\nL = 0\n", "L"),
         ("kind = sphere_ft\nd = 1\n", "d"),
         ("kind = farey\nLambda = 0\n", "Lambda"),
+        ("kind = reconstruct\nd = 5\nK = -1\n", "K"),
+        ("kind = transfer\nn = 0\n", "n"),
+        ("kind = gauss\nseed = -1\n", "seed"),
     ],
 )
 def test_config_keys_below_their_bound_are_rejected_by_name(tmp_path, text, key):
@@ -350,6 +353,18 @@ def test_cli_bad_inputs_give_one_error_line(argv):
         (("mult", "--k", "2", "--xi", "0.1,abc,0,0,0"), "--xi"),
         (("mult", "--k", "2", "--xi", "0.1,nan,0,0,0"), "--xi"),
         (("approx", "--k", "2", "--xi", "0.1,0,0"), "--xi"),
+        (("shell", "--d", "2", "--k", "5", "--budget", "0"), "--budget"),
+        (("--seed", "-1", "experiment", "run", "g.cfg"), "--seed"),
+        (("--seed", "-2", "transfer"), "--seed"),
+        (("farey", "--order", "0"), "--order"),
+        (("shell", "--d", "3", "--k", "-1"), "--k"),
+        (("rd", "--d", "3", "--max-k", "-1"), "--max-k"),
+        (("transfer", "--n", "0"), "--n"),
+        (("transfer", "--p", "0.5"), "--p"),
+        (("rd", "--d", "0", "--max-k", "3"), "--d"),
+        (("gauss", "--a", "1", "--q", "0"), "--q"),
+        (("approx", "--k", "4", "--q-max", "0", "--xi", "0,0,0,0,0"), "--q-max"),
+        (("approx", "--k", "0", "--xi", "0,0,0,0,0"), "--k"),
     ],
 )
 def test_cli_rejections_name_their_flag(argv, flag):

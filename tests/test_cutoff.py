@@ -1,9 +1,8 @@
-"""Smooth tensor-product cutoffs and their plateau/support geometry."""
+"""The smooth tensor-product cutoff and its plateau/support geometry."""
 
 import numpy as np
-import pytest
 
-from spherelab.cutoff import NARROW, WIDE, CutoffSpec, cutoff, smooth_step
+from spherelab.cutoff import cutoff, smooth_step
 
 
 def test_step_endpoints():
@@ -20,38 +19,26 @@ def test_step_monotone():
 
 
 def test_plateau_and_support():
-    spec = CutoffSpec(NARROW, 1)
-    assert cutoff(spec, np.zeros(5)) == 1.0
-    assert cutoff(spec, np.array([0.3, 0.0, 0.0, 0.0, 0.0])) == 0.0
-    assert cutoff(spec, np.array([0.1, 0.05, 0.0, 0.0, 0.0])) == 1.0
+    assert cutoff(np.zeros(5)) == 1.0
+    assert cutoff(np.array([0.3, 0.0, 0.0, 0.0, 0.0])) == 0.0
+    assert cutoff(np.array([0.1, 0.05, 0.0, 0.0, 0.0])) == 1.0
 
 
 def test_transition_region_modulus_two():
-    spec = CutoffSpec(NARROW, 2)
-    v = cutoff(spec, np.array([0.09, 0.0, 0.0, 0.0, 0.0]))
+    q = 2
+    v = cutoff(q * np.array([0.09, 0.0, 0.0, 0.0, 0.0]))
     assert 0.0 < v < 1.0
     # per coordinate the modulus-2 profile decays across [1/16, 1/8]
     radii = np.linspace(1 / 16, 1 / 8, 25)
-    vals = [cutoff(spec, np.array([r, 0.0])) for r in radii]
+    vals = [cutoff(q * np.array([r, 0.0])) for r in radii]
     assert vals[0] == 1.0 and vals[-1] == 0.0
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
 def test_translates_have_disjoint_support():
-    spec = CutoffSpec(NARROW, 3)
+    q = 3
     xi = np.linspace(0.0, 1.0, 301)[:, None]
-    at_zero = cutoff(spec, xi)
-    at_third = cutoff(spec, xi - 1 / 3)
+    at_zero = cutoff(q * xi)
+    at_third = cutoff(q * (xi - 1 / 3))
     assert float(np.minimum(at_zero, at_third).max()) == 0.0
 
-
-def test_wide_majorizes_narrow():
-    xi = np.linspace(-0.6, 0.6, 241)[:, None]
-    assert np.all(cutoff(CutoffSpec(WIDE, 1), xi) >= cutoff(CutoffSpec(NARROW, 1), xi))
-
-
-def test_bad_spec():
-    with pytest.raises(ValueError):
-        CutoffSpec("boxcar", 1)
-    with pytest.raises(ValueError):
-        CutoffSpec(NARROW, 0)

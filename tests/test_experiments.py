@@ -59,7 +59,7 @@ def test_parse_errors_name_the_key(text, key):
 
 
 def test_echo_lines_order(tmp_path):
-    cfg = parse_config("kind = farey\nLambda = 4\n", output=tmp_path / "o.csv")
+    cfg = parse_config(f"kind = farey\nLambda = 4\nout = {tmp_path / 'o.csv'}\n")
     lines = cfg.echo_lines()
     assert lines[0] == "kind = farey"
     assert lines[-1].startswith("out = ")

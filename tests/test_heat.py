@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from spherelab import heat
 from spherelab.errors import BudgetExceededError
 from spherelab.heat import (
     HeatParams,
@@ -92,6 +93,7 @@ def test_parameter_validation():
         heat_multiplier_poisson(HeatParams(eps=1.0, s=0.25), np.zeros(2))
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
+    monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
-        heat_multiplier_direct(HeatParams(eps=1e-4, s=0.0), np.zeros(3), budget=5)
+        heat_multiplier_direct(HeatParams(eps=1e-4, s=0.0), np.zeros(3))

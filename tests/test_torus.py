@@ -26,7 +26,7 @@ def test_delta_spreads_to_shell():
     shell = sphere_shell(5, 1)
     delta = np.zeros((4,) * 5, dtype=complex)
     delta[(0,) * 5] = 1.0
-    out = spherical_convolve(shell, LatticeFunction(5, 4, delta), cyclic_ok=True)
+    out = spherical_convolve(shell, LatticeFunction(5, 4, delta))
     vals = out.values
     assert np.count_nonzero(np.abs(vals) > 1e-15) == 10
     sites = np.argwhere(np.abs(vals) > 1e-15)
@@ -40,7 +40,7 @@ def test_delta_spreads_to_shell():
 def test_fft_route_matches_direct_rolls():
     shell = sphere_shell(3, 2)
     f = _random(3, 8, seed=11)
-    direct = spherical_convolve(shell, f, cyclic_ok=True)
+    direct = spherical_convolve(shell, f)
     # the periodized kernel's DFT is the shell multiplier on the grid j/8
     kernel = np.zeros((8, 8, 8))
     for point in shell.points:
@@ -52,11 +52,11 @@ def test_fft_route_matches_direct_rolls():
 def test_matrix_values_entrywise():
     shell = sphere_shell(2, 1)
     f = _random(2, 6, seed=9, trailing=(2, 2))
-    out = spherical_convolve(shell, f, cyclic_ok=True)
+    out = spherical_convolve(shell, f)
     for i in range(2):
         for j in range(2):
             comp = LatticeFunction(dimension=2, side=6, values=f.values[..., i, j])
-            out_ij = spherical_convolve(shell, comp, cyclic_ok=True)
+            out_ij = spherical_convolve(shell, comp)
             assert np.abs(out.values[..., i, j] - out_ij.values).max() < 1e-13
 
 
@@ -65,17 +65,9 @@ def test_translation_equivariance():
     f = _random(2, 7, seed=4)
     shift = (3, 5)
     rolled = LatticeFunction(dimension=2, side=7, values=np.roll(f.values, shift, axis=(0, 1)))
-    a = spherical_convolve(shell, rolled, cyclic_ok=True).values
-    b = np.roll(spherical_convolve(shell, f, cyclic_ok=True).values, shift, axis=(0, 1))
+    a = spherical_convolve(shell, rolled).values
+    b = np.roll(spherical_convolve(shell, f).values, shift, axis=(0, 1))
     assert np.abs(a - b).max() < 1e-13
-
-
-def test_wraparound_warning():
-    shell = sphere_shell(2, 2)
-    f = _random(2, 2, seed=1)
-    with pytest.warns(UserWarning):
-        spherical_convolve(shell, f)
-    spherical_convolve(shell, f, cyclic_ok=True)  # no warning when declared
 
 
 def test_shape_validation():

@@ -84,7 +84,7 @@ def test_average_is_isometry_free_contraction():
 
 def test_empty_shell_rejected():
     with pytest.raises(ValueError):
-        auto_spherical_average(diagonal_phase_family((0.1, 0.2, 0.3)), SX, 7)
+        auto_spherical_average(diagonal_phase_family((0.1, 0.2, 0.3), n=2), SX, 7)
 
 
 def test_orbit_truncation_shapes():
