@@ -36,7 +36,7 @@ from .transfer import (TRUNCATION_TOL, diagonal_phase_family,
 _FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
 
 # Smallest accepted value of each numeric flag, by argparse dest; a flag
-# left unset (None) is not checked.
+# left unset (None) is not checked.  --tol must be > 0 instead.
 _LOWER_BOUNDS = {"d": 1, "k": 0, "max_k": 0, "order": 1, "q": 1, "n": 1,
                  "p": 1, "cap": 1, "q_max": 1, "budget": 1, "seed": 0}
 
@@ -169,6 +169,8 @@ def _cmd_transfer(args) -> int:
     if args.theta:
         try:
             thetas = [Fraction(t) for t in args.theta.replace(",", " ").split()]
+            if not thetas:
+                raise ValueError
         except (ValueError, ZeroDivisionError):
             raise SystemExit(f"error: --theta {args.theta!r}: expected "
                              f"fractions or decimals like 1/3,0.2") from None
@@ -312,6 +314,8 @@ def main(argv=None) -> int:
         if value is not None and not value >= bound:
             raise SystemExit(f"error: --{dest.replace('_', '-')} {value}: "
                              f"need {dest} >= {bound}")
+    if not getattr(args, "tol", 1.0) > 0.0:
+        raise SystemExit(f"error: --tol {args.tol}: need tol > 0")
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:

@@ -53,11 +53,11 @@ _SCHEMA = {
     "reconstruct": ({"d", "K"}, {"Lambda": 2, "L": 8, "seed": 0, "tol": 1e-6}),
 }
 
-# Smallest accepted value of each bounded integer key, then the kinds that
-# differ: sphere_ft needs a sphere in d >= 2, and L = 0 there skips the
-# Monte Carlo run; a transfer table needs at least the radius K = 1.
+# Smallest accepted value of each bounded key (tol must be > 0), then the
+# kinds that differ: sphere_ft needs a sphere in d >= 2, and L = 0 there skips
+# the Monte Carlo run; a transfer table needs at least the radius K = 1.
 _LOWER_BOUNDS = {"d": 1, "L": 1, "q_max": 1, "Lambda": 1, "K": 0, "n": 1,
-                 "seed": 0}
+                 "seed": 0, "p": 1}
 _KIND_LOWER_BOUNDS = {"sphere_ft": {"d": 2, "L": 0}, "transfer": {"K": 1}}
 
 # Fixed evaluation grid for the decay experiment: rational base frequencies
@@ -244,8 +244,10 @@ def parse_config(text: str) -> ExperimentConfig:
     merged.update(params)
     lower = {**_LOWER_BOUNDS, **_KIND_LOWER_BOUNDS.get(kind, {})}
     for key, value in merged.items():
-        if key in lower and value < lower[key]:
+        if key in lower and not value >= lower[key]:
             raise ConfigError(key, f"must be >= {lower[key]}, got {value}")
+    if not merged.get("tol", 1.0) > 0.0:
+        raise ConfigError("tol", f"must be > 0, got {merged['tol']}")
     return ExperimentConfig(kind=kind, parameters=merged,
                             output=Path(out) if out else None)
 

@@ -8,7 +8,8 @@ the noncommutative analogue of the p-norm of sup_j |x_j|.  The infimum is a
 convex program over the hermitian matrices: the constraint set is an
 intersection of semidefinite order intervals, and tr(a^p) is convex for
 p >= 1.  ncmax_norm solves it with a logarithmic-barrier interior-point
-method; two exact oracles (diagonal pinching, 2x2 grid refinement) pin the
+method whose Newton systems are set up on the complex row-major vec of the
+step; two exact oracles (diagonal pinching, 2x2 grid refinement) pin the
 solver's accuracy.
 """
 
@@ -33,28 +34,25 @@ SHRINK = 0.5
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """An element of the matrix algebra M_n with the unnormalized trace."""
+    """A hermitian element of M_n, the algebra with the unnormalized trace."""
 
     n: int
     entries: np.ndarray
-    hermitian: bool
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=complex)
         if ent.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got {ent.shape}")
-        if self.hermitian:
-            dev = np.abs(ent - ent.conj().T).max()
-            scale = max(1.0, float(np.abs(ent).max()))
-            if dev > HERM_TOL * scale:
-                raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
-            ent = 0.5 * (ent + ent.conj().T)
-        object.__setattr__(self, "entries", ent)
+        dev = np.abs(ent - ent.conj().T).max()
+        scale = max(1.0, float(np.abs(ent).max()))
+        if dev > HERM_TOL * scale:
+            raise ValueError(f"matrix is not hermitian (deviation {dev:.3e})")
+        object.__setattr__(self, "entries", 0.5 * (ent + ent.conj().T))
 
 
 def hermitian_element(entries) -> AlgebraElement:
     ent = np.asarray(entries, dtype=complex)
-    return AlgebraElement(n=ent.shape[0], entries=ent, hermitian=True)
+    return AlgebraElement(n=ent.shape[0], entries=ent)
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ class MaxNormProblem:
             raise ValueError("p must lie in [1, inf]")
         n = self.family[0].n
         for x in self.family:
-            if not isinstance(x, AlgebraElement) or not x.hermitian:
+            if not isinstance(x, AlgebraElement):
                 raise ValueError("family members must be hermitian AlgebraElements")
             if x.n != n:
                 raise ValueError("family members must share the matrix dimension")
@@ -93,37 +91,14 @@ class MaxNormCertificate:
     newton_steps: int
 
 
-def schatten_norm(x, p) -> float:
-    """(sum of sigma_i^p)^(1/p) over singular values; sigma_max for p = inf."""
-    ent = x.entries if isinstance(x, AlgebraElement) else np.asarray(x, dtype=complex)
-    if isinstance(x, AlgebraElement) and x.hermitian:
-        sig = np.abs(np.linalg.eigvalsh(ent))
-    else:
-        sig = np.linalg.svd(ent, compute_uv=False)
+def schatten_norm(x: AlgebraElement, p) -> float:
+    """(sum of |lambda_i|^p)^(1/p) over the eigenvalues of x; max for p = inf."""
+    sig = np.abs(np.linalg.eigvalsh(x.entries))
     if math.isinf(p):
-        return float(sig.max()) if sig.size else 0.0
+        return float(sig.max())
     if p < 1.0:
         raise ValueError("p must be >= 1")
     return float((sig ** p).sum() ** (1.0 / p))
-
-
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Real-orthonormal basis of the hermitian n x n matrices, shape (n^2,n,n)."""
-    mats = np.zeros((n * n, n, n), dtype=complex)
-    idx = 0
-    for i in range(n):
-        mats[idx, i, i] = 1.0
-        idx += 1
-    r = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats[idx, i, j] = r
-            mats[idx, j, i] = r
-            idx += 1
-            mats[idx, i, j] = 1j * r
-            mats[idx, j, i] = -1j * r
-            idx += 1
-    return mats
 
 
 def _divided_differences(lam: np.ndarray, p: float) -> np.ndarray:
@@ -150,39 +125,42 @@ def _slacks(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return 0.5 * (ys + ys.conj().swapaxes(-1, -2))
 
 
-def _feasible(a: np.ndarray, xs: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(_slacks(a, xs))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _barrier_value(a: np.ndarray, xs: np.ndarray, p: float, mu: float) -> float:
+    """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
+    the domain.  One batched Cholesky Y_j = L_j L_j* both tests every slack
+    for positive definiteness and gives log det Y_j = 2 sum_i log L_j[i,i]."""
     lam = np.linalg.eigvalsh(a)
     if lam.min() <= 0.0:
         return math.inf
-    ev = np.linalg.eigvalsh(_slacks(a, xs))
-    if ev.min() <= 0.0:
+    try:
+        chol = np.linalg.cholesky(_slacks(a, xs))
+    except np.linalg.LinAlgError:
         return math.inf
-    return float((lam ** p).sum()) - mu * float(np.log(ev).sum())
+    logdet = 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
+    return float((lam ** p).sum()) - mu * logdet
 
 
-def _barrier_hessian(yinvs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """H_kl = sum_j Re tr(W_j B_k W_j B_l) over the stack W_j = Y_j^{-1}.
+def _power_hessian(lam: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
+    """p K diag(vec F1) K* with K = V (x) conj(V): the Hessian of tr(a^p) at
+    a = V diag(lam) V* on row-major vec, which maps vec E to
+    p vec(V (F1 o V* E V) V*) with F1 the divided differences of t^(p-1)."""
+    kron = np.kron(vecs, vecs.conj())
+    return p * (kron * _divided_differences(lam, p).ravel()) @ kron.conj().T
 
-    The vec-Hessian of -log det Y is Y^{-T} (x) Y^{-1} (Boyd-Vandenberghe,
-    Convex Optimization, A.4.1), so the whole sum is read off one Gram
-    matrix S[a,b,c,d] = sum_j W_j[a,b] W_j[c,d], a single GEMM over the
-    stack, instead of one n^6 contraction per barrier term.
+
+def _barrier_hessian(yinvs: np.ndarray) -> np.ndarray:
+    """sum_j W_j (x) W_j^T over the stack W_j = Y_j^{-1}, the Hessian of
+    -sum_j log det Y_j on row-major vec, which maps vec E to
+    vec(sum_j W_j E W_j) (Boyd-Vandenberghe, Convex Optimization, A.4.1).
+
+    Entry [(a,b),(c,d)] = sum_j W_j[a,c] W_j[d,b] is read off one Gram
+    matrix S[a,b,c,d] = sum_j W_j[a,b] W_j[c,d] at [a,c,d,b], a single GEMM
+    over the stack.
     """
-    m, n = basis.shape[:2]
+    n = yinvs.shape[-1]
     flat = yinvs.reshape(len(yinvs), n * n)
     gram = (flat.T @ flat).reshape(n, n, n, n)
-    # rows (d, a), columns (b, c): H_kl = sum B_l[d,a] S[a,b,c,d] B_k[b,c]
-    gram = gram.transpose(3, 0, 1, 2).reshape(n * n, n * n)
-    bflat = basis.reshape(m, n * n)
-    return (bflat @ gram @ bflat.T).real
+    return gram.transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
 
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
@@ -190,14 +168,17 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     DEFAULT_NEWTON_BUDGET Newton steps.
 
     Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
-    decreasing mu-path; each center is found by Newton's method over a real
-    orthonormal hermitian basis with backtracking line search.  The constraints
-    -a <= x_j <= a already force a >= 0 (average the two sides), so no separate
-    positivity barrier is needed.  For p = inf the optimum is known in closed
-    form: tI is feasible exactly when t >= max_j rho(x_j), and any feasible a
-    has v*av >= |v*x_jv| at a peak eigenvector v, so the bisection the barrier
-    method would perform collapses to that threshold.
+    decreasing mu-path; each center is found by Newton's method, one complex
+    n^2 x n^2 system on the row-major vec of the step, with backtracking line
+    search.  The constraints -a <= x_j <= a already force a >= 0 (average the
+    two sides), so no separate positivity barrier is needed.  For p = inf the
+    optimum is known in closed form: tI is feasible exactly when
+    t >= max_j rho(x_j), and any feasible a has v*av >= |v*x_jv| at a peak
+    eigenvector v, so the bisection the barrier method would perform
+    collapses to that threshold.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     p = float(prob.p)
     xs = np.stack([x.entries for x in prob.family])
     n = prob.n
@@ -219,7 +200,6 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     # Strictly feasible start: the sum of moduli dominates every |x_j|.
     a = sum(matrix_abs(x) for x in xs) + (tol * scale) * np.eye(n)
 
-    basis = _hermitian_basis(n)
     nu = 2.0 * big_n * n          # total barrier degree, controls the gap
     mu = float((np.linalg.eigvalsh(a) ** p).sum()) / nu
     steps = 0
@@ -236,36 +216,30 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
             grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T
             grad = grad - mu * yinvs.sum(axis=0)
 
-            coeff = np.einsum("kab,ba->k", basis, grad).real
-
-            f1 = _divided_differences(lam, p)
-            cbs = (vecs.conj().T @ basis @ vecs).reshape(len(basis), n * n)
-            hess = p * ((cbs * f1.ravel()) @ cbs.conj().T).real
-            hess = hess + mu * _barrier_hessian(yinvs, basis)
-            hess = 0.5 * (hess + hess.T)
-
+            # hess maps hermitian matrices to hermitian matrices and is
+            # positive definite, so the step for the hermitian -grad is
+            # hermitian; hermitizing it removes only roundoff.
+            hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
             try:
-                delta = np.linalg.solve(hess, -coeff)
+                step = np.linalg.solve(hess, -grad.ravel())
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(hess, -coeff, rcond=None)[0]
-            decrement_sq = float(-coeff @ delta)
-            if decrement_sq <= 0.0:
+                step = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)[0]
+            step = step.reshape(n, n)
+            step = 0.5 * (step + step.conj().T)
+            slope = float(np.vdot(grad, step).real)   # -(Newton decrement)^2
+            if slope >= 0.0:
                 break
-            step_mat = np.einsum("k,kab->ab", delta, basis)
 
             f0 = _barrier_value(a, xs, p, mu)
-            slope = float(coeff @ delta)
             s = 1.0
             while s > 1e-14:
-                cand = a + s * step_mat
-                if _feasible(cand, xs):
-                    if _barrier_value(cand, xs, p, mu) <= f0 + ARMIJO * s * slope:
-                        break
+                if _barrier_value(a + s * step, xs, p, mu) <= f0 + ARMIJO * s * slope:
+                    break
                 s *= SHRINK
-            a = a + s * step_mat
+            a = a + s * step
             a = 0.5 * (a + a.conj().T)
             steps += 1
-            if decrement_sq <= 1e-12 * (1.0 + abs(f0)):
+            if -slope <= 1e-12 * (1.0 + abs(f0)):
                 break
 
         tr_val = float((np.linalg.eigvalsh(a) ** p).sum())

@@ -30,11 +30,6 @@ class LatticeFunction:
         if trailing and (len(trailing) != 2 or trailing[0] != trailing[1]):
             raise ValueError(f"trailing axes {trailing} must be empty or square")
 
-    @property
-    def matrix_dim(self) -> int:
-        trailing = self.values.shape[self.dimension:]
-        return trailing[0] if trailing else 1
-
 
 def spherical_convolve(shell: SphereShell, f: LatticeFunction) -> LatticeFunction:
     """Direct normalized shell average (1/count) sum_{|m|^2=k} f(n - m).

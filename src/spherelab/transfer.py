@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell
 from .ncmax import (AlgebraElement, MaxNormProblem, envelope_bounds,
-                    ncmax_norm, schatten_norm)
+                    hermitian_element, ncmax_norm, schatten_norm)
 from .torus import LatticeFunction
 
 UNITARY_TOL = 1e-12
@@ -104,8 +104,7 @@ def gamma_apply(fam: AutomorphismFamily, n_vec, x: AlgebraElement) -> AlgebraEle
             continue
         um = np.linalg.matrix_power(fam.unitaries[i], abs(m))
         u = u @ (um if m > 0 else um.conj().T)
-    out = u @ x.entries @ u.conj().T
-    return AlgebraElement(n=fam.n, entries=out, hermitian=x.hermitian)
+    return hermitian_element(u @ x.entries @ u.conj().T)
 
 
 def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
@@ -132,7 +131,7 @@ def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
         terms = u @ x.entries @ u.conj().swapaxes(-1, -2)
         terms[0] += acc
         acc = terms.sum(axis=0)
-    return AlgebraElement(n=fam.n, entries=acc / shell.count, hermitian=x.hermitian)
+    return hermitian_element(acc / shell.count)
 
 
 def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:

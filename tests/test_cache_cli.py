@@ -3,13 +3,16 @@ read-vs-enumerate speedup, and the installed command-line surface."""
 
 import csv
 import io
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherelab
 from spherelab.cache import load_or_enumerate, read_shell, shell_path, write_shell
 from spherelab.errors import CacheFormatError, ConfigError, ShellCountMismatchError
 from spherelab.experiments import parse_config
@@ -110,12 +113,19 @@ def _timed(fn):
 
 # ---------------------------------------------------------------- CLI ----
 
+# The CLI runs in a child process; put the directory this spherelab was
+# imported from first on its path, so it runs the same code installed or not.
+_CLI_PATH = [str(Path(spherelab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+_CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _CLI_PATH))}
+
+
 def run_cli(*argv, expect=0):
     proc = subprocess.run(
         [sys.executable, "-m", "spherelab.cli", *argv],
         capture_output=True,
         text=True,
         timeout=600,
+        env=_CLI_ENV,
     )
     assert proc.returncode == expect, proc.stdout + proc.stderr
     return proc
@@ -154,12 +164,8 @@ def test_cli_gauss_exit_codes():
     _, rows = parse_csv(proc.stdout)
     assert abs(float(rows[0][9]) - 3**-2.5) < 1e-14  # |value|
     assert abs(float(rows[0][10]) - 1.0) < 1e-12     # q^{d/2}-normalized
-    proc = subprocess.run(
-        [sys.executable, "-m", "spherelab.cli", "gauss", "--a", "2", "--q", "4"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0 and "not reduced" in proc.stderr
+    proc = run_cli("gauss", "--a", "2", "--q", "4", expect=1)
+    assert "not reduced" in proc.stderr
 
 
 def test_cli_mult_value():
@@ -194,12 +200,7 @@ def test_cli_transfer_trivial():
 def test_cli_experiment_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kind = farey\nLambda = nope\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "spherelab.cli", "experiment", "run", str(cfg)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
+    proc = run_cli("experiment", "run", str(cfg), expect=1)
     assert "config key" in proc.stderr
 
 
@@ -275,6 +276,11 @@ def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
         ("kind = reconstruct\nd = 5\nK = -1\n", "K"),
         ("kind = transfer\nn = 0\n", "n"),
         ("kind = gauss\nseed = -1\n", "seed"),
+        ("kind = transfer\np = 0.5\n", "p"),
+        ("kind = transfer\np = nan\n", "p"),
+        ("kind = transfer\ntol = 0\n", "tol"),
+        ("kind = ncmax\ninput = f.txt\ntol = -1\n", "tol"),
+        ("kind = gauss\ntol = nan\n", "tol"),
     ],
 )
 def test_config_keys_below_their_bound_are_rejected_by_name(tmp_path, text, key):
@@ -365,6 +371,10 @@ def test_cli_bad_inputs_give_one_error_line(argv):
         (("gauss", "--a", "1", "--q", "0"), "--q"),
         (("approx", "--k", "4", "--q-max", "0", "--xi", "0,0,0,0,0"), "--q-max"),
         (("approx", "--k", "0", "--xi", "0,0,0,0,0"), "--k"),
+        (("ncmax", "--input", "f.txt", "--tol", "0"), "--tol"),
+        (("ncmax", "--input", "f.txt", "--tol", "-1"), "--tol"),
+        (("ncmax", "--input", "f.txt", "--tol", "nan"), "--tol"),
+        (("transfer", "--theta", ","), "--theta"),
     ],
 )
 def test_cli_rejections_name_their_flag(argv, flag):

@@ -16,7 +16,9 @@ from spherelab import ncmax
 from spherelab.ncmax import (
     MaxNormProblem,
     _barrier_hessian,
-    _hermitian_basis,
+    _barrier_value,
+    _divided_differences,
+    _power_hessian,
     _slacks,
     envelope_bounds,
     hermitian_element,
@@ -37,7 +39,7 @@ SX = hermitian_element(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_schatten_values():
-    m = np.diag([3.0, -4.0])
+    m = hermitian_element(np.diag([3.0, -4.0]))
     assert schatten_norm(m, 1) == 7.0
     assert schatten_norm(m, 2) == 5.0
     assert schatten_norm(m, math.inf) == 4.0
@@ -126,7 +128,7 @@ def test_certificate_soundness():
             assert lam_min >= -1e-7 * max(1.0, scale)
     # certified interval brackets the reported objective
     assert cert.gap >= 0.0
-    lower = max(schatten_norm(x.entries, 2.0) for x in prob.family)
+    lower = max(schatten_norm(x, 2.0) for x in prob.family)
     assert cert.objective >= lower - cert.gap - 1e-9
 
 
@@ -140,24 +142,66 @@ def test_rejects_non_hermitian():
         hermitian_element(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _feasible_point(rng, n, count):
+    """Random hermitian family and a strictly feasible envelope for it,
+    pushed off the boundary by a random margin."""
+    m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    xs = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    a = sum(matrix_abs(x) for x in xs) + rng.uniform(0.05, 2.0) * np.eye(n)
+    return xs, a
+
+
+def _unit(n, c):
+    e = np.zeros(n * n, dtype=complex)
+    e[c] = 1.0
+    return e.reshape(n, n)
+
+
 @given(n=st.integers(1, 4), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_barrier_hessian_matches_per_term_traces(n, count, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    xs = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    # a strictly feasible envelope, pushed off the boundary by a random margin
-    a = sum(matrix_abs(x) for x in xs) + rng.uniform(0.05, 2.0) * np.eye(n)
+    # column c of the vec-Hessian is vec(sum_j W_j E_c W_j), E_c the c-th
+    # unit matrix in row-major order
+    xs, a = _feasible_point(np.random.default_rng(seed), n, count)
     yinvs = np.linalg.inv(_slacks(a, xs))
     yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-    basis = _hermitian_basis(n)
-    ref = np.zeros((n * n, n * n))
-    for w in yinvs:
-        for k, bk in enumerate(basis):
-            for l, bl in enumerate(basis):
-                ref[k, l] += np.trace(w @ bk @ w @ bl).real
-    got = _barrier_hessian(yinvs, basis)
+    ref = np.stack([sum(w @ _unit(n, c) @ w for w in yinvs).ravel()
+                    for c in range(n * n)], axis=1)
+    got = _barrier_hessian(yinvs)
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@given(n=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_power_hessian_matches_the_daleckii_krein_form(n, p, seed):
+    # column c of p K diag(F1) K* is vec(p V (F1 o V* E_c V) V*)
+    _, a = _feasible_point(np.random.default_rng(seed), n, 2)
+    lam, vecs = np.linalg.eigh(a)
+    f1 = _divided_differences(lam, p)
+    ref = np.stack([(p * vecs @ (f1 * (vecs.conj().T @ _unit(n, c) @ vecs))
+                     @ vecs.conj().T).ravel() for c in range(n * n)], axis=1)
+    got = _power_hessian(lam, vecs, p)
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@given(n=st.integers(1, 4), count=st.integers(1, 4),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_barrier_value_is_trace_power_minus_log_dets(n, count, p, seed):
+    rng = np.random.default_rng(seed)
+    xs, a = _feasible_point(rng, n, count)
+    mu = rng.uniform(1e-3, 10.0)
+    lam = np.linalg.eigvalsh(a)
+    ref = (lam ** p).sum() - mu * np.log(np.linalg.eigvalsh(_slacks(a, xs))).sum()
+    got = _barrier_value(a, xs, p, mu)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    # raise x_0[0,0] until a - x_0 has the diagonal entry -1, so that slack
+    # is not positive semidefinite while a and the other slacks stay definite
+    bad = xs.copy()
+    bad[0, 0, 0] += (a - xs[0])[0, 0].real + 1.0
+    assert np.linalg.eigvalsh(a).min() > 0.0
+    assert _barrier_value(a, bad, p, mu) == math.inf
 
 
 def test_envelope_bounds_of_a_diagonal_family():
@@ -167,6 +211,12 @@ def test_envelope_bounds_of_a_diagonal_family():
     assert abs(lower - math.sqrt(10)) < 1e-14
     assert abs(upper - math.sqrt(32)) < 1e-14
     assert lower <= ncmax_norm(prob).objective <= upper
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ncmax_norm(MaxNormProblem(p=2.0, family=(SZ, SX)), tol=tol)
 
 
 def test_newton_budget_stops_the_solve(monkeypatch):

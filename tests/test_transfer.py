@@ -12,7 +12,7 @@ from spherelab import transfer
 from spherelab.errors import BudgetExceededError
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe
 from spherelab.lattice import rep_counts, sphere_shell
-from spherelab.ncmax import AlgebraElement, hermitian_element, schatten_norm
+from spherelab.ncmax import hermitian_element, schatten_norm
 from spherelab.torus import LatticeFunction, spherical_convolve
 from spherelab.transfer import (
     AutomorphismFamily,
@@ -44,11 +44,13 @@ def test_diagonal_fixed_points():
 
 
 def test_conjugation_phase():
-    raiser = AlgebraElement(n=2, entries=np.array([[0, 1], [0, 0]], dtype=complex), hermitian=False)
-    out = gamma_apply(FAM5, (1, 0, 0, 0, 0), raiser)
+    # U_1 = diag(1, e(theta_1)) moves the two off-diagonal entries of SX by
+    # the opposite phases e(-theta_1) and e(theta_1), and leaves the diagonal
+    out = gamma_apply(FAM5, (1, 0, 0, 0, 0), SX)
     expected = np.exp(-2j * np.pi * float(TRANSFER_THETAS[0]))
     assert abs(out.entries[0, 1] - expected) < 1e-14
-    assert abs(out.entries[1, 0]) == 0.0
+    assert abs(out.entries[1, 0] - np.conj(expected)) < 1e-14
+    assert np.abs(np.diag(out.entries)).max() == 0.0
 
 
 def test_average_under_trivial_family():
