@@ -53,20 +53,19 @@ def _short(v) -> str:
 
 
 def criterion_01_farey_partition() -> tuple[bool, dict]:
-    """Exact cover of [0,1] by arcs, plus Farey neighbor identities."""
-    cover_ok = all(verify_partition(major_arcs(farey_sequence(order)))
-                   for order in range(1, 51))
-    neighbor_ok = True
+    """Exact cover of [0,1] by arcs, plus Farey neighbor identities.
+
+    Each sequence is built once; orders <= 50 also get the cover check."""
+    cover_ok = neighbor_ok = True
     for order in range(1, 201):
-        fr = farey_sequence(order).fractions
-        for left, right in zip(fr, fr[1:]):
-            det = right.numerator * left.denominator \
-                - left.numerator * right.denominator
-            if det != 1 or left.denominator + right.denominator <= order:
-                neighbor_ok = False
-                break
-        if not neighbor_ok:
-            break
+        seq = farey_sequence(order)
+        if order <= 50:
+            cover_ok = cover_ok and verify_partition(major_arcs(seq))
+        nums = [f.numerator for f in seq.fractions]
+        dens = [f.denominator for f in seq.fractions]
+        neighbor_ok = neighbor_ok and all(
+            c * b - a * d == 1 and b + d > order
+            for a, b, c, d in zip(nums, dens, nums[1:], dens[1:]))
     return cover_ok and neighbor_ok, {"cover_orders": 50, "neighbor_orders": 200,
                                       "cover_ok": cover_ok,
                                       "neighbor_ok": neighbor_ok}

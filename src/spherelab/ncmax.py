@@ -206,7 +206,9 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     converged = False
 
     while True:
-        # Newton centering at the current mu.
+        # Newton centering at the current mu; f0 is the barrier value at a,
+        # carried over from the line search that accepted a.
+        f0 = _barrier_value(a, xs, p, mu)
         for _ in range(60):
             if steps >= DEFAULT_NEWTON_BUDGET:
                 break
@@ -230,17 +232,20 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
             if slope >= 0.0:
                 break
 
-            f0 = _barrier_value(a, xs, p, mu)
             s = 1.0
             while s > 1e-14:
-                if _barrier_value(a + s * step, xs, p, mu) <= f0 + ARMIJO * s * slope:
+                f1 = _barrier_value(a + s * step, xs, p, mu)
+                if f1 <= f0 + ARMIJO * s * slope:
                     break
                 s *= SHRINK
+            else:
+                f1 = _barrier_value(a + s * step, xs, p, mu)
             a = a + s * step
             a = 0.5 * (a + a.conj().T)
             steps += 1
             if -slope <= 1e-12 * (1.0 + abs(f0)):
                 break
+            f0 = f1
 
         tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
         gap_tr = mu * nu

@@ -8,15 +8,21 @@ g(n) = gamma^n x on a finite lattice window turns that average into an
 ordinary spherical convolution: away from the window edge the two agree
 exactly, site by site, which is the identity the transference experiment
 verifies before comparing maximal norms.
+
+Commuting unitaries share an eigenbasis V, V*U_iV = diag(e(phi_i)), in
+which gamma^n multiplies V*xV entrywise by e(n . (phi_r - phi_s)); the shell
+average is there the exact shell multiplier of arcs at the phase
+differences.  gamma_apply, by matrix powers, is the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arcs import exact_multiplier_many
 from .errors import BudgetExceededError
 from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell
 from .ncmax import (AlgebraElement, MaxNormProblem, envelope_bounds,
@@ -24,20 +30,25 @@ from .ncmax import (AlgebraElement, MaxNormProblem, envelope_bounds,
 from .torus import LatticeFunction
 
 UNITARY_TOL = 1e-12
-# auto_spherical_average conjugates shell points in blocks of about this
-# many matrix entries, so its stacks stay a few MB whatever the shell size.
-AVERAGE_BLOCK_ENTRIES = 1 << 18
 # largest deviation the truncation identity admits (it is roundoff only)
 TRUNCATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class AutomorphismFamily:
-    """d pairwise-commuting unitaries on C^n, acting by conjugation."""
+    """d pairwise-commuting unitaries on C^n, acting by conjugation.
+
+    basis is a joint eigenbasis V, V* U_i V = diag(e(phases[i])): the
+    eigenvectors of the normal matrix sum_i c_i U_i (seeded complex c_i),
+    made unitary by QR; distinct joint eigenvalues meet there only on a set
+    of real codimension two.  V* U_i V being diagonal is the commutation check.
+    """
 
     n: int
     d: int
     unitaries: np.ndarray  # shape (d, n, n)
+    basis: np.ndarray = field(init=False, repr=False)    # shape (n, n)
+    phases: np.ndarray = field(init=False, repr=False)   # shape (d, n)
 
     def __post_init__(self):
         for name in ("n", "d"):
@@ -50,11 +61,16 @@ class AutomorphismFamily:
         for i in range(self.d):
             if np.abs(u[i] @ u[i].conj().T - eye).max() > UNITARY_TOL:
                 raise ValueError(f"matrix {i} is not unitary")
+        c = np.random.default_rng(0).standard_normal((self.d, 2)) @ (1.0, 1j)
+        v = np.linalg.qr(np.linalg.eig(np.tensordot(c, u, axes=1))[1])[0]
+        diag = v.conj().T @ u @ v
         for i in range(self.d):
-            for j in range(i + 1, self.d):
-                if np.abs(u[i] @ u[j] - u[j] @ u[i]).max() > UNITARY_TOL:
-                    raise ValueError(f"unitaries {i} and {j} do not commute")
+            if np.abs(diag[i] - np.diag(np.diagonal(diag[i]))).max() > UNITARY_TOL:
+                raise ValueError(f"unitaries do not commute (matrix {i} is not diagonal)")
         object.__setattr__(self, "unitaries", u)
+        object.__setattr__(self, "basis", v)
+        object.__setattr__(self, "phases",
+                           np.angle(np.diagonal(diag, axis1=1, axis2=2)) / (2.0 * np.pi))
 
 
 def diagonal_phase_family(thetas, n: int) -> AutomorphismFamily:
@@ -80,17 +96,6 @@ def trivial_family(n: int, d: int) -> AutomorphismFamily:
     return AutomorphismFamily(n=n, d=d, unitaries=np.stack([np.eye(n)] * d))
 
 
-def _power_table(u: np.ndarray, span: int) -> np.ndarray:
-    """U^m for m in [-span, span], stacked at index m + span; negative
-    powers via the adjoint."""
-    tab = np.empty((2 * span + 1,) + u.shape, dtype=complex)
-    tab[span] = np.eye(u.shape[0])
-    for m in range(1, span + 1):
-        tab[span + m] = u @ tab[span + m - 1]
-        tab[span - m] = tab[span + m].conj().T
-    return tab
-
-
 def gamma_apply(fam: AutomorphismFamily, n_vec, x: AlgebraElement) -> AlgebraElement:
     """gamma^n x = U^n x U^{-n} with U^n = prod_i U_i^{n_i}."""
     if x.n != fam.n:
@@ -111,48 +116,37 @@ def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
                            k: int) -> AlgebraElement:
     """Mean of gamma^n x over the shell |n|^2 = k.
 
-    U^n is gathered from per-axis power tables for a block of shell points
-    at once and the conjugates are summed in shell order, the first one
-    onto the running sum, so the additions are those of a point-by-point
-    loop.
+    It is V ((V*xV) o M_k) V* with M_k[r, s] = m_k(phi_r - phi_s): one
+    exact_multiplier_many call at the n^2 phase differences.
     """
     shell = sphere_shell(fam.d, k)
-    shell.check_nonempty()
-    span = math.isqrt(k)
-    tabs = [_power_table(fam.unitaries[i], span) for i in range(fam.d)]
-    rows = shell.points + span
-    block = max(1, AVERAGE_BLOCK_ENTRIES // (fam.n * fam.n))
-    acc = np.zeros((fam.n, fam.n), dtype=complex)
-    for lo in range(0, shell.count, block):
-        idx = rows[lo:lo + block]
-        u = tabs[0][idx[:, 0]]
-        for i in range(1, fam.d):
-            u = u @ tabs[i][idx[:, i]]
-        terms = u @ x.entries @ u.conj().swapaxes(-1, -2)
-        terms[0] += acc
-        acc = terms.sum(axis=0)
-    return hermitian_element(acc / shell.count)
+    dphi = (fam.phases[:, :, None] - fam.phases[:, None, :]).reshape(fam.d, -1).T
+    mult = exact_multiplier_many(shell, dphi).reshape(fam.n, fam.n)
+    v = fam.basis
+    return hermitian_element(v @ ((v.conj().T @ x.entries @ v) * mult) @ v.conj().T)
 
 
 def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
     """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
 
     The site count is checked against DEFAULT_POINT_BUDGET before anything
-    is allocated.  Built one axis at a time: conjugating an already-assembled
-    block by U_i^m fills the next axis in a single vectorized pass.
+    is allocated.  V*xV fills the box, is multiplied in place by
+    e(m_i (phi_r - phi_s)) axis by axis, and is rotated back with V one
+    slice of the first axis at a time: the peak is about one box.
     """
     width = 2 * span + 1
     if width ** fam.d > DEFAULT_POINT_BUDGET:
         raise BudgetExceededError(
             f"{width}^{fam.d} orbit sites exceed the budget of {DEFAULT_POINT_BUDGET}")
-    cur = x.entries.astype(complex)
-    for axis in range(fam.d - 1, -1, -1):
-        tab = _power_table(fam.unitaries[axis], span)
-        new = np.empty((width,) + cur.shape, dtype=complex)
-        for row, um in enumerate(tab):
-            new[row] = np.einsum("ab,...bc,dc->...ad", um, cur, um.conj())
-        cur = new
-    return cur
+    v = fam.basis
+    box = np.broadcast_to(v.conj().T @ x.entries @ v, (width,) * fam.d + (fam.n, fam.n)).copy()
+    steps = np.arange(-span, span + 1)
+    for axis, dphi in enumerate(fam.phases[:, :, None] - fam.phases[:, None, :]):
+        phase = np.exp(2j * np.pi * steps[:, None, None] * dphi)
+        box *= phase.reshape((1,) * axis + (width,) + (1,) * (fam.d - 1 - axis) + dphi.shape)
+    for row in box:
+        np.matmul(v @ row, v.conj().T, out=row)
+    return box
 
 
 def orbit_truncation(fam: AutomorphismFamily, x: AlgebraElement,

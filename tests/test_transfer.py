@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherelab import transfer
 from spherelab.errors import BudgetExceededError
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe
 from spherelab.lattice import rep_counts, sphere_shell
@@ -223,13 +222,41 @@ def test_average_is_the_mean_of_gamma_over_the_shell(name, fam, n):
         assert np.abs(avg.entries - oracle).max() < 1e-13
 
 
-def test_average_blocks_add_in_shell_order(monkeypatch):
-    # the running sum is carried onto the first point of the next block, so
-    # any block size gives the bits of a single pass over the shell
-    x = random_hermitian_probe(3, 5)
-    fam = permutation_phase_family()
-    whole = auto_spherical_average(fam, x, 9).entries
-    monkeypatch.setattr(transfer, "AVERAGE_BLOCK_ENTRIES", 7 * 9)
-    assert np.array_equal(auto_spherical_average(fam, x, 9).entries, whole)
-    monkeypatch.setattr(transfer, "AVERAGE_BLOCK_ENTRIES", 1)
-    assert np.array_equal(auto_spherical_average(fam, x, 9).entries, whole)
+def _conjugated_family(thetas, seed):
+    """U_i = W diag(e(thetas[i])) W* with W a seeded QR unitary."""
+    d, n = thetas.shape
+    rng = np.random.default_rng(seed)
+    w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    mats = np.stack([(w * np.exp(2j * np.pi * th)) @ w.conj().T for th in thetas])
+    return AutomorphismFamily(n=n, d=d, unitaries=mats)
+
+
+@given(n=st.integers(1, 5), d=st.integers(1, 5), repeat=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_eigenbasis_paths_match_gamma_apply_on_conjugated_families(n, d, repeat, data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    thetas = np.random.default_rng(seed).uniform(0, 1, size=(d, n))
+    if repeat and n > 1:
+        thetas[:, -1] = thetas[:, 0]     # a repeated joint eigenvalue
+    fam = _conjugated_family(thetas, seed)
+    x = random_hermitian_probe(n, seed % 1000)
+    ks = [k for k in range(1, 6) if rep_counts(d, 5)[k] > 0]
+    k = data.draw(st.sampled_from(ks), label="k")
+    shell = sphere_shell(d, k)
+    oracle = np.mean([gamma_apply(fam, pt, x).entries for pt in shell.points], axis=0)
+    assert np.abs(auto_spherical_average(fam, x, k).entries - oracle).max() < 1e-12
+    window = 2 if d <= 3 else 1
+    orb = orbit_truncation(fam, x, window)
+    for _ in range(3):
+        m = data.draw(st.lists(st.integers(-window, window), min_size=d, max_size=d),
+                      label="site")
+        site = tuple(c % (2 * window + 1) for c in m)
+        expected = gamma_apply(fam, m, x).entries
+        assert np.abs(orb.values[site] - expected).max() < 1e-12
+
+
+def test_non_commuting_pair_is_rejected():
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="do not commute"):
+        AutomorphismFamily(n=2, d=2, unitaries=np.stack([z, x]))
