@@ -1,10 +1,10 @@
 """The twelve gating checks, runnable programmatically or via the CLI.
 
-Each criterion returns (passed, details), the details being the measured
-quantities it judged; run_criteria wraps them in a CriterionResult named by
-the criterion's key in CRITERIA and numbered by its position there.
-Criteria 03, 04, 06, 09 and 12 are pinned experiment configs: each passes
-iff every runner check passes, plus any criterion-only condition.
+Each criterion returns (details, checks): the quantities it measured and
+the CheckResults that judge them.  run_criteria wraps them in a RunReport
+whose kind is the criterion's key in CRITERIA; summary_line numbers it by
+its position there.  Criteria 03, 04, 06, 09 and 12 are pinned experiment
+configs judged by their runners' checks, plus any criterion-only check.
 Thresholds and configs are hard-coded on purpose: they are the contract.
 """
 
@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .experiments import (TRANSFER_THETAS, ExperimentConfig, RunReport,
-                          quadrature_at_radius, random_hermitian_probe,
-                          run_experiment)
+from .experiments import (TRANSFER_THETAS, CheckResult, ExperimentConfig,
+                          RunReport, quadrature_at_radius,
+                          random_hermitian_probe, run_experiment)
 from .farey import farey_sequence, major_arcs, verify_partition
 from .heat import heat_direct_batch
 from .lattice import box_counts_oracle, rep_counts
@@ -29,30 +28,23 @@ from .transfer import TRUNCATION_TOL, diagonal_phase_family, \
     permutation_phase_family, truncation_identity_check
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    details: dict
-    wall_time: float = 0.0
-
-    def summary_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        parts = " ".join(f"{k}={_short(v)}" for k, v in self.details.items()
-                         if k != "csv")
-        return f"[{status}] {self.number:02d} {self.name} ({self.wall_time:.1f}s): {parts}"
+def summary_line(report: RunReport) -> str:
+    """One line per criterion: verdict, number, name, time and details."""
+    name = report.config.kind
+    number = list(CRITERIA).index(name) + 1
+    parts = " ".join(f"{k}={_short(v)}" for k, v in report.summary.items()
+                     if k != "csv")
+    return (f"[{'PASS' if report.passed else 'FAIL'}] {number:02d} {name} "
+            f"({report.wall_time:.1f}s): {parts}")
 
 
 def _short(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.4g}"
     return str(v)
 
 
-def criterion_01_farey_partition() -> tuple[bool, dict]:
+def criterion_01_farey_partition() -> tuple[dict, list]:
     """Exact cover of [0,1] by arcs, plus Farey neighbor identities.
 
     Each sequence is built once; orders <= 50 also get the cover check."""
@@ -61,50 +53,50 @@ def criterion_01_farey_partition() -> tuple[bool, dict]:
         seq = farey_sequence(order)
         if order <= 50:
             cover_ok = cover_ok and verify_partition(major_arcs(seq))
-        nums = [f.numerator for f in seq.fractions]
-        dens = [f.denominator for f in seq.fractions]
+        nums, dens = seq.numerators, seq.denominators
         neighbor_ok = neighbor_ok and all(
             c * b - a * d == 1 and b + d > order
             for a, b, c, d in zip(nums, dens, nums[1:], dens[1:]))
-    return cover_ok and neighbor_ok, {"cover_orders": 50, "neighbor_orders": 200,
-                                      "cover_ok": cover_ok,
-                                      "neighbor_ok": neighbor_ok}
+    return ({"cover_orders": 50, "neighbor_orders": 200, "cover_ok": cover_ok,
+             "neighbor_ok": neighbor_ok},
+            [CheckResult("cover_ok", float(cover_ok), "==", 1.0),
+             CheckResult("neighbor_ok", float(neighbor_ok), "==", 1.0)])
 
 
-def criterion_02_rep_counts() -> tuple[bool, dict]:
+def criterion_02_rep_counts() -> tuple[dict, list]:
     """Shell counting table against brute-force box enumeration."""
     worst = 0
     for d in range(1, 6):
         table = rep_counts(d, 50).counts
         brute = box_counts_oracle(d, 50)
         worst = max(worst, max(abs(a - b) for a, b in zip(table, brute)))
-    return worst == 0, {"d_max": 5, "k_max": 50, "max_abs_diff": worst}
+    return ({"d_max": 5, "k_max": 50, "max_abs_diff": worst},
+            [CheckResult("max_abs_diff", worst, "==", 0)])
 
 
 def _pinned(kind: str, **params) -> RunReport:
     return run_experiment(ExperimentConfig(kind, params))
 
 
-def criterion_03_gauss_dft() -> tuple[bool, dict]:
+def criterion_03_gauss_dft() -> tuple[dict, list]:
     """DFT of the normalized complete sum is the pure quadratic phase, and
     no sum exceeds its magnitude bound."""
     rep = _pinned("gauss", d=5, q_max=25, L=20, seed=0, tol=1e-12)
-    return rep.passed, {"q_max": rep.summary["q_max"],
-                        "k_samples": rep.summary["k_samples"],
-                        "max_err": rep.summary["max_dft_err"],
-                        "tol": rep.checks[0].threshold}
+    return {"q_max": rep.summary["q_max"],
+            "k_samples": rep.summary["k_samples"],
+            "max_err": rep.summary["max_dft_err"],
+            "tol": rep.checks[0].threshold}, rep.checks
 
 
-def criterion_04_poisson_forms() -> tuple[bool, dict]:
+def criterion_04_poisson_forms() -> tuple[dict, list]:
     """Lattice sum vs image-sum resummation of the kernel transform."""
     dims = (2, 3, 5)
     reps = [_pinned("poisson_check", d=d, L=20, seed=400 + d, tol=1e-8)
             for d in dims]
-    ok = all(r.passed for r in reps)
-    return ok, {"dims": ",".join(map(str, dims)),
-                "draws_per_case": reps[0].summary["draws_per_eps"],
-                "max_rel_err": max(r.summary["max_rel_err"] for r in reps),
-                "tol": reps[0].checks[0].threshold}
+    return {"dims": ",".join(map(str, dims)),
+            "draws_per_case": reps[0].summary["draws_per_eps"],
+            "max_rel_err": max(r.summary["max_rel_err"] for r in reps),
+            "tol": reps[0].checks[0].threshold}, [c for r in reps for c in r.checks]
 
 
 ENVELOPE_REL_OFFSETS = np.array([-0.9, -0.5, -0.2, 0.0, 0.2, 0.5, 0.9])
@@ -146,31 +138,31 @@ def envelope_sup(order: int) -> float:
     return sup
 
 
-def criterion_05_kernel_envelope() -> tuple[bool, dict]:
+def criterion_05_kernel_envelope() -> tuple[dict, list]:
     """The normalized kernel sup must not grow as the order doubles twice."""
     sups = {order: envelope_sup(order) for order in (2, 4, 8)}
     growth_24 = sups[4] / sups[2]
     growth_48 = sups[8] / sups[4]
-    ok = growth_24 <= 1.1 and growth_48 <= 1.1
-    return ok, {"sup_2": sups[2], "sup_4": sups[4],
-                "sup_8": sups[8], "growth_2_to_4": growth_24,
-                "growth_4_to_8": growth_48, "limit": 1.1}
+    return ({"sup_2": sups[2], "sup_4": sups[4], "sup_8": sups[8],
+             "growth_2_to_4": growth_24, "growth_4_to_8": growth_48,
+             "limit": 1.1},
+            [CheckResult("growth_2_to_4", growth_24, "<=", 1.1),
+             CheckResult("growth_4_to_8", growth_48, "<=", 1.1)])
 
 
-def criterion_06_arc_reconstruction() -> tuple[bool, dict]:
+def criterion_06_arc_reconstruction() -> tuple[dict, list]:
     """Summing all arc pieces rebuilds the exact shell multiplier."""
     ks = (1, 2, 4)
     reps = [_pinned("reconstruct", d=5, K=k, Lambda=2, L=8, seed=0, tol=1e-6)
             for k in ks]
-    ok = all(r.passed for r in reps)
-    return ok, {"d": reps[0].summary["d"], "ks": ",".join(map(str, ks)),
-                "order": reps[0].summary["order"],
-                "frequencies": len(reps[0].rows),
-                "max_err": max(r.summary["max_abs_err"] for r in reps),
-                "tol": reps[0].checks[0].threshold}
+    return {"d": reps[0].summary["d"], "ks": ",".join(map(str, ks)),
+            "order": reps[0].summary["order"],
+            "frequencies": len(reps[0].rows),
+            "max_err": max(r.summary["max_abs_err"] for r in reps),
+            "tol": reps[0].checks[0].threshold}, [c for r in reps for c in r.checks]
 
 
-def criterion_07_sphere_ft() -> tuple[bool, dict]:
+def criterion_07_sphere_ft() -> tuple[dict, list]:
     """Bessel closed form vs quadrature, Monte Carlo, and pinned values."""
     worst_quad = 0.0
     worst_mc = 0.0
@@ -182,12 +174,15 @@ def criterion_07_sphere_ft() -> tuple[bool, dict]:
         worst_mc = max(worst_mc, abs(mc - float(unit_sphere_ft(d, 1.0))))
     at_zero = float(unit_sphere_ft(5, 0.0))
     pin = abs(float(unit_sphere_ft(5, 1.0)) + 3.0 / (4.0 * math.pi ** 2))
-    ok = worst_quad < 1e-8 and worst_mc < 1e-3 and at_zero == 1.0 and pin < 1e-10
-    return ok, {"max_quad_err": worst_quad, "max_mc_err": worst_mc,
-                "value_at_zero": at_zero, "pinned_d5_err": pin}
+    return ({"max_quad_err": worst_quad, "max_mc_err": worst_mc,
+             "value_at_zero": at_zero, "pinned_d5_err": pin},
+            [CheckResult("max_quad_err", worst_quad, "<", 1e-8),
+             CheckResult("max_mc_err", worst_mc, "<", 1e-3),
+             CheckResult("value_at_zero", at_zero, "==", 1.0),
+             CheckResult("pinned_d5_err", pin, "<", 1e-10)])
 
 
-def criterion_08_mainterm_identity() -> tuple[bool, dict]:
+def criterion_08_mainterm_identity() -> tuple[dict, list]:
     """Full-line oscillatory integral equals the closed main-term formula,
     independently of the Gaussian width."""
     d = 5
@@ -205,22 +200,23 @@ def criterion_08_mainterm_identity() -> tuple[bool, dict]:
                 worst_closed = max(worst_closed,
                                    abs(val - closed) / max(1.0, abs(closed)))
             worst_eps = max(worst_eps, abs(vals[0] - vals[1]))
-    ok = worst_closed < 1e-4 and worst_eps < 1e-4
-    return ok, {"d": 5, "ks": "1,4", "max_closed_err": worst_closed,
-                "max_eps_dependence": worst_eps, "tol": 1e-4}
+    return ({"d": 5, "ks": "1,4", "max_closed_err": worst_closed,
+             "max_eps_dependence": worst_eps, "tol": 1e-4},
+            [CheckResult("max_closed_err", worst_closed, "<", 1e-4),
+             CheckResult("max_eps_dependence", worst_eps, "<", 1e-4)])
 
 
-def criterion_09_approx_decay() -> tuple[bool, dict]:
+def criterion_09_approx_decay() -> tuple[dict, list]:
     """Scaled deviation between the exact multiplier and the rational
     approximation stays in a narrow band with the predicted slope."""
     rep = _pinned("decay", q_max=30, Lambda=8)
     band_check, slope_low, slope_high = rep.checks
-    return rep.passed, {"orders": ",".join(str(r[0]) for r in rep.rows),
-                        "band": rep.summary["band"],
-                        "band_limit": band_check.threshold,
-                        "loglog_slope": rep.summary["loglog_slope"],
-                        "slope_range": f"[{slope_low.threshold},"
-                                       f"{slope_high.threshold}]"}
+    return {"orders": ",".join(str(r[0]) for r in rep.rows),
+            "band": rep.summary["band"],
+            "band_limit": band_check.threshold,
+            "loglog_slope": rep.summary["loglog_slope"],
+            "slope_range": f"[{slope_low.threshold},"
+                           f"{slope_high.threshold}]"}, rep.checks
 
 
 def _random_diag_problem(rng) -> MaxNormProblem:
@@ -232,7 +228,7 @@ def _random_diag_problem(rng) -> MaxNormProblem:
     return MaxNormProblem(p=p, family=family)
 
 
-def criterion_10_ncmax() -> tuple[bool, dict]:
+def criterion_10_ncmax() -> tuple[dict, list]:
     """Barrier solver against the pinching oracle, the 2x2 grid oracle,
     and its own certificate bounds."""
     rng = np.random.Generator(np.random.PCG64(10))
@@ -256,13 +252,14 @@ def criterion_10_ncmax() -> tuple[bool, dict]:
         solved = ncmax_norm(prob, tol=1e-7).objective
         grid_errs.append(abs(grid - solved) / max(grid, 1e-12))
     worst_grid = max(grid_errs)
-    ok = worst_rel < 1e-5 and worst_grid < 1e-4 and sandwich_ok
-    return ok, {"diag_problems": 100, "max_rel_err": worst_rel,
-                "grid_rel_err": worst_grid,
-                "sandwich_ok": sandwich_ok}
+    return ({"diag_problems": 100, "max_rel_err": worst_rel,
+             "grid_rel_err": worst_grid, "sandwich_ok": sandwich_ok},
+            [CheckResult("max_rel_err", worst_rel, "<", 1e-5),
+             CheckResult("grid_rel_err", worst_grid, "<", 1e-4),
+             CheckResult("sandwich_ok", float(sandwich_ok), "==", 1.0)])
 
 
-def criterion_11_transfer_identity() -> tuple[bool, dict]:
+def criterion_11_transfer_identity() -> tuple[dict, list]:
     """Orbit truncation reproduces automorphism averages exactly inside
     the guard window."""
     fam_a = diagonal_phase_family([float(t) for t in TRANSFER_THETAS], n=2)
@@ -271,20 +268,20 @@ def criterion_11_transfer_identity() -> tuple[bool, dict]:
     fam_b = permutation_phase_family()
     dev_b = truncation_identity_check(fam_b, random_hermitian_probe(3, 7),
                                       window=5, k_cap_sq=4)
-    worst = max(dev_a, dev_b)
-    return worst < TRUNCATION_TOL, {"dev_n2_d5": dev_a, "dev_n3_d3": dev_b, "tol": TRUNCATION_TOL}
+    return ({"dev_n2_d5": dev_a, "dev_n3_d3": dev_b, "tol": TRUNCATION_TOL},
+            [CheckResult("max_dev", max(dev_a, dev_b), "<", TRUNCATION_TOL)])
 
 
-def criterion_12_ratio_table() -> tuple[bool, dict]:
+def criterion_12_ratio_table() -> tuple[dict, list]:
     """Maximal-ratio trend table: monotone, certified below the summed
     envelope bound, exported as CSV."""
     rep = _pinned("transfer", family="diagonal", n=2, p=2.0, K=16, seed=7,
                   tol=1e-7)
     monotone, below = rep.checks
-    return rep.passed and len(rep.rows) == 4, {"ratios": ",".join(f"{r[1]:.6f}" for r in rep.rows),
-                                               "monotone": monotone.passed,
-                                               "below_upper": below.passed,
-                                               "csv": rep.csv_text()}
+    return ({"ratios": ",".join(f"{r[1]:.6f}" for r in rep.rows),
+             "monotone": monotone.passed, "below_upper": below.passed,
+             "csv": rep.csv_text()},
+            [*rep.checks, CheckResult("rows", len(rep.rows), "==", 4)])
 
 
 # suite name -> criterion, in run order
@@ -304,13 +301,13 @@ CRITERIA = {
 }
 
 
-def run_criteria(names=None) -> list[CriterionResult]:
-    results = []
-    for number, (name, fn) in enumerate(CRITERIA.items(), start=1):
+def run_criteria(names=None) -> list[RunReport]:
+    reports = []
+    for name, fn in CRITERIA.items():
         if names and name not in names:
             continue
         t0 = time.perf_counter()
-        passed, details = fn()
-        results.append(CriterionResult(number, name, passed, details,
-                                       time.perf_counter() - t0))
-    return results
+        details, checks = fn()
+        reports.append(RunReport(ExperimentConfig(name, {}), (), [], details,
+                                 checks, wall_time=time.perf_counter() - t0))
+    return reports

@@ -2,8 +2,8 @@
 
 Every subcommand prints an RFC-4180 CSV table (complex values as re/im
 column pairs) to stdout or, with --out, to a file.  Commands that carry
-assertions (farey, ncmax, transfer, verify, experiment) exit nonzero when
-any assertion fails, so the exit code is usable in scripts.  Input the
+assertions (farey, gauss, ncmax, transfer, verify, experiment) exit 0 iff
+every CheckResult passes, so the exit code is usable in scripts.  Input the
 library rejects with a ValueError or BudgetExceededError ends in one
 ``error: ...`` line on stderr and exit status 1; a numeric flag below its
 lower bound is rejected before the command runs, naming the flag.
@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import CRITERIA, run_criteria
+from .acceptance import CRITERIA, run_criteria, summary_line
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
 from .errors import BudgetExceededError
-from .experiments import (TRANSFER_THETAS, ExperimentConfig, csv_text,
-                          load_config, ncmax_checks, random_hermitian_probe,
-                          ratio_table_checks, read_ncmax_problem,
-                          run_experiment)
+from .experiments import (TRANSFER_THETAS, CheckResult, ExperimentConfig,
+                          csv_text, load_config, ncmax_checks,
+                          random_hermitian_probe, ratio_table_checks,
+                          read_ncmax_problem, run_experiment)
 from .gauss import gauss_magnitude_bound, gauss_sum
 from .lattice import DEFAULT_POINT_BUDGET, rep_counts, sphere_shell
 from .ncmax import MaxNormProblem, ncmax_norm
@@ -113,7 +113,8 @@ def _cmd_gauss(args) -> int:
     cols = ("a", "q", *(f"l_{i + 1}" for i in range(d)),
             "re", "im", "abs", "abs_normalized", "bound")
     _write_csv(args, cols, [row])
-    return 0 if abs(val) <= bound + 1e-12 else 1
+    check = CheckResult("within_bound", abs(val), "<=", bound + 1e-12)
+    return 0 if check.passed else 1
 
 
 def _write_multiplier_csv(args, xis, values, envelopes) -> None:
@@ -189,18 +190,18 @@ def _cmd_transfer(args) -> int:
     rows = maximal_ratio_experiment(fam, x, k_list, args.p)
     _write_csv(args, ("K", "ratio", "lower_bound", "upper_bound",
                       "solver_gap"), rows)
-    ok = all(c.passed for c in ratio_table_checks(rows))
+    checks = ratio_table_checks(rows)
     if args.window is not None:
         dev = truncation_identity_check(fam, x, args.window, args.cap ** 2)
         print(f"truncation_identity_deviation = {dev!r}", file=_FOOTER)
-        ok = ok and dev < TRUNCATION_TOL
-    return 0 if ok else 1
+        checks.append(CheckResult("truncation_identity", dev, "<", TRUNCATION_TOL))
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _cmd_verify(args) -> int:
     results = run_criteria(args.suite)
     for res in results:
-        print(res.summary_line())
+        print(summary_line(res))
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
     return 0 if n_pass == len(results) else 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -112,14 +113,23 @@ class ExperimentConfig:
         return lines
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+              ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """A named gate that passes iff ``measured <relation> threshold``; the
+    report line prints that comparison, and a NaN measurement fails it."""
+
     name: str
     measured: float
+    relation: str
     threshold: float
-    passed: bool
-    # comparison direction, for the report line only
-    relation: str = "<="
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.measured, self.threshold))
 
 
 @dataclass
@@ -276,8 +286,7 @@ def _run_farey(cfg: ExperimentConfig) -> RunReport:
              arc.right.numerator, arc.right.denominator) for arc in arcs]
     widths = [float(arc.right - arc.left) for arc in arcs]
     partition_ok = verify_partition(arcs)
-    checks = [CheckResult("partition_exact", float(partition_ok), 1.0,
-                          partition_ok, relation="==")]
+    checks = [CheckResult("partition_exact", float(partition_ok), "==", 1.0)]
     summary = {"order": order, "arc_count": len(arcs),
                "min_width": min(widths), "max_width": max(widths)}
     return RunReport(cfg, ("a", "q", "left_num", "left_den",
@@ -307,10 +316,8 @@ def _run_gauss(cfg: ExperimentConfig) -> RunReport:
             worst_dft = max(worst_dft, dft_err)
             worst_mag_ratio = max(worst_mag_ratio, mag / bound)
     checks = [
-        CheckResult("dft_identity_max_err", worst_dft, tol, worst_dft < tol,
-                    relation="<"),
-        CheckResult("magnitude_within_bound", worst_mag_ratio, 1.0 + 1e-12,
-                    worst_mag_ratio <= 1.0 + 1e-12),
+        CheckResult("dft_identity_max_err", worst_dft, "<", tol),
+        CheckResult("magnitude_within_bound", worst_mag_ratio, "<=", 1.0 + 1e-12),
     ]
     summary = {"d": d, "q_max": q_max, "k_samples": n_k,
                "max_dft_err": worst_dft, "max_mag_over_bound": worst_mag_ratio}
@@ -340,8 +347,7 @@ def _run_poisson(cfg: ExperimentConfig) -> RunReport:
             worst = max(worst, rel)
             rows.append((d, eps, a, q, t, direct.real, direct.imag,
                          poisson.real, poisson.imag, rel))
-    checks = [CheckResult("direct_vs_poisson_rel", worst, tol, worst < tol,
-                          relation="<")]
+    checks = [CheckResult("direct_vs_poisson_rel", worst, "<", tol)]
     summary = {"d": d, "draws_per_eps": n_draws, "max_rel_err": worst}
     return RunReport(cfg, ("d", "eps", "a", "q", "t", "direct_re", "direct_im",
                            "poisson_re", "poisson_im", "rel_err"),
@@ -376,10 +382,9 @@ def _run_decay(cfg: ExperimentConfig) -> RunReport:
     slope = float(np.polyfit(np.log(orders), np.log(sups), 1)[0]) \
         if len(orders) > 1 else 0.0
     checks = [
-        CheckResult("normalized_band", band, 3.0, band <= 3.0),
-        CheckResult("loglog_slope_low", slope, -0.8, slope >= -0.8,
-                    relation=">="),
-        CheckResult("loglog_slope_high", slope, -0.2, slope <= -0.2),
+        CheckResult("normalized_band", band, "<=", 3.0),
+        CheckResult("loglog_slope_low", slope, ">=", -0.8),
+        CheckResult("loglog_slope_high", slope, "<=", -0.2),
     ]
     summary = {"q_max": q_max, "grid_points": len(grid), "band": band,
                "loglog_slope": slope}
@@ -421,8 +426,7 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
         row = quadrature_at_radius(d, rho)
         worst = max(worst, row[2])
         rows.append((rho, *row))
-    checks = [CheckResult("quadrature_abs_err", worst, tol, worst < tol,
-                          relation="<")]
+    checks = [CheckResult("quadrature_abs_err", worst, "<", tol)]
     summary = {"d": d, "max_quad_err": worst,
                "value_at_zero": float(unit_sphere_ft(d, 0.0))}
     if n_mc > 0:
@@ -430,8 +434,7 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
         closed1 = float(unit_sphere_ft(d, 1.0))
         mc_err = abs(mc - closed1)
         mc_tol = 30.0 / math.sqrt(n_mc)
-        checks.append(CheckResult("montecarlo_abs_err", mc_err, mc_tol,
-                                  mc_err < mc_tol, relation="<"))
+        checks.append(CheckResult("montecarlo_abs_err", mc_err, "<", mc_tol))
         summary["montecarlo_at_1"] = mc
     return RunReport(cfg, ("rho", "closed_form", "quadrature", "abs_err"),
                      rows, summary, checks, rng=rng_label)
@@ -439,7 +442,7 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
 
 def read_ncmax_problem(path) -> MaxNormProblem:
     """Matrix family file: first line ``n N p``, then N blocks of n lines,
-    each line n complex entries like ``0.5-0.25j`` (plain reals fine).
+    each line n finite complex entries like ``0.5-0.25j`` (plain reals fine).
     Every ValueError names the file line it is about."""
     text = Path(path).read_text().splitlines()
     lines = [(no, ln.split()) for no, ln in enumerate(text, start=1)
@@ -463,14 +466,22 @@ def read_ncmax_problem(path) -> MaxNormProblem:
     family = []
     for j in range(count):
         block = body[j * n:(j + 1) * n]
+        where = f"lines {block[0][0]}-{block[-1][0]}"
         for no, toks in block:
             if len(toks) != n:
                 raise ValueError(f"line {no}: expected {n} entries, got {len(toks)}")
         try:
-            family.append(hermitian_element(
-                [[complex(tok) for tok in toks] for _, toks in block]))
+            rows = [[complex(tok) for tok in toks] for _, toks in block]
         except ValueError as exc:
-            raise ValueError(f"lines {block[0][0]}-{block[-1][0]}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
+        for (no, toks), row in zip(block, rows):
+            if not np.isfinite(row).all():
+                raise ValueError(f"line {no}: entries must be finite, got "
+                                 f"{' '.join(toks)!r}")
+        try:
+            family.append(hermitian_element(rows))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return MaxNormProblem(p=p, family=tuple(family))
 
 
@@ -489,11 +500,9 @@ def ncmax_checks(prob: MaxNormProblem, cert, tol: float) -> tuple[float, list]:
     lower = envelope_bounds(prob)[0]
     floor = lower - tol * max(lower, 1.0)
     return lower, [
-        CheckResult("converged", float(cert.converged), 1.0, cert.converged,
-                    relation="=="),
-        CheckResult("lower_sandwich", cert.objective, floor,
-                    cert.objective >= floor and cert.gap >= -1e-12,
-                    relation=">="),
+        CheckResult("converged", float(cert.converged), "==", 1.0),
+        CheckResult("lower_sandwich", cert.objective, ">=", floor),
+        CheckResult("gap_nonnegative", cert.gap, ">=", -1e-12),
     ]
 
 
@@ -534,10 +543,8 @@ def ratio_table_checks(rows) -> list:
                     for i in range(len(rows) - 1)), default=0.0)
     max_over_upper = max(r[1] - r[4] - r[3] for r in rows)
     return [
-        CheckResult("monotone_nondecreasing", min_step, 0.0,
-                    min_step >= 0.0, relation=">="),
-        CheckResult("ratio_below_upper", max_over_upper, 1e-9,
-                    max_over_upper <= 1e-9),
+        CheckResult("monotone_nondecreasing", min_step, ">=", 0.0),
+        CheckResult("ratio_below_upper", max_over_upper, "<=", 1e-9),
     ]
 
 
@@ -558,7 +565,7 @@ def _run_transfer(cfg: ExperimentConfig) -> RunReport:
     checks = ratio_table_checks(rows)
     if family_name == "trivial":
         dev = max(abs(r[1] - 1.0) for r in rows)
-        checks.append(CheckResult("trivial_ratio_one", dev, 1e-6, dev <= 1e-6))
+        checks.append(CheckResult("trivial_ratio_one", dev, "<=", 1e-6))
     summary = {"family": family_name, "p": p,
                "max_ratio": max(r[1] for r in rows)}
     return RunReport(cfg, ("K", "ratio", "lower_bound", "upper_bound",
@@ -583,8 +590,7 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
         worst = max(worst, err)
         rows.append((*[float(v) for v in xi], float(m_exact),
                      total.real, total.imag, err))
-    checks = [CheckResult("reconstruction_abs_err", worst, tol, worst < tol,
-                          relation="<")]
+    checks = [CheckResult("reconstruction_abs_err", worst, "<", tol)]
     summary = {"d": d, "k": k, "order": order, "arcs": len(arcs),
                "max_abs_err": worst}
     cols = tuple(f"xi_{i + 1}" for i in range(d)) + \

@@ -1,9 +1,10 @@
 """Farey fractions and the exact interval partition of [0,1] they induce.
 
 Everything here is exact: integer recurrences, with fractions.Fraction
-results.  For an order L, the reduced fractions a/q in [0,1] with q <= L
-split [0,1] into one interval per fraction.  Writing a1/q1 < a/q < a2/q2
-for consecutive fractions, the interval owned by a/q is
+only in the results (FareySequence.fractions and MajorArc).  For an order
+L, the reduced fractions a/q in [0,1] with q <= L split [0,1] into one
+interval per fraction.  Writing a1/q1 < a/q < a2/q2 for consecutive
+fractions, the interval owned by a/q is
 
     [ a/q - beta/(q L),  a/q + alpha/(q L) )
         = [ (a + a1)/(q + q1),  (a + a2)/(q + q2) )
@@ -25,11 +26,18 @@ from operator import attrgetter
 
 @dataclass(frozen=True)
 class FareySequence:
+    """The reduced pairs (numerators[i], denominators[i]), ascending."""
+
     order: int
-    fractions: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominators: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.fractions)
+        return len(self.numerators)
+
+    @property
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.numerators, self.denominators))
 
 
 @dataclass(frozen=True)
@@ -60,12 +68,14 @@ def farey_sequence(order: int) -> FareySequence:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     p, q, p2, q2 = 0, 1, 1, order
-    terms = [Fraction(0, 1), Fraction(1, order)]
+    nums, dens = [0, 1], [1, order]
     while p2 != q2:
         j = (order + q) // q2
         p, q, p2, q2 = p2, q2, j * p2 - p, j * q2 - q
-        terms.append(Fraction(p2, q2))
-    return FareySequence(order=order, fractions=tuple(terms))
+        nums.append(p2)
+        dens.append(q2)
+    return FareySequence(order=order, numerators=tuple(nums),
+                         denominators=tuple(dens))
 
 
 def major_arcs(seq: FareySequence) -> list[MajorArc]:
@@ -75,9 +85,7 @@ def major_arcs(seq: FareySequence) -> list[MajorArc]:
     neighbours, built from their integer numerators and denominators.
     """
     L = seq.order
-    fracs = seq.fractions
-    nums = [f.numerator for f in fracs]
-    dens = [f.denominator for f in fracs]
+    nums, dens = seq.numerators, seq.denominators
     bounds = [Fraction(0, 1)]
     bounds += [Fraction(a + a2, q + q2)
                for a, q, a2, q2 in zip(nums, dens, nums[1:], dens[1:])]
@@ -86,10 +94,10 @@ def major_arcs(seq: FareySequence) -> list[MajorArc]:
     # weight pair (edge, edge)
     sums = [q + q2 for q, q2 in zip(dens, dens[1:])]
     edge = Fraction(L, 1 + L)
-    last = len(fracs) - 1
+    last = len(seq) - 1
     return [
         MajorArc(
-            center=f,
+            center=Fraction(a, q),
             left=bounds[i],
             right=bounds[i + 1],
             alpha=Fraction(L, sums[i]) if 0 < i < last else edge,
@@ -97,7 +105,7 @@ def major_arcs(seq: FareySequence) -> list[MajorArc]:
             order=L,
             closed_right=i == last,
         )
-        for i, f in enumerate(fracs)
+        for i, (a, q) in enumerate(zip(nums, dens))
     ]
 
 

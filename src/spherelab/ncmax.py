@@ -43,6 +43,9 @@ class AlgebraElement:
         ent = np.asarray(self.entries, dtype=complex)
         if ent.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got {ent.shape}")
+        if not np.isfinite(ent).all():
+            i, j = np.argwhere(~np.isfinite(ent))[0]
+            raise ValueError(f"entry ({i}, {j}) is not finite: {ent[i, j]}")
         dev = np.abs(ent - ent.conj().T).max()
         scale = max(1.0, float(np.abs(ent).max()))
         if dev > HERM_TOL * scale:

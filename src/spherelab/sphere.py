@@ -35,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import betaincinv, gammaln, jv
 
 from .errors import BudgetExceededError
 from .lattice import rep_counts
@@ -92,6 +91,8 @@ def unit_sphere_ft(d: int, rho) -> float | np.ndarray:
     elif d == 5:
         out[big] = 3.0 * (np.sin(z) - z * np.cos(z)) / z**3
     else:
+        # imported here: scipy.special doubles the package's import time
+        from scipy.special import gammaln, jv
         nu = d / 2 - 1
         log_pref = gammaln(d / 2) - nu * np.log(z / 2.0)
         out[big] = np.exp(log_pref) * jv(nu, z)
@@ -171,6 +172,7 @@ def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: i
     which keeps each sample marginally uniform on the sphere while bringing
     the integration error well below the iid-sampling noise floor.
     """
+    from scipy.special import betaincinv
     rng = np.random.default_rng(seed)
     v = (np.arange(n_samples) + rng.random(n_samples)) / n_samples
     half = (d - 1) / 2.0

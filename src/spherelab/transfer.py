@@ -59,6 +59,8 @@ class AutomorphismFamily:
             raise ValueError(f"unitaries must have shape {(self.d, self.n, self.n)}")
         eye = np.eye(self.n)
         for i in range(self.d):
+            if not np.isfinite(u[i]).all():
+                raise ValueError(f"matrix {i} has an entry that is not finite")
             if np.abs(u[i] @ u[i].conj().T - eye).max() > UNITARY_TOL:
                 raise ValueError(f"matrix {i} is not unitary")
         c = np.random.default_rng(0).standard_normal((self.d, 2)) @ (1.0, 1j)

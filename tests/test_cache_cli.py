@@ -131,6 +131,14 @@ def run_cli(*argv, expect=0):
     return proc
 
 
+def test_cli_import_leaves_scipy_special_unloaded():
+    # every CLI call pays the package import; scipy.special alone about
+    # doubles it, and only two sphere transforms need it
+    code = "import sys, spherelab.cli; sys.exit('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_CLI_ENV, timeout=120)
+    assert proc.returncode == 0
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]

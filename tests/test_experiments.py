@@ -9,6 +9,7 @@ from spherelab.errors import ConfigError
 from spherelab.experiments import (
     DECAY_OFFSETS,
     TRANSFER_THETAS,
+    CheckResult,
     ExperimentConfig,
     decay_grid,
     load_config,
@@ -21,6 +22,18 @@ from spherelab.experiments import (
 from spherelab.farey import farey_sequence, major_arcs
 from spherelab.ncmax import MaxNormProblem, hermitian_element
 from spherelab.transfer import diagonal_phase_family, maximal_ratio_experiment
+
+
+@pytest.mark.parametrize(
+    "relation, verdicts",
+    [("<", (True, False, False)), ("<=", (True, True, False)),
+     ("==", (False, True, False)), (">=", (False, True, True))],
+)
+def test_check_passes_iff_its_printed_comparison_holds(relation, verdicts):
+    # measured below, at and above the threshold 1.0
+    for measured, verdict in zip((0.5, 1.0, 1.5), verdicts):
+        assert CheckResult("c", measured, relation, 1.0).passed is verdict
+    assert CheckResult("c", math.nan, relation, 1.0).passed is False
 
 
 def test_parse_happy_path():
@@ -170,6 +183,9 @@ def test_transfer_runner_diagonal_uses_n():
         ("2 1 2\n1 0\n0 1 2\n", 3),
         ("2 2 2\n1 0\n0 1\n1 2\n0 1\n", 4),
         ("2 1 2\n1 0\n0 oops\n", 2),
+        ("2 1 2\nnan 0\n0 1\n", 2),
+        ("2 1 2\n1 0\n0 nan\n", 3),
+        ("2 1 2\n1 1e999\n1e999 0\n", 2),
     ],
 )
 def test_read_ncmax_problem_names_the_line(tmp_path, text, line):

@@ -76,6 +76,43 @@ def test_all_a_table_matches_direct_sums(q, l):
             assert abs(gauss_sum_1d_all(a, q)[l % q] - direct) < 1e-13
 
 
+def _jacobi(a, q):
+    """Jacobi symbol (a/q) for odd q >= 1, by quadratic reciprocity."""
+    a, sign = a % q, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if q % 8 in (3, 5):
+                sign = -sign
+        a, q = q, a
+        if a % 4 == 3 and q % 4 == 3:
+            sign = -sign
+        a %= q
+    return sign if q == 1 else 0
+
+
+def _closed_form(a, q, l):
+    """Odd q: G(a/q, l) = eps_q (a/q) q^{-1/2} e(-inv(4a) l^2 / q), with
+    eps_q = 1 or i as q = 1 or 3 mod 4 (Berndt-Evans-Williams, ch. 1).
+    Shares no code with the three summation routes."""
+    eps = 1 if q % 4 == 1 else 1j
+    phase = pow(4 * a, -1, q) * (l * l % q) % q
+    return eps * _jacobi(a, q) / math.sqrt(q) * np.exp(-2j * np.pi * phase / q)
+
+
+@pytest.mark.parametrize("q", range(1, 100, 2))
+def test_closed_form_matches_every_summation_route(q):
+    shifts = np.arange(q)
+    closed = {a: _closed_form(a, q, shifts) for a in range(q) if math.gcd(a, q) == 1}
+    for a, want in closed.items():
+        assert np.abs(gauss_sum_1d_all(a, q) - want).max() < 1e-12
+        for l in {0, 1 % q, q // 2, q - 1}:
+            assert abs(gauss_sum_1d(a, q, l) - want[l]) < 1e-12
+    for l in range(q):
+        table = gauss_sum_1d_all_a(q, l)
+        assert max(abs(table[a] - want[l]) for a, want in closed.items()) < 1e-12
+
+
 def test_envelope_saturated_mod_four():
     mags = np.abs(gauss_sum_1d_all(1, 4))
     assert abs(mags.max() - math.sqrt(2.0 / 4)) < 1e-12

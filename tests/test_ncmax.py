@@ -142,6 +142,12 @@ def test_rejects_non_hermitian():
         hermitian_element(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_rejects_non_finite_entries_by_position(bad):
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) is not finite"):
+        hermitian_element(np.array([[2.0, 0.0], [0.0, bad]]))
+
+
 def _feasible_point(rng, n, count):
     """Random hermitian family and a strictly feasible envelope for it,
     pushed off the boundary by a random margin."""

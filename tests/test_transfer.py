@@ -255,6 +255,13 @@ def test_eigenbasis_paths_match_gamma_apply_on_conjugated_families(n, d, repeat,
         assert np.abs(orb.values[site] - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_family_rejects_a_non_finite_entry_by_matrix(bad):
+    u = np.stack([np.eye(2), np.diag([1.0, bad])])
+    with pytest.raises(ValueError, match="^matrix 1 has an entry that is not finite"):
+        AutomorphismFamily(n=2, d=2, unitaries=u)
+
+
 def test_non_commuting_pair_is_rejected():
     z = np.diag([1.0, -1.0])
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
