@@ -466,22 +466,21 @@ def read_ncmax_problem(path) -> MaxNormProblem:
     family = []
     for j in range(count):
         block = body[j * n:(j + 1) * n]
-        where = f"lines {block[0][0]}-{block[-1][0]}"
+        rows = []
         for no, toks in block:
             if len(toks) != n:
                 raise ValueError(f"line {no}: expected {n} entries, got {len(toks)}")
-        try:
-            rows = [[complex(tok) for tok in toks] for _, toks in block]
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        for (no, toks), row in zip(block, rows):
-            if not np.isfinite(row).all():
+            try:
+                rows.append([complex(tok) for tok in toks])
+            except ValueError as exc:
+                raise ValueError(f"line {no}: {exc}") from None
+            if not np.isfinite(rows[-1]).all():
                 raise ValueError(f"line {no}: entries must be finite, got "
                                  f"{' '.join(toks)!r}")
         try:
             family.append(hermitian_element(rows))
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            raise ValueError(f"lines {block[0][0]}-{block[-1][0]}: {exc}") from None
     return MaxNormProblem(p=p, family=tuple(family))
 
 

@@ -12,7 +12,9 @@ verifies before comparing maximal norms.
 Commuting unitaries share an eigenbasis V, V*U_iV = diag(e(phi_i)), in
 which gamma^n multiplies V*xV entrywise by e(n . (phi_r - phi_s)); the shell
 average is there the exact shell multiplier of arcs at the phase
-differences.  gamma_apply, by matrix powers, is the independent oracle.
+differences, and a whole orbit box is rotated back to V B V* by two GEMMs
+per slice of its first axis, peaking at about one box.  gamma_apply, by
+matrix powers, is the independent oracle.
 """
 
 from __future__ import annotations
@@ -133,21 +135,25 @@ def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndar
 
     The site count is checked against DEFAULT_POINT_BUDGET before anything
     is allocated.  V*xV fills the box, is multiplied in place by
-    e(m_i (phi_r - phi_s)) axis by axis, and is rotated back with V one
-    slice of the first axis at a time: the peak is about one box.
+    e(m_i (phi_r - phi_s)) axis by axis, and each slice of the first axis is
+    rotated back to V B V* by two GEMMs over all its sites at once, V B and
+    then (V B) V*: O(n^3) a site, and the peak is one box plus two slices.
     """
     width = 2 * span + 1
     if width ** fam.d > DEFAULT_POINT_BUDGET:
         raise BudgetExceededError(
             f"{width}^{fam.d} orbit sites exceed the budget of {DEFAULT_POINT_BUDGET}")
-    v = fam.basis
-    box = np.broadcast_to(v.conj().T @ x.entries @ v, (width,) * fam.d + (fam.n, fam.n)).copy()
+    n, v = fam.n, fam.basis
+    box = np.broadcast_to(v.conj().T @ x.entries @ v, (width,) * fam.d + (n, n)).copy()
     steps = np.arange(-span, span + 1)
     for axis, dphi in enumerate(fam.phases[:, :, None] - fam.phases[:, None, :]):
         phase = np.exp(2j * np.pi * steps[:, None, None] * dphi)
         box *= phase.reshape((1,) * axis + (width,) + (1,) * (fam.d - 1 - axis) + dphi.shape)
-    for row in box:
-        np.matmul(v @ row, v.conj().T, out=row)
+    vh = v.conj().T
+    for sites in box.reshape(width, -1, n, n):
+        left = v @ sites.transpose(1, 0, 2).reshape(n, -1)
+        sites[...] = (left.reshape(-1, n) @ vh).reshape(n, -1, n).transpose(1, 0, 2)
+        del left  # else it is a third live slice during the next V product
     return box
 
 

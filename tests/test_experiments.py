@@ -181,14 +181,17 @@ def test_transfer_runner_diagonal_uses_n():
         ("# family\n2 1 2\n1 0\n", 3),
         ("2 1 2\n1 0\n0 1\n\n1 1\n", 5),
         ("2 1 2\n1 0\n0 1 2\n", 3),
-        ("2 2 2\n1 0\n0 1\n1 2\n0 1\n", 4),
-        ("2 1 2\n1 0\n0 oops\n", 2),
+        ("2 2 2\n1 0\n0 1\n1 2\n0 1\n", "4-5"),
+        ("2 1 2\n1 0\n0 oops\n", 3),
         ("2 1 2\nnan 0\n0 1\n", 2),
         ("2 1 2\n1 0\n0 nan\n", 3),
         ("2 1 2\n1 1e999\n1e999 0\n", 2),
+        ("2 1 2\n1 1\n0 1\n", "2-3"),
     ],
 )
 def test_read_ncmax_problem_names_the_line(tmp_path, text, line):
+    # a malformed or non-finite row names its own line; only the block-level
+    # hermitian check names the block, as "lines a-b"
     path = tmp_path / "fam.txt"
     path.write_text(text)
     with pytest.raises(ValueError) as err:
@@ -196,8 +199,8 @@ def test_read_ncmax_problem_names_the_line(tmp_path, text, line):
     if line is None:
         assert "empty" in str(err.value)
     else:
-        assert str(err.value).startswith(f"line {line}:") or \
-            str(err.value).startswith(f"lines {line}-")
+        word = "lines" if isinstance(line, str) else "line"
+        assert str(err.value).startswith(f"{word} {line}:")
 
 
 def test_reconstruct_runner_quick():

@@ -177,18 +177,57 @@ def test_barrier_hessian_matches_per_term_traces(n, count, seed):
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
-@given(n=st.integers(1, 4), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+def _point_with_spectrum(rng, n, spectrum):
+    """W diag(lam) W* for a random unitary W, with positive lam that are
+    generic, repeated (drawn from two values) or clustered within 1e-13."""
+    w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    if spectrum == "generic":
+        lam = rng.uniform(0.05, 2.0, n)
+    elif spectrum == "repeated":
+        lam = rng.choice(rng.uniform(0.05, 2.0, 2), n)
+    else:
+        lam = rng.uniform(0.05, 2.0) + 1e-13 * rng.uniform(0.0, 1.0, n)
+    a = (w * lam) @ w.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+@given(n=st.integers(1, 8), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       spectrum=st.sampled_from(["generic", "repeated", "clustered"]),
        seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_power_hessian_matches_the_daleckii_krein_form(n, p, seed):
-    # column c of p K diag(F1) K* is vec(p V (F1 o V* E_c V) V*)
-    _, a = _feasible_point(np.random.default_rng(seed), n, 2)
+@settings(max_examples=60, deadline=None)
+def test_power_hessian_matches_the_daleckii_krein_form(n, p, spectrum, seed):
+    # column c of p K diag(F1) K* is vec(p V (F1 o V* E_c V) V*); repeated
+    # and clustered spectra put F1 on its close-eigenvalue branch
+    a = _point_with_spectrum(np.random.default_rng(seed), n, spectrum)
     lam, vecs = np.linalg.eigh(a)
+    if spectrum == "clustered" and n > 1:
+        assert np.ptp(lam) < 1e-12 * lam.max()
     f1 = _divided_differences(lam, p)
     ref = np.stack([(p * vecs @ (f1 * (vecs.conj().T @ _unit(n, c) @ vecs))
                      @ vecs.conj().T).ravel() for c in range(n * n)], axis=1)
     got = _power_hessian(lam, vecs, p)
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_slack_argument_is_exactly_hermitian(monkeypatch, n, p):
+    # _slacks does not hermitize: the solver must hand it a bitwise
+    # hermitian a at every step and line-search candidate
+    seen = []
+    slacks = ncmax._slacks
+
+    def spy(a, xs):
+        seen.append(np.array_equal(a, a.conj().T))
+        return slacks(a, xs)
+
+    monkeypatch.setattr(ncmax, "_slacks", spy)
+    rng = np.random.default_rng(100 * n + int(2 * p))
+    m = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    family = tuple(hermitian_element(0.5 * (x + x.conj().T)) for x in m)
+    cert = ncmax_norm(MaxNormProblem(p=p, family=family))
+    assert cert.converged and cert.newton_steps > 0
+    assert len(seen) > cert.newton_steps and all(seen)
 
 
 @given(n=st.integers(1, 4), count=st.integers(1, 4),

@@ -1,0 +1,115 @@
+"""Fixed-size microbenchmarks of the transfer and ncmax kernels.
+
+Each kernel runs at fixed sizes, once to warm up and then REPEAT times;
+the best time is kept.  ``truncation_identity_check`` also reports its
+tracemalloc peak from one further call.  The result is one JSON object:
+
+    python tools/microbench.py bench.json
+
+It imports the ``src/`` next to it, so the same file run in two checkouts
+compares them on one machine.  It is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+REPEAT = 20
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+import numpy as np  # noqa: E402
+
+from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe  # noqa: E402
+from spherelab.ncmax import _power_hessian  # noqa: E402
+from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
+                                diagonal_phase_family, truncation_identity_check)
+
+
+def conjugated_family(d: int, n: int) -> AutomorphismFamily:
+    """U_i = W diag(e(theta_i j))_j W* for the first d TRANSFER_THETAS and a
+    seeded QR unitary W, so that the joint eigenbasis is not the identity."""
+    rng = np.random.default_rng(0)
+    w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    phases = [np.exp(2j * np.pi * float(th) * np.arange(n)) for th in TRANSFER_THETAS[:d]]
+    return AutomorphismFamily(n=n, d=d, unitaries=np.stack([(w * e) @ w.conj().T
+                                                            for e in phases]))
+
+
+def hessian_point(n: int):
+    """Eigenpairs of a seeded positive definite n x n matrix."""
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.linalg.eigh(m @ m.conj().T + np.eye(n))
+
+
+def best_of(fn) -> float:
+    fn()
+    best = float("inf")
+    for _ in range(REPEAT):
+        start = perf_counter()
+        fn()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def kernels():
+    """(name, zero-argument call) pairs at the fixed sizes."""
+    fam5 = diagonal_phase_family(TRANSFER_THETAS, 2)
+    x2 = random_hermitian_probe(2, 0)
+    fam3 = conjugated_family(3, 6)
+    x6 = random_hermitian_probe(6, 0)
+    fam16 = conjugated_family(3, 16)
+    x16 = random_hermitian_probe(16, 0)
+    out = [
+        ("orbit_box_d5_n2_span4", lambda: _orbit_box(fam5, x2, 4)),
+        ("orbit_box_d3_n6_span5", lambda: _orbit_box(fam3, x6, 5)),
+        ("orbit_box_d3_n16_span3", lambda: _orbit_box(fam16, x16, 3)),
+        ("truncation_identity_check_d5_n2_window4_k4",
+         lambda: truncation_identity_check(fam5, x2, 4, 4)),
+    ]
+    for n in (4, 8, 24, 32):
+        lam, vecs = hessian_point(n)
+        out.append((f"power_hessian_n{n}",
+                    lambda lam=lam, vecs=vecs: _power_hessian(lam, vecs, 1.5)))
+    return out
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="JSON file to write")
+    args = ap.parse_args(argv)
+    result = {
+        "machine": {"python": platform.python_version(), "numpy": np.__version__,
+                    "cpus": os.cpu_count(), "processor": platform.processor()},
+        "repeat": REPEAT,
+        "best_s": {},
+    }
+    for name, fn in kernels():
+        result["best_s"][name] = best_of(fn)
+        print(f"{name}: {1e3 * result['best_s'][name]:.3f} ms", flush=True)
+        if name.startswith("truncation_identity_check"):
+            result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
