@@ -3,7 +3,9 @@
 Counts are ordered, signed representations: r_d(k) is the number of
 m in Z^d with m_1^2 + ... + m_d^2 = k.  All counting is done in exact
 integer arithmetic (Python ints), so there is no overflow at any size
-this package can enumerate.
+this package can enumerate.  twisted_counts carries the same generating
+function in floats, with a cosine twist per axis, to give the shell
+exponential sums without enumerating a shell.
 """
 
 from __future__ import annotations
@@ -71,6 +73,41 @@ def rep_counts(d: int, max_k: int) -> RepCountTable:
                 nxt[k] += 2 * cur[k - s]
         cur = nxt
     return RepCountTable(dimension=d, max_k=max_k, counts=tuple(cur))
+
+
+def twisted_counts(xis, max_k: int) -> np.ndarray:
+    """Shell sums S_k(xi) = sum_{|m|^2 = k} e(m . xi), k = 0..max_k, at each
+    row xi of xis: a (rows, max_k + 1) float table, real by symmetry.
+
+    S_k(xi) is the z^k coefficient of prod_i (1 + 2 sum_{j>=1} cos(2 pi j
+    xi_i) z^{j^2}), the generating function of rep_counts with a cosine
+    twist (Grosswald, Representations of Integers as Sums of Squares).  The
+    product is truncated at z^max_k, one shift-and-add over all rows per
+    square j^2 <= max_k and axis: O(d * rows * max_k^{3/2}), and no shell
+    point is enumerated.  At xi = 0 every term is an integer, so the table
+    is rep_counts exactly.  rows * (max_k + 1) is checked against
+    DEFAULT_POINT_BUDGET before anything is allocated.
+    """
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] < 1:
+        raise ValueError(f"xis must be a (rows, d) array with d >= 1, got shape {xis.shape}")
+    if max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
+    rows, d = xis.shape
+    if rows * (max_k + 1) > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"twisted table of {rows} rows x {max_k + 1} shells exceeds the "
+            f"budget of {DEFAULT_POINT_BUDGET}")
+    roots = np.arange(1, math.isqrt(max_k) + 1)
+    twos = 2.0 * np.cos(2.0 * np.pi * xis[:, :, None] * roots)  # (rows, d, roots)
+    table = np.zeros((rows, max_k + 1))
+    table[:, 0] = 1.0
+    table[:, roots ** 2] = twos[:, 0]
+    for axis in range(1, d):
+        prev = table.copy()  # the j = 0 term of the factor
+        for j, coef in zip(roots, twos[:, axis].T):
+            table[:, j * j:] += coef[:, None] * prev[:, :max_k + 1 - j * j]
+    return table
 
 
 def _fill_shell(d: int, k: int, prefix: list[int], out: list[tuple[int, ...]]) -> None:

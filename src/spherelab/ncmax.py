@@ -23,6 +23,8 @@ import numpy as np
 HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_NEWTON_BUDGET = 20_000
+# Newton steps one mu stage may take to meet its decrement test
+CENTERING_STEPS = 60
 # ncmax_grid_oracle_2x2: refinement stages, grid points per axis and stage
 GRID_STAGES = 12
 GRID_POINTS = 15
@@ -121,22 +123,30 @@ def _divided_differences(lam: np.ndarray, p: float) -> np.ndarray:
     return np.where(close, diag, out)
 
 
-def _slacks(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The 2N barrier arguments a - x_1, a + x_1, ..., a + x_N, stacked in
-    that order; exactly hermitian, as ncmax_norm keeps a and every x_j."""
-    return np.stack([a - xs, a + xs], axis=1).reshape(-1, *a.shape)
+def _signed_stack(xs: np.ndarray) -> np.ndarray:
+    """-x_1, x_1, ..., -x_N, x_N stacked in that order, built once a solve."""
+    return np.stack([-xs, xs], axis=1).reshape(-1, *xs.shape[1:])
 
 
-def _barrier_value(a: np.ndarray, xs: np.ndarray, p: float, mu: float) -> float:
+def _slacks(a: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """The 2N barrier arguments a - x_1, a + x_1, ..., a + x_N as a + signed,
+    signed = _signed_stack(xs): bitwise a - x_j, since IEEE a + (-x) is
+    a - x.  Exactly hermitian, as ncmax_norm keeps a and every x_j."""
+    return a + signed
+
+
+def _barrier_value(a: np.ndarray, signed: np.ndarray, p: float, mu: float) -> float:
     """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
     the domain.  One batched Cholesky Y_j = L_j L_j* both tests every slack
-    for positive definiteness and gives log det Y_j = 2 sum_i log L_j[i,i]."""
+    for positive definiteness and gives log det Y_j = 2 sum_i log L_j[i,i];
+    it runs first, so a line-search trial outside the domain costs no
+    eigen-solve of a."""
+    try:
+        chol = np.linalg.cholesky(_slacks(a, signed))
+    except np.linalg.LinAlgError:
+        return math.inf
     lam = np.linalg.eigvalsh(a)
     if lam.min() <= 0.0:
-        return math.inf
-    try:
-        chol = np.linalg.cholesky(_slacks(a, xs))
-    except np.linalg.LinAlgError:
         return math.inf
     logdet = 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
     return float((lam ** p).sum()) - mu * logdet
@@ -171,7 +181,10 @@ def _barrier_hessian(yinvs: np.ndarray) -> np.ndarray:
 
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
     """Interior-point solve of the maximal-envelope norm, in at most
-    DEFAULT_NEWTON_BUDGET Newton steps.
+    DEFAULT_NEWTON_BUDGET Newton steps.  converged is False when that
+    budget runs out, or when some mu stage takes CENTERING_STEPS steps
+    without meeting its decrement test: the reported gap mu * nu bounds the
+    error only at a central point.
 
     Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
     decreasing mu-path; each center is found by Newton's method, one complex
@@ -187,13 +200,14 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
         raise ValueError(f"tol must be > 0, got {tol}")
     p = float(prob.p)
     xs = np.stack([x.entries for x in prob.family])
+    signed = _signed_stack(xs)
     n = prob.n
     big_n = len(prob.family)
 
     scale = float(np.abs(np.linalg.eigvalsh(xs)).max())   # max_j rho(x_j)
     if math.isinf(p):
         a = scale * np.eye(n)
-        res = float(np.linalg.eigvalsh(_slacks(a, xs)).min())
+        res = float(np.linalg.eigvalsh(_slacks(a, signed)).min())
         return MaxNormCertificate(envelope=hermitian_element(a), objective=scale,
                                   residual=res, gap=0.0, converged=True,
                                   newton_steps=0)
@@ -212,16 +226,17 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     mu = float((np.linalg.eigvalsh(a) ** p).sum()) / nu
     steps = 0
     converged = False
+    centered = True    # no mu stage has run out of CENTERING_STEPS
 
     while True:
         # Newton centering at the current mu; f0 is the barrier value at a,
         # carried over from the line search that accepted a.
-        f0 = _barrier_value(a, xs, p, mu)
-        for _ in range(60):
+        f0 = _barrier_value(a, signed, p, mu)
+        for _ in range(CENTERING_STEPS):
             if steps >= DEFAULT_NEWTON_BUDGET:
                 break
             lam, vecs = np.linalg.eigh(a)
-            yinvs = np.linalg.inv(_slacks(a, xs))
+            yinvs = np.linalg.inv(_slacks(a, signed))
             yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
             grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T
             grad = grad - mu * yinvs.sum(axis=0)
@@ -242,30 +257,33 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
 
             s = 1.0
             while s > 1e-14:
-                f1 = _barrier_value(a + s * step, xs, p, mu)
+                f1 = _barrier_value(a + s * step, signed, p, mu)
                 if f1 <= f0 + ARMIJO * s * slope:
                     break
                 s *= SHRINK
             else:
-                f1 = _barrier_value(a + s * step, xs, p, mu)
+                f1 = _barrier_value(a + s * step, signed, p, mu)
             a = a + s * step
             steps += 1
             if -slope <= 1e-12 * (1.0 + abs(f0)):
                 break
             f0 = f1
+        else:
+            centered = False   # the stage ran out of steps before its test
 
         tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
         gap_tr = mu * nu
         obj = tr_val ** (1.0 / p)
         gap = obj - max(tr_val - gap_tr, 0.0) ** (1.0 / p)
         if gap <= tol * obj:
-            converged = True
+            # mu * nu bounds the gap only at a central point
+            converged = centered
             break
         if steps >= DEFAULT_NEWTON_BUDGET:
             break
         mu *= 0.125
 
-    res = float(np.linalg.eigvalsh(_slacks(a, xs)).min())
+    res = float(np.linalg.eigvalsh(_slacks(a, signed)).min())
     return MaxNormCertificate(envelope=hermitian_element(a),
                               objective=schatten_norm(hermitian_element(a), p),
                               residual=res, gap=gap, converged=converged,

@@ -11,10 +11,15 @@ verifies before comparing maximal norms.
 
 Commuting unitaries share an eigenbasis V, V*U_iV = diag(e(phi_i)), in
 which gamma^n multiplies V*xV entrywise by e(n . (phi_r - phi_s)); the shell
-average is there the exact shell multiplier of arcs at the phase
-differences, and a whole orbit box is rotated back to V B V* by two GEMMs
-per slice of its first axis, peaking at about one box.  gamma_apply, by
-matrix powers, is the independent oracle.
+average is there the multiplier M_k[r, s] = S_k(phi_r - phi_s) / r_d(k) of
+the shell sum S_k.  The ratio tables take every M_k up to the largest
+shell from one lattice.twisted_counts table at the n^2 phase differences,
+with no shell enumerated (shell_averages); auto_spherical_average sums
+exact_multiplier_many over the enumerated shell, one k at a time, and is
+both the oracle of that table and the automorphism side of the truncation
+identity.  A whole orbit box is rotated back to V B V* by two GEMMs per
+slice of its first axis, peaking at about one box.  gamma_apply, by matrix
+powers, is the independent oracle of both.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import numpy as np
 
 from .arcs import exact_multiplier_many
 from .errors import BudgetExceededError
-from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell
+from .lattice import (DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell,
+                      twisted_counts)
 from .ncmax import (AlgebraElement, MaxNormProblem, envelope_bounds,
                     hermitian_element, ncmax_norm, schatten_norm)
 from .torus import LatticeFunction
@@ -116,6 +122,11 @@ def gamma_apply(fam: AutomorphismFamily, n_vec, x: AlgebraElement) -> AlgebraEle
     return hermitian_element(u @ x.entries @ u.conj().T)
 
 
+def _phase_differences(fam: AutomorphismFamily) -> np.ndarray:
+    """The n^2 rows phi_r - phi_s, row-major in (r, s), shape (n^2, d)."""
+    return (fam.phases[:, :, None] - fam.phases[:, None, :]).reshape(fam.d, -1).T
+
+
 def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
                            k: int) -> AlgebraElement:
     """Mean of gamma^n x over the shell |n|^2 = k.
@@ -124,10 +135,27 @@ def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
     exact_multiplier_many call at the n^2 phase differences.
     """
     shell = sphere_shell(fam.d, k)
-    dphi = (fam.phases[:, :, None] - fam.phases[:, None, :]).reshape(fam.d, -1).T
-    mult = exact_multiplier_many(shell, dphi).reshape(fam.n, fam.n)
+    mult = exact_multiplier_many(shell, _phase_differences(fam)).reshape(fam.n, fam.n)
     v = fam.basis
     return hermitian_element(v @ ((v.conj().T @ x.entries @ v) * mult) @ v.conj().T)
+
+
+def shell_averages(fam: AutomorphismFamily, x: AlgebraElement,
+                   max_k: int) -> dict:
+    """{k: auto_spherical_average(fam, x, k)} over the nonempty shells
+    1 <= k <= max_k, in increasing k.
+
+    One twisted_counts table at the n^2 phase differences gives every
+    multiplier M_k = table[:, k] / r_d(k); the averages V((V*xV) o M_k)V*
+    are then one batched product.  No shell is enumerated.
+    """
+    counts = np.array(rep_counts(fam.d, max_k).counts, dtype=float)
+    ks = [k for k in range(1, max_k + 1) if counts[k] > 0]
+    table = twisted_counts(_phase_differences(fam), max_k)
+    mults = (table[:, ks] / counts[ks]).T.reshape(len(ks), fam.n, fam.n)
+    v = fam.basis
+    avgs = v @ ((v.conj().T @ x.entries @ v) * mults) @ v.conj().T
+    return {k: hermitian_element(avg) for k, avg in zip(ks, avgs)}
 
 
 def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
@@ -226,7 +254,8 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     """Rows (K, ratio, lower_bound, upper_bound, solver_gap).
 
     ratio = maximal norm of {average over shell k : k = 1..K} divided by
-    ||x||_p.  Growing K only adds family members, so the sequence is
+    ||x||_p, the averages taken from one shell_averages call up to the
+    largest K.  Growing K only adds family members, so the sequence is
     monotone nondecreasing; boundedness in K is reported, not asserted,
     since no effective constant is available.
     """
@@ -236,16 +265,11 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     base = schatten_norm(x, p)
     if base == 0.0:
         raise ValueError("x must be nonzero")
-    counts = rep_counts(fam.d, k_list[-1])
-    averages = []
+    averages = shell_averages(fam, x, k_list[-1])
     rows = []
-    next_k = 1
     for k_top in k_list:
-        for k in range(next_k, k_top + 1):
-            if counts[k] > 0:
-                averages.append(auto_spherical_average(fam, x, k))
-        next_k = k_top + 1
-        prob = MaxNormProblem(p=p, family=tuple(averages))
+        prob = MaxNormProblem(p=p, family=tuple(avg for k, avg in averages.items()
+                                                if k <= k_top))
         cert = ncmax_norm(prob, tol=tol)
         lower, upper = envelope_bounds(prob)
         rows.append((k_top, cert.objective / base, lower / base, upper / base,

@@ -1,15 +1,19 @@
 """Representation counts and shell enumeration, checked against a
-brute-force box oracle that scores every lattice point in a cube."""
+brute-force box oracle that scores every lattice point in a cube; the
+twisted shell-sum table, checked against sums over enumerated shells."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab.arcs import exact_multiplier_many
 from spherelab.errors import BudgetExceededError
-from spherelab.lattice import box_counts_oracle, rep_counts, sphere_shell
+from spherelab.lattice import (DEFAULT_POINT_BUDGET, box_counts_oracle, rep_counts,
+                               sphere_shell, twisted_counts)
 
 
 def test_one_dimensional_counts():
@@ -84,3 +88,69 @@ def test_shell_matches_count_and_norm(d, k):
     if shell.count:
         norms = (shell.points.astype(np.int64) ** 2).sum(axis=1)
         assert norms.tolist() == [k] * shell.count
+
+
+@st.composite
+def _frequencies(draw, d):
+    """1-4 rows of xi in [0, 1)^d, uniform or with denominators up to 12."""
+    rows = draw(st.integers(1, 4), label="rows")
+    if draw(st.booleans(), label="rational"):
+        q = draw(st.integers(1, 12), label="q")
+        return np.array([[draw(st.integers(0, q - 1)) / q for _ in range(d)]
+                         for _ in range(rows)])
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return np.random.default_rng(seed).uniform(0.0, 1.0, (rows, d))
+
+
+@given(d=st.integers(1, 6), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_twisted_counts_match_enumerated_shell_sums(d, data):
+    max_k = data.draw(st.integers(0, 100 if d <= 3 else 40), label="max_k")
+    xis = data.draw(_frequencies(d), label="xis")
+    table = twisted_counts(xis, max_k)
+    assert table.shape == (len(xis), max_k + 1)
+    counts = rep_counts(d, max_k)
+    for k in range(max_k + 1):
+        if counts[k] == 0:
+            assert np.abs(table[:, k]).max() == 0.0
+            continue
+        exact = exact_multiplier_many(sphere_shell(d, k), xis)
+        assert np.abs(table[:, k] / counts[k] - exact).max() <= 1e-12, k
+
+
+def test_twisted_counts_at_zero_are_the_rep_counts():
+    table = twisted_counts(np.zeros((1, 5)), 400)
+    assert np.array_equal(table[0], np.array(rep_counts(5, 400).counts, dtype=float))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_twisted_counts_budget_checked_before_allocation():
+    # 50,001 rows x 100 shells is just over the budget: the table would be
+    # 40 MB, the refusal allocates almost nothing
+    rows = DEFAULT_POINT_BUDGET // 100 + 1
+    xis = np.zeros((rows, 5))
+
+    def call():
+        with pytest.raises(BudgetExceededError, match=f"{rows} rows x 100 shells"):
+            twisted_counts(xis, 99)
+
+    assert _peak_bytes(call) < 100_000
+
+
+def test_twisted_counts_reject_a_negative_max_k_by_name():
+    xis = np.zeros((DEFAULT_POINT_BUDGET // 10, 5))
+
+    def call():
+        with pytest.raises(ValueError, match="max_k must be >= 0, got -1"):
+            twisted_counts(xis, -1)
+
+    assert _peak_bytes(call) < 100_000

@@ -19,6 +19,7 @@ from spherelab.ncmax import (
     _barrier_value,
     _divided_differences,
     _power_hessian,
+    _signed_stack,
     _slacks,
     envelope_bounds,
     hermitian_element,
@@ -169,7 +170,7 @@ def test_barrier_hessian_matches_per_term_traces(n, count, seed):
     # column c of the vec-Hessian is vec(sum_j W_j E_c W_j), E_c the c-th
     # unit matrix in row-major order
     xs, a = _feasible_point(np.random.default_rng(seed), n, count)
-    yinvs = np.linalg.inv(_slacks(a, xs))
+    yinvs = np.linalg.inv(_slacks(a, _signed_stack(xs)))
     yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
     ref = np.stack([sum(w @ _unit(n, c) @ w for w in yinvs).ravel()
                     for c in range(n * n)], axis=1)
@@ -179,14 +180,15 @@ def test_barrier_hessian_matches_per_term_traces(n, count, seed):
 
 def _point_with_spectrum(rng, n, spectrum):
     """W diag(lam) W* for a random unitary W, with positive lam that are
-    generic, repeated (drawn from two values) or clustered within 1e-13."""
+    generic, repeated (drawn from two values) or clustered within 1e-13
+    relative."""
     w = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     if spectrum == "generic":
         lam = rng.uniform(0.05, 2.0, n)
     elif spectrum == "repeated":
         lam = rng.choice(rng.uniform(0.05, 2.0, 2), n)
     else:
-        lam = rng.uniform(0.05, 2.0) + 1e-13 * rng.uniform(0.0, 1.0, n)
+        lam = rng.uniform(0.05, 2.0) * (1.0 + 1e-13 * rng.uniform(0.0, 1.0, n))
     a = (w * lam) @ w.conj().T
     return 0.5 * (a + a.conj().T)
 
@@ -238,15 +240,16 @@ def test_barrier_value_is_trace_power_minus_log_dets(n, count, p, seed):
     xs, a = _feasible_point(rng, n, count)
     mu = rng.uniform(1e-3, 10.0)
     lam = np.linalg.eigvalsh(a)
-    ref = (lam ** p).sum() - mu * np.log(np.linalg.eigvalsh(_slacks(a, xs))).sum()
-    got = _barrier_value(a, xs, p, mu)
+    signed = _signed_stack(xs)
+    ref = (lam ** p).sum() - mu * np.log(np.linalg.eigvalsh(_slacks(a, signed))).sum()
+    got = _barrier_value(a, signed, p, mu)
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
     # raise x_0[0,0] until a - x_0 has the diagonal entry -1, so that slack
     # is not positive semidefinite while a and the other slacks stay definite
     bad = xs.copy()
     bad[0, 0, 0] += (a - xs[0])[0, 0].real + 1.0
     assert np.linalg.eigvalsh(a).min() > 0.0
-    assert _barrier_value(a, bad, p, mu) == math.inf
+    assert _barrier_value(a, _signed_stack(bad), p, mu) == math.inf
 
 
 def test_envelope_bounds_of_a_diagonal_family():
@@ -269,3 +272,22 @@ def test_newton_budget_stops_the_solve(monkeypatch):
     monkeypatch.setattr(ncmax, "DEFAULT_NEWTON_BUDGET", 3)
     cert = ncmax_norm(prob)
     assert cert.newton_steps == 3 and not cert.converged
+
+
+def test_capped_centering_is_not_converged(monkeypatch):
+    # two steps cannot centre the first mu stage, so the gap mu * nu that
+    # closes the later stages is not a bound and converged must say so
+    prob = MaxNormProblem(p=2.0, family=(SZ, SX))
+    monkeypatch.setattr(ncmax, "CENTERING_STEPS", 2)
+    cert = ncmax_norm(prob)
+    assert cert.newton_steps > 0 and not cert.converged
+
+
+def test_slacks_are_bitwise_the_differences():
+    # a + (-x) is a - x in IEEE arithmetic, signed zeros included
+    rng = np.random.default_rng(5)
+    xs, a = _feasible_point(rng, 3, 4)
+    xs[0, 0, 1] = 0.0
+    ref = np.stack([a - xs, a + xs], axis=1).reshape(-1, 3, 3)
+    got = _slacks(a, _signed_stack(xs))
+    assert got.tobytes() == ref.tobytes()

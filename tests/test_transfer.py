@@ -22,6 +22,7 @@ from spherelab.transfer import (
     maximal_ratio_experiment,
     orbit_truncation,
     permutation_phase_family,
+    shell_averages,
     trivial_family,
     truncation_identity_check,
 )
@@ -253,6 +254,25 @@ def test_eigenbasis_paths_match_gamma_apply_on_conjugated_families(n, d, repeat,
         site = tuple(c % (2 * window + 1) for c in m)
         expected = gamma_apply(fam, m, x).entries
         assert np.abs(orb.values[site] - expected).max() < 1e-12
+
+
+TABLE_FAMILIES = AVERAGE_FAMILIES + [
+    ("conjugated_n4_d3", _conjugated_family(
+        np.random.default_rng(3).uniform(0, 1, size=(3, 4)), 3), 4),
+    ("conjugated_n3_d5", _conjugated_family(
+        np.random.default_rng(4).uniform(0, 1, size=(5, 3)), 4), 3),
+]
+
+
+@pytest.mark.parametrize("name,fam,n", TABLE_FAMILIES, ids=[f[0] for f in TABLE_FAMILIES])
+def test_shell_averages_match_the_per_shell_route(name, fam, n):
+    x = random_hermitian_probe(n, 12)
+    table = shell_averages(fam, x, 16)
+    counts = rep_counts(fam.d, 16)
+    assert list(table) == [k for k in range(1, 17) if counts[k] > 0]
+    for k, avg in table.items():
+        per_shell = auto_spherical_average(fam, x, k)
+        assert np.abs(avg.entries - per_shell.entries).max() < 1e-12, k
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

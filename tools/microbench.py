@@ -1,4 +1,4 @@
-"""Fixed-size microbenchmarks of the transfer and ncmax kernels.
+"""Fixed-size microbenchmarks of the lattice, transfer and ncmax kernels.
 
 Each kernel runs at fixed sizes, once to warm up and then REPEAT times;
 the best time is kept.  ``truncation_identity_check`` also reports its
@@ -29,9 +29,12 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe  # noqa: E402
-from spherelab.ncmax import _power_hessian  # noqa: E402
+from spherelab.lattice import rep_counts, twisted_counts  # noqa: E402
+from spherelab.ncmax import MaxNormProblem, _power_hessian, ncmax_norm  # noqa: E402
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
-                                diagonal_phase_family, truncation_identity_check)
+                                _phase_differences, auto_spherical_average,
+                                diagonal_phase_family, shell_averages,
+                                truncation_identity_check)
 
 
 def conjugated_family(d: int, n: int) -> AutomorphismFamily:
@@ -49,6 +52,12 @@ def hessian_point(n: int):
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return np.linalg.eigh(m @ m.conj().T + np.eye(n))
+
+
+def per_shell_averages(fam: AutomorphismFamily, x, max_k: int) -> list:
+    """The averages of shell_averages, one auto_spherical_average per k."""
+    counts = rep_counts(fam.d, max_k)
+    return [auto_spherical_average(fam, x, k) for k in range(1, max_k + 1) if counts[k]]
 
 
 def best_of(fn) -> float:
@@ -75,6 +84,16 @@ def kernels():
         ("orbit_box_d3_n16_span3", lambda: _orbit_box(fam16, x16, 3)),
         ("truncation_identity_check_d5_n2_window4_k4",
          lambda: truncation_identity_check(fam5, x2, 4, 4)),
+    ]
+    dphi16 = _phase_differences(diagonal_phase_family(TRANSFER_THETAS, 16))
+    fam4 = diagonal_phase_family(TRANSFER_THETAS, 4)
+    x4 = random_hermitian_probe(4, 0)
+    prob4 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(fam4, x4, 16)))
+    out += [
+        ("twisted_counts_d5_rows256_k144", lambda: twisted_counts(dphi16, 144)),
+        ("per_shell_averages_d5_n4_k16", lambda: per_shell_averages(fam4, x4, 16)),
+        ("shell_averages_d5_n4_k16", lambda: shell_averages(fam4, x4, 16)),
+        ("ncmax_norm_n4_members16_p2", lambda: ncmax_norm(prob4)),
     ]
     for n in (4, 8, 24, 32):
         lam, vecs = hessian_point(n)
