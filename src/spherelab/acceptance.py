@@ -67,7 +67,7 @@ def criterion_02_rep_counts() -> tuple[dict, list]:
     """Shell counting table against brute-force box enumeration."""
     worst = 0
     for d in range(1, 6):
-        table = rep_counts(d, 50).counts
+        table = rep_counts(d, 50)
         brute = box_counts_oracle(d, 50)
         worst = max(worst, max(abs(a - b) for a, b in zip(table, brute)))
     return ({"d_max": 5, "k_max": 50, "max_abs_diff": worst},

@@ -66,8 +66,7 @@ def _parse_vector(text: str, d: int) -> np.ndarray:
 
 
 def _cmd_rd(args) -> int:
-    table = rep_counts(args.d, args.max_k)
-    _write_csv(args, ("k", "count"), list(enumerate(table.counts)))
+    _write_csv(args, ("k", "count"), list(enumerate(rep_counts(args.d, args.max_k))))
     return 0
 
 
@@ -86,7 +85,10 @@ def _cmd_shell(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    report = run_experiment(ExperimentConfig("farey", {"Lambda": args.order}))
+    try:
+        report = run_experiment(ExperimentConfig("farey", {"Lambda": args.order}))
+    except BudgetExceededError as exc:
+        raise SystemExit(f"error: --order {args.order}: {exc}") from None
     _write_csv(args, report.columns, report.rows)
     print(f"order={args.order} arcs={report.summary['arc_count']} "
           f"partition_exact={report.passed}", file=_FOOTER)

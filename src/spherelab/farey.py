@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
+from .errors import BudgetExceededError
+from .lattice import DEFAULT_POINT_BUDGET
+
 
 @dataclass(frozen=True)
 class FareySequence:
@@ -63,10 +66,16 @@ def farey_sequence(order: int) -> FareySequence:
 
     Uses the classical next-term recurrence on integer pairs: from
     consecutive terms p/q, p'/q' the following term is (j*p' - p)/(j*q' - q)
-    with j = floor((order + q)/q').
+    with j = floor((order + q)/q').  The bound 1 + order(order + 1)/2 on
+    its length is checked against DEFAULT_POINT_BUDGET before it starts.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    bound = 1 + order * (order + 1) // 2
+    if bound > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"Farey order {order} has up to {bound} fractions, budget is "
+            f"{DEFAULT_POINT_BUDGET}")
     p, q, p2, q2 = 0, 1, 1, order
     nums, dens = [0, 1], [1, order]
     while p2 != q2:

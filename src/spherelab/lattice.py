@@ -1,11 +1,12 @@
 """Exact lattice combinatorics: sums of squares and integer sphere shells.
 
 Counts are ordered, signed representations: r_d(k) is the number of
-m in Z^d with m_1^2 + ... + m_d^2 = k.  All counting is done in exact
-integer arithmetic (Python ints), so there is no overflow at any size
-this package can enumerate.  twisted_counts carries the same generating
-function in floats, with a cosine twist per axis, to give the shell
-exponential sums without enumerating a shell.
+m in Z^d with m_1^2 + ... + m_d^2 = k.  One truncated theta product,
+_theta_product, gives both tables: rep_counts carries it in Python ints,
+so its counts are exact at every size, and twisted_counts in floats with a
+cosine twist per axis, to give the shell exponential sums without
+enumerating a shell.  box_counts_oracle scores every point of a box and is
+the independent oracle of the counts.
 """
 
 from __future__ import annotations
@@ -18,18 +19,6 @@ import numpy as np
 from .errors import BudgetExceededError
 
 DEFAULT_POINT_BUDGET = 5_000_000
-
-
-@dataclass(frozen=True)
-class RepCountTable:
-    """r_d(k) for k = 0..max_k, as exact integers."""
-
-    dimension: int
-    max_k: int
-    counts: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
 
 
 @dataclass(frozen=True)
@@ -50,29 +39,38 @@ class SphereShell:
             raise ValueError(f"empty shell: no lattice points with |m|^2 = {self.k}")
 
 
-def rep_counts(d: int, max_k: int) -> RepCountTable:
-    """Count representations of 0..max_k as ordered sums of d signed squares.
+def _theta_product(coefs: np.ndarray, max_k: int) -> np.ndarray:
+    """Coefficients of z^0..z^max_k in prod_i (1 + sum_{j>=1} c_ij z^{j^2})
+    at each row: coefs is (rows, d, isqrt(max_k)) and the (rows, max_k + 1)
+    table takes its dtype.  The product is truncated at z^max_k, one
+    shift-and-add over all rows per square j^2 <= max_k and axis:
+    O(d * rows * max_k^{3/2}).
+    """
+    rows, d, _ = coefs.shape
+    roots = np.arange(1, math.isqrt(max_k) + 1)
+    table = np.zeros((rows, max_k + 1), dtype=coefs.dtype)
+    table[:, 0] = 1
+    table[:, roots ** 2] = coefs[:, 0]
+    for axis in range(1, d):
+        prev = table.copy()  # the j = 0 term of the factor
+        for j, coef in zip(roots, coefs[:, axis].T):
+            table[:, j * j:] += coef[:, None] * prev[:, :max_k + 1 - j * j]
+    return table
 
-    Built by iterated 1-d convolution: the one-dimensional count is
-    r_1(0) = 1 and r_1(j^2) = 2 for j >= 1, and r_d = r_{d-1} * r_1
-    truncated at max_k.  Cost O(d * max_k * sqrt(max_k)).
+
+def rep_counts(d: int, max_k: int) -> tuple[int, ...]:
+    """r_d(k) for k = 0..max_k: ordered representations as sums of d signed
+    squares, as exact Python ints.
+
+    The z^k coefficients of theta(z)^d, theta(z) = 1 + 2 sum_{j>=1} z^{j^2},
+    from _theta_product on Python-int coefficients: exact at every size.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
-    squares = [j * j for j in range(1, math.isqrt(max_k) + 1)]
-    cur = [0] * (max_k + 1)
-    cur[0] = 1
-    for s in squares:
-        cur[s] = 2
-    for _ in range(d - 1):
-        nxt = list(cur)  # j = 0 term of the convolution
-        for s in squares:
-            for k in range(s, max_k + 1):
-                nxt[k] += 2 * cur[k - s]
-        cur = nxt
-    return RepCountTable(dimension=d, max_k=max_k, counts=tuple(cur))
+    twos = np.full((1, d, math.isqrt(max_k)), 2, dtype=object)
+    return tuple(_theta_product(twos, max_k)[0])
 
 
 def twisted_counts(xis, max_k: int) -> np.ndarray:
@@ -81,33 +79,24 @@ def twisted_counts(xis, max_k: int) -> np.ndarray:
 
     S_k(xi) is the z^k coefficient of prod_i (1 + 2 sum_{j>=1} cos(2 pi j
     xi_i) z^{j^2}), the generating function of rep_counts with a cosine
-    twist (Grosswald, Representations of Integers as Sums of Squares).  The
-    product is truncated at z^max_k, one shift-and-add over all rows per
-    square j^2 <= max_k and axis: O(d * rows * max_k^{3/2}), and no shell
-    point is enumerated.  At xi = 0 every term is an integer, so the table
-    is rep_counts exactly.  rows * (max_k + 1) is checked against
-    DEFAULT_POINT_BUDGET before anything is allocated.
+    twist (Grosswald, Representations of Integers as Sums of Squares),
+    built by _theta_product, and no shell point is enumerated.  At xi = 0
+    every term is an integer, so the table is rep_counts exactly.
+    rows * (max_k + 1) is checked against DEFAULT_POINT_BUDGET before
+    anything is allocated.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] < 1:
         raise ValueError(f"xis must be a (rows, d) array with d >= 1, got shape {xis.shape}")
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
-    rows, d = xis.shape
+    rows = len(xis)
     if rows * (max_k + 1) > DEFAULT_POINT_BUDGET:
         raise BudgetExceededError(
             f"twisted table of {rows} rows x {max_k + 1} shells exceeds the "
             f"budget of {DEFAULT_POINT_BUDGET}")
     roots = np.arange(1, math.isqrt(max_k) + 1)
-    twos = 2.0 * np.cos(2.0 * np.pi * xis[:, :, None] * roots)  # (rows, d, roots)
-    table = np.zeros((rows, max_k + 1))
-    table[:, 0] = 1.0
-    table[:, roots ** 2] = twos[:, 0]
-    for axis in range(1, d):
-        prev = table.copy()  # the j = 0 term of the factor
-        for j, coef in zip(roots, twos[:, axis].T):
-            table[:, j * j:] += coef[:, None] * prev[:, :max_k + 1 - j * j]
-    return table
+    return _theta_product(2.0 * np.cos(2.0 * np.pi * xis[:, :, None] * roots), max_k)
 
 
 def _fill_shell(d: int, k: int, prefix: list[int], out: list[tuple[int, ...]]) -> None:

@@ -149,7 +149,7 @@ def shell_averages(fam: AutomorphismFamily, x: AlgebraElement,
     multiplier M_k = table[:, k] / r_d(k); the averages V((V*xV) o M_k)V*
     are then one batched product.  No shell is enumerated.
     """
-    counts = np.array(rep_counts(fam.d, max_k).counts, dtype=float)
+    counts = np.array(rep_counts(fam.d, max_k), dtype=float)
     ks = [k for k in range(1, max_k + 1) if counts[k] > 0]
     table = twisted_counts(_phase_differences(fam), max_k)
     mults = (table[:, ks] / counts[ks]).T.reshape(len(ks), fam.n, fam.n)
@@ -161,16 +161,17 @@ def shell_averages(fam: AutomorphismFamily, x: AlgebraElement,
 def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
     """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
 
-    The site count is checked against DEFAULT_POINT_BUDGET before anything
-    is allocated.  V*xV fills the box, is multiplied in place by
+    Its width^d * n^2 entries are checked against DEFAULT_POINT_BUDGET before
+    anything is allocated.  V*xV fills the box, is multiplied in place by
     e(m_i (phi_r - phi_s)) axis by axis, and each slice of the first axis is
     rotated back to V B V* by two GEMMs over all its sites at once, V B and
     then (V B) V*: O(n^3) a site, and the peak is one box plus two slices.
     """
     width = 2 * span + 1
-    if width ** fam.d > DEFAULT_POINT_BUDGET:
+    if width ** fam.d * fam.n ** 2 > DEFAULT_POINT_BUDGET:
         raise BudgetExceededError(
-            f"{width}^{fam.d} orbit sites exceed the budget of {DEFAULT_POINT_BUDGET}")
+            f"{width}^{fam.d} orbit sites of {fam.n}x{fam.n} entries exceed the "
+            f"budget of {DEFAULT_POINT_BUDGET}")
     n, v = fam.n, fam.basis
     box = np.broadcast_to(v.conj().T @ x.entries @ v, (width,) * fam.d + (n, n)).copy()
     steps = np.arange(-span, span + 1)

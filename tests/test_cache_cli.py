@@ -383,6 +383,7 @@ def test_cli_bad_inputs_give_one_error_line(argv):
         (("ncmax", "--input", "f.txt", "--tol", "-1"), "--tol"),
         (("ncmax", "--input", "f.txt", "--tol", "nan"), "--tol"),
         (("transfer", "--theta", ","), "--theta"),
+        (("farey", "--order", "100000"), "--order"),
     ],
 )
 def test_cli_rejections_name_their_flag(argv, flag):

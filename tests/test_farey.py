@@ -1,5 +1,6 @@
 """Exact rational partition of the circle by denominator-bounded fractions."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab.errors import BudgetExceededError
 from spherelab.farey import farey_sequence, locate_arc, major_arcs, verify_partition
 
 F = Fraction
@@ -120,3 +122,15 @@ def test_locate_offset_bound():
     for i in range(10_000):
         center, t = locate_arc(F(i, 10_000), arcs)
         assert abs(t) < F(1, center.denominator * order)
+
+
+def test_order_over_budget_is_refused_before_the_recurrence():
+    # |F_L| is about 3 L^2 / pi^2: some 3 * 10^9 fractions at L = 100000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="order 100000 has up to 5000050001"):
+            farey_sequence(100_000)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 100_000

@@ -1,8 +1,10 @@
 """Representation counts and shell enumeration, checked against a
-brute-force box oracle that scores every lattice point in a cube; the
-twisted shell-sum table, checked against sums over enumerated shells."""
+brute-force box oracle that scores every lattice point in a cube, Jacobi's
+four-square formula and a plain integer convolution; the twisted shell-sum
+table, checked against sums over enumerated shells."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,11 +19,11 @@ from spherelab.lattice import (DEFAULT_POINT_BUDGET, box_counts_oracle, rep_coun
 
 
 def test_one_dimensional_counts():
-    assert rep_counts(1, 9).counts == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
+    assert rep_counts(1, 9) == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2)
 
 
 def test_five_dimensional_counts_start():
-    assert rep_counts(5, 6).counts == (1, 10, 40, 80, 90, 112, 240)
+    assert rep_counts(5, 6) == (1, 10, 40, 80, 90, 112, 240)
 
 
 def test_two_squares_at_25():
@@ -31,15 +33,47 @@ def test_two_squares_at_25():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_counts_match_box_oracle(d):
     max_k = 60 if d < 5 else 40
-    assert list(rep_counts(d, max_k).counts) == box_counts_oracle(d, max_k)
+    assert list(rep_counts(d, max_k)) == box_counts_oracle(d, max_k)
 
 
 def test_growth_band_d5():
     # counts grow like k^{3/2}; the normalized ratio stays in a fixed
     # multiplicative band (measured spread is about 2.8, asserted at 50)
-    counts = rep_counts(5, 200).counts
+    counts = rep_counts(5, 200)
     ratios = [counts[k] / k**1.5 for k in range(10, 201)]
     assert max(ratios) / min(ratios) < 50.0
+
+
+def _divisor_sums(n):
+    sigma = [0] * (n + 1)
+    for q in range(1, n + 1):
+        for m in range(q, n + 1, q):
+            sigma[m] += q
+    return sigma
+
+
+def test_four_square_counts_follow_jacobi():
+    # r_4(k) = 8 sigma(k) - 32 sigma(k/4), with sigma(k/4) = 0 unless 4 | k
+    sigma = _divisor_sums(2000)
+    jacobi = [1] + [8 * sigma[k] - (32 * sigma[k // 4] if k % 4 == 0 else 0)
+                    for k in range(1, 2001)]
+    assert list(rep_counts(4, 2000)) == jacobi
+
+
+def test_counts_stay_exact_beyond_float_precision():
+    # a plain Python-int convolution of theta(z)^20; its counts pass 2^53
+    max_k = 200
+    theta = [0] * (max_k + 1)
+    theta[0] = 1
+    for j in range(1, math.isqrt(max_k) + 1):
+        theta[j * j] = 2
+    ref = [1] + [0] * max_k
+    for _ in range(20):
+        ref = [sum(ref[i] * theta[k - i] for i in range(k + 1)) for k in range(max_k + 1)]
+    counts = rep_counts(20, max_k)
+    assert max(ref) > 2 ** 53
+    assert list(counts) == ref
+    assert all(type(c) is int for c in counts)
 
 
 def test_shell_origin():
@@ -120,7 +154,7 @@ def test_twisted_counts_match_enumerated_shell_sums(d, data):
 
 def test_twisted_counts_at_zero_are_the_rep_counts():
     table = twisted_counts(np.zeros((1, 5)), 400)
-    assert np.array_equal(table[0], np.array(rep_counts(5, 400).counts, dtype=float))
+    assert np.array_equal(table[0], np.array(rep_counts(5, 400), dtype=float))
 
 
 def _peak_bytes(fn):

@@ -2,6 +2,7 @@
 their agreement with lattice convolution of the truncated orbit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,21 @@ def test_truncation_identity_budget_checked_before_allocation():
     # 23^5 orbit sites are over the default budget of 5,000,000
     with pytest.raises(BudgetExceededError, match="23\\^5"):
         truncation_identity_check(FAM5, random_hermitian_probe(2, 7), 11, 1)
+
+
+def test_orbit_box_budget_counts_matrix_entries():
+    # 21^5 sites are under the budget, but they hold 21^5 * 16^2 (about
+    # 10^9) complex entries; the refusal allocates almost nothing
+    fam = diagonal_phase_family(TRANSFER_THETAS, 16)
+    x = random_hermitian_probe(16, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="21\\^5 orbit sites of 16x16"):
+            orbit_truncation(fam, x, 10)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_permutation_family_commutes():

@@ -1,8 +1,10 @@
 """Fixed-size microbenchmarks of the lattice, transfer and ncmax kernels.
 
 Each kernel runs at fixed sizes, once to warm up and then REPEAT times;
-the best time is kept.  ``truncation_identity_check`` also reports its
-tracemalloc peak from one further call.  The result is one JSON object:
+the best time is kept, and the median and quartiles of the REPEAT calls
+beside it, since the best alone can move by 1.5x between runs on a busy
+machine.  ``truncation_identity_check`` also reports its tracemalloc peak
+from one further call.  The result is one JSON object:
 
     python tools/microbench.py bench.json
 
@@ -60,14 +62,15 @@ def per_shell_averages(fam: AutomorphismFamily, x, max_k: int) -> list:
     return [auto_spherical_average(fam, x, k) for k in range(1, max_k + 1) if counts[k]]
 
 
-def best_of(fn) -> float:
+def call_times(fn) -> list[float]:
+    """Seconds of each of REPEAT calls, after one warm-up call."""
     fn()
-    best = float("inf")
+    times = []
     for _ in range(REPEAT):
         start = perf_counter()
         fn()
-        best = min(best, perf_counter() - start)
-    return best
+        times.append(perf_counter() - start)
+    return times
 
 
 def kernels():
@@ -90,6 +93,9 @@ def kernels():
     x4 = random_hermitian_probe(4, 0)
     prob4 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(fam4, x4, 16)))
     out += [
+        ("rep_counts_d5_k4", lambda: rep_counts(5, 4)),
+        ("rep_counts_d5_k225", lambda: rep_counts(5, 225)),
+        ("rep_counts_d3_k2000", lambda: rep_counts(3, 2000)),
         ("twisted_counts_d5_rows256_k144", lambda: twisted_counts(dphi16, 144)),
         ("per_shell_averages_d5_n4_k16", lambda: per_shell_averages(fam4, x4, 16)),
         ("shell_averages_d5_n4_k16", lambda: shell_averages(fam4, x4, 16)),
@@ -120,10 +126,17 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count(), "processor": platform.processor()},
         "repeat": REPEAT,
         "best_s": {},
+        "median_s": {},
+        "quartiles_s": {},
     }
     for name, fn in kernels():
-        result["best_s"][name] = best_of(fn)
-        print(f"{name}: {1e3 * result['best_s'][name]:.3f} ms", flush=True)
+        times = call_times(fn)
+        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        result["best_s"][name] = min(times)
+        result["median_s"][name] = median
+        result["quartiles_s"][name] = [q1, q3]
+        print(f"{name}: best {1e3 * min(times):.3f} ms, median {1e3 * median:.3f} ms "
+              f"({1e3 * q1:.3f}-{1e3 * q3:.3f})", flush=True)
         if name.startswith("truncation_identity_check"):
             result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
