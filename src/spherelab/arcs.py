@@ -4,7 +4,9 @@ The exact multiplier of the normalized shell average at radius-squared k is
 
     m_k(xi) = r_d(k)^{-1} sum_{|m|^2 = k} e(m . xi),
 
-a real number in [-1, 1] with m_k(0) = 1.  Writing the shell average
+a real number in [-1, 1] with m_k(0) = 1.  exact_multiplier sums it over
+the enumerated shell and is the oracle; exact_multiplier_many reads it at
+many xi off one lattice.twisted_counts table.  Writing the shell average
 through the damped heat multiplier and cutting the circle [0,1] into the
 Farey intervals of order L (with eps = L^{-2}) gives one arc piece per
 fraction,
@@ -36,7 +38,7 @@ from .cutoff import cutoff
 from .farey import MajorArc
 from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
-from .lattice import SphereShell
+from .lattice import SphereShell, twisted_counts
 from .sphere import _rd, j_main, panel_quadrature, radial_constant
 
 
@@ -49,25 +51,22 @@ def exact_multiplier(shell: SphereShell, xi) -> float:
     return float(value.real)
 
 
-# most phase entries (frequencies x shell points) held at once
-_PHASE_BLOCK = 1 << 18
 MAX_ARC_PANELS = 200_000
 
 
 def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
-    """exact_multiplier at several frequency points (rows of xis).
-
-    Rows are taken in blocks of at most _PHASE_BLOCK phase entries (and at
-    least one row), so the temporaries stay bounded on large shells.
+    """exact_multiplier at each row of a (rows, d) array xis: column k of
+    twisted_counts(xis, k) over r_d(k).  O(rows d sqrt(k) k) against the
+    direct sum's O(rows r_d(k)), so slower only where r_d(k) << d sqrt(k) k
+    (d <= 3, large k, many rows; sphere_shell pays O(d sqrt(k) k) there
+    anyway); rows * (k + 1) must fit twisted_counts' budget.
     """
     shell.check_nonempty()
     xis = np.asarray(xis, dtype=float)
-    rows = max(1, _PHASE_BLOCK // shell.count)
-    out = np.empty(len(xis))
-    for start in range(0, len(xis), rows):
-        phases = xis[start:start + rows] @ shell.points.T
-        out[start:start + rows] = np.exp(2j * np.pi * phases).sum(axis=1).real
-    return out / shell.count
+    if xis.ndim != 2 or xis.shape[1] != shell.dimension:
+        raise ValueError(f"xis must be a (rows, {shell.dimension}) array, "
+                         f"got shape {xis.shape}")
+    return twisted_counts(xis, shell.k)[:, shell.k] / shell.count
 
 
 def arc_multiplier(d: int, k: int, arc: MajorArc, xi, eps: float) -> complex:

@@ -9,17 +9,16 @@ ordinary spherical convolution: away from the window edge the two agree
 exactly, site by site, which is the identity the transference experiment
 verifies before comparing maximal norms.
 
-Commuting unitaries share an eigenbasis V, V*U_iV = diag(e(phi_i)), in
-which gamma^n multiplies V*xV entrywise by e(n . (phi_r - phi_s)); the shell
+Commuting unitaries share an eigenbasis V, V*U_iV = diag(e(phi_i)), in which
+gamma^n multiplies V*xV entrywise by e(n . (phi_r - phi_s)); the shell
 average is there the multiplier M_k[r, s] = S_k(phi_r - phi_s) / r_d(k) of
-the shell sum S_k.  The ratio tables take every M_k up to the largest
-shell from one lattice.twisted_counts table at the n^2 phase differences,
-with no shell enumerated (shell_averages); auto_spherical_average sums
-exact_multiplier_many over the enumerated shell, one k at a time, and is
-both the oracle of that table and the automorphism side of the truncation
-identity.  A whole orbit box is rotated back to V B V* by two GEMMs per
-slice of its first axis, peaking at about one box.  gamma_apply, by matrix
-powers, is the independent oracle of both.
+the shell sum S_k.  The ratio tables take every M_k up to the largest shell
+from one lattice.twisted_counts table at the n^2 phase differences, with no
+shell enumerated (shell_averages); auto_spherical_average, the automorphism
+side of the truncation identity, reads one k off the same kernel through
+exact_multiplier_many.  A whole orbit box is rotated back to V B V* by two
+GEMMs per slice of its first axis, peaking at about one box.  gamma_apply,
+by matrix powers, is the independent oracle of all three.
 """
 
 from __future__ import annotations
@@ -132,7 +131,8 @@ def auto_spherical_average(fam: AutomorphismFamily, x: AlgebraElement,
     """Mean of gamma^n x over the shell |n|^2 = k.
 
     It is V ((V*xV) o M_k) V* with M_k[r, s] = m_k(phi_r - phi_s): one
-    exact_multiplier_many call at the n^2 phase differences.
+    exact_multiplier_many call at the n^2 phase differences, on the twisted
+    table of shell_averages; gamma_apply is the independent oracle.
     """
     shell = sphere_shell(fam.d, k)
     mult = exact_multiplier_many(shell, _phase_differences(fam)).reshape(fam.n, fam.n)

@@ -2,6 +2,7 @@
 approximants with their dropped-tail envelope."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,10 +34,13 @@ def test_exact_multiplier_pinned():
     assert abs(val - 0.6) < 1e-14
 
 
-def test_exact_multiplier_real_and_bounded():
-    shell = sphere_shell(5, 4)
+@pytest.mark.parametrize("d, k", [(1, 49), (2, 25), (2, 10_000), (3, 2500),
+                                  (5, 4), (5, 225), (6, 50)])
+def test_exact_multiplier_real_and_bounded(d, k):
+    # the batch reads the twisted theta table, the single point sums the shell
+    shell = sphere_shell(d, k)
     rng = np.random.default_rng(0)
-    xis = rng.uniform(-0.5, 0.5, size=(20, 5))
+    xis = rng.uniform(-0.5, 0.5, size=(20, d))
     vals = exact_multiplier_many(shell, xis)
     assert np.abs(vals.imag).max() < 1e-12
     assert np.abs(vals).max() <= 1.0 + 1e-12
@@ -188,3 +192,10 @@ def test_exact_multiplier_rejects_an_empty_shell():
         exact_multiplier(shell, np.array([0.1]))
     with pytest.raises(ValueError, match="empty shell.*= 2"):
         exact_multiplier_many(shell, np.array([[0.1], [0.2]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2), (4, 4), (1, 1, 3)])
+def test_exact_multiplier_many_names_a_bad_shape(shape):
+    shell = sphere_shell(3, 2)
+    with pytest.raises(ValueError, match=re.escape(f"(rows, 3) array, got shape {shape}")):
+        exact_multiplier_many(shell, np.zeros(shape))
