@@ -38,8 +38,8 @@ from .cutoff import cutoff
 from .farey import MajorArc
 from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
-from .lattice import SphereShell, twisted_counts
-from .sphere import _rd, j_main, panel_quadrature, radial_constant
+from .lattice import SphereShell, rep_count, twisted_counts
+from .sphere import j_main, panel_quadrature, radial_constant
 
 
 def exact_multiplier(shell: SphereShell, xi) -> float:
@@ -82,7 +82,7 @@ def arc_multiplier(d: int, k: int, arc: MajorArc, xi, eps: float) -> complex:
     kernel = heat_direct_batch(eps, s, xi).value
     osc = np.exp(-2j * np.pi * np.mod(k * s, 1.0))
     integral = complex((w * osc * kernel).sum())
-    return math.exp(2.0 * math.pi * eps * k) / _rd(d, k) * integral
+    return math.exp(2.0 * math.pi * eps * k) / rep_count(d, k) * integral
 
 
 class ApproxTotal(NamedTuple):
@@ -124,7 +124,8 @@ def approx_tail_bound(d: int, k: int, q_max: int) -> float:
     if k < 1:
         # at k = 0 the main term vanishes while the multiplier is 1
         raise ValueError(f"k={k}: the approximant needs k >= 1")
-    amp = 2.0 ** (d / 2) * radial_constant(d) * k ** ((d - 2) / 2.0) / _rd(d, k)
+    amp = 2.0 ** (d / 2) * radial_constant(d) * k ** ((d - 2) / 2.0)
+    amp /= rep_count(d, k)
     return amp * (2.0 / (d - 4)) * q_max ** ((4 - d) / 2.0)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheFormatError, ShellCountMismatchError
-from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell
+from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_count, sphere_shell
 
 
 def shell_path(cache_dir, d: int, k: int) -> Path:
@@ -51,7 +51,7 @@ def read_shell(path) -> SphereShell:
             raise CacheFormatError("non-integer header field", line=1) from None
         if d < 1 or k < 0 or count < 0:
             raise CacheFormatError("header values out of range", line=1)
-        expected = rep_counts(d, k)[k]
+        expected = rep_count(d, k)
         if count != expected:
             raise ShellCountMismatchError(
                 f"header says {count} points for d={d} k={k}, "

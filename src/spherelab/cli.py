@@ -22,7 +22,7 @@ import numpy as np
 from .acceptance import CRITERIA, run_criteria, summary_line
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 from .experiments import (TRANSFER_THETAS, CheckResult, ExperimentConfig,
                           csv_text, load_config, ncmax_checks,
                           random_hermitian_probe, ratio_table_checks,
@@ -36,7 +36,7 @@ from .transfer import (TRUNCATION_TOL, diagonal_phase_family,
 _FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
 
 # Smallest accepted value of each numeric flag, by argparse dest; a flag
-# left unset (None) is not checked.  --tol must be > 0 instead.
+# left unset (None) is not checked.  --tol must be finite and > 0 instead.
 _LOWER_BOUNDS = {"d": 1, "k": 0, "max_k": 0, "order": 1, "q": 1, "n": 1,
                  "p": 1, "cap": 1, "q_max": 1, "budget": 1, "seed": 0}
 
@@ -87,8 +87,9 @@ def _cmd_shell(args) -> int:
 def _cmd_farey(args) -> int:
     try:
         report = run_experiment(ExperimentConfig("farey", {"Lambda": args.order}))
-    except BudgetExceededError as exc:
-        raise SystemExit(f"error: --order {args.order}: {exc}") from None
+    except ConfigError as exc:
+        # the runner names its key, Lambda; the budget error is its cause
+        raise SystemExit(f"error: --order {args.order}: {exc.__cause__}") from None
     _write_csv(args, report.columns, report.rows)
     print(f"order={args.order} arcs={report.summary['arc_count']} "
           f"partition_exact={report.passed}", file=_FOOTER)
@@ -319,6 +320,8 @@ def main(argv=None) -> int:
                              f"need {dest} >= {bound}")
     if not getattr(args, "tol", 1.0) > 0.0:
         raise SystemExit(f"error: --tol {args.tol}: need tol > 0")
+    if not math.isfinite(getattr(args, "tol", 1.0)):
+        raise SystemExit(f"error: --tol {args.tol}: need a finite tol")
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:

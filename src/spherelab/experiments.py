@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .arcs import approx_total, arc_multiplier, exact_multiplier_many
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .farey import farey_sequence, major_arcs, verify_partition
 from .gauss import gauss_dft, gauss_magnitude_bound, gauss_sum
 from .heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc
@@ -54,9 +54,9 @@ _SCHEMA = {
     "reconstruct": ({"d", "K"}, {"Lambda": 2, "L": 8, "seed": 0, "tol": 1e-6}),
 }
 
-# Smallest accepted value of each bounded key (tol must be > 0), then the
-# kinds that differ: sphere_ft needs a sphere in d >= 2, and L = 0 there skips
-# the Monte Carlo run; a transfer table needs at least the radius K = 1.
+# Smallest accepted value of each bounded key (tol must be finite and > 0),
+# then the kinds that differ: sphere_ft needs a sphere in d >= 2, and L = 0
+# there skips the Monte Carlo run; a transfer table needs at least K = 1.
 _LOWER_BOUNDS = {"d": 1, "L": 1, "q_max": 1, "Lambda": 1, "K": 0, "n": 1,
                  "seed": 0, "p": 1}
 _KIND_LOWER_BOUNDS = {"sphere_ft": {"d": 2, "L": 0}, "transfer": {"K": 1}}
@@ -205,6 +205,7 @@ def parse_config(text: str) -> ExperimentConfig:
     kind = None
     params: dict = {}
     out = None
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,6 +214,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(line.split()[0], f"line {lineno} is not 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in first_line:
+            raise ConfigError(key, f"repeated on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         if not value:
             raise ConfigError(key, f"empty value on line {lineno}")
         if key == "kind":
@@ -258,6 +262,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(key, f"must be >= {lower[key]}, got {value}")
     if not merged.get("tol", 1.0) > 0.0:
         raise ConfigError("tol", f"must be > 0, got {merged['tol']}")
+    if not math.isfinite(merged.get("tol", 1.0)):
+        raise ConfigError("tol", f"must be finite, got {merged['tol']}")
     return ExperimentConfig(kind=kind, parameters=merged,
                             output=Path(out) if out else None)
 
@@ -278,9 +284,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 # ---------------------------------------------------------------- runners
 
+def _lambda_arcs(order: int) -> list:
+    """major_arcs of the Farey order set by the config key Lambda."""
+    try:
+        return major_arcs(farey_sequence(order))
+    except BudgetExceededError as exc:
+        raise ConfigError("Lambda", str(exc)) from exc
+
+
 def _run_farey(cfg: ExperimentConfig) -> RunReport:
     order = cfg.parameters["Lambda"]
-    arcs = major_arcs(farey_sequence(order))
+    arcs = _lambda_arcs(order)
     rows = [(arc.center.numerator, arc.center.denominator,
              arc.left.numerator, arc.left.denominator,
              arc.right.numerator, arc.right.denominator) for arc in arcs]
@@ -577,9 +591,8 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
     d, k, order, n_xi, tol = P["d"], P["K"], P["Lambda"], P["L"], P["tol"]
     rng, rng_label = _rng_for(P["seed"])
     xis = rng.uniform(-0.5, 0.5, size=(n_xi, d))
-    shell = sphere_shell(d, k)
-    exact = exact_multiplier_many(shell, xis)
-    arcs = major_arcs(farey_sequence(order))
+    arcs = _lambda_arcs(order)
+    exact = exact_multiplier_many(sphere_shell(d, k), xis)
     eps = float(order) ** -2.0
     rows = []
     worst = 0.0

@@ -3,16 +3,17 @@
 Counts are ordered, signed representations: r_d(k) is the number of
 m in Z^d with m_1^2 + ... + m_d^2 = k.  One truncated theta product,
 _theta_product, gives both tables: rep_counts carries it in Python ints,
-so its counts are exact at every size, and twisted_counts in floats with a
-cosine twist per axis, to give the shell exponential sums without
-enumerating a shell.  box_counts_oracle scores every point of a box and is
-the independent oracle of the counts.
+so its counts are exact at every size (rep_count caches one of them), and
+twisted_counts in floats with a cosine twist per axis, to give the shell
+exponential sums without enumerating a shell.  box_counts_oracle scores
+every point of a box and is the independent oracle of the counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,12 @@ def rep_counts(d: int, max_k: int) -> tuple[int, ...]:
     return tuple(_theta_product(twos, max_k)[0])
 
 
+@lru_cache(maxsize=None)
+def rep_count(d: int, k: int) -> int:
+    """r_d(k) alone, the last entry of rep_counts(d, k), cached per (d, k)."""
+    return rep_counts(d, k)[k]
+
+
 def twisted_counts(xis, max_k: int) -> np.ndarray:
     """Shell sums S_k(xi) = sum_{|m|^2 = k} e(m . xi), k = 0..max_k, at each
     row xi of xis: a (rows, max_k + 1) float table, real by symmetry.
@@ -122,7 +129,7 @@ def sphere_shell(d: int, k: int, point_budget: int = DEFAULT_POINT_BUDGET) -> Sp
     The exact count is computed first; enumeration refuses to start if it
     would exceed point_budget.
     """
-    expected = rep_counts(d, k)[k]
+    expected = rep_count(d, k)
     if expected > point_budget:
         raise BudgetExceededError(
             f"shell d={d}, k={k} has {expected} points, budget is {point_budget}"

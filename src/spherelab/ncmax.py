@@ -196,8 +196,8 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     eigenvector v, so the bisection the barrier method would perform
     collapses to that threshold.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     p = float(prob.p)
     xs = np.stack([x.entries for x in prob.family])
     signed = _signed_stack(xs)

@@ -31,13 +31,12 @@ prefactor.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BudgetExceededError
-from .lattice import rep_counts
+from .lattice import rep_count
 
 _SERIES_CUTOFF = 0.1  # switch to the power series when pi*rho is below this
 PANEL_NODES = 12      # Gauss-Legendre nodes per panel of panel_quadrature
@@ -47,11 +46,6 @@ J_MAIN_MAX_PANELS = 2_000_000
 # phases per streamed block of the outer polar angle
 QUADRATURE_INNER_BUDGET = 1 << 22
 QUADRATURE_BLOCK_ENTRIES = 1 << 20
-
-
-@lru_cache(maxsize=None)
-def _rd(d: int, k: int) -> int:
-    return rep_counts(d, k)[k]
 
 
 def radial_constant(d: int) -> float:
@@ -186,7 +180,7 @@ def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: i
 
 def j_main(d: int, k: int, xi) -> float:
     """c_d lambda^{d-2} sigma_hat(lambda |xi|) / r_d(k) with lambda = sqrt(k)."""
-    rd = _rd(d, k)
+    rd = rep_count(d, k)
     if rd == 0:
         raise ValueError(f"k={k} has no representation as {d} squares")
     lam = math.sqrt(k)
@@ -231,7 +225,7 @@ def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     """
     if d < 3:
         raise ValueError("the full-line integral needs d >= 3 to converge")
-    rd = _rd(d, k)
+    rd = rep_count(d, k)
     if rd == 0:
         raise ValueError(f"k={k} has no representation as {d} squares")
     xi = np.asarray(xi, dtype=float)

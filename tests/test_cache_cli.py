@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import spherelab
+from spherelab import lattice
 from spherelab.cache import load_or_enumerate, read_shell, shell_path, write_shell
 from spherelab.errors import CacheFormatError, ConfigError, ShellCountMismatchError
 from spherelab.experiments import parse_config
@@ -33,6 +34,22 @@ def test_load_or_enumerate_hits_cache(tmp_path):
     assert shell_path(tmp_path, 4, 6).exists()
     second = load_or_enumerate(4, 6, tmp_path)
     assert np.array_equal(first.points, second.points)
+
+
+def test_shells_and_cache_reads_share_one_cached_count(tmp_path, monkeypatch):
+    # every count table is one _theta_product call, whoever asks for it
+    calls = []
+    real = lattice._theta_product
+    monkeypatch.setattr(lattice, "_theta_product",
+                        lambda coefs, max_k: calls.append(max_k) or real(coefs, max_k))
+    lattice.rep_count.cache_clear()
+    try:
+        for _ in range(2):
+            load_or_enumerate(4, 29, tmp_path)   # a miss, then a hit
+            sphere_shell(4, 29)
+        assert calls == [29]
+    finally:
+        lattice.rep_count.cache_clear()
 
 
 def _write_lines(path, lines):
@@ -262,6 +279,8 @@ def test_cli_budget_belongs_to_shell():
         ("kind = transfer\nK = 0\n", "K"),
         ("kind = transfer\nK = -4\n", "K"),
         ("kind = transfer\nfamily = circulant\n", "family"),
+        ("kind = farey\nLambda = 5000\n", "Lambda"),
+        ("kind = reconstruct\nd = 5\nK = 2\nLambda = 5000\n", "Lambda"),
     ],
 )
 def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
@@ -289,6 +308,8 @@ def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
         ("kind = transfer\ntol = 0\n", "tol"),
         ("kind = ncmax\ninput = f.txt\ntol = -1\n", "tol"),
         ("kind = gauss\ntol = nan\n", "tol"),
+        ("kind = transfer\ntol = inf\n", "tol"),
+        ("kind = ncmax\ninput = f.txt\ntol = inf\n", "tol"),
     ],
 )
 def test_config_keys_below_their_bound_are_rejected_by_name(tmp_path, text, key):
@@ -384,6 +405,7 @@ def test_cli_bad_inputs_give_one_error_line(argv):
         (("ncmax", "--input", "f.txt", "--tol", "nan"), "--tol"),
         (("transfer", "--theta", ","), "--theta"),
         (("farey", "--order", "100000"), "--order"),
+        (("ncmax", "--input", "f.txt", "--tol", "inf"), "--tol"),
     ],
 )
 def test_cli_rejections_name_their_flag(argv, flag):

@@ -71,6 +71,22 @@ def test_parse_errors_name_the_key(text, key):
     assert f"config key '{key}'" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,key,lines",
+    [
+        ("kind = farey\nLambda = 3\nLambda = 7\n", "Lambda", (2, 3)),
+        ("kind = farey\n# a comment\nLambda = 3\nkind = gauss\n", "kind", (1, 4)),
+        ("out = a.csv\nkind = farey\nLambda = 3\nout = b.csv\n", "out", (1, 4)),
+        ("kind = gauss\ntol = 1e-9\ntol = 1e-9\n", "tol", (2, 3)),
+    ],
+)
+def test_parse_rejects_a_repeated_key_with_both_lines(text, key, lines):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    assert f"repeated on lines {lines[0]} and {lines[1]}" in str(err.value)
+
+
 def test_echo_lines_order(tmp_path):
     cfg = parse_config(f"kind = farey\nLambda = 4\nout = {tmp_path / 'o.csv'}\n")
     lines = cfg.echo_lines()

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from spherelab.arcs import exact_multiplier
 from spherelab.errors import BudgetExceededError
-from spherelab.lattice import (DEFAULT_POINT_BUDGET, box_counts_oracle, rep_counts,
-                               sphere_shell, twisted_counts)
+from spherelab.lattice import (DEFAULT_POINT_BUDGET, box_counts_oracle, rep_count,
+                               rep_counts, sphere_shell, twisted_counts)
 
 
 def test_one_dimensional_counts():
@@ -58,6 +58,12 @@ def test_four_square_counts_follow_jacobi():
     jacobi = [1] + [8 * sigma[k] - (32 * sigma[k // 4] if k % 4 == 0 else 0)
                     for k in range(1, 2001)]
     assert list(rep_counts(4, 2000)) == jacobi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+def test_rep_count_is_the_table_entry(d):
+    table = rep_counts(d, 60)
+    assert [rep_count(d, k) for k in range(61)] == list(table)
 
 
 def test_counts_stay_exact_beyond_float_precision():

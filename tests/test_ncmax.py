@@ -261,7 +261,7 @@ def test_envelope_bounds_of_a_diagonal_family():
     assert lower <= ncmax_norm(prob).objective <= upper
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(ValueError, match="tol"):
         ncmax_norm(MaxNormProblem(p=2.0, family=(SZ, SX)), tol=tol)

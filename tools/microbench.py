@@ -1,4 +1,4 @@
-"""Fixed-size microbenchmarks of the lattice, transfer and ncmax kernels.
+"""Fixed-size microbenchmarks of the lattice, arcs, transfer and ncmax kernels.
 
 Each kernel runs at fixed sizes, once to warm up and then REPEAT times;
 the best time is kept, and the median and quartiles of the REPEAT calls
@@ -30,8 +30,9 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
+from spherelab.arcs import exact_multiplier_many  # noqa: E402
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe  # noqa: E402
-from spherelab.lattice import rep_counts, twisted_counts  # noqa: E402
+from spherelab.lattice import rep_counts, sphere_shell, twisted_counts  # noqa: E402
 from spherelab.ncmax import MaxNormProblem, _power_hessian, ncmax_norm  # noqa: E402
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
                                 _phase_differences, auto_spherical_average,
@@ -100,6 +101,17 @@ def kernels():
         ("per_shell_averages_d5_n4_k16", lambda: per_shell_averages(fam4, x4, 16)),
         ("shell_averages_d5_n4_k16", lambda: shell_averages(fam4, x4, 16)),
         ("ncmax_norm_n4_members16_p2", lambda: ncmax_norm(prob4)),
+    ]
+    # the decay ladder's largest rung, then a shell of 20 points where the
+    # direct sum over the shell would beat the theta table
+    rng = np.random.default_rng(0)
+    shell5, xis5 = sphere_shell(5, 225), rng.uniform(-0.5, 0.5, (150, 5))
+    shell2, xis2 = sphere_shell(2, 10_000), rng.uniform(-0.5, 0.5, (200, 2))
+    out += [
+        ("exact_multiplier_many_d5_k225_rows150",
+         lambda: exact_multiplier_many(shell5, xis5)),
+        ("exact_multiplier_many_d2_k10000_rows200",
+         lambda: exact_multiplier_many(shell2, xis2)),
     ]
     for n in (4, 8, 24, 32):
         lam, vecs = hessian_point(n)
