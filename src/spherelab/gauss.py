@@ -13,18 +13,22 @@ DFT over the shift l collapses to a single phase,
 which this module asserts at every evaluation (it is a strong correctness
 check on the implementation).  gauss_sum_1d sums directly and is the
 oracle; the tables over every shift (gauss_sum_1d_all) and over every a
-(gauss_sum_1d_all_a) are each one length-q inverse FFT.  All phase
-arguments are reduced mod q in integer arithmetic before any floating
-multiply by 2 pi / q.
+(gauss_sum_1d_all_a) are each one length-q inverse FFT.  The rows over
+every a depend only on q and l mod q, so they are kept in an LRU cache of
+GAUSS_ROWS rows (at most 11.5 MB at q = 701) and returned read-only.  All
+phase arguments are reduced mod q in integer arithmetic before any
+floating multiply by 2 pi / q.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 REL_TOL_DFT = 1e-12
+GAUSS_ROWS = 1024  # gauss_sum_1d_all_a rows kept, keyed by (q, l mod q)
 
 
 def _check_coprime(a: int, q: int) -> None:
@@ -51,16 +55,25 @@ def gauss_sum_1d_all_a(q: int, l: int) -> np.ndarray:
     The linear phases e(l n / q) are binned by the residue n^2 mod q, and
     one length-q inverse FFT sums the bins against e(a r / q) for all a at
     once: O(q log q) instead of O(q) per a.  Entries at a not coprime to q
-    are computed too; the caller picks the units.
+    are computed too; the caller picks the units.  The row is cached per
+    (q, l mod q), GAUSS_ROWS rows in all, and shared between callers, so
+    it is read-only: copy it before writing.
     """
     if q < 1:
         raise ValueError(f"modulus q must be >= 1, got {q}")
+    return _all_a_row(q, l % q)
+
+
+@lru_cache(maxsize=GAUSS_ROWS)
+def _all_a_row(q: int, l: int) -> np.ndarray:
     n = np.arange(q, dtype=np.int64)
-    linear = np.exp(2j * np.pi * ((l % q) * n % q) / q)
+    linear = np.exp(2j * np.pi * (l * n % q) / q)
     squares = n * n % q
     bins = (np.bincount(squares, weights=linear.real, minlength=q)
             + 1j * np.bincount(squares, weights=linear.imag, minlength=q))
-    return np.fft.ifft(bins)
+    row = np.fft.ifft(bins)
+    row.flags.writeable = False
+    return row
 
 
 def gauss_sum_1d(a: int, q: int, l: int) -> complex:

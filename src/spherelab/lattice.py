@@ -7,6 +7,12 @@ so its counts are exact at every size (rep_count caches one of them), and
 twisted_counts in floats with a cosine twist per axis, to give the shell
 exponential sums without enumerating a shell.  box_counts_oracle scores
 every point of a box and is the independent oracle of the counts.
+
+sphere_shell checks the exact count against its point budget on every
+call, then hands out one shared SphereShell per (d, k) with read-only
+points.  The memo keeps at most SHELL_MEMO_ENTRIES shells of at most
+SHELL_MEMO_MAX_POINTS points each, so at most DEFAULT_POINT_BUDGET points
+in all; a larger shell is enumerated on every call and not kept.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import numpy as np
 from .errors import BudgetExceededError
 
 DEFAULT_POINT_BUDGET = 5_000_000
+SHELL_MEMO_ENTRIES = 64
+SHELL_MEMO_MAX_POINTS = DEFAULT_POINT_BUDGET // SHELL_MEMO_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -124,16 +132,26 @@ def _fill_shell(d: int, k: int, prefix: list[int], out: list[tuple[int, ...]]) -
 
 
 def sphere_shell(d: int, k: int, point_budget: int = DEFAULT_POINT_BUDGET) -> SphereShell:
-    """Enumerate the shell {m in Z^d : |m|^2 = k} in lexicographic order.
+    """The shell {m in Z^d : |m|^2 = k} in lexicographic order.
 
-    The exact count is computed first; enumeration refuses to start if it
-    would exceed point_budget.
+    The exact count is checked against point_budget on every call, before
+    any enumeration and before the memo is consulted.  Shells of at most
+    SHELL_MEMO_MAX_POINTS points are enumerated once and kept, the last
+    SHELL_MEMO_ENTRIES of them, so one (d, k) gives the same shared object
+    each time; its points are read-only.
     """
     expected = rep_count(d, k)
     if expected > point_budget:
         raise BudgetExceededError(
             f"shell d={d}, k={k} has {expected} points, budget is {point_budget}"
         )
+    if expected > SHELL_MEMO_MAX_POINTS:
+        return _enumerate_shell(d, k)
+    return _kept_shell(d, k)
+
+
+def _enumerate_shell(d: int, k: int) -> SphereShell:
+    expected = rep_count(d, k)
     pts: list[tuple[int, ...]] = []
     _fill_shell(d, k, [], pts)
     if len(pts) != expected:
@@ -141,7 +159,11 @@ def sphere_shell(d: int, k: int, point_budget: int = DEFAULT_POINT_BUDGET) -> Sp
             f"shell enumeration bug: found {len(pts)} points, counted {expected}"
         )
     arr = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+    arr.flags.writeable = False
     return SphereShell(dimension=d, k=k, points=arr)
+
+
+_kept_shell = lru_cache(maxsize=SHELL_MEMO_ENTRIES)(_enumerate_shell)
 
 
 def box_counts_oracle(d: int, max_k: int) -> list[int]:

@@ -17,6 +17,7 @@ The main-term profile at integer radius-squared k (lambda = sqrt(k)) is
     j_main(xi) = c_d lambda^{d-2} sigma_hat(lambda |xi|) / r_d(k),
     c_d = pi^{d/2} / Gamma(d/2),
 
+evaluated at one frequency or at every row of a (rows, d) array at once,
 and the same quantity is recovered (eps-independently) by the full-line
 oscillatory integral
 
@@ -178,13 +179,19 @@ def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: i
 # main-term radial profile
 
 
-def j_main(d: int, k: int, xi) -> float:
-    """c_d lambda^{d-2} sigma_hat(lambda |xi|) / r_d(k) with lambda = sqrt(k)."""
+def j_main(d: int, k: int, xi) -> float | np.ndarray:
+    """c_d lambda^{d-2} sigma_hat(lambda |xi|) / r_d(k) with lambda = sqrt(k).
+
+    xi is one frequency of shape (d,), which gives a float, or a (rows, d)
+    array, which gives one value per row from a single unit_sphere_ft call
+    on the radii.  A row's value does not depend on the rows beside it.
+    """
     rd = rep_count(d, k)
     if rd == 0:
         raise ValueError(f"k={k} has no representation as {d} squares")
     lam = math.sqrt(k)
-    return radial_constant(d) * lam ** (d - 2) * sphere_ft(d, lam, xi) / rd
+    rho = lam * np.linalg.norm(np.asarray(xi, dtype=float), axis=-1)
+    return radial_constant(d) * lam ** (d - 2) * unit_sphere_ft(d, rho) / rd
 
 
 def heat_phase_factor(d: int, eps: float, t: np.ndarray, xi_norm_sq: float) -> np.ndarray:

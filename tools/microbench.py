@@ -1,6 +1,8 @@
 """Fixed-size microbenchmarks of the lattice, arcs, transfer and ncmax kernels.
 
-Each kernel runs at fixed sizes, once to warm up and then REPEAT times;
+Each kernel runs at fixed sizes, once to warm up and then REPEAT times
+(so the shell memo, the Gauss rows and the unit phases are warm, except in
+``sphere_shell_d5_k225_cold``, which clears the shell memo before each call);
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``truncation_identity_check`` also reports its tracemalloc peak
@@ -30,9 +32,10 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
-from spherelab.arcs import exact_multiplier_many  # noqa: E402
-from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe  # noqa: E402
-from spherelab.lattice import rep_counts, sphere_shell, twisted_counts  # noqa: E402
+from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
+from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
+                                   random_hermitian_probe)
+from spherelab.lattice import _kept_shell, rep_counts, sphere_shell, twisted_counts  # noqa: E402
 from spherelab.ncmax import MaxNormProblem, _power_hessian, ncmax_norm  # noqa: E402
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
                                 _phase_differences, auto_spherical_average,
@@ -112,6 +115,16 @@ def kernels():
          lambda: exact_multiplier_many(shell5, xis5)),
         ("exact_multiplier_many_d2_k10000_rows200",
          lambda: exact_multiplier_many(shell2, xis2)),
+    ]
+    # one decay request at that rung: a grid point, where 15 of the 30
+    # moduli survive their cutoff, and a generic point, where none does
+    grid_xi, generic_xi = decay_grid()[0], xis5[0]
+    out += [
+        ("approx_total_d5_k225_q30_grid", lambda: approx_total(5, 225, grid_xi, 30)),
+        ("approx_total_d5_k225_q30_generic", lambda: approx_total(5, 225, generic_xi, 30)),
+        ("sphere_shell_d5_k225_cold",
+         lambda: (_kept_shell.cache_clear(), sphere_shell(5, 225))),
+        ("sphere_shell_d5_k225_warm", lambda: sphere_shell(5, 225)),
     ]
     for n in (4, 8, 24, 32):
         lam, vecs = hessian_point(n)
