@@ -9,14 +9,18 @@ convex program over the hermitian matrices: the constraint set is an
 intersection of semidefinite order intervals, and tr(a^p) is convex for
 p >= 1.  ncmax_norm solves it with a logarithmic-barrier interior-point
 method whose Newton systems are set up on the complex row-major vec of the
-step; two exact oracles (diagonal pinching, 2x2 grid refinement) pin the
-solver's accuracy.
+step.  When mu drops, a predictor steps along the central path's tangent,
+solved on the last Newton system, and each accepted point keeps the one
+eigh and Cholesky that accepted it for the step, barrier value and gap test
+that follow.  Two exact oracles (diagonal pinching, 2x2 grid refinement)
+pin the solver's accuracy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,8 @@ GRID_POINTS = 15
 # Backtracking constants: Armijo fraction, step shrink factor.
 ARMIJO = 0.25
 SHRINK = 0.5
+# The predictor's shortest move, as a fraction of (mu' - mu) da/dmu
+PREDICTOR_SHORTEST = 1e-3
 
 
 @dataclass(frozen=True)
@@ -135,21 +141,41 @@ def _slacks(a: np.ndarray, signed: np.ndarray) -> np.ndarray:
     return a + signed
 
 
-def _barrier_value(a: np.ndarray, signed: np.ndarray, p: float, mu: float) -> float:
-    """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
-    the domain.  One batched Cholesky Y_j = L_j L_j* both tests every slack
-    for positive definiteness and gives log det Y_j = 2 sum_i log L_j[i,i];
-    it runs first, so a line-search trial outside the domain costs no
-    eigen-solve of a."""
+class _Point(NamedTuple):
+    """An envelope a inside the barrier's domain, with what the solver reads
+    off it: tr(a^p), sum_j log det Y_j over the slacks, and eigh(a)."""
+
+    a: np.ndarray
+    trace_power: float
+    logdet: float
+    lam: np.ndarray
+    vecs: np.ndarray
+
+    def barrier(self, mu: float) -> float:
+        return self.trace_power - mu * self.logdet
+
+
+def _barrier_point(a: np.ndarray, signed: np.ndarray, p: float) -> _Point | None:
+    """The _Point at a, or None outside the domain.  One batched Cholesky
+    Y_j = L_j L_j* both tests every slack for positive definiteness and
+    gives log det Y_j = 2 sum_i log L_j[i,i]; it runs first, so a trial
+    outside the domain costs no eigen-solve of a."""
     try:
         chol = np.linalg.cholesky(_slacks(a, signed))
     except np.linalg.LinAlgError:
-        return math.inf
-    lam = np.linalg.eigvalsh(a)
+        return None
+    lam, vecs = np.linalg.eigh(a)
     if lam.min() <= 0.0:
-        return math.inf
+        return None
     logdet = 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
-    return float((lam ** p).sum()) - mu * logdet
+    return _Point(a, float((lam ** p).sum()), logdet, lam, vecs)
+
+
+def _barrier_value(a: np.ndarray, signed: np.ndarray, p: float, mu: float) -> float:
+    """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
+    the domain."""
+    point = _barrier_point(a, signed, p)
+    return math.inf if point is None else point.barrier(mu)
 
 
 def _power_hessian(lam: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
@@ -179,6 +205,56 @@ def _barrier_hessian(yinvs: np.ndarray) -> np.ndarray:
     return gram.transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
 
+def _newton_system(point: _Point, signed: np.ndarray, p: float, mu: float):
+    """Gradient and Hessian of the barrier at point.a on row-major vec, and
+    sum_j Y_j^{-1} over the slacks, the gradient's derivative in -mu."""
+    yinvs = np.linalg.inv(_slacks(point.a, signed))
+    yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
+    ysum = yinvs.sum(axis=0)
+    lam, vecs = point.lam, point.vecs
+    grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T - mu * ysum
+    hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
+    return grad, hess, ysum
+
+
+def _solve_hermitian(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """hess^{-1} vec(rhs) for a hermitian rhs, as a hermitian matrix.  hess
+    maps hermitian matrices to hermitian matrices and is positive definite,
+    so the solution is hermitian; hermitizing it removes only roundoff."""
+    n = rhs.shape[0]
+    try:
+        sol = np.linalg.solve(hess, rhs.ravel())
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(hess, rhs.ravel(), rcond=None)[0]
+    sol = sol.reshape(n, n)
+    return 0.5 * (sol + sol.conj().T)
+
+
+def _tangent(hess: np.ndarray, ysum: np.ndarray) -> np.ndarray:
+    """da/dmu along the central path.  Differentiating its condition
+    grad tr(a^p) = mu sum_j Y_j^{-1} in mu gives H da/dmu = sum_j Y_j^{-1},
+    H the Newton system of the barrier at mu (Boyd-Vandenberghe, Convex
+    Optimization, 11.3)."""
+    return _solve_hermitian(hess, ysum)
+
+
+def _predict(point: _Point, tangent: np.ndarray, signed: np.ndarray, p: float,
+             mu: float, mu_next: float) -> _Point:
+    """The first of a + s (mu_next - mu) tangent, s = 1, 1/2, ... down to
+    PREDICTOR_SHORTEST, whose barrier at mu_next is finite and below a's;
+    point itself, unchanged, when there is none.  A hermitian tangent keeps
+    every trial bitwise hermitian."""
+    move = (mu_next - mu) * tangent
+    keep = point.barrier(mu_next)
+    s = 1.0
+    while s >= PREDICTOR_SHORTEST:
+        trial = _barrier_point(point.a + s * move, signed, p)
+        if trial is not None and trial.barrier(mu_next) < keep:
+            return trial
+        s *= SHRINK
+    return point
+
+
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
     """Interior-point solve of the maximal-envelope norm, in at most
     DEFAULT_NEWTON_BUDGET Newton steps.  converged is False when that
@@ -189,7 +265,15 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
     decreasing mu-path; each center is found by Newton's method, one complex
     n^2 x n^2 system on the row-major vec of the step, with backtracking line
-    search.  The constraints -a <= x_j <= a already force a >= 0 (average the
+    search.  Between stages, as mu drops to mu/8, a predictor moves a along
+    the central path's tangent (_tangent, on the stage's last Newton system)
+    by (mu/8 - mu) da/dmu, halved until the barrier at mu/8 is finite and
+    lower; it is not a Newton step and newton_steps does not count it.  Every
+    accepted point carries its eigh(a), tr(a^p) and log dets (_Point, from
+    the trial that accepted it), which serve the next Newton step, the next
+    stage's starting barrier value and the stage's gap test.
+
+    The constraints -a <= x_j <= a already force a >= 0 (average the
     two sides), so no separate positivity barrier is needed.  For p = inf the
     optimum is known in closed form: tI is feasible exactly when
     t >= max_j rho(x_j), and any feasible a has v*av >= |v*x_jv| at a peak
@@ -217,61 +301,57 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
         return MaxNormCertificate(envelope=zero, objective=0.0, residual=0.0,
                                   gap=0.0, converged=True, newton_steps=0)
 
-    # Strictly feasible start: the sum of moduli dominates every |x_j|.
-    # Hermitized once, it keeps every later iterate exactly hermitian.
-    a = sum(matrix_abs(x) for x in xs) + (tol * scale) * np.eye(n)
-    a = 0.5 * (a + a.conj().T)
+    # Strictly feasible start: the sum of moduli dominates every |x_j|, and
+    # a margin of tol * scale, doubled while roundoff eats it, makes that
+    # strict.  Hermitized once, it keeps every later iterate exactly hermitian.
+    dominant = sum(matrix_abs(x) for x in xs)
+    margin = tol * scale
+    while True:
+        a = dominant + margin * np.eye(n)
+        point = _barrier_point(0.5 * (a + a.conj().T), signed, p)
+        if point is not None:
+            break
+        margin *= 2.0
 
     nu = 2.0 * big_n * n          # total barrier degree, controls the gap
-    mu = float((np.linalg.eigvalsh(a) ** p).sum()) / nu
+    mu = point.trace_power / nu
     steps = 0
     converged = False
     centered = True    # no mu stage has run out of CENTERING_STEPS
 
     while True:
-        # Newton centering at the current mu; f0 is the barrier value at a,
-        # carried over from the line search that accepted a.
-        f0 = _barrier_value(a, signed, p, mu)
+        # Newton centering at the current mu; the last hess and ysum are
+        # kept for the predictor
+        f0 = point.barrier(mu)
         for _ in range(CENTERING_STEPS):
             if steps >= DEFAULT_NEWTON_BUDGET:
                 break
-            lam, vecs = np.linalg.eigh(a)
-            yinvs = np.linalg.inv(_slacks(a, signed))
-            yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-            grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T
-            grad = grad - mu * yinvs.sum(axis=0)
-
-            # hess maps hermitian matrices to hermitian matrices and is
-            # positive definite, so the step for the hermitian -grad is
-            # hermitian; hermitizing it removes only roundoff.
-            hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
-            try:
-                step = np.linalg.solve(hess, -grad.ravel())
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)[0]
-            step = step.reshape(n, n)
-            step = 0.5 * (step + step.conj().T)
+            grad, hess, ysum = _newton_system(point, signed, p, mu)
+            step = _solve_hermitian(hess, -grad)
             slope = float(np.vdot(grad, step).real)   # -(Newton decrement)^2
             if slope >= 0.0:
                 break
 
             s = 1.0
             while s > 1e-14:
-                f1 = _barrier_value(a + s * step, signed, p, mu)
-                if f1 <= f0 + ARMIJO * s * slope:
+                trial = _barrier_point(point.a + s * step, signed, p)
+                if trial is not None and trial.barrier(mu) <= f0 + ARMIJO * s * slope:
                     break
                 s *= SHRINK
             else:
-                f1 = _barrier_value(a + s * step, signed, p, mu)
-            a = a + s * step
+                trial = _barrier_point(point.a + s * step, signed, p)
+                if trial is None:   # even the shortest step leaves the domain
+                    centered = False
+                    break
+            point = trial
             steps += 1
             if -slope <= 1e-12 * (1.0 + abs(f0)):
                 break
-            f0 = f1
+            f0 = point.barrier(mu)
         else:
             centered = False   # the stage ran out of steps before its test
 
-        tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
+        tr_val = point.trace_power
         gap_tr = mu * nu
         obj = tr_val ** (1.0 / p)
         gap = obj - max(tr_val - gap_tr, 0.0) ** (1.0 / p)
@@ -281,8 +361,11 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
             break
         if steps >= DEFAULT_NEWTON_BUDGET:
             break
+        # steps < DEFAULT_NEWTON_BUDGET here, so this stage built hess
+        point = _predict(point, _tangent(hess, ysum), signed, p, mu, 0.125 * mu)
         mu *= 0.125
 
+    a = point.a
     res = float(np.linalg.eigvalsh(_slacks(a, signed)).min())
     return MaxNormCertificate(envelope=hermitian_element(a),
                               objective=schatten_norm(hermitian_element(a), p),

@@ -39,6 +39,8 @@ from .torus import LatticeFunction
 UNITARY_TOL = 1e-12
 # largest deviation the truncation identity admits (it is roundoff only)
 TRUNCATION_TOL = 1e-10
+# members a ratio-table row adds to its active set per re-solve
+LADDER_ADD = 4
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,16 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     largest K.  Growing K only adds family members, so the sequence is
     monotone nondecreasing; boundedness in K is reported, not asserted,
     since no effective constant is available.
+
+    The rows are solved on a ladder of active members.  The first row
+    solves its whole family.  At each later row, one batched eigvalsh of
+    a -/+ x_j at the current envelope a tests every member outside the
+    active set; while some member is violated, the (at most LADDER_ADD)
+    most violated join the active set, which is solved again.  A row with
+    no violated member keeps the last certificate, whose gap still holds:
+    obj - gap <= OPT(active) <= OPT(full) <= obj, the middle step because
+    the active set is a subfamily and the last because a dominates every
+    member.  A certificate that did not converge is reported as it is.
     """
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 1:
@@ -267,12 +279,37 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     if base == 0.0:
         raise ValueError("x must be nonzero")
     averages = shell_averages(fam, x, k_list[-1])
+    members = list(averages.values())
+    xs = np.stack([avg.entries for avg in members])
+
+    def solve(active):
+        return ncmax_norm(MaxNormProblem(p=p, family=tuple(members[j] for j in active)),
+                          tol=tol)
+
+    cert = None
     rows = []
     for k_top in k_list:
-        prob = MaxNormProblem(p=p, family=tuple(avg for k, avg in averages.items()
-                                                if k <= k_top))
-        cert = ncmax_norm(prob, tol=tol)
-        lower, upper = envelope_bounds(prob)
+        size = sum(1 for k in averages if k <= k_top)
+        if cert is None:
+            active = list(range(size))
+            cert = solve(active)
+        while violated := _violated_members(cert.envelope.entries, xs[:size], active):
+            active = sorted(active + violated)
+            cert = solve(active)
+        lower, upper = envelope_bounds(MaxNormProblem(p=p, family=tuple(members[:size])))
         rows.append((k_top, cert.objective / base, lower / base, upper / base,
                      cert.gap / base))
     return rows
+
+
+def _violated_members(a: np.ndarray, xs: np.ndarray, active: list) -> list:
+    """Up to LADDER_ADD indices j outside active, most violated first, at
+    which a - x_j or a + x_j has a negative eigenvalue: one batched eigvalsh
+    over every member outside active."""
+    outside = sorted(set(range(len(xs))) - set(active))
+    if not outside:
+        return []
+    lam = np.linalg.eigvalsh(np.stack([a - xs[outside], a + xs[outside]]))
+    worst = lam.min(axis=(0, 2))
+    return [outside[i] for i in np.argsort(worst, kind="stable")[:LADDER_ADD]
+            if worst[i] < 0.0]

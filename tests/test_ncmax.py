@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherelab import ncmax
+from spherelab.acceptance import _random_diag_problem
 from spherelab.ncmax import (
     MaxNormProblem,
     _barrier_hessian,
@@ -291,3 +292,128 @@ def test_slacks_are_bitwise_the_differences():
     ref = np.stack([a - xs, a + xs], axis=1).reshape(-1, 3, 3)
     got = _slacks(a, _signed_stack(xs))
     assert got.tobytes() == ref.tobytes()
+
+
+def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
+    """The same barrier path with no predictor and nothing carried between
+    uses: every barrier value from _barrier_value, every tr(a^p) from
+    eigvalsh.  Returns the envelope and its Newton step count."""
+    p, n = float(prob.p), prob.n
+    xs = np.stack([x.entries for x in prob.family])
+    signed = _signed_stack(xs)
+    scale = float(np.abs(np.linalg.eigvalsh(xs)).max())
+    a = sum(matrix_abs(x) for x in xs) + (tol * scale) * np.eye(n)
+    a = 0.5 * (a + a.conj().T)
+    nu = 2.0 * len(xs) * n
+    mu = float((np.linalg.eigvalsh(a) ** p).sum()) / nu
+    steps = 0
+    while True:
+        f0 = _barrier_value(a, signed, p, mu)
+        for _ in range(ncmax.CENTERING_STEPS):
+            lam, vecs = np.linalg.eigh(a)
+            yinvs = np.linalg.inv(_slacks(a, signed))
+            yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
+            grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T - mu * yinvs.sum(axis=0)
+            hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
+            step = np.linalg.solve(hess, -grad.ravel()).reshape(n, n)
+            step = 0.5 * (step + step.conj().T)
+            slope = float(np.vdot(grad, step).real)
+            if slope >= 0.0:
+                break
+            s = 1.0
+            while ((f1 := _barrier_value(a + s * step, signed, p, mu))
+                   > f0 + ncmax.ARMIJO * s * slope and s > 1e-14):
+                s *= ncmax.SHRINK
+            a = a + s * step
+            steps += 1
+            if -slope <= 1e-12 * (1.0 + abs(f0)):
+                break
+            f0 = f1
+        tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
+        obj = tr_val ** (1.0 / p)
+        if obj - max(tr_val - mu * nu, 0.0) ** (1.0 / p) <= tol * obj:
+            return a, steps
+        mu *= 0.125
+
+
+def _predictor_problems():
+    """Criterion 10's 100 diagonal problems, then random hermitian families
+    of 4 members for n = 1..6 and p in {1, 1.5, 2, 3}."""
+    rng = np.random.Generator(np.random.PCG64(10))
+    probs = [_random_diag_problem(rng) for _ in range(100)]
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            m = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+            family = tuple(hermitian_element(0.5 * (x + x.conj().T)) for x in m)
+            probs.append(MaxNormProblem(p=p, family=family))
+    return probs
+
+
+def _zero_tangent(hess, ysum):
+    return np.zeros_like(ysum)
+
+
+def test_a_zero_tangent_follows_the_path_without_predictor(monkeypatch):
+    # a zero move leaves the barrier where it is, so every prediction is
+    # rejected and the solve is the plain barrier path, up to the roundoff
+    # of eigh against eigvalsh
+    monkeypatch.setattr(ncmax, "_tangent", _zero_tangent)
+    for prob in _predictor_problems():
+        if math.isinf(prob.p):
+            continue
+        cert = ncmax_norm(prob)
+        ref, steps = _solve_without_predictor(prob)
+        assert cert.newton_steps == steps > 0
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(cert.envelope.entries - ref).max() <= 1e-9 * scale
+
+
+def test_the_predictor_saves_newton_steps_within_the_gaps(monkeypatch):
+    probs = _predictor_problems()
+    with_tangent = [ncmax_norm(prob) for prob in probs]
+    monkeypatch.setattr(ncmax, "_tangent", _zero_tangent)
+    without = [ncmax_norm(prob) for prob in probs]
+    assert all(c.converged for c in with_tangent + without)
+    assert (sum(c.newton_steps for c in with_tangent)
+            < sum(c.newton_steps for c in without))
+    for c, ref in zip(with_tangent, without):
+        assert abs(c.objective - ref.objective) <= c.gap + ref.gap
+
+
+def test_a_prediction_outside_the_domain_leaves_a_unchanged():
+    rng = np.random.default_rng(9)
+    xs, a = _feasible_point(rng, 3, 2)
+    signed = _signed_stack(xs)
+    point = ncmax._barrier_point(a, signed, 2.0)
+    before = a.copy()
+    # mu' - mu < 0, so this tangent pulls a below -a at every length >= 1e-3
+    tangent = 1e9 * np.eye(3)
+    assert ncmax._predict(point, tangent, signed, 2.0, 1.0, 0.125) is point
+    assert np.array_equal(point.a, before)
+
+
+def test_rejected_predictions_change_nothing(monkeypatch):
+    prob = MaxNormProblem(p=1.5, family=(SZ, SX, _diag(0.5, -2)))
+    monkeypatch.setattr(ncmax, "_tangent", _zero_tangent)
+    ref = ncmax_norm(prob)
+    monkeypatch.setattr(ncmax, "_tangent", lambda hess, ysum: 1e9 * np.eye(2))
+    cert = ncmax_norm(prob)
+    assert np.array_equal(cert.envelope.entries, ref.envelope.entries)
+    assert (cert.objective, cert.gap, cert.newton_steps) == \
+        (ref.objective, ref.gap, ref.newton_steps)
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-300])
+def test_a_tolerance_below_roundoff_still_starts_inside_the_domain(tol):
+    # tol * scale vanishes against the start's roundoff; the margin grows
+    # until every slack is positive definite, and one member is its own
+    # maximal norm
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    x = hermitian_element(0.5 * (m + m.conj().T))
+    cert = ncmax_norm(MaxNormProblem(p=2.0, family=(x,)), tol=tol)
+    exact = schatten_norm(x, 2.0)
+    assert cert.converged
+    assert abs(cert.objective - exact) <= 1e-12 * exact
+    assert cert.residual >= -1e-12 * exact

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab import transfer
 from spherelab.errors import BudgetExceededError
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe
 from spherelab.lattice import rep_counts, sphere_shell
-from spherelab.ncmax import hermitian_element, schatten_norm
+from spherelab.ncmax import MaxNormProblem, hermitian_element, ncmax_norm, schatten_norm
 from spherelab.torus import LatticeFunction, spherical_convolve
 from spherelab.transfer import (
     AutomorphismFamily,
@@ -182,6 +183,35 @@ def test_ratio_table_structure():
         assert b[1] >= a[1] - a[4] - b[4]  # monotone up to certified gaps
     assert rows[0][2] == rows[1][2] == rows[2][2]  # shared lower bound
     assert base > 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_ladder_rows_agree_with_full_solves_within_the_gaps(p):
+    # every row of an n=4, cap 6 table solved on its whole family
+    fam = diagonal_phase_family(TRANSFER_THETAS, n=4)
+    x = random_hermitian_probe(4, 3)
+    k_list = [j * j for j in range(1, 7)]
+    rows = maximal_ratio_experiment(fam, x, k_list, p)
+    averages = shell_averages(fam, x, k_list[-1])
+    base = schatten_norm(x, p)
+    for k_top, ratio, _, _, gap in rows:
+        family = tuple(avg for k, avg in averages.items() if k <= k_top)
+        full = ncmax_norm(MaxNormProblem(p=p, family=family))
+        assert full.converged
+        assert abs(ratio * base - full.objective) <= gap * base + full.gap
+
+
+def test_a_one_row_table_is_one_solve_of_the_whole_family(monkeypatch):
+    sizes = []
+
+    def spy(prob, tol):
+        sizes.append(len(prob.family))
+        return ncmax_norm(prob, tol=tol)
+
+    monkeypatch.setattr(transfer, "ncmax_norm", spy)
+    rows = maximal_ratio_experiment(FAM5, random_hermitian_probe(2, 7), [9], 2.0)
+    assert [r[0] for r in rows] == [9]
+    assert sizes == [9]   # every shell k = 1..9 of Z^5 is nonempty
 
 
 # window bounds keep the oracle torus small: side 2*(window + cap) + 1 is

@@ -6,7 +6,8 @@ Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``truncation_identity_check`` also reports its tracemalloc peak
-from one further call.  The result is one JSON object:
+from one further call, and ``ncmax_norm`` its Newton step count.  The
+result is one JSON object:
 
     python tools/microbench.py bench.json
 
@@ -36,11 +37,13 @@ from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
 from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
                                    random_hermitian_probe)
 from spherelab.lattice import _kept_shell, rep_counts, sphere_shell, twisted_counts  # noqa: E402
-from spherelab.ncmax import MaxNormProblem, _power_hessian, ncmax_norm  # noqa: E402
+from spherelab.ncmax import (MaxNormProblem, _barrier_point, _newton_system,  # noqa: E402
+                             _power_hessian, _signed_stack, _solve_hermitian,
+                             matrix_abs, ncmax_norm)
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
                                 _phase_differences, auto_spherical_average,
-                                diagonal_phase_family, shell_averages,
-                                truncation_identity_check)
+                                diagonal_phase_family, maximal_ratio_experiment,
+                                shell_averages, truncation_identity_check)
 
 
 def conjugated_family(d: int, n: int) -> AutomorphismFamily:
@@ -64,6 +67,21 @@ def per_shell_averages(fam: AutomorphismFamily, x, max_k: int) -> list:
     """The averages of shell_averages, one auto_spherical_average per k."""
     counts = rep_counts(fam.d, max_k)
     return [auto_spherical_average(fam, x, k) for k in range(1, max_k + 1) if counts[k]]
+
+
+def newton_step(prob: MaxNormProblem):
+    """One Newton step of ncmax_norm, its system and its solve, at a fixed
+    strictly feasible point: sum_j |x_j| + I, at mu = tr(a^p) / nu."""
+    xs = np.stack([x.entries for x in prob.family])
+    signed = _signed_stack(xs)
+    a = sum(matrix_abs(x) for x in xs) + np.eye(prob.n)
+    point = _barrier_point(0.5 * (a + a.conj().T), signed, prob.p)
+    mu = point.trace_power / (2 * len(xs) * prob.n)
+
+    def step():
+        grad, hess, _ = _newton_system(point, signed, prob.p, mu)
+        return _solve_hermitian(hess, -grad)
+    return step
 
 
 def call_times(fn) -> list[float]:
@@ -96,6 +114,10 @@ def kernels():
     fam4 = diagonal_phase_family(TRANSFER_THETAS, 4)
     x4 = random_hermitian_probe(4, 0)
     prob4 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(fam4, x4, 16)))
+    fam8 = diagonal_phase_family(TRANSFER_THETAS, 8)
+    x8 = random_hermitian_probe(8, 0)
+    prob6 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(
+        diagonal_phase_family(TRANSFER_THETAS, 6), x6, 16)))
     out += [
         ("rep_counts_d5_k4", lambda: rep_counts(5, 4)),
         ("rep_counts_d5_k225", lambda: rep_counts(5, 225)),
@@ -104,6 +126,9 @@ def kernels():
         ("per_shell_averages_d5_n4_k16", lambda: per_shell_averages(fam4, x4, 16)),
         ("shell_averages_d5_n4_k16", lambda: shell_averages(fam4, x4, 16)),
         ("ncmax_norm_n4_members16_p2", lambda: ncmax_norm(prob4)),
+        ("newton_step_n6_members16_p2", newton_step(prob6)),
+        ("maximal_ratio_n8_cap12", lambda: maximal_ratio_experiment(
+            fam8, x8, [j * j for j in range(1, 13)], 2.0)),
     ]
     # the decay ladder's largest rung, then a shell of 20 points where the
     # direct sum over the shell would beat the theta table
@@ -153,6 +178,7 @@ def main(argv=None) -> int:
         "best_s": {},
         "median_s": {},
         "quartiles_s": {},
+        "newton_steps": {},
     }
     for name, fn in kernels():
         times = call_times(fn)
@@ -160,8 +186,12 @@ def main(argv=None) -> int:
         result["best_s"][name] = min(times)
         result["median_s"][name] = median
         result["quartiles_s"][name] = [q1, q3]
+        note = ""
+        if name.startswith("ncmax_norm"):
+            result["newton_steps"][name] = fn().newton_steps
+            note = f", {result['newton_steps'][name]} Newton steps"
         print(f"{name}: best {1e3 * min(times):.3f} ms, median {1e3 * median:.3f} ms "
-              f"({1e3 * q1:.3f}-{1e3 * q3:.3f})", flush=True)
+              f"({1e3 * q1:.3f}-{1e3 * q3:.3f}){note}", flush=True)
         if name.startswith("truncation_identity_check"):
             result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
