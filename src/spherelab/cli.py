@@ -28,7 +28,7 @@ from .experiments import (TRANSFER_THETAS, CheckResult, ExperimentConfig,
                           random_hermitian_probe, ratio_table_checks,
                           read_ncmax_problem, run_experiment)
 from .gauss import gauss_magnitude_bound, gauss_sum
-from .lattice import DEFAULT_POINT_BUDGET, rep_counts, sphere_shell
+from .lattice import DEFAULT_POINT_BUDGET, rep_count, rep_counts, sphere_shell
 from .ncmax import MaxNormProblem, ncmax_norm
 from .transfer import (TRUNCATION_TOL, diagonal_phase_family,
                        maximal_ratio_experiment, truncation_identity_check)
@@ -66,11 +66,19 @@ def _parse_vector(text: str, d: int) -> np.ndarray:
 
 
 def _cmd_rd(args) -> int:
-    _write_csv(args, ("k", "count"), list(enumerate(rep_counts(args.d, args.max_k))))
+    try:
+        counts = rep_counts(args.d, args.max_k)
+    except BudgetExceededError as exc:
+        raise SystemExit(f"error: --max-k {args.max_k}: {exc}") from None
+    _write_csv(args, ("k", "count"), list(enumerate(counts)))
     return 0
 
 
 def _cmd_shell(args) -> int:
+    try:
+        rep_count(args.d, args.k)   # the count's theta table has its own budget
+    except BudgetExceededError as exc:
+        raise SystemExit(f"error: --k {args.k}: {exc}") from None
     try:
         if args.cache:
             shell = load_or_enumerate(args.d, args.k, args.cache, budget=args.budget)

@@ -73,11 +73,18 @@ def rep_counts(d: int, max_k: int) -> tuple[int, ...]:
 
     The z^k coefficients of theta(z)^d, theta(z) = 1 + 2 sum_{j>=1} z^{j^2},
     from _theta_product on Python-int coefficients: exact at every size.
+    Its d * isqrt(max_k) * (max_k + 1) shift-and-add terms are checked
+    against DEFAULT_POINT_BUDGET before anything is allocated.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
+    terms = d * math.isqrt(max_k) * (max_k + 1)
+    if terms > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"r_{d}(k) for k <= {max_k} takes {terms} theta-product terms, budget is "
+            f"{DEFAULT_POINT_BUDGET}")
     twos = np.full((1, d, math.isqrt(max_k)), 2, dtype=object)
     return tuple(_theta_product(twos, max_k)[0])
 

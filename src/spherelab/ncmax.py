@@ -9,7 +9,9 @@ convex program over the hermitian matrices: the constraint set is an
 intersection of semidefinite order intervals, and tr(a^p) is convex for
 p >= 1.  ncmax_norm solves it with a logarithmic-barrier interior-point
 method whose Newton systems are set up on the complex row-major vec of the
-step.  When mu drops, a predictor steps along the central path's tangent,
+step.  Centering is staged: a mu stage that cannot certify the gap stops at
+a loose Newton decrement, and only the stage that certifies is centred
+tightly.  When mu drops, a predictor steps along the central path's tangent,
 solved on the last Newton system, and each accepted point keeps the one
 eigh and Cholesky that accepted it for the step, barrier value and gap test
 that follow.  Two exact oracles (diagonal pinching, 2x2 grid refinement)
@@ -27,8 +29,11 @@ import numpy as np
 HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_NEWTON_BUDGET = 20_000
-# Newton steps one mu stage may take to meet its decrement test
+# Newton steps one centering may take to meet its decrement test
 CENTERING_STEPS = 60
+# A mu stage that cannot be the last stops centering once -slope, the
+# squared Newton decrement, is at most this multiple of mu
+LOOSE_DECREMENT = 0.5
 # ncmax_grid_oracle_2x2: refinement stages, grid points per axis and stage
 GRID_STAGES = 12
 GRID_POINTS = 15
@@ -255,17 +260,73 @@ def _predict(point: _Point, tangent: np.ndarray, signed: np.ndarray, p: float,
     return point
 
 
+def _center(point: _Point, signed: np.ndarray, p: float, mu: float,
+            floor: float, steps: int):
+    """Newton centering of the barrier at mu from point, with backtracking
+    line search, until -slope (the squared Newton decrement) is at most
+    max(1e-12 (1 + |f0|), floor) or the step count reaches
+    DEFAULT_NEWTON_BUDGET.  Returns the last point, the step count, the last
+    Newton system's (hess, ysum) or None when none was built, and False when
+    CENTERING_STEPS steps did not meet the test or the line search could
+    not stay in the domain."""
+    system = None
+    f0 = point.barrier(mu)
+    for _ in range(CENTERING_STEPS):
+        if steps >= DEFAULT_NEWTON_BUDGET:
+            return point, steps, system, True
+        grad, hess, ysum = _newton_system(point, signed, p, mu)
+        system = hess, ysum
+        step = _solve_hermitian(hess, -grad)
+        slope = float(np.vdot(grad, step).real)   # -(Newton decrement)^2
+        if slope >= 0.0:
+            return point, steps, system, True
+
+        s = 1.0
+        while s > 1e-14:
+            trial = _barrier_point(point.a + s * step, signed, p)
+            if trial is not None and trial.barrier(mu) <= f0 + ARMIJO * s * slope:
+                break
+            s *= SHRINK
+        else:
+            trial = _barrier_point(point.a + s * step, signed, p)
+            if trial is None:   # even the shortest step leaves the domain
+                return point, steps, system, False
+        point = trial
+        steps += 1
+        if -slope <= max(1e-12 * (1.0 + abs(f0)), floor):
+            return point, steps, system, True
+        f0 = point.barrier(mu)
+    return point, steps, system, False   # out of steps before the test
+
+
+def _objective_gap(trace_power: float, mu: float, nu: float, p: float):
+    """tr(a^p)^(1/p) and its distance to (tr(a^p) - mu nu)^(1/p), the gap
+    that mu nu bounds at a central point."""
+    obj = trace_power ** (1.0 / p)
+    return obj, obj - max(trace_power - mu * nu, 0.0) ** (1.0 / p)
+
+
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
     """Interior-point solve of the maximal-envelope norm, in at most
     DEFAULT_NEWTON_BUDGET Newton steps.  converged is False when that
-    budget runs out, or when some mu stage takes CENTERING_STEPS steps
+    budget runs out, or when some centering takes CENTERING_STEPS steps
     without meeting its decrement test: the reported gap mu * nu bounds the
     error only at a central point.
 
     Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
-    decreasing mu-path; each center is found by Newton's method, one complex
-    n^2 x n^2 system on the row-major vec of the step, with backtracking line
-    search.  Between stages, as mu drops to mu/8, a predictor moves a along
+    decreasing mu-path; each center is found by Newton's method (_center),
+    one complex n^2 x n^2 system on the row-major vec of the step, with
+    backtracking line search.  Centering is staged: only the stage that
+    certifies needs a tight center (Boyd-Vandenberghe, Convex Optimization,
+    11.3).  A stage whose starting tr(a^p) already passes the gap test at
+    its mu is centred tightly, to -slope <= 1e-12 (1 + |f0|); any other
+    stage stops at -slope <= max(1e-12 (1 + |f0|), LOOSE_DECREMENT * mu),
+    that is once the Newton decrement lambda^2 / mu of the barrier divided
+    by mu is at most LOOSE_DECREMENT.  A loosely centred stage that passes
+    the gap test is centred again tightly at the same mu and tested again,
+    so a gap is only reported from a tight center.
+
+    Between stages, as mu drops to mu/8, a predictor moves a along
     the central path's tangent (_tangent, on the stage's last Newton system)
     by (mu/8 - mu) da/dmu, halved until the barrier at mu/8 is finite and
     lower; it is not a Newton step and newton_steps does not count it.  Every
@@ -304,7 +365,7 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     # Strictly feasible start: the sum of moduli dominates every |x_j|, and
     # a margin of tol * scale, doubled while roundoff eats it, makes that
     # strict.  Hermitized once, it keeps every later iterate exactly hermitian.
-    dominant = sum(matrix_abs(x) for x in xs)
+    dominant = sum(matrix_abs(xs))
     margin = tol * scale
     while True:
         a = dominant + margin * np.eye(n)
@@ -317,52 +378,27 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     mu = point.trace_power / nu
     steps = 0
     converged = False
-    centered = True    # no mu stage has run out of CENTERING_STEPS
+    centered = True    # no centering has run out of CENTERING_STEPS
 
     while True:
-        # Newton centering at the current mu; the last hess and ysum are
-        # kept for the predictor
-        f0 = point.barrier(mu)
-        for _ in range(CENTERING_STEPS):
-            if steps >= DEFAULT_NEWTON_BUDGET:
-                break
-            grad, hess, ysum = _newton_system(point, signed, p, mu)
-            step = _solve_hermitian(hess, -grad)
-            slope = float(np.vdot(grad, step).real)   # -(Newton decrement)^2
-            if slope >= 0.0:
-                break
-
-            s = 1.0
-            while s > 1e-14:
-                trial = _barrier_point(point.a + s * step, signed, p)
-                if trial is not None and trial.barrier(mu) <= f0 + ARMIJO * s * slope:
-                    break
-                s *= SHRINK
-            else:
-                trial = _barrier_point(point.a + s * step, signed, p)
-                if trial is None:   # even the shortest step leaves the domain
-                    centered = False
-                    break
-            point = trial
-            steps += 1
-            if -slope <= 1e-12 * (1.0 + abs(f0)):
-                break
-            f0 = point.barrier(mu)
-        else:
-            centered = False   # the stage ran out of steps before its test
-
-        tr_val = point.trace_power
-        gap_tr = mu * nu
-        obj = tr_val ** (1.0 / p)
-        gap = obj - max(tr_val - gap_tr, 0.0) ** (1.0 / p)
+        obj, gap = _objective_gap(point.trace_power, mu, nu, p)
+        loose = gap > tol * obj   # this stage cannot be the last
+        point, steps, system, ok = _center(point, signed, p, mu,
+                                           LOOSE_DECREMENT * mu if loose else 0.0, steps)
+        centered &= ok
+        obj, gap = _objective_gap(point.trace_power, mu, nu, p)
+        if loose and gap <= tol * obj:
+            point, steps, system, ok = _center(point, signed, p, mu, 0.0, steps)
+            centered &= ok
+            obj, gap = _objective_gap(point.trace_power, mu, nu, p)
         if gap <= tol * obj:
             # mu * nu bounds the gap only at a central point
             converged = centered
             break
         if steps >= DEFAULT_NEWTON_BUDGET:
             break
-        # steps < DEFAULT_NEWTON_BUDGET here, so this stage built hess
-        point = _predict(point, _tangent(hess, ysum), signed, p, mu, 0.125 * mu)
+        # steps < DEFAULT_NEWTON_BUDGET here, so this stage built a system
+        point = _predict(point, _tangent(*system), signed, p, mu, 0.125 * mu)
         mu *= 0.125
 
     a = point.a
@@ -374,18 +410,27 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
 
 
 def matrix_abs(x: np.ndarray) -> np.ndarray:
-    """|x| = (x* x)^{1/2} of a hermitian matrix, through its eigenbasis."""
+    """|x| = (x* x)^{1/2} of a hermitian matrix, or of each matrix of a
+    stack, through its eigenbasis."""
     lam, vecs = np.linalg.eigh(x)
-    return (vecs * np.abs(lam)) @ vecs.conj().T
+    return (vecs * np.abs(lam)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def envelope_bounds(prob: MaxNormProblem) -> tuple[float, float]:
     """max_j ||x_j||_p and ||sum_j |x_j| ||_p, between which the maximal
     norm lies: every feasible a dominates each |x_j|, and sum_j |x_j| is
-    feasible."""
-    lower = max(schatten_norm(x, prob.p) for x in prob.family)
-    upper = schatten_norm(
-        hermitian_element(sum(matrix_abs(x.entries) for x in prob.family)), prob.p)
+    feasible.  One batched eigvalsh and one batched eigh over the members
+    run the LAPACK routines of schatten_norm and matrix_abs on each, and
+    each root is a scalar power as in schatten_norm, so both bounds are
+    bitwise those of the per-member calls."""
+    p = prob.p
+    xs = np.stack([x.entries for x in prob.family])
+    sig = np.abs(np.linalg.eigvalsh(xs))
+    if math.isinf(p):
+        lower = float(sig.max())
+    else:
+        lower = max(float(t) ** (1.0 / p) for t in (sig ** p).sum(axis=1))
+    upper = schatten_norm(hermitian_element(sum(matrix_abs(xs))), p)
     return lower, upper
 
 

@@ -164,10 +164,12 @@ def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndar
     """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
 
     Its width^d * n^2 entries are checked against DEFAULT_POINT_BUDGET before
-    anything is allocated.  V*xV fills the box, is multiplied in place by
-    e(m_i (phi_r - phi_s)) axis by axis, and each slice of the first axis is
-    rotated back to V B V* by two GEMMs over all its sites at once, V B and
-    then (V B) V*: O(n^3) a site, and the peak is one box plus two slices.
+    anything is allocated.  V*xV times e(m_i (phi_r - phi_s)) is built one
+    axis at a time, as the outer product of the grid over the axes before
+    it with that axis's phases, so each entry takes its factors in axis
+    order.  Each slice of the first axis is then rotated back to V B V* by
+    two GEMMs over all its sites at once, V B and then (V B) V*: O(n^3) a
+    site, and the peak is one box plus two slices.
     """
     width = 2 * span + 1
     if width ** fam.d * fam.n ** 2 > DEFAULT_POINT_BUDGET:
@@ -175,11 +177,12 @@ def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndar
             f"{width}^{fam.d} orbit sites of {fam.n}x{fam.n} entries exceed the "
             f"budget of {DEFAULT_POINT_BUDGET}")
     n, v = fam.n, fam.basis
-    box = np.broadcast_to(v.conj().T @ x.entries @ v, (width,) * fam.d + (n, n)).copy()
+    box = (v.conj().T @ x.entries @ v)[None]
     steps = np.arange(-span, span + 1)
-    for axis, dphi in enumerate(fam.phases[:, :, None] - fam.phases[:, None, :]):
+    for dphi in fam.phases[:, :, None] - fam.phases[:, None, :]:
         phase = np.exp(2j * np.pi * steps[:, None, None] * dphi)
-        box *= phase.reshape((1,) * axis + (width,) + (1,) * (fam.d - 1 - axis) + dphi.shape)
+        box = (box[:, None] * phase[None]).reshape(-1, n, n)
+    box = box.reshape((width,) * fam.d + (n, n))
     vh = v.conj().T
     for sites in box.reshape(width, -1, n, n):
         left = v @ sites.transpose(1, 0, 2).reshape(n, -1)

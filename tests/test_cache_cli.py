@@ -415,6 +415,20 @@ def test_cli_rejections_name_their_flag(argv, flag):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("rd", "--d", "5", "--max-k", "10000"), "--max-k"),
+    (("shell", "--d", "5", "--k", "10000000"), "--k"),
+    (("shell", "--d", "5", "--k", "10000000", "--cache", "unused"), "--k"),
+])
+def test_cli_count_table_budget_names_its_flag(argv, flag):
+    # the r_d(k) table is refused before it is built, by the flag that sets k
+    proc = run_cli(*argv, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {flag} "), proc.stderr
+    assert "theta-product terms" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_mult_rejects_an_empty_shell():
     # no integer is a square root of 2, so the d = 1 shell at k = 2 is empty
     proc = run_cli("mult", "--d", "1", "--k", "2", "--xi", "0.1", expect=1)

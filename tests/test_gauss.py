@@ -91,13 +91,42 @@ def _jacobi(a, q):
     return sign if q == 1 else 0
 
 
-def _closed_form(a, q, l):
+def _odd_closed_form(a, q, l):
     """Odd q: G(a/q, l) = eps_q (a/q) q^{-1/2} e(-inv(4a) l^2 / q), with
-    eps_q = 1 or i as q = 1 or 3 mod 4 (Berndt-Evans-Williams, ch. 1).
-    Shares no code with the three summation routes."""
+    eps_q = 1 or i as q = 1 or 3 mod 4 (Berndt-Evans-Williams, ch. 1)."""
     eps = 1 if q % 4 == 1 else 1j
     phase = pow(4 * a, -1, q) * (l * l % q) % q
     return eps * _jacobi(a, q) / math.sqrt(q) * np.exp(-2j * np.pi * phase / q)
+
+
+def _two_power_closed_form(c, k, l):
+    """q = 2^k, c odd: G(c/q, l) is 1 at k = 0, and at k = 1 it is 1 for odd
+    l and 0 for even l.  For k >= 2, n -> n + 2^(k-1) flips its sign at odd
+    l, so it vanishes there; at even l, completing the square gives
+    (1 + i^c) (2/c)^k 2^(-k/2) e(-inv(c) (l/2)^2 / q)
+    (Berndt-Evans-Williams, ch. 1)."""
+    l = np.asarray(l)
+    if k == 0:
+        return np.ones(l.shape)
+    if k == 1:
+        return (l % 2).astype(complex)
+    q = 2 ** k
+    half = (l // 2) % q
+    phase = pow(c, -1, q) * (half * half % q) % q
+    even = ((1, 1j, -1, -1j)[c % 4] + 1) * _jacobi(2, c) ** k / 2 ** (k / 2) \
+        * np.exp(-2j * np.pi * phase / q)
+    return np.where(l % 2 == 0, even, 0.0)
+
+
+def _closed_form(a, q, l):
+    """G(a/q, l) in closed form for every q.  With q = 2^k m, m odd, the
+    CRT substitution n = m u + 2^k v splits the sum as
+    G(a/q, l) = G(a m / 2^k, l) G(a 2^k / m, l).
+    Shares no code with the three summation routes."""
+    k = (q & -q).bit_length() - 1
+    m = q >> k
+    return (_two_power_closed_form(a * m % 2 ** k, k, l)
+            * _odd_closed_form(a * 2 ** k % m, m, l))
 
 
 @pytest.mark.parametrize("q", range(1, 100, 2))
@@ -111,6 +140,13 @@ def test_closed_form_matches_every_summation_route(q):
     for l in range(q):
         table = gauss_sum_1d_all_a(q, l)
         assert max(abs(table[a] - want[l]) for a, want in closed.items()) < 1e-12
+
+
+@pytest.mark.parametrize("q", range(2, 130, 2))
+def test_even_closed_form_matches_every_summation_route(q):
+    # the 2-part split off by the CRT, at every even q < 130: 2^k up to 64,
+    # and q = 2^k m with k = 1..6
+    test_closed_form_matches_every_summation_route(q)
 
 
 def test_envelope_saturated_mod_four():

@@ -187,6 +187,26 @@ def test_twisted_counts_budget_checked_before_allocation():
     assert _peak_bytes(call) < 100_000
 
 
+@pytest.mark.parametrize("d, max_k", [(5, 10_000), (1, 10**12), (5, 10**7)])
+def test_rep_counts_budget_checked_before_allocation(d, max_k):
+    # d * isqrt(K) * (K + 1) theta-product terms: at d = 5, K = 10,000 that
+    # is 5,000,500, just over the budget; the refusal allocates almost nothing
+    terms = d * math.isqrt(max_k) * (max_k + 1)
+    assert terms > DEFAULT_POINT_BUDGET
+
+    def call():
+        with pytest.raises(BudgetExceededError, match=f"{terms} theta-product terms"):
+            rep_counts(d, max_k)
+
+    assert _peak_bytes(call) < 100_000
+
+
+def test_rep_counts_within_the_budget_at_its_edge():
+    # d = 5, K = 9,999 is 4,950,000 terms: under the budget, and exact
+    assert 5 * math.isqrt(9_999) * 10_000 <= DEFAULT_POINT_BUDGET
+    assert rep_counts(5, 9_999)[:7] == (1, 10, 40, 80, 90, 112, 240)
+
+
 def test_twisted_counts_reject_a_negative_max_k_by_name():
     xis = np.zeros((DEFAULT_POINT_BUDGET // 10, 5))
 

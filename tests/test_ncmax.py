@@ -30,6 +30,7 @@ from spherelab.ncmax import (
     ncmax_norm,
     schatten_norm,
 )
+from spherelab.transfer import diagonal_phase_family, shell_averages
 
 
 def _diag(*vals):
@@ -295,9 +296,11 @@ def test_slacks_are_bitwise_the_differences():
 
 
 def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
-    """The same barrier path with no predictor and nothing carried between
-    uses: every barrier value from _barrier_value, every tr(a^p) from
-    eigvalsh.  Returns the envelope and its Newton step count."""
+    """The same staged barrier path with no predictor and nothing carried
+    between uses: every barrier value from _barrier_value, every tr(a^p)
+    from eigvalsh.  A stage whose start fails the gap test is centred
+    loosely, and again tightly if it then passes.  Returns the envelope and
+    its Newton step count."""
     p, n = float(prob.p), prob.n
     xs = np.stack([x.entries for x in prob.family])
     signed = _signed_stack(xs)
@@ -307,7 +310,14 @@ def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
     nu = 2.0 * len(xs) * n
     mu = float((np.linalg.eigvalsh(a) ** p).sum()) / nu
     steps = 0
-    while True:
+
+    def passes(a):
+        tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
+        obj = tr_val ** (1.0 / p)
+        return obj - max(tr_val - mu * nu, 0.0) ** (1.0 / p) <= tol * obj
+
+    def center(a, floor):
+        nonlocal steps
         f0 = _barrier_value(a, signed, p, mu)
         for _ in range(ncmax.CENTERING_STEPS):
             lam, vecs = np.linalg.eigh(a)
@@ -326,12 +336,17 @@ def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
                 s *= ncmax.SHRINK
             a = a + s * step
             steps += 1
-            if -slope <= 1e-12 * (1.0 + abs(f0)):
+            if -slope <= max(1e-12 * (1.0 + abs(f0)), floor):
                 break
             f0 = f1
-        tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
-        obj = tr_val ** (1.0 / p)
-        if obj - max(tr_val - mu * nu, 0.0) ** (1.0 / p) <= tol * obj:
+        return a
+
+    while True:
+        loose = not passes(a)
+        a = center(a, ncmax.LOOSE_DECREMENT * mu if loose else 0.0)
+        if loose and passes(a):
+            a = center(a, 0.0)
+        if passes(a):
             return a, steps
         mu *= 0.125
 
@@ -379,6 +394,76 @@ def test_the_predictor_saves_newton_steps_within_the_gaps(monkeypatch):
             < sum(c.newton_steps for c in without))
     for c, ref in zip(with_tangent, without):
         assert abs(c.objective - ref.objective) <= c.gap + ref.gap
+
+
+def _transfer_problems():
+    """Ratio-table families as the transfer workload builds them: the shell
+    averages k = 1..K of a random probe under a random d = 5 diagonal phase
+    family, for n <= 6, K <= 16 and p in {1.5, 2, 3}."""
+    rng = np.random.default_rng(18)
+    probs = []
+    for i in range(24):
+        n, k_top = int(rng.integers(2, 7)), int(rng.integers(1, 17))
+        fam = diagonal_phase_family(rng.uniform(0.0, 1.0, 5), n)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        averages = shell_averages(fam, hermitian_element(0.5 * (m + m.conj().T)), k_top)
+        probs.append(MaxNormProblem(p=(1.5, 2.0, 3.0)[i % 3],
+                                    family=tuple(averages.values())))
+    return probs
+
+
+def test_staged_centering_saves_steps_at_the_same_optimum(monkeypatch):
+    # LOOSE_DECREMENT = 0 centres every stage tightly; loose stages that
+    # cannot certify must not move the certified objective
+    probs = _predictor_problems() + _transfer_problems()
+    staged = [ncmax_norm(prob) for prob in probs]
+    monkeypatch.setattr(ncmax, "LOOSE_DECREMENT", 0.0)
+    tight = [ncmax_norm(prob) for prob in probs]
+    assert [c.converged for c in staged] == [c.converged for c in tight]
+    assert sum(c.newton_steps for c in staged) < sum(c.newton_steps for c in tight)
+    for c, ref in zip(staged, tight):
+        assert abs(c.objective - ref.objective) <= 1e-10 * ref.objective
+
+
+def _towards_the_edge(point, tangent, signed, p, mu, mu_next):
+    """A prediction that overshoots the path towards the boundary: a - t mu
+    tangent at 0.999 of the largest t <= 2^40 inside the domain, found by
+    doubling and then bisection."""
+    def inside(t):
+        return ncmax._barrier_point(point.a - t * mu * tangent, signed, p) is not None
+
+    lo, hi = 0.0, 1.0
+    while inside(hi) and hi < 2.0 ** 40:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return ncmax._barrier_point(point.a - 0.999 * lo * mu * tangent, signed, p) or point
+
+
+def test_a_loose_stage_that_certifies_is_centred_again(monkeypatch):
+    # a stage started below its centre fails the gap test there, yet may
+    # pass it once loosely centred; it must be centred tightly at the same
+    # mu before the gap is reported
+    calls = []
+    center = ncmax._center
+
+    def spy(point, signed, p, mu, floor, steps):
+        calls.append((mu, floor))
+        return center(point, signed, p, mu, floor, steps)
+
+    monkeypatch.setattr(ncmax, "_predict", _towards_the_edge)
+    monkeypatch.setattr(ncmax, "_center", spy)
+    again = 0
+    for tol in (0.5, 0.3):
+        for prob in _predictor_problems():
+            if math.isinf(prob.p):
+                continue
+            calls.clear()
+            cert = ncmax_norm(prob, tol=tol)
+            assert cert.converged and calls[-1][1] == 0.0
+            again += sum(mu == prev for (mu, _), (prev, _) in zip(calls[1:], calls))
+    assert again > 0
 
 
 def test_a_prediction_outside_the_domain_leaves_a_unchanged():

@@ -6,8 +6,10 @@ Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``truncation_identity_check`` also reports its tracemalloc peak
-from one further call, and ``ncmax_norm`` its Newton step count.  The
-result is one JSON object:
+from one further call, and the ``ncmax_norm`` kernels their total Newton
+step count (``ncmax_norm_transfer_set16`` solves 16 seeded ratio-table
+families like those of the ``transfer`` workload).  The result is one
+JSON object:
 
     python tools/microbench.py bench.json
 
@@ -69,6 +71,21 @@ def per_shell_averages(fam: AutomorphismFamily, x, max_k: int) -> list:
     return [auto_spherical_average(fam, x, k) for k in range(1, max_k + 1) if counts[k]]
 
 
+def transfer_style_problems() -> list:
+    """16 seeded ratio-table families as the transfer workload builds them:
+    the shell averages k = 1..K of a random probe under a random d = 5
+    diagonal phase family, for K = 1..16, n from 2 to 6 and p in
+    {1.5, 2, 3}."""
+    rng = np.random.default_rng(1801)
+    probs = []
+    for i in range(16):
+        n, p = (2, 2, 3, 3, 4, 4, 5, 6)[i % 8], (1.5, 2.0, 3.0)[i % 3]
+        fam = diagonal_phase_family(rng.uniform(0.0, 1.0, 5), n)
+        averages = shell_averages(fam, random_hermitian_probe(n, i), i + 1)
+        probs.append(MaxNormProblem(p=p, family=tuple(averages.values())))
+    return probs
+
+
 def newton_step(prob: MaxNormProblem):
     """One Newton step of ncmax_norm, its system and its solve, at a fixed
     strictly feasible point: sum_j |x_j| + I, at mu = tr(a^p) / nu."""
@@ -116,6 +133,7 @@ def kernels():
     prob4 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(fam4, x4, 16)))
     fam8 = diagonal_phase_family(TRANSFER_THETAS, 8)
     x8 = random_hermitian_probe(8, 0)
+    transfer_set = transfer_style_problems()
     prob6 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(
         diagonal_phase_family(TRANSFER_THETAS, 6), x6, 16)))
     out += [
@@ -125,7 +143,8 @@ def kernels():
         ("twisted_counts_d5_rows256_k144", lambda: twisted_counts(dphi16, 144)),
         ("per_shell_averages_d5_n4_k16", lambda: per_shell_averages(fam4, x4, 16)),
         ("shell_averages_d5_n4_k16", lambda: shell_averages(fam4, x4, 16)),
-        ("ncmax_norm_n4_members16_p2", lambda: ncmax_norm(prob4)),
+        ("ncmax_norm_n4_members16_p2", lambda: [ncmax_norm(prob4)]),
+        ("ncmax_norm_transfer_set16", lambda: [ncmax_norm(prob) for prob in transfer_set]),
         ("newton_step_n6_members16_p2", newton_step(prob6)),
         ("maximal_ratio_n8_cap12", lambda: maximal_ratio_experiment(
             fam8, x8, [j * j for j in range(1, 13)], 2.0)),
@@ -188,7 +207,7 @@ def main(argv=None) -> int:
         result["quartiles_s"][name] = [q1, q3]
         note = ""
         if name.startswith("ncmax_norm"):
-            result["newton_steps"][name] = fn().newton_steps
+            result["newton_steps"][name] = sum(c.newton_steps for c in fn())
             note = f", {result['newton_steps'][name]} Newton steps"
         print(f"{name}: best {1e3 * min(times):.3f} ms, median {1e3 * median:.3f} ms "
               f"({1e3 * q1:.3f}-{1e3 * q3:.3f}){note}", flush=True)
