@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Every subcommand prints an RFC-4180 CSV table (complex values as re/im
-column pairs) to stdout or, with --out, to a file.  Commands that carry
-assertions (farey, gauss, ncmax, transfer, verify, experiment) exit 0 iff
-every CheckResult passes, so the exit code is usable in scripts.  Input the
-library rejects with a ValueError or BudgetExceededError ends in one
-``error: ...`` line on stderr and exit status 1; a numeric flag below its
-lower bound is rejected before the command runs, naming the flag.
+column pairs) to stdout or, with --out, to a file; farey, ncmax and transfer
+build the config of their experiment kind from their flags and print its
+runner's table.  Commands that carry assertions (farey, gauss, ncmax,
+transfer, verify, experiment) exit 0 iff every CheckResult passes.  Input
+the library rejects ends in one ``error: ...`` line on stderr and exit
+status 1, naming the flag at fault where there is one: a numeric flag below
+its lower bound before the command runs, a config key by the flag that set it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,20 +23,15 @@ from .acceptance import CRITERIA, run_criteria, summary_line
 from .arcs import approx_total, exact_multiplier_many
 from .cache import load_or_enumerate
 from .errors import BudgetExceededError, ConfigError
-from .experiments import (TRANSFER_THETAS, CheckResult, ExperimentConfig,
-                          csv_text, load_config, ncmax_checks,
-                          random_hermitian_probe, ratio_table_checks,
-                          read_ncmax_problem, run_experiment)
+from .experiments import (CheckResult, ExperimentConfig, csv_text, load_config,
+                          make_config, run_experiment)
 from .gauss import gauss_magnitude_bound, gauss_sum
 from .lattice import DEFAULT_POINT_BUDGET, rep_count, rep_counts, sphere_shell
-from .ncmax import MaxNormProblem, ncmax_norm
-from .transfer import (TRUNCATION_TOL, diagonal_phase_family,
-                       maximal_ratio_experiment, truncation_identity_check)
 
 _FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
 
 # Smallest accepted value of each numeric flag, by argparse dest; a flag
-# left unset (None) is not checked.  --tol must be finite and > 0 instead.
+# left unset (None) is not checked.  --tol is checked as the config key tol.
 _LOWER_BOUNDS = {"d": 1, "k": 0, "max_k": 0, "order": 1, "q": 1, "n": 1,
                  "p": 1, "cap": 1, "q_max": 1, "budget": 1, "seed": 0}
 
@@ -65,6 +60,27 @@ def _parse_vector(text: str, d: int) -> np.ndarray:
     return vec
 
 
+def _run_kind(args, kind: str, params: dict):
+    """Run the experiment kind on the flags' values and write its table.  A
+    ConfigError names the flag that set its key: --key, but for Lambda and K."""
+    try:
+        report = run_experiment(make_config(kind, params))
+    except ConfigError as exc:
+        dest = {"Lambda": "order", "K": "cap"}.get(exc.key, exc.key)
+        raise SystemExit(f"error: --{dest} {getattr(args, dest)}: "
+                         f"{exc.reason}") from None
+    _write_csv(args, report.columns, report.rows)
+    return report
+
+
+def _refuse_over_count_budget(d: int, k: int) -> None:
+    """r_d(k)'s theta table has its own budget, refused naming --k."""
+    try:
+        rep_count(d, k)
+    except BudgetExceededError as exc:
+        raise SystemExit(f"error: --k {k}: {exc}") from None
+
+
 def _cmd_rd(args) -> int:
     try:
         counts = rep_counts(args.d, args.max_k)
@@ -75,10 +91,7 @@ def _cmd_rd(args) -> int:
 
 
 def _cmd_shell(args) -> int:
-    try:
-        rep_count(args.d, args.k)   # the count's theta table has its own budget
-    except BudgetExceededError as exc:
-        raise SystemExit(f"error: --k {args.k}: {exc}") from None
+    _refuse_over_count_budget(args.d, args.k)
     try:
         if args.cache:
             shell = load_or_enumerate(args.d, args.k, args.cache, budget=args.budget)
@@ -93,12 +106,7 @@ def _cmd_shell(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    try:
-        report = run_experiment(ExperimentConfig("farey", {"Lambda": args.order}))
-    except ConfigError as exc:
-        # the runner names its key, Lambda; the budget error is its cause
-        raise SystemExit(f"error: --order {args.order}: {exc.__cause__}") from None
-    _write_csv(args, report.columns, report.rows)
+    report = _run_kind(args, "farey", {"Lambda": args.order})
     print(f"order={args.order} arcs={report.summary['arc_count']} "
           f"partition_exact={report.passed}", file=_FOOTER)
     return 0 if report.passed else 1
@@ -138,6 +146,7 @@ def _write_multiplier_csv(args, xis, values, envelopes) -> None:
 
 def _cmd_mult(args) -> int:
     xis = [_parse_vector(t, args.d) for t in args.xi]
+    _refuse_over_count_budget(args.d, args.k)
     values = exact_multiplier_many(sphere_shell(args.d, args.k), np.array(xis))
     # the exact multiplier is an average of unit phases
     _write_multiplier_csv(args, xis, values, [1.0] * len(values))
@@ -150,6 +159,7 @@ def _cmd_approx(args) -> int:
     if args.k < 1:
         raise SystemExit(f"error: --k {args.k}: the approximant needs k >= 1")
     xis = [_parse_vector(t, args.d) for t in args.xi]
+    _refuse_over_count_budget(args.d, args.k)
     results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
     # each tail_bound bounds the dropped q > q_max part
     _write_multiplier_csv(args, xis, [r.value for r in results],
@@ -158,55 +168,19 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_ncmax(args) -> int:
-    try:
-        prob = read_ncmax_problem(args.input)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: --input {args.input}: {exc}") from None
-    if args.p is not None:
-        prob = MaxNormProblem(p=args.p, family=prob.family)
-    cert = ncmax_norm(prob, tol=args.tol)
-    lower, checks = ncmax_checks(prob, cert, args.tol)
-    _write_csv(args, ("n", "N", "p", "objective", "lower_bound", "residual",
-                      "gap", "newton_steps", "converged"),
-               [(prob.n, len(prob.family), prob.p, cert.objective, lower,
-                 cert.residual, cert.gap, cert.newton_steps, cert.converged)])
-    return 0 if all(c.passed for c in checks) else 1
+    report = _run_kind(args, "ncmax", {"input": args.input, "p": args.p,
+                                       "tol": args.tol})
+    return 0 if report.passed else 1
 
 
 def _cmd_transfer(args) -> int:
-    if args.window is not None and args.cap > args.window:
-        # the identity is checked at sites |n|_inf <= J - cap
-        raise SystemExit(f"error: --J {args.window}: the truncation identity "
-                         f"needs --cap {args.cap} <= J")
-    if args.theta:
-        try:
-            thetas = [Fraction(t) for t in args.theta.replace(",", " ").split()]
-            if not thetas:
-                raise ValueError
-        except (ValueError, ZeroDivisionError):
-            raise SystemExit(f"error: --theta {args.theta!r}: expected "
-                             f"fractions or decimals like 1/3,0.2") from None
-        if args.d is not None and args.d != len(thetas):
-            raise SystemExit(f"error: --d {args.d} but {len(thetas)} thetas")
-    else:
-        d = args.d if args.d is not None else 5
-        if d > len(TRANSFER_THETAS):
-            raise SystemExit(f"error: give --theta explicitly for d > "
-                             f"{len(TRANSFER_THETAS)}")
-        thetas = TRANSFER_THETAS[:d]
-    fam = diagonal_phase_family(thetas, n=args.n)
-    seed = args.seed if args.seed is not None else 7
-    x = random_hermitian_probe(args.n, seed)
-    k_list = [lam * lam for lam in range(1, args.cap + 1)]
-    rows = maximal_ratio_experiment(fam, x, k_list, args.p)
-    _write_csv(args, ("K", "ratio", "lower_bound", "upper_bound",
-                      "solver_gap"), rows)
-    checks = ratio_table_checks(rows)
-    if args.window is not None:
-        dev = truncation_identity_check(fam, x, args.window, args.cap ** 2)
+    report = _run_kind(args, "transfer", {
+        "n": args.n, "p": args.p, "K": args.cap ** 2, "seed": args.seed,
+        "theta": args.theta, "d": args.d, "J": args.J})
+    if args.J is not None:
+        dev = report.summary["truncation_identity_deviation"]
         print(f"truncation_identity_deviation = {dev!r}", file=_FOOTER)
-        checks.append(CheckResult("truncation_identity", dev, "<", TRUNCATION_TOL))
-    return 0 if all(c.passed for c in checks) else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_verify(args) -> int:
@@ -298,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="matrix dimension")
     p.add_argument("--d", type=int, default=None,
                    help="number of commuting unitaries")
-    p.add_argument("--J", dest="window", type=int, default=None,
+    p.add_argument("--J", type=int, default=None,
                    help="also check the truncation identity on this window")
     p.add_argument("--cap", type=int, default=4,
                    help="radii 1..cap give the rows K = 1, 4, ..., cap^2")
@@ -326,10 +300,6 @@ def main(argv=None) -> int:
         if value is not None and not value >= bound:
             raise SystemExit(f"error: --{dest.replace('_', '-')} {value}: "
                              f"need {dest} >= {bound}")
-    if not getattr(args, "tol", 1.0) > 0.0:
-        raise SystemExit(f"error: --tol {args.tol}: need tol > 0")
-    if not math.isfinite(getattr(args, "tol", 1.0)):
-        raise SystemExit(f"error: --tol {args.tol}: need a finite tol")
     try:
         return args.func(args)
     except (ValueError, BudgetExceededError) as exc:

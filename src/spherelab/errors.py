@@ -18,8 +18,9 @@ class ShellCountMismatchError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An experiment config is invalid.  Message names the offending key."""
+    """An experiment config is invalid; the message names the key, reason omits it."""
 
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key '{key}': {message}")
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"config key '{key}': {reason}")
         self.key = key
+        self.reason = reason

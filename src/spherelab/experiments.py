@@ -30,27 +30,26 @@ from .heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc
 from .lattice import sphere_shell
 from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, ncmax_norm
 from .sphere import sphere_ft_montecarlo, sphere_ft_quadrature, unit_sphere_ft
-from .transfer import (diagonal_phase_family, maximal_ratio_experiment,
-                       permutation_phase_family, trivial_family)
+from .transfer import (TRUNCATION_TOL, AutomorphismFamily, diagonal_phase_family,
+                       maximal_ratio_experiment, permutation_phase_family,
+                       trivial_family, truncation_identity_check)
 
-KINDS = ("farey", "gauss", "poisson_check", "decay", "sphere_ft", "ncmax",
-         "transfer", "reconstruct")
-
-_INT_KEYS = ("d", "L", "K", "Lambda", "q_max", "n", "seed")
+_INT_KEYS = ("d", "L", "K", "Lambda", "q_max", "n", "seed", "J")
 _FLOAT_KEYS = ("p", "tol")
-_STR_KEYS = ("family", "input")
+_STR_KEYS = ("family", "input", "theta")
 
-# Required / optional-with-default parameter sets per kind.  A key not
-# listed for the kind is rejected, so typos fail loudly.
+# Each kind's required keys and optional keys with defaults (None: a key left
+# out is not echoed); a key not listed for the kind is rejected by name.
 _SCHEMA = {
     "farey": ({"Lambda"}, {}),
     "gauss": (set(), {"d": 5, "q_max": 12, "L": 20, "seed": 0, "tol": 1e-12}),
     "poisson_check": ({"d"}, {"L": 20, "seed": 0, "tol": 1e-8}),
     "decay": (set(), {"q_max": 30, "Lambda": 8}),
     "sphere_ft": ({"d"}, {"L": 200_000, "seed": 0, "tol": 1e-8}),
-    "ncmax": ({"input"}, {"tol": 1e-7}),
+    "ncmax": ({"input"}, {"tol": 1e-7, "p": None}),
     "transfer": (set(), {"family": "diagonal", "n": 2, "p": 2.0, "K": 16,
-                         "seed": 7, "tol": 1e-7}),
+                         "seed": 7, "tol": 1e-7, "theta": None, "d": None,
+                         "J": None}),
     "reconstruct": ({"d", "K"}, {"Lambda": 2, "L": 8, "seed": 0, "tol": 1e-6}),
 }
 
@@ -237,35 +236,38 @@ def parse_config(text: str) -> ExperimentConfig:
             params[key] = value
         else:
             raise ConfigError(key, "unknown key")
-    if kind is None:
-        raise ConfigError("kind", "missing (one of: " + ", ".join(KINDS) + ")")
-    if kind not in KINDS:
-        raise ConfigError("kind", f"unknown kind {kind!r}")
+    return make_config(kind, params, Path(out) if out else None)
+
+
+def make_config(kind: str, params: dict, output: Path | None = None) -> ExperimentConfig:
+    """kind's config of params over its defaults (None leaves a key out), every
+    key checked: the step parse_config ends in and the CLI's flags go through."""
+    if kind not in _SCHEMA:
+        got = "missing" if kind is None else f"unknown kind {kind!r}"
+        raise ConfigError("kind", f"{got} (one of: {', '.join(_SCHEMA)})")
     required, defaults = _SCHEMA[kind]
     for key in required:
         if key not in params:
             raise ConfigError(key, f"required for kind = {kind}")
-    allowed = required | set(defaults)
     for key in params:
-        if key not in allowed:
+        if key not in defaults and key not in required:
             raise ConfigError(key, f"not a parameter of kind = {kind}")
-    # the permutation family is fixed at 3x3 and the n default (2) serves
-    # the other families, so only an n written in the config is checked
-    if kind == "transfer" and params.get("family") == "permutation" \
-            and params.get("n", 3) != 3:
-        raise ConfigError("n", f"the permutation family has n = 3, got {params['n']}")
-    merged = dict(defaults)
-    merged.update(params)
+    merged = {k: v for k, v in defaults.items() if v is not None}
+    merged.update((k, v) for k, v in params.items() if v is not None)
     lower = {**_LOWER_BOUNDS, **_KIND_LOWER_BOUNDS.get(kind, {})}
     for key, value in merged.items():
         if key in lower and not value >= lower[key]:
             raise ConfigError(key, f"must be >= {lower[key]}, got {value}")
     if not merged.get("tol", 1.0) > 0.0:
-        raise ConfigError("tol", f"must be > 0, got {merged['tol']}")
+        raise ConfigError("tol", "need tol > 0")
     if not math.isfinite(merged.get("tol", 1.0)):
-        raise ConfigError("tol", f"must be finite, got {merged['tol']}")
-    return ExperimentConfig(kind=kind, parameters=merged,
-                            output=Path(out) if out else None)
+        raise ConfigError("tol", "need a finite tol")
+    # the permutation family is fixed at 3x3 and the n default (2) serves
+    # the other families, so only an n written in the config is checked
+    if kind == "transfer" and params.get("family") == "permutation" \
+            and params.get("n", 3) != 3:
+        raise ConfigError("n", f"the permutation family has n = 3, got {params['n']}")
+    return ExperimentConfig(kind=kind, parameters=merged, output=output)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -508,31 +510,28 @@ def write_ncmax_problem(prob: MaxNormProblem, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def ncmax_checks(prob: MaxNormProblem, cert, tol: float) -> tuple[float, list]:
-    """Largest single p-norm (a lower bound on the optimum), certificate checks."""
-    lower = envelope_bounds(prob)[0]
-    floor = lower - tol * max(lower, 1.0)
-    return lower, [
-        CheckResult("converged", float(cert.converged), "==", 1.0),
-        CheckResult("lower_sandwich", cert.objective, ">=", floor),
-        CheckResult("gap_nonnegative", cert.gap, ">=", -1e-12),
-    ]
-
-
 def _run_ncmax(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     try:
         prob = read_ncmax_problem(P["input"])
     except (OSError, ValueError) as exc:
-        raise ConfigError("input", f"{P['input']}: {exc}") from None
+        raise ConfigError("input", str(exc)) from None
+    if "p" in P:
+        prob = MaxNormProblem(p=P["p"], family=prob.family)
     cert = ncmax_norm(prob, tol=P["tol"])
-    lower, checks = ncmax_checks(prob, cert, P["tol"])
+    lower = envelope_bounds(prob)[0]
+    checks = [
+        CheckResult("converged", float(cert.converged), "==", 1.0),
+        CheckResult("lower_sandwich", cert.objective, ">=",
+                    lower - P["tol"] * max(lower, 1.0)),
+        CheckResult("gap_nonnegative", cert.gap, ">=", -1e-12),
+    ]
     rows = [(prob.n, len(prob.family), prob.p, cert.objective, lower,
-             cert.gap, cert.newton_steps, cert.converged)]
+             cert.residual, cert.gap, cert.newton_steps, cert.converged)]
     summary = {"objective": cert.objective, "gap": cert.gap,
                "residual": cert.residual}
-    return RunReport(cfg, ("n", "N", "p", "objective", "lower_bound", "gap",
-                           "newton_steps", "converged"), rows, summary, checks)
+    return RunReport(cfg, ("n", "N", "p", "objective", "lower_bound", "residual",
+                           "gap", "newton_steps", "converged"), rows, summary, checks)
 
 
 # Probe for transfer runs.  A generic hermitian: anything too symmetric
@@ -548,39 +547,61 @@ TRANSFER_THETAS = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
                    Fraction(1, 11), Fraction(1, 13))
 
 
-def ratio_table_checks(rows) -> list:
-    """Monotone and below-upper checks on maximal_ratio_experiment rows
-    (K, ratio, lower_bound, upper_bound, solver_gap).  The solver certifies
-    each norm within [ratio - gap, ratio], so both hold up to the gaps."""
-    min_step = min((rows[i + 1][1] - rows[i][1] + rows[i][4] + rows[i + 1][4]
-                    for i in range(len(rows) - 1)), default=0.0)
-    max_over_upper = max(r[1] - r[4] - r[3] for r in rows)
-    return [
-        CheckResult("monotone_nondecreasing", min_step, ">=", 0.0),
-        CheckResult("ratio_below_upper", max_over_upper, "<=", 1e-9),
-    ]
+def _transfer_family(P: dict) -> AutomorphismFamily:
+    """The family set by the keys family and n; a diagonal one takes its
+    phases from theta, by default the first d (5) of TRANSFER_THETAS."""
+    family = P["family"]
+    for key in ("theta", "d"):
+        if key in P and family != "diagonal":
+            raise ConfigError(key, f"sets the diagonal family, not a {family} one")
+    if family == "permutation":
+        return permutation_phase_family()
+    if family == "trivial":
+        return trivial_family(P["n"], 5)
+    if family != "diagonal":
+        raise ConfigError("family", f"unknown family {family!r}")
+    thetas = TRANSFER_THETAS[:P.get("d")]
+    if "theta" in P:
+        try:
+            thetas = [Fraction(t) for t in P["theta"].replace(",", " ").split()]
+        except (ValueError, ZeroDivisionError):
+            thetas = []
+        if not thetas:
+            raise ConfigError("theta", "expected fractions or decimals like 1/3,0.2")
+    if P.get("d", len(thetas)) != len(thetas):
+        raise ConfigError("d", f"needs {P['d']} phases, got {len(thetas)} from theta")
+    return diagonal_phase_family(thetas, n=P["n"])
 
 
 def _run_transfer(cfg: ExperimentConfig) -> RunReport:
+    """The ratio table at K = 1, 4, ..., isqrt(K)^2, monotone and below its
+    upper bound up to the gaps (each norm is certified within [ratio - gap,
+    ratio]); with J, also the truncation identity on |n|_inf <= J."""
     P = cfg.parameters
     family_name, p, k_cap, tol = P["family"], P["p"], P["K"], P["tol"]
-    if family_name == "diagonal":
-        fam = diagonal_phase_family(TRANSFER_THETAS, n=P["n"])
-    elif family_name == "permutation":
-        fam = permutation_phase_family()
-    elif family_name == "trivial":
-        fam = trivial_family(P["n"], 5)
-    else:
-        raise ConfigError("family", f"unknown family {family_name!r}")
+    fam = _transfer_family(P)
+    radius = math.isqrt(k_cap)
+    if P.get("J", radius) < radius:
+        raise ConfigError("J", f"needs J >= {radius}, the largest shell radius")
     x = random_hermitian_probe(fam.n, P["seed"])
-    k_list = [j * j for j in range(1, math.isqrt(k_cap) + 1)]
+    k_list = [j * j for j in range(1, radius + 1)]
     rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)
-    checks = ratio_table_checks(rows)
+    min_step = min((b[1] - a[1] + a[4] + b[4] for a, b in zip(rows, rows[1:])),
+                   default=0.0)
+    checks = [
+        CheckResult("monotone_nondecreasing", min_step, ">=", 0.0),
+        CheckResult("ratio_below_upper", max(r[1] - r[4] - r[3] for r in rows),
+                    "<=", 1e-9),
+    ]
     if family_name == "trivial":
         dev = max(abs(r[1] - 1.0) for r in rows)
         checks.append(CheckResult("trivial_ratio_one", dev, "<=", 1e-6))
     summary = {"family": family_name, "p": p,
                "max_ratio": max(r[1] for r in rows)}
+    if "J" in P:
+        dev = truncation_identity_check(fam, x, P["J"], k_list[-1])
+        summary["truncation_identity_deviation"] = dev
+        checks.append(CheckResult("truncation_identity", dev, "<", TRUNCATION_TOL))
     return RunReport(cfg, ("K", "ratio", "lower_bound", "upper_bound",
                            "solver_gap"), rows, summary, checks,
                      rng=f"numpy PCG64 seed={P['seed']}")

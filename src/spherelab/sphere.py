@@ -94,12 +94,6 @@ def unit_sphere_ft(d: int, rho) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def sphere_ft(d: int, lam: float, xi) -> float:
-    """Transform of normalized surface measure on the radius-lam sphere."""
-    xi = np.asarray(xi, dtype=float)
-    return unit_sphere_ft(d, lam * float(np.linalg.norm(xi)))
-
-
 # ---------------------------------------------------------------------------
 # oracles
 

@@ -261,9 +261,12 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
 
     ratio = maximal norm of {average over shell k : k = 1..K} divided by
     ||x||_p, the averages taken from one shell_averages call up to the
-    largest K.  Growing K only adds family members, so the sequence is
-    monotone nondecreasing; boundedness in K is reported, not asserted,
-    since no effective constant is available.
+    largest K.  Over the row's averages x_j, lower_bound is the trivial
+    envelope bound max_j ||x_j||_p / ||x||_p, not the solver's certified
+    lower bound, which is ratio - solver_gap; upper_bound is
+    ||sum_j |x_j| ||_p / ||x||_p.  Growing K only adds family members, so
+    the sequence is monotone nondecreasing; boundedness in K is reported,
+    not asserted, since no effective constant is available.
 
     The rows are solved on a ladder of active members.  The first row
     solves its whole family.  At each later row, one batched eigvalsh of

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import spherelab
-from spherelab import lattice
+from spherelab import cli, lattice
 from spherelab.cache import load_or_enumerate, read_shell, shell_path, write_shell
 from spherelab.errors import CacheFormatError, ConfigError, ShellCountMismatchError
-from spherelab.experiments import parse_config
+from spherelab.experiments import parse_config, run_experiment
 from spherelab.lattice import sphere_shell
 
 
@@ -222,6 +222,19 @@ def test_cli_transfer_trivial():
     assert "truncation_identity_deviation" in proc.stderr
 
 
+def test_cli_transfer_and_ncmax_write_their_runners_tables(tmp_path, capsys):
+    # one route: each command builds its config and writes the runner's CSV
+    problem = tmp_path / "fam.txt"
+    problem.write_text("2 2 2\n1 0\n0 -2\n\n-3 0\n0 1\n")
+    for argv, text in [
+        (["transfer", "--cap", "3", "--J", "4"], "kind = transfer\nK = 9\nJ = 4\n"),
+        (["ncmax", "--input", str(problem), "--p", "inf"],
+         f"kind = ncmax\ninput = {problem}\np = inf\n"),
+    ]:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == run_experiment(parse_config(text)).csv_text()
+
+
 def test_cli_experiment_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kind = farey\nLambda = nope\n")
@@ -281,6 +294,12 @@ def test_cli_budget_belongs_to_shell():
         ("kind = transfer\nfamily = circulant\n", "family"),
         ("kind = farey\nLambda = 5000\n", "Lambda"),
         ("kind = reconstruct\nd = 5\nK = 2\nLambda = 5000\n", "Lambda"),
+        ("kind = transfer\ntheta = 1/3,x\n", "theta"),
+        ("kind = transfer\ntheta = 1/0\n", "theta"),
+        ("kind = transfer\nJ = 1\nK = 16\n", "J"),
+        ("kind = transfer\nd = 6\n", "d"),
+        ("kind = transfer\nd = 2\ntheta = 1/3,1/5,1/7\n", "d"),
+        ("kind = transfer\nfamily = permutation\ntheta = 1/3\n", "theta"),
     ],
 )
 def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
@@ -310,6 +329,7 @@ def test_cli_experiment_runner_errors_name_the_key(tmp_path, text, key):
         ("kind = gauss\ntol = nan\n", "tol"),
         ("kind = transfer\ntol = inf\n", "tol"),
         ("kind = ncmax\ninput = f.txt\ntol = inf\n", "tol"),
+        ("kind = ncmax\ninput = f.txt\np = 0.5\n", "p"),
     ],
 )
 def test_config_keys_below_their_bound_are_rejected_by_name(tmp_path, text, key):
@@ -419,6 +439,8 @@ def test_cli_rejections_name_their_flag(argv, flag):
     (("rd", "--d", "5", "--max-k", "10000"), "--max-k"),
     (("shell", "--d", "5", "--k", "10000000"), "--k"),
     (("shell", "--d", "5", "--k", "10000000", "--cache", "unused"), "--k"),
+    (("mult", "--d", "5", "--k", "10000000", "--xi", "0.1,0,0,0,0"), "--k"),
+    (("approx", "--k", "10000000", "--xi", "0.1,0,0,0,0"), "--k"),
 ])
 def test_cli_count_table_budget_names_its_flag(argv, flag):
     # the r_d(k) table is refused before it is built, by the flag that sets k

@@ -20,7 +20,6 @@ from spherelab.sphere import (
     j_main,
     j_main_integral,
     radial_constant,
-    sphere_ft,
     sphere_ft_montecarlo,
     sphere_ft_quadrature,
     unit_sphere_ft,
@@ -40,13 +39,6 @@ def test_pinned_values():
     # d = 3 reduces to sinc(2 rho), which vanishes at rho = 1/2
     assert abs(unit_sphere_ft(3, 0.5)) < 1e-15
     assert abs(unit_sphere_ft(3, 0.7) - math.sin(1.4 * math.pi) / (1.4 * math.pi)) < 1e-14
-
-
-def test_radial_scaling():
-    # sphere_ft(d, lam, xi) only sees |lam * xi|
-    xi = np.array([0.3, -0.2, 0.1])
-    rho = float(np.linalg.norm(xi))
-    assert abs(sphere_ft(3, 2.0, xi) - unit_sphere_ft(3, 2.0 * rho)) < 1e-15
 
 
 def test_quadrature_oracle():

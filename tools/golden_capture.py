@@ -45,7 +45,10 @@ RUNNER_CONFIGS = (
     "kind = sphere_ft\nd = 3\nL = 2000\nseed = 3\n",
     "kind = ncmax\ninput = {tmp}/fam.txt\n",
     "kind = ncmax\ninput = {tmp}/fam3.txt\ntol = 1e-9\n",
+    "kind = ncmax\ninput = {tmp}/fam.txt\np = inf\n",
     "kind = transfer\nK = 9\n",
+    "kind = transfer\ntheta = 1/3,1/5,1/7\nd = 3\nK = 4\nJ = 3\n",
+    "kind = transfer\nn = 3\nd = 2\nK = 4\nJ = 2\n",
     "kind = transfer\nfamily = permutation\nK = 4\np = 1.5\n",
     "kind = transfer\nfamily = trivial\nn = 3\nK = 4\n",
     "kind = reconstruct\nd = 5\nK = 2\nL = 3\n",
