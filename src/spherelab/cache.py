@@ -4,11 +4,13 @@ Format: a header line ``d k count`` followed by ``count`` lines of d
 integers each.  Writes go through a temporary file in the target directory
 and an atomic rename, so readers never observe a partial file.  Reads
 validate the header against the counting table and every line against the
-claimed squared radius.
+claimed squared radius, and give the points in shell_dtype(k), as
+lattice.sphere_shell does.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheFormatError, ShellCountMismatchError
-from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_count, sphere_shell
+from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_count, shell_dtype, sphere_shell
 
 
 def shell_path(cache_dir, d: int, k: int) -> Path:
@@ -61,21 +63,24 @@ def read_shell(path) -> SphereShell:
     while lines and not lines[-1].strip():
         lines.pop()
     # Bulk parse first; any anomaly falls back to the row loop, which exists
-    # only to pin an exact line number on the failure.
+    # only to pin an exact line number on the failure.  Coordinates within
+    # isqrt(k) fit shell_dtype(k) and square there without overflow.
     if len(lines) == count:
         try:
             flat = np.array(body.split(), dtype=np.int64)
-        except ValueError:
+        except (ValueError, OverflowError):
             flat = None
-        if flat is not None and flat.size == count * d:
-            points = flat.reshape(count, d)
+        r = math.isqrt(k)
+        if flat is not None and flat.size == count * d and \
+                ((flat >= -r) & (flat <= r)).all():
+            points = flat.astype(shell_dtype(k)).reshape(count, d)
             if not ((points * points).sum(axis=1) != k).any():
                 return SphereShell(dimension=d, k=k, points=points)
     return _read_rows(lines, d, k, count)
 
 
 def _read_rows(lines, d: int, k: int, count: int) -> SphereShell:
-    points = np.empty((count, d), dtype=np.int64)
+    points = np.empty((count, d), dtype=shell_dtype(k))
     for row in range(count):
         lineno = row + 2
         if row >= len(lines):

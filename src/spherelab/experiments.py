@@ -24,15 +24,16 @@ import numpy as np
 
 from .arcs import approx_total, arc_multiplier, exact_multiplier_many
 from .errors import BudgetExceededError, ConfigError
-from .farey import farey_sequence, major_arcs, verify_partition
+from .farey import MajorArcs, farey_sequence, major_arcs, verify_partition
 from .gauss import gauss_dft, gauss_magnitude_bound, gauss_sum
 from .heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc
 from .lattice import sphere_shell
 from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, ncmax_norm
 from .sphere import sphere_ft_montecarlo, sphere_ft_quadrature, unit_sphere_ft
-from .transfer import (TRUNCATION_TOL, AutomorphismFamily, diagonal_phase_family,
-                       maximal_ratio_experiment, permutation_phase_family,
-                       trivial_family, truncation_identity_check)
+from .transfer import (TRUNCATION_TOL, AutomorphismFamily, check_orbit_budget,
+                       diagonal_phase_family, maximal_ratio_experiment,
+                       permutation_phase_family, trivial_family,
+                       truncation_identity_check)
 
 _INT_KEYS = ("d", "L", "K", "Lambda", "q_max", "n", "seed", "J")
 _FLOAT_KEYS = ("p", "tol")
@@ -286,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 # ---------------------------------------------------------------- runners
 
-def _lambda_arcs(order: int) -> list:
+def _lambda_arcs(order: int) -> MajorArcs:
     """major_arcs of the Farey order set by the config key Lambda."""
     try:
         return major_arcs(farey_sequence(order))
@@ -583,6 +584,11 @@ def _run_transfer(cfg: ExperimentConfig) -> RunReport:
     radius = math.isqrt(k_cap)
     if P.get("J", radius) < radius:
         raise ConfigError("J", f"needs J >= {radius}, the largest shell radius")
+    if "J" in P:
+        try:
+            check_orbit_budget(fam, P["J"])
+        except BudgetExceededError as exc:
+            raise ConfigError("J", str(exc)) from exc
     x = random_hermitian_probe(fam.n, P["seed"])
     k_list = [j * j for j in range(1, radius + 1)]
     rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)

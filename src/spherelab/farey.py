@@ -14,13 +14,20 @@ with its neighbours, because a q1 - a1 q = 1.  The endpoint fractions 0/1
 and 1/1 both use alpha = beta = L/(1 + L); the 0/1 interval starts at 0 and
 the 1/1 interval is [1 - beta/L, 1], closed on the right.  Both weights lie
 strictly between 1/2 and 1, and the intervals tile [0,1] exactly.
+
+major_arcs returns these intervals as a MajorArcs, a read-only sequence
+that keeps only the integer pairs of the Farey sequence and builds each
+MajorArc when it is read, so a partition of order L holds O(L^2) ints
+and no Fraction until its arcs are used.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from operator import attrgetter
 
 from .errors import BudgetExceededError
@@ -87,51 +94,67 @@ def farey_sequence(order: int) -> FareySequence:
                          denominators=tuple(dens))
 
 
-def major_arcs(seq: FareySequence) -> list[MajorArc]:
-    """The exact partition of [0,1] owned by the fractions of seq.
+class MajorArcs(Sequence):
+    """The exact partition of [0,1] owned by the fractions of a
+    FareySequence, read-only: it keeps the sequence alone, and builds each
+    MajorArc from its integer pairs when it is read.
 
-    Each interior endpoint is the mediant (a + a')/(q + q') of two
-    neighbours, built from their integer numerators and denominators.
+    Arc i is owned by a_i/q_i.  Its interior ends are the mediants
+    (a_{i-1} + a_i)/(q_{i-1} + q_i) and (a_i + a_{i+1})/(q_i + q_{i+1}), and
+    its weights alpha = L/(q_i + q_{i+1}) and beta = L/(q_{i-1} + q_i); the
+    end fractions 0/1 and 1/1 both take the weight L/(1 + L).  Indexing
+    takes negative indices and slices (a slice is a list of arcs).
     """
-    L = seq.order
-    nums, dens = seq.numerators, seq.denominators
-    bounds = [Fraction(0, 1)]
-    bounds += [Fraction(a + a2, q + q2)
-               for a, q, a2, q2 in zip(nums, dens, nums[1:], dens[1:])]
-    bounds.append(Fraction(1, 1))
-    # sums[i] = q_i + q_{i+1}; the end fractions 0/1 and 1/1 both get the
-    # weight pair (edge, edge)
-    sums = [q + q2 for q, q2 in zip(dens, dens[1:])]
-    edge = Fraction(L, 1 + L)
-    last = len(seq) - 1
-    return [
-        MajorArc(
-            center=Fraction(a, q),
-            left=bounds[i],
-            right=bounds[i + 1],
-            alpha=Fraction(L, sums[i]) if 0 < i < last else edge,
-            beta=Fraction(L, sums[i - 1]) if 0 < i < last else edge,
-            order=L,
-            closed_right=i == last,
-        )
-        for i, (a, q) in enumerate(zip(nums, dens))
-    ]
+
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: FareySequence):
+        self.seq = seq
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._arc(j) for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"arc index {i} out of range for {n} arcs")
+        return self._arc(i % n)
+
+    def __iter__(self) -> Iterator[MajorArc]:
+        return map(self._arc, range(len(self)))
+
+    def _arc(self, i: int) -> MajorArc:
+        L, nums, dens = self.seq.order, self.seq.numerators, self.seq.denominators
+        a, q, last = nums[i], dens[i], len(nums) - 1
+        left = Fraction(nums[i - 1] + a, dens[i - 1] + q) if i > 0 else Fraction(0, 1)
+        right = Fraction(a + nums[i + 1], q + dens[i + 1]) if i < last else Fraction(1, 1)
+        if 0 < i < last:
+            alpha, beta = Fraction(L, q + dens[i + 1]), Fraction(L, dens[i - 1] + q)
+        else:
+            alpha = beta = Fraction(L, 1 + L)
+        return MajorArc(center=Fraction(a, q), left=left, right=right, alpha=alpha,
+                        beta=beta, order=L, closed_right=i == last)
 
 
-def verify_partition(arcs: list[MajorArc]) -> bool:
+def major_arcs(seq: FareySequence) -> MajorArcs:
+    """The exact partition of [0,1] owned by the fractions of seq, as a
+    MajorArcs: each arc is built from the integer pairs when it is read."""
+    return MajorArcs(seq)
+
+
+def verify_partition(arcs: Sequence[MajorArc]) -> bool:
     """True iff the arcs tile [0,1] exactly: consecutive endpoints agree,
-    the first starts at 0 and the last ends at 1 (exact rationals)."""
+    the first starts at 0 and the last ends at 1 (exact rationals).  The
+    arcs are walked once, so a MajorArcs builds each of them once."""
     if arcs[0].left != 0 or arcs[-1].right != 1 or not arcs[-1].closed_right:
         return False
-    for prev, cur in zip(arcs, arcs[1:]):
-        if prev.right != cur.left:
-            return False
-        if prev.closed_right:
-            return False
-    return True
+    return all(prev.right == cur.left and not prev.closed_right
+               for prev, cur in pairwise(arcs))
 
 
-def locate_arc(s, arcs: list[MajorArc]) -> tuple[Fraction, Fraction]:
+def locate_arc(s, arcs: Sequence[MajorArc]) -> tuple[Fraction, Fraction]:
     """Find the arc owning s in [0,1]; return (center, t) with t = s - center.
 
     s may be a Fraction, int, or float (floats are converted exactly).

@@ -10,9 +10,12 @@ every point of a box and is the independent oracle of the counts.
 
 sphere_shell checks the exact count against its point budget on every
 call, then hands out one shared SphereShell per (d, k) with read-only
-points.  The memo keeps at most SHELL_MEMO_ENTRIES shells of at most
+points in shell_dtype(k), the smallest signed integer dtype that holds k.
+The memo keeps at most SHELL_MEMO_ENTRIES shells of at most
 SHELL_MEMO_MAX_POINTS points each, so at most DEFAULT_POINT_BUDGET points
-in all; a larger shell is enumerated on every call and not kept.
+in all; a larger shell is enumerated on every call and not kept.  The
+budget of rep_counts keeps k below 32,768, so points are int8 or int16,
+and the memo holds at most 50 MB of them at d = 5.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class SphereShell:
 
     dimension: int
     k: int
-    points: np.ndarray  # shape (count, d), dtype int64
+    points: np.ndarray  # shape (count, d), dtype shell_dtype(k)
 
     @property
     def count(self) -> int:
@@ -46,6 +49,17 @@ class SphereShell:
         """Raise a ValueError naming k when no point lies on the shell."""
         if self.count == 0:
             raise ValueError(f"empty shell: no lattice points with |m|^2 = {self.k}")
+
+
+def shell_dtype(k: int) -> np.dtype:
+    """The smallest signed integer dtype that holds k: int8 up to 127,
+    int16 up to 32,767, and so on.  Every coordinate m_i of a point on the
+    shell |m|^2 = k has m_i^2 <= k, so it squares without overflow, and a
+    sum over the coordinates promotes to int64."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if k <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _theta_product(coefs: np.ndarray, max_k: int) -> np.ndarray:
@@ -165,7 +179,7 @@ def _enumerate_shell(d: int, k: int) -> SphereShell:
         raise AssertionError(
             f"shell enumeration bug: found {len(pts)} points, counted {expected}"
         )
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+    arr = np.array(pts, dtype=shell_dtype(k)).reshape(len(pts), d)
     arr.flags.writeable = False
     return SphereShell(dimension=d, k=k, points=arr)
 

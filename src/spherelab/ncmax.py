@@ -212,8 +212,14 @@ def _barrier_hessian(yinvs: np.ndarray) -> np.ndarray:
 
 def _newton_system(point: _Point, signed: np.ndarray, p: float, mu: float):
     """Gradient and Hessian of the barrier at point.a on row-major vec, and
-    sum_j Y_j^{-1} over the slacks, the gradient's derivative in -mu."""
-    yinvs = np.linalg.inv(_slacks(point.a, signed))
+    sum_j Y_j^{-1} over the slacks, the gradient's derivative in -mu.  A
+    slack that the Cholesky test accepted but LU calls singular is
+    pseudo-inverted, as _solve_hermitian falls back to lstsq."""
+    slacks = _slacks(point.a, signed)
+    try:
+        yinvs = np.linalg.inv(slacks)
+    except np.linalg.LinAlgError:
+        yinvs = np.linalg.pinv(slacks, hermitian=True)
     yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
     ysum = yinvs.sum(axis=0)
     lam, vecs = point.lam, point.vecs

@@ -10,7 +10,11 @@ so sigma_hat(0) = 1.  For d = 3 this is sin(2 pi rho)/(2 pi rho); for d = 5,
 with z = 2 pi rho, it is 3 (sin z - z cos z) / z^3.  Two independent
 oracles are provided: a deterministic product-angle quadrature over
 hyperspherical coordinates, and a stratified Monte-Carlo average over the
-projection of uniform sphere samples.
+projection of uniform sphere samples.  The quadrature is summed folded
+over its mirror nodes theta <-> pi - theta (and phi <-> phi + pi for an
+even azimuth count): a mirror pair flips one term a of the phase, and
+cos(A + a) + cos(A - a) = 2 cos A cos a turns the sum over the pairs into
+a product of cosines, so 1/2^(d-1) of the nodes give the same rule.
 
 The main-term profile at integer radius-squared k (lambda = sqrt(k)) is
 
@@ -106,12 +110,24 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
     phi.  Evaluates at a full vector frequency xi (not just a radius), so
     it also exercises rotational invariance.
 
-    The phase xi.x nests as P_j = xi_j cos theta_j + sin theta_j P_{j+1},
-    from P_{d-2} = xi_{d-2} cos phi + xi_{d-1} sin phi.  P and its weight
-    are built once over the inner angles (theta_1 .. theta_{d-3} and phi);
-    the outer angle theta_0 is then streamed in blocks of at most
-    QUADRATURE_BLOCK_ENTRIES phases.  Every node of the product grid is
-    still evaluated.  The inner grid size is checked against
+    The rule is summed folded over its mirror nodes.  The phase xi.x is
+    a_0 + ... + a_{d-3} + b with a_j = s_j xi_j cos theta_j and
+    b = s_{d-2} (xi_{d-2} cos phi + xi_{d-1} sin phi), where s_j is the
+    product of sin theta_i over i < j.  The Gauss-Legendre nodes pair
+    theta with pi - theta at equal weights, which flips cos theta_j and no
+    sine, so by cos(A + a) + cos(A - a) = 2 cos A cos a the pairs of every
+    level sum to
+
+        2^(levels) cos(2 pi a_0) ... cos(2 pi a_{d-3}) cos(2 pi b);
+
+    with an even n_azimuth, phi and phi + pi flip b, and cos is even.  So
+    only the nodes theta <= pi/2 (the middle one, for odd n_polar, at
+    weight 1, the others at weight 2) and phi < pi (all phi, at weight 1,
+    for odd n_azimuth) are evaluated: 1/2^(d-1) of the grid.  Levels are
+    reduced from the inside out, the cosines of b over phi, then each
+    level's cosine factor and weights; the outer angle theta_0 is streamed
+    in blocks of at most QUADRATURE_BLOCK_ENTRIES phases.  The inner grid
+    n_polar^(d-3) * n_azimuth of the unfolded rule is checked against
     QUADRATURE_INNER_BUDGET before anything is allocated.
     """
     if d < 2:
@@ -127,28 +143,38 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
     if inner > QUADRATURE_INNER_BUDGET:
         raise BudgetExceededError(f"inner grid of {inner} nodes exceeds cap "
                                   f"{QUADRATURE_INNER_BUDGET}")
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    phase = xi[d - 2] * np.cos(phi) + xi[d - 1] * np.sin(phi)
+    # phi < pi, each standing for itself and phi + pi when n_azimuth is even
+    folded = n_azimuth % 2 == 0
+    phi = 2.0 * np.pi * np.arange(n_azimuth // 2 if folded else n_azimuth) / n_azimuth
+    w_phi = np.full(len(phi), 2.0 if folded else 1.0)
+    arm = 2.0 * np.pi * (xi[d - 2] * np.cos(phi) + xi[d - 1] * np.sin(phi))
     if d == 2:
-        return float(np.cos(2.0 * np.pi * phase).sum()) / n_azimuth
+        return float(np.cos(arm) @ w_phi) / n_azimuth
     nodes, weights = leggauss(n_polar)
-    theta = 0.5 * np.pi * (nodes + 1.0)
-    w_theta = 0.5 * np.pi * weights
-    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    weight = np.ones(n_azimuth)
-    for j in range(d - 3, 0, -1):
-        phase = (xi[j] * cos_t + sin_t * phase).ravel()
-        weight = (w_theta[:, None] * sin_t ** (d - 2 - j) * weight).ravel()
-    w_outer = w_theta * sin_t[:, 0] ** (d - 2)
-    rows = max(1, QUADRATURE_BLOCK_ENTRIES // inner)
+    half = (n_polar + 1) // 2                      # theta <= pi/2
+    theta = 0.5 * np.pi * (nodes[:half] + 1.0)
+    w_theta = np.pi * weights[:half]               # twice the weight of one node
+    if n_polar % 2:
+        w_theta[-1] *= 0.5                         # the middle node, theta = pi/2
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    w_level = [w_theta * sin_t ** (d - 2 - j) for j in range(d - 2)]
+    rows = max(1, QUADRATURE_BLOCK_ENTRIES // (half ** (d - 3) * len(phi)))
     total = 0.0
-    for lo in range(0, n_polar, rows):
-        block = np.multiply(sin_t[lo:lo + rows], phase)
-        block += xi[0] * cos_t[lo:lo + rows]
-        block *= 2.0 * np.pi
+    for lo in range(0, half, rows):
+        # s_j over the block, and the cosine factor of each level j >= 1
+        s = sin_t[lo:lo + rows]
+        factors = []
+        for j in range(1, d - 2):
+            factors.append(np.cos(np.multiply.outer(s, 2.0 * np.pi * xi[j] * cos_t)))
+            s = np.multiply.outer(s, sin_t)
+        block = np.multiply.outer(s, arm)
         np.cos(block, out=block)
-        total += float(w_outer[lo:lo + rows] @ (block @ weight))
-    return total / (float(w_outer.sum()) * float(weight.sum()))
+        reduced = block @ w_phi
+        for j in range(d - 3, 0, -1):
+            reduced = (factors[j - 1] * reduced) @ w_level[j]
+        outer = np.cos(2.0 * np.pi * xi[0] * cos_t[lo:lo + rows])
+        total += float((outer * reduced) @ w_level[0][lo:lo + rows])
+    return total / (math.prod(float(w.sum()) for w in w_level) * n_azimuth)
 
 
 def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: int = 0) -> float:

@@ -160,22 +160,29 @@ def shell_averages(fam: AutomorphismFamily, x: AlgebraElement,
     return {k: hermitian_element(avg) for k, avg in zip(ks, avgs)}
 
 
-def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
-    """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
-
-    Its width^d * n^2 entries are checked against DEFAULT_POINT_BUDGET before
-    anything is allocated.  V*xV times e(m_i (phi_r - phi_s)) is built one
-    axis at a time, as the outer product of the grid over the axes before
-    it with that axis's phases, so each entry takes its factors in axis
-    order.  Each slice of the first axis is then rotated back to V B V* by
-    two GEMMs over all its sites at once, V B and then (V B) V*: O(n^3) a
-    site, and the peak is one box plus two slices.
-    """
+def check_orbit_budget(fam: AutomorphismFamily, span: int) -> None:
+    """Refuse an orbit box |m|_inf <= span whose (2 span + 1)^d sites of
+    n x n entries exceed DEFAULT_POINT_BUDGET."""
     width = 2 * span + 1
     if width ** fam.d * fam.n ** 2 > DEFAULT_POINT_BUDGET:
         raise BudgetExceededError(
             f"{width}^{fam.d} orbit sites of {fam.n}x{fam.n} entries exceed the "
             f"budget of {DEFAULT_POINT_BUDGET}")
+
+
+def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
+    """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
+
+    Its width^d * n^2 entries are checked against DEFAULT_POINT_BUDGET
+    (check_orbit_budget) before anything is allocated.  V*xV times
+    e(m_i (phi_r - phi_s)) is built one axis at a time, as the outer product
+    of the grid over the axes before it with that axis's phases, so each
+    entry takes its factors in axis order.  Each slice of the first axis is then rotated back to V B V* by
+    two GEMMs over all its sites at once, V B and then (V B) V*: O(n^3) a
+    site, and the peak is one box plus two slices.
+    """
+    check_orbit_budget(fam, span)
+    width = 2 * span + 1
     n, v = fam.n, fam.basis
     box = (v.conj().T @ x.entries @ v)[None]
     steps = np.arange(-span, span + 1)
@@ -220,7 +227,7 @@ def inner_shell_average(box: np.ndarray, shell: SphereShell,
     if width < 1:
         raise ValueError(f"margin {margin} leaves no inner site")
     out = np.zeros((width,) * d + box.shape[d:], dtype=complex)
-    for point in shell.points:
+    for point in shell.points.tolist():
         out += box[tuple(slice(margin - c, margin - c + width) for c in point)]
     out /= shell.count
     return out

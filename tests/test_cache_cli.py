@@ -14,7 +14,7 @@ import pytest
 
 import spherelab
 from spherelab import cli, lattice
-from spherelab.cache import load_or_enumerate, read_shell, shell_path, write_shell
+from spherelab.cache import _read_rows, load_or_enumerate, read_shell, shell_path, write_shell
 from spherelab.errors import CacheFormatError, ConfigError, ShellCountMismatchError
 from spherelab.experiments import parse_config, run_experiment
 from spherelab.lattice import sphere_shell
@@ -27,6 +27,20 @@ def test_roundtrip(tmp_path):
     back = read_shell(path)
     assert back.dimension == 3 and back.k == 14
     assert np.array_equal(back.points, shell.points)
+
+
+@pytest.mark.parametrize("d, k", [(2, 125), (2, 128), (3, 126), (3, 129)])
+def test_roundtrip_keeps_the_narrow_dtype(tmp_path, d, k):
+    # both read paths give the values and the dtype of the enumerated shell
+    shell = sphere_shell(d, k)
+    path = tmp_path / "s.txt"
+    write_shell(shell, path)
+    back = read_shell(path)
+    assert back.points.dtype == shell.points.dtype == lattice.shell_dtype(k)
+    assert np.array_equal(back.points, shell.points)
+    rows = _read_rows(path.read_text().splitlines()[1:], d, k, shell.count)
+    assert rows.points.dtype == shell.points.dtype
+    assert np.array_equal(rows.points, shell.points)
 
 
 def test_load_or_enumerate_hits_cache(tmp_path):
@@ -90,6 +104,17 @@ def test_tampered_rows(tmp_path):
     with pytest.raises(CacheFormatError) as err:
         read_shell(path)
     assert err.value.line == 3 and "coordinates" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["4294967296 0 0", "-9223372036854775808 0 0",
+                                 "99999999999999999999 0 0"])
+def test_coordinates_beyond_int64_or_its_squares_are_refused(tmp_path, row):
+    # 2^32 and -2^63 square to 0 mod 2^64; 10^20 does not fit an int64
+    path = tmp_path / "s.txt"
+    _write_lines(path, ["3 0 1", row])
+    with pytest.raises(CacheFormatError) as err:
+        read_shell(path)
+    assert err.value.line == 2 and "squared norm" in str(err.value)
 
 
 def test_truncated_and_padded(tmp_path):
@@ -297,6 +322,7 @@ def test_cli_budget_belongs_to_shell():
         ("kind = transfer\ntheta = 1/3,x\n", "theta"),
         ("kind = transfer\ntheta = 1/0\n", "theta"),
         ("kind = transfer\nJ = 1\nK = 16\n", "J"),
+        ("kind = transfer\nJ = 8\n", "J"),
         ("kind = transfer\nd = 6\n", "d"),
         ("kind = transfer\nd = 2\ntheta = 1/3,1/5,1/7\n", "d"),
         ("kind = transfer\nfamily = permutation\ntheta = 1/3\n", "theta"),
@@ -426,6 +452,7 @@ def test_cli_bad_inputs_give_one_error_line(argv):
         (("transfer", "--theta", ","), "--theta"),
         (("farey", "--order", "100000"), "--order"),
         (("ncmax", "--input", "f.txt", "--tol", "inf"), "--tol"),
+        (("transfer", "--J", "8"), "--J"),
     ],
 )
 def test_cli_rejections_name_their_flag(argv, flag):

@@ -21,6 +21,7 @@ from spherelab.experiments import (
 )
 from spherelab.farey import farey_sequence, major_arcs
 from spherelab.ncmax import MaxNormProblem, hermitian_element
+from spherelab import transfer
 from spherelab.transfer import diagonal_phase_family, maximal_ratio_experiment
 
 
@@ -185,6 +186,19 @@ def test_transfer_runner_diagonal_uses_n():
     probe = random_hermitian_probe(4, 7)
     assert report.rows == maximal_ratio_experiment(fam, probe, [1, 4], 2.0, tol=1e-7)
     assert report.passed
+
+
+def test_transfer_window_over_the_orbit_budget_is_refused_before_any_solve(monkeypatch):
+    # J = 8 at d = 5, n = 2: 17^5 * 4 orbit-box entries, over DEFAULT_POINT_BUDGET
+    calls, solve = [], transfer.ncmax_norm
+    monkeypatch.setattr(transfer, "ncmax_norm",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    with pytest.raises(ConfigError) as err:
+        run_experiment(parse_config("kind = transfer\nK = 16\nJ = 8\n"))
+    assert err.value.key == "J"
+    assert err.value.reason == ("17^5 orbit sites of 2x2 entries exceed the budget "
+                                "of 5000000")
+    assert calls == []
 
 
 @pytest.mark.parametrize(

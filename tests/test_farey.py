@@ -1,6 +1,7 @@
 """Exact rational partition of the circle by denominator-bounded fractions."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherelab.errors import BudgetExceededError
-from spherelab.farey import farey_sequence, locate_arc, major_arcs, verify_partition
+from spherelab.farey import (MajorArc, farey_sequence, locate_arc, major_arcs,
+                             verify_partition)
 
 F = Fraction
 
@@ -80,6 +82,57 @@ def test_arc_ends_match_the_weight_form(order):
     assert (arcs[0].left, arcs[0].right) == (F(0), edge / order)
     assert (arcs[-1].left, arcs[-1].right) == (1 - edge / order, F(1))
     assert arcs[0].alpha == arcs[0].beta == arcs[-1].alpha == arcs[-1].beta == edge
+
+
+def _eager_arcs(order):
+    """Every MajorArc of the order-L partition built at once from the
+    Fractions of the sequence: ends at the mediants, weights L/(q + q')
+    inside and L/(1 + L) at the end fractions."""
+    fr = farey_sequence(order).fractions
+    last = len(fr) - 1
+    arcs = []
+    for i, c in enumerate(fr):
+        prev, nxt = fr[max(i - 1, 0)], fr[min(i + 1, last)]
+        edge = F(order, 1 + order)
+        arcs.append(MajorArc(
+            center=c,
+            left=F(prev.numerator + c.numerator, prev.denominator + c.denominator)
+            if i > 0 else F(0),
+            right=F(c.numerator + nxt.numerator, c.denominator + nxt.denominator)
+            if i < last else F(1),
+            alpha=F(order, c.denominator + nxt.denominator) if 0 < i < last else edge,
+            beta=F(order, prev.denominator + c.denominator) if 0 < i < last else edge,
+            order=order,
+            closed_right=i == last))
+    return arcs
+
+
+@pytest.mark.parametrize("order", list(range(1, 61)) + [200])
+def test_arcs_built_on_read_match_the_eager_construction(order):
+    arcs, eager = major_arcs(farey_sequence(order)), _eager_arcs(order)
+    n = len(eager)
+    assert len(arcs) == n
+    assert list(arcs) == eager
+    assert [arcs[i] for i in range(-n, n)] == eager + eager
+    assert arcs[-1] == eager[-1] and arcs[-1].closed_right
+    for cut in (slice(None), slice(1, -1), slice(None, None, -1), slice(2, n, 3),
+                slice(n, n + 5)):
+        assert arcs[cut] == eager[cut]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            arcs[bad]
+
+
+def test_partition_check_rejects_a_gap_and_a_misplaced_closed_end():
+    arcs = list(major_arcs(farey_sequence(7)))
+    assert verify_partition(arcs)
+    mid = arcs[5]
+    gap = replace(mid, right=mid.right - F(1, 1000))
+    assert not verify_partition(arcs[:5] + [gap] + arcs[6:])
+    assert not verify_partition(arcs[:5] + [replace(mid, closed_right=True)] + arcs[6:])
+    assert not verify_partition(arcs[:-1] + [replace(arcs[-1], closed_right=False)])
+    assert not verify_partition(arcs[1:])
+    assert not verify_partition(arcs[:-1])
 
 
 def test_locate_on_a_subset_of_arcs():

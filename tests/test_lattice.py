@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from spherelab.arcs import exact_multiplier
 from spherelab.errors import BudgetExceededError
 from spherelab.lattice import (DEFAULT_POINT_BUDGET, box_counts_oracle, rep_count,
-                               rep_counts, sphere_shell, twisted_counts)
+                               rep_counts, shell_dtype, sphere_shell, twisted_counts)
 
 
 def test_one_dimensional_counts():
@@ -113,6 +113,29 @@ def test_shell_signed_permutation_closure():
             flipped = tuple(f * c for f, c in zip(flips, p))
             for perm in itertools.permutations(flipped):
                 assert perm in pts
+
+
+@pytest.mark.parametrize("k, dtype", [(0, np.int8), (127, np.int8), (128, np.int16),
+                                      (32_767, np.int16), (32_768, np.int32),
+                                      (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+def test_shell_dtype_is_the_smallest_signed_one_that_holds_k(k, dtype):
+    # rep_counts' budget refuses every shell with k >= 29,241 (d = 1), so
+    # the 32,767 / 32,768 boundary is reached by shell_dtype alone
+    assert shell_dtype(k) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("d, k", [(1, 121), (1, 144), (2, 125), (2, 127), (2, 128),
+                                  (2, 130), (3, 126), (3, 129), (4, 128)])
+def test_shell_points_match_an_int64_enumeration(d, k):
+    shell = sphere_shell(d, k)
+    assert shell.points.dtype == shell_dtype(k)
+    r = math.isqrt(k)
+    box = np.array(list(itertools.product(range(-r, r + 1), repeat=d)), dtype=np.int64)
+    expected = box[(box ** 2).sum(axis=1) == k]     # product order is lexicographic
+    assert shell.points.shape == expected.shape
+    assert (shell.points.astype(np.int64) == expected).all()
+    # squares stay in the narrow dtype; the row sums promote to int64
+    assert ((shell.points ** 2).sum(axis=1) == k).all()
 
 
 def test_budget_refusal():

@@ -502,3 +502,30 @@ def test_a_tolerance_below_roundoff_still_starts_inside_the_domain(tol):
     assert cert.converged
     assert abs(cert.objective - exact) <= 1e-12 * exact
     assert cert.residual >= -1e-12 * exact
+
+
+def test_newton_system_pseudo_inverts_a_slack_that_inv_rejects():
+    # the slack a - x_1 of a = x_1 = diag(1, 2) is exactly zero: inv raises
+    # LinAlgError on it, and the Newton system takes its pseudo-inverse, 0,
+    # beside the inverse of a + x_1 = diag(2, 4)
+    a = np.diag([1.0, 2.0]).astype(complex)
+    signed = _signed_stack(a[None])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(_slacks(a, signed))
+    lam, vecs = np.linalg.eigh(a)
+    point = ncmax._Point(a, float((lam ** 2).sum()), 0.0, lam, vecs)
+    grad, hess, ysum = ncmax._newton_system(point, signed, 2.0, 0.5)
+    assert np.allclose(ysum, np.diag([0.5, 0.25]), atol=1e-15, rtol=0)
+    assert np.isfinite(grad).all() and np.isfinite(hess).all()
+
+
+def test_newton_system_inverts_regular_slacks_with_inv():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    xs = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    signed = _signed_stack(xs)
+    a = sum(matrix_abs(x) for x in xs) + np.eye(3)
+    point = ncmax._barrier_point(a, signed, 1.5)
+    yinvs = np.linalg.inv(_slacks(a, signed))
+    yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
+    assert np.array_equal(ncmax._newton_system(point, signed, 1.5, 0.3)[2], yinvs.sum(axis=0))

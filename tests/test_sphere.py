@@ -93,6 +93,50 @@ def test_quadrature_matches_full_mesh_reference(case):
     assert abs(streamed - _full_mesh_quadrature(d, xi, n_polar, n_azimuth)) < 1e-14
 
 
+def _full_grid_quadrature(d, xi, n_polar, n_azimuth):
+    """The unfolded rule: every node of the product grid, its phase nested
+    as P_j = xi_j cos theta_j + sin theta_j P_{j+1} from
+    P_{d-2} = xi_{d-2} cos phi + xi_{d-1} sin phi, and both sums taken
+    exactly rounded (math.fsum), so that xi = 0 gives 1 exactly."""
+    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    phase = xi[d - 2] * np.cos(phi) + xi[d - 1] * np.sin(phi)
+    weight = np.ones(n_azimuth)
+    nodes, weights = leggauss(n_polar)
+    theta = 0.5 * np.pi * (nodes + 1.0)
+    w_theta = 0.5 * np.pi * weights
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    for j in range(d - 3, -1, -1):
+        phase = (xi[j] * cos_t + sin_t * phase).ravel()
+        weight = (w_theta[:, None] * sin_t ** (d - 2 - j) * weight).ravel()
+    return math.fsum(weight * np.cos(2.0 * np.pi * phase)) / math.fsum(weight)
+
+
+def _folding_frequencies(d):
+    """A generic frequency of radius 1, the same with its first and with
+    its last component zero, both axis directions at radius 1, and 0."""
+    generic = np.random.default_rng(d).normal(size=d)
+    generic /= np.linalg.norm(generic)
+    first, last = generic.copy(), generic.copy()
+    first[0], last[-1] = 0.0, 0.0
+    return [generic, first, last, np.eye(d)[0], np.eye(d)[-1], np.zeros(d)]
+
+
+# odd and even n_polar (a middle node or none), odd and even n_azimuth
+# (phi folded or not), and three finer rules
+_FOLDED_RULES = [(d, n, 3 * n + extra) for d in range(2, 7) for n in (7, 8)
+                 for extra in (0, 1)] + [(3, 16, 48), (4, 16, 49), (5, 15, 45)]
+
+
+@pytest.mark.parametrize("d, n_polar, n_azimuth", _FOLDED_RULES)
+def test_folded_quadrature_matches_the_full_grid(d, n_polar, n_azimuth):
+    # the roundoff of either sum grows with |xi|: at radius 3 it reaches
+    # 1.7e-15 against a long-double evaluation of the same rule, and the
+    # radius-3 cases are in the full-mesh test above
+    for xi in _folding_frequencies(d):
+        folded = sphere_ft_quadrature(d, xi, n_polar=n_polar, n_azimuth=n_azimuth)
+        assert abs(folded - _full_grid_quadrature(d, xi, n_polar, n_azimuth)) <= 1e-15
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("d, rho, n_polar, tol", [(2, 0.7, 32, 1e-12),
                                                    (3, 0.7, 32, 1e-12),
@@ -139,6 +183,19 @@ def test_quadrature_inner_grid_checked_before_allocation():
             sphere_ft_quadrature(7, np.full(7, 0.1), n_polar=48, n_azimuth=144)
 
     assert _traced_peak(over_budget) < 1 << 20
+
+
+@pytest.mark.parametrize("d, n_polar", [(2, 5), (3, 1)])
+def test_quadrature_inner_budget_boundary(d, n_polar):
+    # the cap counts the unfolded inner grid: n_polar^(d-3) * n_azimuth at
+    # the cap is evaluated, one node more is refused
+    assert 0.0 < sphere_ft_quadrature(d, np.zeros(d), n_polar=n_polar,
+                                      n_azimuth=QUADRATURE_INNER_BUDGET) <= 1.0 + 1e-15
+    with pytest.raises(BudgetExceededError,
+                       match=f"inner grid of {QUADRATURE_INNER_BUDGET + 1} nodes exceeds cap "
+                             f"{QUADRATURE_INNER_BUDGET}$"):
+        sphere_ft_quadrature(d, np.zeros(d), n_polar=n_polar,
+                             n_azimuth=QUADRATURE_INNER_BUDGET + 1)
 
 
 def test_montecarlo_oracle():

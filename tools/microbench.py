@@ -1,4 +1,4 @@
-"""Fixed-size microbenchmarks of the lattice, arcs, transfer and ncmax kernels.
+"""Fixed-size microbenchmarks of the lattice, arcs, sphere, farey, transfer and ncmax kernels.
 
 Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 (so the shell memo, the Gauss rows and the unit phases are warm, except in
@@ -6,9 +6,10 @@ Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``truncation_identity_check`` also reports its tracemalloc peak
-from one further call, and the ``ncmax_norm`` kernels their total Newton
-step count (``ncmax_norm_transfer_set16`` solves 16 seeded ratio-table
-families like those of the ``transfer`` workload).  The result is one
+from one further call; ``major_arcs_order200`` and ``sphere_shell_d5_k400``
+report the bytes their result keeps and their peak; and the ``ncmax_norm``
+kernels their total Newton step count (``ncmax_norm_transfer_set16`` solves
+16 seeded ratio-table families like those of the ``transfer`` workload).  The result is one
 JSON object:
 
     python tools/microbench.py bench.json
@@ -38,10 +39,12 @@ import numpy as np  # noqa: E402
 from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
 from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
                                    random_hermitian_probe)
+from spherelab.farey import farey_sequence, major_arcs, verify_partition  # noqa: E402
 from spherelab.lattice import _kept_shell, rep_counts, sphere_shell, twisted_counts  # noqa: E402
 from spherelab.ncmax import (MaxNormProblem, _barrier_point, _newton_system,  # noqa: E402
                              _power_hessian, _signed_stack, _solve_hermitian,
                              matrix_abs, ncmax_norm)
+from spherelab.sphere import sphere_ft_quadrature  # noqa: E402
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
                                 _phase_differences, auto_spherical_average,
                                 diagonal_phase_family, maximal_ratio_experiment,
@@ -170,6 +173,14 @@ def kernels():
          lambda: (_kept_shell.cache_clear(), sphere_shell(5, 225))),
         ("sphere_shell_d5_k225_warm", lambda: sphere_shell(5, 225)),
     ]
+    # the largest oracle-mix quadrature, and its farey request without lookups
+    xi5 = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
+    out += [
+        ("sphere_ft_quadrature_d5_n48",
+         lambda: sphere_ft_quadrature(5, xi5, n_polar=48, n_azimuth=144)),
+        ("farey_arcs_order200",
+         lambda: verify_partition(major_arcs(farey_sequence(200)))),
+    ]
     for n in (4, 8, 24, 32):
         lam, vecs = hessian_point(n)
         out.append((f"power_hessian_n{n}",
@@ -184,6 +195,26 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_kept(fn) -> int:
+    """Bytes that fn allocates and that stay allocated while its result is held."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- held until the count is taken
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def kept_results():
+    """(name, call) pairs whose results a caller keeps: the arcs of one
+    farey request and one shell of the oracle-mix cache radius, enumerated
+    cold, so the shell memo holds it."""
+    return [
+        ("major_arcs_order200", lambda: major_arcs(farey_sequence(200))),
+        ("sphere_shell_d5_k400", lambda: (_kept_shell.cache_clear(), sphere_shell(5, 400))),
+    ]
 
 
 def main(argv=None) -> int:
@@ -213,6 +244,12 @@ def main(argv=None) -> int:
               f"({1e3 * q1:.3f}-{1e3 * q3:.3f}){note}", flush=True)
         if name.startswith("truncation_identity_check"):
             result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
+    for name, fn in kept_results():
+        fn()  # warm the count tables, which are not the result's
+        result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
+        result[f"{name}_tracemalloc_kept_bytes"] = traced_kept(fn)
+        print(f"{name}: keeps {result[f'{name}_tracemalloc_kept_bytes']} bytes, "
+              f"peak {result[f'{name}_tracemalloc_peak_bytes']} bytes", flush=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
