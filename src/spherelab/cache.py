@@ -3,9 +3,12 @@
 Format: a header line ``d k count`` followed by ``count`` lines of d
 integers each.  Writes go through a temporary file in the target directory
 and an atomic rename, so readers never observe a partial file.  Reads
-validate the header against the counting table and every line against the
-claimed squared radius, and give the points in shell_dtype(k), as
-lattice.sphere_shell does.
+validate the header against the counting table, every line against the
+claimed squared radius, and the order of the lines: each point must come
+strictly after the one before it in lexicographic order.  So the points are
+distinct, and r_d(k) distinct points on the sphere are the whole shell, in
+lattice.sphere_shell's order.  They are given in shell_dtype(k), as
+sphere_shell does.
 """
 
 from __future__ import annotations
@@ -74,9 +77,21 @@ def read_shell(path) -> SphereShell:
         if flat is not None and flat.size == count * d and \
                 ((flat >= -r) & (flat <= r)).all():
             points = flat.astype(shell_dtype(k)).reshape(count, d)
-            if not ((points * points).sum(axis=1) != k).any():
+            if not ((points * points).sum(axis=1) != k).any() and _increasing(points):
                 return SphereShell(dimension=d, k=k, points=points)
     return _read_rows(lines, d, k, count)
+
+
+def _increasing(points: np.ndarray) -> bool:
+    """Whether every row comes strictly after the one before it in
+    lexicographic order: compare each pair of consecutive rows at the first
+    coordinate where they differ (a repeated row differs nowhere)."""
+    before, after = points[:-1], points[1:]
+    differ = before != after
+    first = differ.argmax(axis=1)
+    pairs = np.arange(len(first))
+    return bool((differ[pairs, first]
+                 & (after[pairs, first] > before[pairs, first])).all())
 
 
 def _read_rows(lines, d: int, k: int, count: int) -> SphereShell:
@@ -95,6 +110,9 @@ def _read_rows(lines, d: int, k: int, count: int) -> SphereShell:
             raise CacheFormatError("non-integer coordinate", line=lineno) from None
         if sum(v * v for v in pt) != k:
             raise CacheFormatError(f"point has squared norm != {k}", line=lineno)
+        if row and pt <= points[row - 1].tolist():
+            raise CacheFormatError("point does not come after the previous one "
+                                   "in lexicographic order", line=lineno)
         points[row] = pt
     for extra, tail in enumerate(lines[count:]):
         if tail.strip():

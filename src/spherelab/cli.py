@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Every subcommand prints an RFC-4180 CSV table (complex values as re/im
-column pairs) to stdout or, with --out, to a file; farey, ncmax and transfer
-build the config of their experiment kind from their flags and print its
-runner's table.  Commands that carry assertions (farey, gauss, ncmax,
-transfer, verify, experiment) exit 0 iff every CheckResult passes.  Input
-the library rejects ends in one ``error: ...`` line on stderr and exit
-status 1, naming the flag at fault where there is one: a numeric flag below
-its lower bound before the command runs, a config key by the flag that set it.
+column pairs) to stdout or, with --out, to a file, and human-readable notes
+to stderr; farey, ncmax and transfer build the config of their experiment
+kind from their flags and print its runner's table.  Commands that carry
+assertions (farey, gauss, ncmax, transfer, verify, experiment) exit 0 iff
+every CheckResult passes.  Input the library rejects ends in one
+``error: ...`` line on stderr and exit status 1, naming the flag at fault
+where there is one: a numeric flag below its lower bound before the command
+runs, a config key by the flag that set it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .experiments import (CheckResult, ExperimentConfig, csv_text, load_config,
                           make_config, run_experiment)
 from .gauss import gauss_magnitude_bound, gauss_sum
 from .lattice import DEFAULT_POINT_BUDGET, rep_count, rep_counts, sphere_shell
-
-_FOOTER = sys.stderr  # human-readable notes go here, tables to stdout/--out
 
 # Smallest accepted value of each numeric flag, by argparse dest; a flag
 # left unset (None) is not checked.  --tol is checked as the config key tol.
@@ -101,14 +100,14 @@ def _cmd_shell(args) -> int:
         raise SystemExit(f"error: --budget {args.budget}: {exc}") from None
     cols = tuple(f"x_{i + 1}" for i in range(args.d))
     _write_csv(args, cols, [tuple(int(v) for v in pt) for pt in shell.points])
-    print(f"d={args.d} k={args.k} count={shell.count}", file=_FOOTER)
+    print(f"d={args.d} k={args.k} count={shell.count}", file=sys.stderr)
     return 0
 
 
 def _cmd_farey(args) -> int:
     report = _run_kind(args, "farey", {"Lambda": args.order})
     print(f"order={args.order} arcs={report.summary['arc_count']} "
-          f"partition_exact={report.passed}", file=_FOOTER)
+          f"partition_exact={report.passed}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -179,7 +178,7 @@ def _cmd_transfer(args) -> int:
         "theta": args.theta, "d": args.d, "J": args.J})
     if args.J is not None:
         dev = report.summary["truncation_identity_deviation"]
-        print(f"truncation_identity_deviation = {dev!r}", file=_FOOTER)
+        print(f"truncation_identity_deviation = {dev!r}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -203,7 +202,7 @@ def _cmd_experiment(args) -> int:
     sys.stdout.write(report.report_text())
     if cfg.output is None:
         sys.stdout.write(report.csv_text())
-    print(f"wall_time = {report.wall_time:.3f}s", file=_FOOTER)
+    print(f"wall_time = {report.wall_time:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -13,11 +13,13 @@ DFT over the shift l collapses to a single phase,
 which this module asserts at every evaluation (it is a strong correctness
 check on the implementation).  gauss_sum_1d sums directly and is the
 oracle; the tables over every shift (gauss_sum_1d_all) and over every a
-(gauss_sum_1d_all_a) are each one length-q inverse FFT.  The rows over
-every a depend only on q and l mod q, so they are kept in an LRU cache of
-GAUSS_ROWS rows (at most 11.5 MB at q = 701) and returned read-only.  All
-phase arguments are reduced mod q in integer arithmetic before any
-floating multiply by 2 pi / q.
+(gauss_sum_1d_all_a) are each one length-q inverse FFT.  Both are kept in
+LRU caches of GAUSS_ROWS rows each and returned read-only: the rows over
+every shift keyed by (a mod q, q), after the coprimality check, and the
+rows over every a by (q, l mod q).  A row is q complex numbers, 16 q
+bytes, so a cache of rows with q <= 701 holds at most 11.5 MB.  All phase
+arguments are reduced mod q in integer arithmetic before any floating
+multiply by 2 pi / q.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 REL_TOL_DFT = 1e-12
-GAUSS_ROWS = 1024  # gauss_sum_1d_all_a rows kept, keyed by (q, l mod q)
+GAUSS_ROWS = 1024  # rows kept by each of the two row caches
 
 
 def _check_coprime(a: int, q: int) -> None:
@@ -43,10 +45,19 @@ def gauss_sum_1d_all(a: int, q: int) -> np.ndarray:
 
     numpy's inverse DFT is q^{-1} sum_n x_n e(l n / q), so one length-q
     ifft of the quadratic phases e(a n^2 / q) gives every shift at once.
+    The row is cached per (a mod q, q), GAUSS_ROWS rows in all, and shared
+    between callers, so it is read-only: copy it before writing.
     """
     _check_coprime(a, q)
+    return _all_shift_row(a % q, q)
+
+
+@lru_cache(maxsize=GAUSS_ROWS)
+def _all_shift_row(a: int, q: int) -> np.ndarray:
     n = np.arange(q, dtype=np.int64)
-    return np.fft.ifft(np.exp(2j * np.pi * ((n * n % q) * (a % q) % q) / q))
+    row = np.fft.ifft(np.exp(2j * np.pi * ((n * n % q) * a % q) / q))
+    row.flags.writeable = False
+    return row
 
 
 def gauss_sum_1d_all_a(q: int, l: int) -> np.ndarray:

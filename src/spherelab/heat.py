@@ -18,6 +18,18 @@ complex power (Re(eps - i t) > 0, so no branch cut is crossed).  The two
 forms agree to floating accuracy; they are kept as independent code paths
 and cross-checked in the tests.
 
+heat_direct_batch sums the d axes in one array pass.  What depends only on
+(eps, tol, d), the radius r, the points n = -r..r, n^2, the Gaussian
+weights exp(-2 pi eps n^2) and the tail bound, is kept in an LRU cache of
+THETA_ENTRIES entries keyed by (eps, tol, d), with read-only arrays.  An
+entry holds three vectors of 2r+1 floats, 24 (2r+1) bytes: 0.5 KB at
+eps = 1/16, tol = 1e-14, d = 5, and 0.5 MB at eps = 1/3161^2, tol = 1e-12,
+d = 5 (3161 is the largest Farey order farey_sequence's budget allows).
+The (d, s, 2r+1) phases are built in blocks of rows of s of at most
+DEFAULT_POINT_BUDGET entries; the rows are independent, so the blocks do
+not change any value.  The Poisson form reads its Gauss row from
+gauss_sum_1d_all's cache (see gauss).
+
 On an arc of Farey order L (so eps = L^{-2}, |t| < 1/(q L)) the normalized
 magnitude q^{d/2} (eps + |t|)^{d/2} |H(xi)| stays bounded by an absolute
 constant; an empirical sampler for that statistic is
@@ -28,15 +40,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .gauss import gauss_sum_1d_all
+from .lattice import DEFAULT_POINT_BUDGET
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BOX_BUDGET = 10.0**15  # conceptual box volume (2R+1)^d
+THETA_ENTRIES = 32  # _theta_radius and _theta_data entries kept, keyed by (eps, tol, d)
 
 
 @dataclass(frozen=True)
@@ -71,6 +86,7 @@ class HeatValue(NamedTuple):
     radius: int
 
 
+@lru_cache(maxsize=THETA_ENTRIES)
 def _theta_radius(eps: float, tol: float, d: int) -> int:
     """Smallest truncation radius R with the omitted product mass below tol."""
     theta_full = 1.0 + 1.0 / math.sqrt(2.0 * eps)  # >= sum_n exp(-2 pi eps n^2)
@@ -89,12 +105,34 @@ def _theta_tail(eps: float, r: int) -> float:
     return 2.0 * math.exp(-2.0 * math.pi * eps * (r + 1) ** 2) / (1.0 - ratio)
 
 
+class _Theta(NamedTuple):
+    n: np.ndarray       # -r..r, as floats
+    n_sq: np.ndarray    # n^2, as floats
+    gauss: np.ndarray   # exp(-2 pi eps n^2)
+    bound: float        # tail bound of the d-fold product
+
+
+@lru_cache(maxsize=THETA_ENTRIES)
+def _theta_data(eps: float, tol: float, d: int) -> _Theta:
+    r = _theta_radius(eps, tol, d)
+    n = np.arange(-r, r + 1, dtype=np.int64)
+    gauss = np.exp(-2.0 * np.pi * (n * n) * eps)
+    tail1 = _theta_tail(eps, r)
+    theta_abs = float(gauss.sum()) + tail1
+    theta = _Theta(n.astype(float), (n * n).astype(float), gauss,
+                   d * tail1 * theta_abs ** (d - 1))
+    for arr in theta[:3]:
+        arr.flags.writeable = False
+    return theta
+
+
 def heat_direct_batch(eps: float, s_values: np.ndarray, xi,
                       tol: float = DEFAULT_TOL) -> HeatValue:
     """Direct theta evaluation at several circle points s at once.
 
     Returns HeatValue whose .value is an array aligned with s_values.  The
-    term count is checked against DEFAULT_BOX_BUDGET before any allocation.
+    term count is checked against DEFAULT_BOX_BUDGET before any allocation,
+    and the d (2r+1) phases of one s against DEFAULT_POINT_BUDGET.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1:
@@ -104,23 +142,31 @@ def heat_direct_batch(eps: float, s_values: np.ndarray, xi,
     r = _theta_radius(eps, tol, d)
     # the lattice cube is never materialized: the sum over Z^d splits into a
     # product of d one-axis sums, so the cost is s-count x d x (2r+1)
-    work = float(s_values.size) * d * (2 * r + 1)
+    width = d * (2 * r + 1)
+    work = float(s_values.size) * width
     if work > DEFAULT_BOX_BUDGET:
         raise BudgetExceededError(
             f"theta evaluation needs {work:g} terms, budget {DEFAULT_BOX_BUDGET:g}")
-    n = np.arange(-r, r + 1, dtype=np.int64)
-    gauss = np.exp(-2.0 * np.pi * (n * n) * eps)
+    if width > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"one theta row needs {width} phase terms, budget {DEFAULT_POINT_BUDGET}")
+    theta = _theta_data(eps, tol, d)
+    lin = np.mod(np.multiply.outer(xi, theta.n), 1.0)  # (d, 2r+1)
+    # phases e(n^2 s + n xi_i) per (axis, s, n), in blocks of rows of s
+    rows = DEFAULT_POINT_BUDGET // width
+    blocks = [_theta_rows(theta, lin, s_values[i:i + rows])
+              for i in range(0, max(s_values.size, 1), rows)]
+    vals = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return HeatValue(value=vals, tail_bound=theta.bound, radius=r)
+
+
+def _theta_rows(theta: _Theta, lin: np.ndarray, s_block: np.ndarray) -> np.ndarray:
     # phase (n^2 s mod 1) per (s, n); reduction keeps the exp argument small
-    quad = np.mod(np.outer(s_values, (n * n).astype(float)), 1.0)
-    vals = np.ones(s_values.shape, dtype=complex)
-    for i in range(d):
-        lin = np.mod(n * xi[i], 1.0)
-        phases = np.exp(2j * np.pi * (quad + lin[None, :]))
-        vals *= (gauss[None, :] * phases).sum(axis=1)
-    tail1 = _theta_tail(eps, r)
-    theta_abs = float(gauss.sum()) + tail1
-    bound = d * tail1 * theta_abs ** (d - 1)
-    return HeatValue(value=vals, tail_bound=bound, radius=r)
+    quad = np.mod(np.outer(s_block, theta.n_sq), 1.0)
+    phases = np.exp(2j * np.pi * (quad + lin[:, None, :]))
+    # axis-major, so the product over the axes multiplies whole rows in
+    # axis order, as a loop over the axes does: the same bits for every s
+    return (theta.gauss * phases).sum(axis=2).prod(axis=0)
 
 
 def heat_multiplier_direct(params: HeatParams, xi, tol: float = DEFAULT_TOL) -> HeatValue:

@@ -1,12 +1,14 @@
 """Shell cache file format, tamper detection with line numbers, the
 read-vs-enumerate speedup, and the installed command-line surface."""
 
+import contextlib
 import csv
 import io
 import os
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,41 @@ def test_tampered_rows(tmp_path):
     assert err.value.line == 3 and "coordinates" in str(err.value)
 
 
+def test_valid_file_in_shell_order_is_read(tmp_path):
+    path = tmp_path / "s.txt"
+    _write_lines(path, ["2 1 4", "-1 0", "0 -1", "0 1", "1 0"])
+    assert np.array_equal(read_shell(path).points, sphere_shell(2, 1).points)
+    _write_lines(path, ["1 2 0"])                  # an empty shell
+    assert read_shell(path).count == 0
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["1 0", "1 0", "1 0", "1 0"], 3),            # one point four times
+    (["-1 0", "0 -1", "0 -1", "1 0"], 4),         # a duplicate row
+    (["-1 0", "0 1", "0 -1", "1 0"], 4),          # two swapped rows
+    (["1 0", "0 1", "0 -1", "-1 0"], 3),          # the shell backwards
+])
+def test_rows_out_of_order_or_repeated_are_refused(tmp_path, rows, line):
+    # four points of norm 1 that are not the four of the shell, or not in
+    # its order, are refused, naming the first line out of order
+    path = tmp_path / "s.txt"
+    _write_lines(path, ["2 1 4", *rows])
+    with pytest.raises(CacheFormatError) as err:
+        read_shell(path)
+    assert err.value.line == line and "lexicographic order" in str(err.value)
+    with pytest.raises(CacheFormatError) as err:
+        _read_rows(rows, 2, 1, 4)
+    assert err.value.line == line
+
+
+def test_cli_refuses_a_cached_shell_out_of_order(tmp_path):
+    _write_lines(shell_path(tmp_path, 2, 1), ["2 1 4", "1 0", "1 0", "1 0", "1 0"])
+    proc = run_cli("shell", "--d", "2", "--k", "1", "--cache", str(tmp_path), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 3:") and "lexicographic" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("row", ["4294967296 0 0", "-9223372036854775808 0 0",
                                  "99999999999999999999 0 0"])
 def test_coordinates_beyond_int64_or_its_squares_are_refused(tmp_path, row):
@@ -155,22 +192,56 @@ def _timed(fn):
 
 # ---------------------------------------------------------------- CLI ----
 
-# The CLI runs in a child process; put the directory this spherelab was
-# imported from first on its path, so it runs the same code installed or not.
+# run_cli runs the CLI in this process and reports what a child process
+# would: the exit status the interpreter gives SystemExit (a message goes
+# to stderr with status 1) and a traceback with status 1 for any other
+# exception.  The tests below that start a real process put the directory
+# this spherelab was imported from first on the child's path, so it runs
+# the same code installed or not.
 _CLI_PATH = [str(Path(spherelab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
 _CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, _CLI_PATH))}
 
 
 def run_cli(*argv, expect=0):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+            if isinstance(code, str):
+                print(code, file=sys.stderr)
+                code = 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    proc = subprocess.CompletedProcess(argv, code or 0, out.getvalue(), err.getvalue())
+    assert proc.returncode == expect, proc.stdout + proc.stderr
+    return proc
+
+
+def run_cli_process(*argv, expect=0):
+    """python -m spherelab.cli in a child process; its output bytes decoded
+    without newline translation, so they compare with run_cli's."""
     proc = subprocess.run(
         [sys.executable, "-m", "spherelab.cli", *argv],
         capture_output=True,
-        text=True,
         timeout=600,
         env=_CLI_ENV,
     )
+    proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
     assert proc.returncode == expect, proc.stdout + proc.stderr
     return proc
+
+
+def test_cli_process_success_and_refusal_match_the_in_process_run():
+    for argv, expect in [(("rd", "--d", "5", "--max-k", "6"), 0),
+                         (("farey", "--order", "0"), 1)]:
+        proc = run_cli_process(*argv, expect=expect)
+        same = run_cli(*argv, expect=expect)
+        assert (proc.stdout, proc.stderr) == (same.stdout, same.stderr)
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: --order 0: need order >= 1\n"
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -210,3 +210,25 @@ def test_all_shift_table_budget_checked_before_allocation(q):
     assert peak < 8 << 20
     for l in (0, 1, 7, 2_345, q - 1):
         assert abs(table[l] - gauss_sum_1d(1, q, l)) < 1e-13
+
+
+@pytest.mark.parametrize("a, q", [(0, 1), (1, 2), (3, 4), (2, 7), (7, 60), (5, 701)])
+def test_shift_row_is_a_cached_read_only_fft(a, q):
+    n = np.arange(q, dtype=np.int64)
+    fresh = np.fft.ifft(np.exp(2j * np.pi * ((n * n % q) * a % q) / q))
+    row = gauss_sum_1d_all(a, q)
+    assert np.array_equal(row, fresh)
+    # one row per residue a mod q, shared between callers
+    assert gauss_sum_1d_all(a + 7 * q, q) is row
+    assert gauss_sum_1d_all(a - 3 * q, q) is row
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        row *= 2.0
+
+
+def test_shift_row_checks_coprimality_before_its_cache():
+    gauss_sum_1d_all(1, 4)
+    for a, q in [(2, 4), (6, 4), (-2, 4), (3, 9), (1, 0)]:
+        with pytest.raises(ValueError):
+            gauss_sum_1d_all(a, q)

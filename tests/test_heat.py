@@ -4,6 +4,7 @@ strong cross-check.  The classical theta transformation gives hand-computed
 oracle values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,3 +98,85 @@ def test_budget_refusal(monkeypatch):
     monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
         heat_multiplier_direct(HeatParams(eps=1e-4, s=0.0), np.zeros(3))
+
+
+def _per_axis_oracle(eps, s_values, xi, tol):
+    """The theta product one axis at a time, with every array rebuilt on each
+    call: the independent oracle of heat_direct_batch's one-pass form."""
+    xi = np.asarray(xi, dtype=float)
+    d = xi.shape[0]
+    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
+    r = heat._theta_radius(eps, tol, d)
+    n = np.arange(-r, r + 1, dtype=np.int64)
+    gauss = np.exp(-2.0 * np.pi * (n * n) * eps)
+    quad = np.mod(np.outer(s_values, (n * n).astype(float)), 1.0)
+    vals = np.ones(s_values.shape, dtype=complex)
+    for i in range(d):
+        lin = np.mod(n * xi[i], 1.0)
+        phases = np.exp(2j * np.pi * (quad + lin[None, :]))
+        vals *= (gauss[None, :] * phases).sum(axis=1)
+    tail1 = heat._theta_tail(eps, r)
+    bound = d * tail1 * (float(gauss.sum()) + tail1) ** (d - 1)
+    return vals, bound, r
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_one_pass_matches_the_per_axis_oracle(d):
+    # one s: bitwise, as every single-xi multiplier call sees it; many s:
+    # within 1e-15 relative
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        eps = float(np.exp(rng.uniform(math.log(1e-3), math.log(5.0))))
+        tol = float(10.0 ** rng.uniform(-15, -4))
+        xi = rng.uniform(-0.7, 0.7, d)
+        for count in (1, int(rng.integers(2, 200))):
+            s = rng.uniform(-1.0, 1.0, count)
+            got = heat_direct_batch(eps, s, xi, tol)
+            want, bound, r = _per_axis_oracle(eps, s, xi, tol)
+            assert (got.tail_bound, got.radius) == (bound, r)
+            assert got.value.shape == want.shape
+            if count == 1:
+                assert got.value.tobytes() == want.tobytes()
+            else:
+                assert np.all(np.abs(got.value - want) <= 1e-15 * np.abs(want))
+
+
+def test_theta_data_is_cached_and_read_only():
+    first = heat._theta_data(0.25, 1e-12, 3)
+    assert heat._theta_data(0.25, 1e-12, 3) is first
+    for arr in (first.n, first.n_sq, first.gauss):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert heat._theta_data.cache_info().maxsize == heat.THETA_ENTRIES
+
+
+def test_phase_blocks_stay_inside_the_point_budget(monkeypatch):
+    eps, tol, xi = 0.25, 1e-12, np.array([0.1, -0.2, 0.3, 0.05, -0.45])
+    s = np.random.default_rng(3).uniform(-1.0, 1.0, 6000)
+    width = 5 * (2 * heat._theta_radius(eps, tol, 5) + 1)
+    whole = heat_direct_batch(eps, s, xi, tol)    # one block; warms the cache
+    assert s.size * width * 16 > 4 << 20          # its phases alone: over 4 MiB
+    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", 10 * width)
+    sizes = []
+    real_rows = heat._theta_rows
+    monkeypatch.setattr(heat, "_theta_rows",
+                        lambda theta, lin, block: sizes.append(block.size * width)
+                        or real_rows(theta, lin, block))
+    tracemalloc.start()
+    try:
+        blocked = heat_direct_batch(eps, s, xi, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [10 * width] * 600
+    assert peak < 1 << 20
+    assert np.array_equal(blocked.value, whole.value)
+
+
+def test_a_row_over_the_point_budget_is_refused(monkeypatch):
+    width = 5 * (2 * heat._theta_radius(0.25, 1e-12, 5) + 1)
+    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", width - 1)
+    with pytest.raises(BudgetExceededError, match=f"{width} phase terms"):
+        heat_direct_batch(0.25, np.array([0.1]), np.zeros(5))
+    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", width)
+    assert heat_direct_batch(0.25, np.array([0.1, 0.2]), np.zeros(5)).value.shape == (2,)

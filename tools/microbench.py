@@ -1,4 +1,4 @@
-"""Fixed-size microbenchmarks of the lattice, arcs, sphere, farey, transfer and ncmax kernels.
+"""Fixed-size microbenchmarks of the lattice, arcs, sphere, farey, heat, gauss, transfer and ncmax kernels.
 
 Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 (so the shell memo, the Gauss rows and the unit phases are warm, except in
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -40,6 +41,8 @@ from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
 from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
                                    random_hermitian_probe)
 from spherelab.farey import farey_sequence, major_arcs, verify_partition  # noqa: E402
+from spherelab.gauss import gauss_dft  # noqa: E402
+from spherelab.heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc  # noqa: E402
 from spherelab.lattice import _kept_shell, rep_counts, sphere_shell, twisted_counts  # noqa: E402
 from spherelab.ncmax import (MaxNormProblem, _barrier_point, _newton_system,  # noqa: E402
                              _power_hessian, _signed_stack, _solve_hermitian,
@@ -180,6 +183,15 @@ def kernels():
          lambda: sphere_ft_quadrature(5, xi5, n_polar=48, n_azimuth=144)),
         ("farey_arcs_order200",
          lambda: verify_partition(major_arcs(farey_sequence(200)))),
+    ]
+    # one frequency of an oracle-mix heat request at its largest radius, and
+    # its gauss-dft request at the largest modulus: every unit a mod 60
+    heat5, heat_xi5 = on_arc(0.0625, 3, 7, 0.3 / 49), np.array([0.1, -0.4, 0.25, 0.05, -0.3])
+    units60 = [a for a in range(60) if math.gcd(a, 60) == 1]
+    out += [
+        ("heat_direct_d5", lambda: heat_multiplier_direct(heat5, heat_xi5, tol=1e-14)),
+        ("heat_poisson_d5", lambda: heat_multiplier_poisson(heat5, heat_xi5, tol=1e-14)),
+        ("gauss_dft_q60", lambda: [gauss_dft(a, 60, (3, -7, 10, 0, -2)) for a in units60]),
     ]
     for n in (4, 8, 24, 32):
         lam, vecs = hessian_point(n)
