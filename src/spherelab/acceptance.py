@@ -3,7 +3,7 @@
 Each criterion returns (details, checks): the quantities it measured and
 the CheckResults that judge them.  run_criteria wraps them in a RunReport
 whose kind is the criterion's key in CRITERIA; summary_line numbers it by
-its position there.  Criteria 03, 04, 06, 09 and 12 are pinned experiment
+its position there.  Criteria 03, 04, 06, 09, 11 and 12 are pinned experiment
 configs judged by their runners' checks, plus any criterion-only check.
 Thresholds and configs are hard-coded on purpose: they are the contract.
 """
@@ -15,17 +15,15 @@ import time
 
 import numpy as np
 
-from .experiments import (TRANSFER_THETAS, CheckResult, ExperimentConfig,
-                          RunReport, quadrature_at_radius,
-                          random_hermitian_probe, run_experiment)
+from .experiments import (CheckResult, ExperimentConfig, RunReport,
+                          quadrature_at_radius, run_experiment)
 from .farey import farey_sequence, major_arcs, verify_partition
 from .heat import heat_direct_batch
 from .lattice import box_counts_oracle, rep_counts
 from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, \
     ncmax_diag_oracle, ncmax_grid_oracle_2x2, ncmax_norm
 from .sphere import j_main, j_main_integral, sphere_ft_montecarlo, unit_sphere_ft
-from .transfer import TRUNCATION_TOL, diagonal_phase_family, \
-    permutation_phase_family, truncation_identity_check
+from .transfer import TRUNCATION_TOL
 
 
 def summary_line(report: RunReport) -> str:
@@ -262,14 +260,11 @@ def criterion_10_ncmax() -> tuple[dict, list]:
 def criterion_11_transfer_identity() -> tuple[dict, list]:
     """Orbit truncation reproduces automorphism averages exactly inside
     the guard window."""
-    fam_a = diagonal_phase_family([float(t) for t in TRANSFER_THETAS], n=2)
-    dev_a = truncation_identity_check(fam_a, random_hermitian_probe(2, 7),
-                                      window=4, k_cap_sq=4)
-    fam_b = permutation_phase_family()
-    dev_b = truncation_identity_check(fam_b, random_hermitian_probe(3, 7),
-                                      window=5, k_cap_sq=4)
+    reps = [_pinned("transfer", family=family, n=n, p=2.0, K=4, J=J, seed=7, tol=1e-7)
+            for family, n, J in (("diagonal", 2, 4), ("permutation", 3, 5))]
+    dev_a, dev_b = (r.summary["truncation_identity_deviation"] for r in reps)
     return ({"dev_n2_d5": dev_a, "dev_n3_d3": dev_b, "tol": TRUNCATION_TOL},
-            [CheckResult("max_dev", max(dev_a, dev_b), "<", TRUNCATION_TOL)])
+            [c for r in reps for c in r.checks])
 
 
 def criterion_12_ratio_table() -> tuple[dict, list]:

@@ -98,8 +98,7 @@ def _cmd_shell(args) -> int:
             shell = sphere_shell(args.d, args.k, point_budget=args.budget)
     except BudgetExceededError as exc:
         raise SystemExit(f"error: --budget {args.budget}: {exc}") from None
-    cols = tuple(f"x_{i + 1}" for i in range(args.d))
-    _write_csv(args, cols, [tuple(int(v) for v in pt) for pt in shell.points])
+    _write_csv(args, [f"x_{i + 1}" for i in range(args.d)], shell.points.tolist())
     print(f"d={args.d} k={args.k} count={shell.count}", file=sys.stderr)
     return 0
 

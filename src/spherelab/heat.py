@@ -135,8 +135,8 @@ def heat_direct_batch(eps: float, s_values: np.ndarray, xi,
     and the d (2r+1) phases of one s against DEFAULT_POINT_BUDGET.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1:
-        raise ValueError("xi must be a flat frequency point (d,)")
+    if xi.ndim != 1 or xi.size == 0:
+        raise ValueError(f"xi must be a flat point (d,) with dimension d >= 1, got {xi.shape}")
     d = xi.shape[0]
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     r = _theta_radius(eps, tol, d)
@@ -186,6 +186,8 @@ def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) ->
         raise ValueError("poisson form needs the rational split (a, q, t)")
     xi = np.asarray(xi, dtype=float)
     d = xi.shape[-1]
+    if d < 1:
+        raise ValueError(f"xi needs dimension d >= 1, got d = {d}")
     a, q, t, eps = params.a, params.q, params.t, params.eps
     z = 2.0 * (eps - 1j * t)
     inv_z = 1.0 / z

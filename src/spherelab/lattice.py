@@ -10,7 +10,8 @@ every point of a box and is the independent oracle of the counts.
 
 sphere_shell checks the exact count against its point budget on every
 call, then hands out one shared SphereShell per (d, k) with read-only
-points in shell_dtype(k), the smallest signed integer dtype that holds k.
+points in shell_dtype(k), the smallest signed integer dtype that holds k;
+_enumerate_shell builds them as arrays in it, a first coordinate at a time.
 The memo keeps at most SHELL_MEMO_ENTRIES shells of at most
 SHELL_MEMO_MAX_POINTS points each, so at most DEFAULT_POINT_BUDGET points
 in all; a larger shell is enumerated on every call and not kept.  The
@@ -53,13 +54,10 @@ class SphereShell:
 
 def shell_dtype(k: int) -> np.dtype:
     """The smallest signed integer dtype that holds k: int8 up to 127,
-    int16 up to 32,767, and so on.  Every coordinate m_i of a point on the
-    shell |m|^2 = k has m_i^2 <= k, so it squares without overflow, and a
-    sum over the coordinates promotes to int64."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if k <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
+    int16 up to 32,767, and so on (the one that holds -k - 1).  Every
+    coordinate m_i of a point on the shell |m|^2 = k has m_i^2 <= k, so it
+    squares without overflow, and a sum over the coordinates promotes to int64."""
+    return np.min_scalar_type(-k - 1)
 
 
 def _theta_product(coefs: np.ndarray, max_k: int) -> np.ndarray:
@@ -135,23 +133,6 @@ def twisted_counts(xis, max_k: int) -> np.ndarray:
     return _theta_product(2.0 * np.cos(2.0 * np.pi * xis[:, :, None] * roots), max_k)
 
 
-def _fill_shell(d: int, k: int, prefix: list[int], out: list[tuple[int, ...]]) -> None:
-    if d == 1:
-        r = math.isqrt(k)
-        if r * r == k:
-            if r == 0:
-                out.append((*prefix, 0))
-            else:
-                out.append((*prefix, -r))
-                out.append((*prefix, r))
-        return
-    s = math.isqrt(k)
-    for m in range(-s, s + 1):
-        prefix.append(m)
-        _fill_shell(d - 1, k - m * m, prefix, out)
-        prefix.pop()
-
-
 def sphere_shell(d: int, k: int, point_budget: int = DEFAULT_POINT_BUDGET) -> SphereShell:
     """The shell {m in Z^d : |m|^2 = k} in lexicographic order.
 
@@ -164,24 +145,38 @@ def sphere_shell(d: int, k: int, point_budget: int = DEFAULT_POINT_BUDGET) -> Sp
     expected = rep_count(d, k)
     if expected > point_budget:
         raise BudgetExceededError(
-            f"shell d={d}, k={k} has {expected} points, budget is {point_budget}"
-        )
+            f"shell d={d}, k={k} has {expected} points, budget is {point_budget}")
     if expected > SHELL_MEMO_MAX_POINTS:
         return _enumerate_shell(d, k)
     return _kept_shell(d, k)
 
 
 def _enumerate_shell(d: int, k: int) -> SphereShell:
-    expected = rep_count(d, k)
-    pts: list[tuple[int, ...]] = []
-    _fill_shell(d, k, [], pts)
-    if len(pts) != expected:
-        raise AssertionError(
-            f"shell enumeration bug: found {len(pts)} points, counted {expected}"
-        )
-    arr = np.array(pts, dtype=shell_dtype(k)).reshape(len(pts), d)
-    arr.flags.writeable = False
-    return SphereShell(dimension=d, k=k, points=arr)
+    """One first coordinate at a time (the prefixes stay in one slice of the
+    ball), grown axis by axis in row-major order; a square remainder r^2 on
+    the last axis gives -r, then r (0 once), so the rows need no sort."""
+    dtype, s = shell_dtype(k), math.isqrt(k)
+    line = np.arange(-s, s + 1, dtype=dtype)
+    sq = line * line
+    roots = np.full(k + 1, -1, dtype=dtype)  # r at r^2, -1 at a non-square
+    roots[sq[s:]] = line[s:]
+    starts = ([(line[m:m + 1, None], k - sq[m:m + 1]) for m in range(2 * s + 1)]
+              if d > 1 else [(np.empty((1, 0), dtype), np.array([k], dtype))])
+    blocks = []
+    for prefix, rest in starts:
+        for _ in range(d - 2):
+            rows, cols = np.nonzero(sq <= rest[:, None])
+            prefix = np.column_stack((prefix[rows], line[cols]))
+            rest = rest[rows] - sq[cols]
+        r = roots[rest]
+        rows, cols = np.nonzero(np.column_stack((r >= 0, r > 0)))
+        blocks.append(np.column_stack((prefix[rows], np.column_stack((-r, r))[rows, cols])))
+    points = np.concatenate(blocks)
+    if len(points) != rep_count(d, k):
+        raise AssertionError(f"shell enumeration bug: found {len(points)} points, "
+                             f"counted {rep_count(d, k)}")
+    points.flags.writeable = False
+    return SphereShell(dimension=d, k=k, points=points)
 
 
 _kept_shell = lru_cache(maxsize=SHELL_MEMO_ENTRIES)(_enumerate_shell)

@@ -171,6 +171,51 @@ def test_truncated_and_padded(tmp_path):
     assert err.value.line == 6 and "trailing" in str(err.value)
 
 
+def _per_coordinate_text(shell):
+    """A shell file as write_shell first formatted it, str(int(v)) per
+    coordinate, kept here as the reference for its bytes."""
+    lines = [f"{shell.dimension} {shell.k} {shell.count}\n"]
+    lines.extend(" ".join(str(int(v)) for v in pt) + "\n" for pt in shell.points)
+    return "".join(lines)
+
+
+# (5, 52) is left out: test_read_beats_enumeration needs it cold in the memo
+@pytest.mark.parametrize("d, k", [(1, 0), (1, 49), (2, 3), (2, 25), (3, 14),
+                                  (3, 129), (4, 128), (5, 40), (6, 20)])
+def test_write_shell_bytes_match_the_per_coordinate_format(tmp_path, d, k):
+    shell = sphere_shell(d, k)
+    write_shell(shell, tmp_path / "new.txt")
+    assert (tmp_path / "new.txt").read_bytes() == _per_coordinate_text(shell).encode()
+    (tmp_path / "old.txt").write_text(_per_coordinate_text(shell))
+    back = read_shell(tmp_path / "old.txt")
+    assert back.points.dtype == shell.points.dtype
+    assert np.array_equal(back.points, shell.points)
+
+
+def test_cli_refuses_rows_that_split_a_point_across_lines(tmp_path):
+    # the body holds the 8 coordinates of 4 points, but not 2 on each line
+    _write_lines(shell_path(tmp_path, 2, 1), ["2 1 4", "-1 0 0", "-1", "0 1", "1 0"])
+    proc = run_cli("shell", "--d", "2", "--k", "1", "--cache", str(tmp_path), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: line 2: expected 2 coordinates, got 3")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_file_with_tabs_and_runs_of_spaces_is_read(tmp_path):
+    path = tmp_path / "s.txt"
+    _write_lines(path, ["2 1 4", "-1\t0", "0  -1", " 0 1", "1\t 0 "])
+    assert np.array_equal(read_shell(path).points, sphere_shell(2, 1).points)
+
+
+@pytest.mark.parametrize("row", ["0 -", "- 0", "+ 0", "0 +"])
+def test_a_lone_sign_is_not_read_as_zero(tmp_path, row):
+    path = tmp_path / "s.txt"
+    _write_lines(path, ["2 0 1", row])
+    with pytest.raises(CacheFormatError) as err:
+        read_shell(path)
+    assert err.value.line == 2 and "non-integer" in str(err.value)
+
+
 def test_read_beats_enumeration(tmp_path):
     d, k = 5, 52
     t0 = time.perf_counter()

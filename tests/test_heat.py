@@ -94,6 +94,19 @@ def test_parameter_validation():
         heat_multiplier_poisson(HeatParams(eps=1.0, s=0.25), np.zeros(2))
 
 
+def test_direct_form_names_a_zero_dimension():
+    # refused before the radius is chosen, which divides by d
+    for call in (lambda: heat_direct_batch(0.5, [0.1], np.zeros(0)),
+                 lambda: heat_multiplier_direct(on_arc(0.5, 1, 3, 0.01), np.zeros(0))):
+        with pytest.raises(ValueError, match="dimension d >= 1"):
+            call()
+
+
+def test_poisson_form_names_a_zero_dimension():
+    with pytest.raises(ValueError, match="dimension d >= 1"):
+        heat_multiplier_poisson(on_arc(0.5, 1, 3, 0.01), np.zeros(0))
+
+
 def test_budget_refusal(monkeypatch):
     monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", 5)
     with pytest.raises(BudgetExceededError):

@@ -2,7 +2,9 @@
 
 Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 (so the shell memo, the Gauss rows and the unit phases are warm, except in
-``sphere_shell_d5_k225_cold``, which clears the shell memo before each call);
+``sphere_shell_d5_k225_cold``, which clears the shell memo before each call;
+``write_shell_d5_k400`` and ``read_shell_d5_k400`` write and read one cache
+file in a temporary directory);
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``truncation_identity_check`` also reports its tracemalloc peak
@@ -26,6 +28,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -38,6 +41,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
+from spherelab.cache import read_shell, write_shell  # noqa: E402
 from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
                                    random_hermitian_probe)
 from spherelab.farey import farey_sequence, major_arcs, verify_partition  # noqa: E402
@@ -118,8 +122,9 @@ def call_times(fn) -> list[float]:
     return times
 
 
-def kernels():
-    """(name, zero-argument call) pairs at the fixed sizes."""
+def kernels(tmp: Path):
+    """(name, zero-argument call) pairs at the fixed sizes; the cache file
+    kernels write and read in the directory tmp."""
     fam5 = diagonal_phase_family(TRANSFER_THETAS, 2)
     x2 = random_hermitian_probe(2, 0)
     fam3 = conjugated_family(3, 6)
@@ -175,6 +180,12 @@ def kernels():
         ("sphere_shell_d5_k225_cold",
          lambda: (_kept_shell.cache_clear(), sphere_shell(5, 225))),
         ("sphere_shell_d5_k225_warm", lambda: sphere_shell(5, 225)),
+    ]
+    # the oracle-mix cache radius, as a cache miss writes it and a hit reads it
+    shell400, cached = sphere_shell(5, 400), tmp / "shell_d5_k400.txt"
+    out += [
+        ("write_shell_d5_k400", lambda: write_shell(shell400, cached)),
+        ("read_shell_d5_k400", lambda: read_shell(cached)),
     ]
     # the largest oracle-mix quadrature, and its farey request without lookups
     xi5 = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
@@ -242,7 +253,8 @@ def main(argv=None) -> int:
         "quartiles_s": {},
         "newton_steps": {},
     }
-    for name, fn in kernels():
+    tmp = tempfile.TemporaryDirectory()
+    for name, fn in kernels(Path(tmp.name)):
         times = call_times(fn)
         q1, median, q3 = np.percentile(times, [25, 50, 75])
         result["best_s"][name] = min(times)
@@ -256,6 +268,7 @@ def main(argv=None) -> int:
               f"({1e3 * q1:.3f}-{1e3 * q3:.3f}){note}", flush=True)
         if name.startswith("truncation_identity_check"):
             result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
+    tmp.cleanup()
     for name, fn in kept_results():
         fn()  # warm the count tables, which are not the result's
         result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
