@@ -501,16 +501,6 @@ def read_ncmax_problem(path) -> MaxNormProblem:
     return MaxNormProblem(p=p, family=tuple(family))
 
 
-def write_ncmax_problem(prob: MaxNormProblem, path) -> None:
-    p = "inf" if math.isinf(prob.p) else repr(float(prob.p))
-    lines = [f"{prob.n} {len(prob.family)} {p}"]
-    for x in prob.family:
-        for row in x.entries:
-            lines.append(" ".join(f"{float(v.real)!r}{float(v.imag):+}j"
-                                  for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _run_ncmax(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     try:

@@ -9,13 +9,16 @@ convex program over the hermitian matrices: the constraint set is an
 intersection of semidefinite order intervals, and tr(a^p) is convex for
 p >= 1.  ncmax_norm solves it with a logarithmic-barrier interior-point
 method whose Newton systems are set up on the complex row-major vec of the
-step.  Centering is staged: a mu stage that cannot certify the gap stops at
-a loose Newton decrement, and only the stage that certifies is centred
-tightly.  When mu drops, a predictor steps along the central path's tangent,
-solved on the last Newton system, and each accepted point keeps the one
-eigh and Cholesky that accepted it for the step, barrier value and gap test
-that follow.  Two exact oracles (diagonal pinching, 2x2 grid refinement)
-pin the solver's accuracy.
+step.  The path starts at the scalar envelope, a multiple of the identity
+just above the largest spectral radius, with mu set by how far its tr(a^p)
+lies above the lower envelope bound max_j ||x_j||_p^p.  Centering is
+staged: a mu stage that cannot certify the gap stops at a loose Newton
+decrement, and only the stage that certifies is centred tightly.  When mu
+drops, a predictor steps along the central path's tangent, solved on the
+last Newton system, and each accepted point keeps the one eigh and
+Cholesky that accepted it for the step, barrier value and gap test that
+follow.  Two exact oracles (diagonal pinching, 2x2 grid refinement) pin
+the solver's accuracy.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ DEFAULT_NEWTON_BUDGET = 20_000
 CENTERING_STEPS = 60
 # A mu stage that cannot be the last stops centering once -slope, the
 # squared Newton decrement, is at most this multiple of mu
-LOOSE_DECREMENT = 0.5
+LOOSE_DECREMENT = 1.0
+# mu falls by this factor from one stage to the next
+MU_FACTOR = 0.25
+# The start c I has c = (1 + START_MARGIN) max_j rho(x_j)
+START_MARGIN = 0.1
 # ncmax_grid_oracle_2x2: refinement stages, grid points per axis and stage
 GRID_STAGES = 12
 GRID_POINTS = 15
@@ -176,13 +183,6 @@ def _barrier_point(a: np.ndarray, signed: np.ndarray, p: float) -> _Point | None
     return _Point(a, float((lam ** p).sum()), logdet, lam, vecs)
 
 
-def _barrier_value(a: np.ndarray, signed: np.ndarray, p: float, mu: float) -> float:
-    """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
-    the domain."""
-    point = _barrier_point(a, signed, p)
-    return math.inf if point is None else point.barrier(mu)
-
-
 def _power_hessian(lam: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
     """p K diag(vec F1) K* with K = V (x) conj(V): the Hessian of tr(a^p) at
     a = V diag(lam) V* on row-major vec, which maps vec E to
@@ -312,6 +312,30 @@ def _objective_gap(trace_power: float, mu: float, nu: float, p: float):
     return obj, obj - max(trace_power - mu * nu, 0.0) ** (1.0 / p)
 
 
+def _start(sig: np.ndarray, signed: np.ndarray, p: float, nu: float):
+    """The path's first point and mu, from sig, the moduli of the members'
+    eigenvalues (one row a member).  The point is c I with
+    c = (1 + START_MARGIN) max_j rho(x_j), strictly between every -x_j and
+    x_j: every slack c I -+ x_j has its eigenvalues between
+    START_MARGIN rho and (2 + START_MARGIN) rho.  c I is exactly hermitian,
+    and so is every later iterate.
+
+    -a <= x_j <= a forces ||x_j||_p <= ||a||_p, so mu nu starts at the
+    envelope gap tr(c^p I) - max_j ||x_j||_p^p, the most the start's
+    tr(a^p) can exceed the optimum's.  It stays positive well above
+    roundoff, as n c^p >= (1 + START_MARGIN)^p max_j ||x_j||_p^p, unless
+    c^p overflows or underflows, which is refused."""
+    scale = float(sig.max())
+    point = _barrier_point((1.0 + START_MARGIN) * scale * np.eye(sig.shape[-1]),
+                           signed, p)
+    mu = (math.nan if point is None
+          else (point.trace_power - float((sig ** p).sum(axis=1).max())) / nu)
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"max_j rho(x_j) = {scale:.3e} takes tr(a^p) out of "
+                         f"floating-point range at p = {p}")
+    return point, mu
+
+
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
     """Interior-point solve of the maximal-envelope norm, in at most
     DEFAULT_NEWTON_BUDGET Newton steps.  converged is False when that
@@ -320,11 +344,14 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     error only at a central point.
 
     Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
-    decreasing mu-path; each center is found by Newton's method (_center),
-    one complex n^2 x n^2 system on the row-major vec of the step, with
-    backtracking line search.  Centering is staged: only the stage that
-    certifies needs a tight center (Boyd-Vandenberghe, Convex Optimization,
-    11.3).  A stage whose starting tr(a^p) already passes the gap test at
+    decreasing mu-path.  The path starts at the scalar envelope c I just
+    above max_j rho(x_j), with mu nu the envelope gap
+    tr(c^p I) - max_j ||x_j||_p^p (_start), and mu falls by MU_FACTOR from
+    one stage to the next.  Each center is found by Newton's method
+    (_center), one complex n^2 x n^2 system on the row-major vec of the
+    step, with backtracking line search.  Centering is staged: only the
+    stage that certifies needs a tight center (Boyd-Vandenberghe, Convex
+    Optimization, 11.3).  A stage whose starting tr(a^p) already passes the gap test at
     its mu is centred tightly, to -slope <= 1e-12 (1 + |f0|); any other
     stage stops at -slope <= max(1e-12 (1 + |f0|), LOOSE_DECREMENT * mu),
     that is once the Newton decrement lambda^2 / mu of the barrier divided
@@ -332,13 +359,13 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     the gap test is centred again tightly at the same mu and tested again,
     so a gap is only reported from a tight center.
 
-    Between stages, as mu drops to mu/8, a predictor moves a along
-    the central path's tangent (_tangent, on the stage's last Newton system)
-    by (mu/8 - mu) da/dmu, halved until the barrier at mu/8 is finite and
-    lower; it is not a Newton step and newton_steps does not count it.  Every
-    accepted point carries its eigh(a), tr(a^p) and log dets (_Point, from
-    the trial that accepted it), which serve the next Newton step, the next
-    stage's starting barrier value and the stage's gap test.
+    Between stages, as mu drops to mu' = MU_FACTOR mu, a predictor moves a
+    along the central path's tangent (_tangent, on the stage's last Newton
+    system) by (mu' - mu) da/dmu, halved until the barrier at mu' is finite
+    and lower; it is not a Newton step and newton_steps does not count it.
+    Every accepted point carries its eigh(a), tr(a^p) and log dets (_Point,
+    from the trial that accepted it), which serve the next Newton step, the
+    next stage's starting barrier value and the stage's gap test.
 
     The constraints -a <= x_j <= a already force a >= 0 (average the
     two sides), so no separate positivity barrier is needed.  For p = inf the
@@ -355,7 +382,8 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     n = prob.n
     big_n = len(prob.family)
 
-    scale = float(np.abs(np.linalg.eigvalsh(xs)).max())   # max_j rho(x_j)
+    sig = np.abs(np.linalg.eigvalsh(xs))
+    scale = float(sig.max())   # max_j rho(x_j)
     if math.isinf(p):
         a = scale * np.eye(n)
         res = float(np.linalg.eigvalsh(_slacks(a, signed)).min())
@@ -368,20 +396,8 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
         return MaxNormCertificate(envelope=zero, objective=0.0, residual=0.0,
                                   gap=0.0, converged=True, newton_steps=0)
 
-    # Strictly feasible start: the sum of moduli dominates every |x_j|, and
-    # a margin of tol * scale, doubled while roundoff eats it, makes that
-    # strict.  Hermitized once, it keeps every later iterate exactly hermitian.
-    dominant = sum(matrix_abs(xs))
-    margin = tol * scale
-    while True:
-        a = dominant + margin * np.eye(n)
-        point = _barrier_point(0.5 * (a + a.conj().T), signed, p)
-        if point is not None:
-            break
-        margin *= 2.0
-
     nu = 2.0 * big_n * n          # total barrier degree, controls the gap
-    mu = point.trace_power / nu
+    point, mu = _start(sig, signed, p, nu)
     steps = 0
     converged = False
     centered = True    # no centering has run out of CENTERING_STEPS
@@ -404,8 +420,8 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
         if steps >= DEFAULT_NEWTON_BUDGET:
             break
         # steps < DEFAULT_NEWTON_BUDGET here, so this stage built a system
-        point = _predict(point, _tangent(*system), signed, p, mu, 0.125 * mu)
-        mu *= 0.125
+        point = _predict(point, _tangent(*system), signed, p, mu, MU_FACTOR * mu)
+        mu *= MU_FACTOR
 
     a = point.a
     res = float(np.linalg.eigvalsh(_slacks(a, signed)).min())

@@ -218,14 +218,17 @@ def test_a_lone_sign_is_not_read_as_zero(tmp_path, row):
 
 def test_read_beats_enumeration(tmp_path):
     d, k = 5, 52
+    # a shell kept by an earlier test would turn the cold run into a memo hit
+    lattice._kept_shell.cache_clear()
     t0 = time.perf_counter()
     load_or_enumerate(d, k, tmp_path)
     cold = time.perf_counter() - t0
     warm = min(
         _timed(lambda: load_or_enumerate(d, k, tmp_path)) for _ in range(3)
     )
-    # enumeration measured around 12x slower than the cached read; assert
-    # a conservative factor so scheduler noise cannot flake the suite
+    # enumerating and writing measured 4.1-5.3x slower than the cached
+    # read; assert a conservative factor so scheduler noise cannot flake
+    # the suite
     assert warm * 3.0 < cold
 
 

@@ -17,12 +17,23 @@ from spherelab.experiments import (
     random_hermitian_probe,
     read_ncmax_problem,
     run_experiment,
-    write_ncmax_problem,
 )
 from spherelab.farey import farey_sequence, major_arcs
 from spherelab.ncmax import MaxNormProblem, hermitian_element
 from spherelab import transfer
 from spherelab.transfer import diagonal_phase_family, maximal_ratio_experiment
+
+
+def write_ncmax_problem(prob: MaxNormProblem, path) -> None:
+    """The file format read_ncmax_problem reads: a header "n N p", then the
+    N matrices' rows, each entry a Python complex literal."""
+    p = "inf" if math.isinf(prob.p) else repr(float(prob.p))
+    lines = [f"{prob.n} {len(prob.family)} {p}"]
+    for x in prob.family:
+        for row in x.entries:
+            lines.append(" ".join(f"{float(v.real)!r}{float(v.imag):+}j"
+                                  for v in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from spherelab.acceptance import _random_diag_problem
 from spherelab.ncmax import (
     MaxNormProblem,
     _barrier_hessian,
-    _barrier_value,
     _divided_differences,
     _power_hessian,
     _signed_stack,
@@ -234,6 +233,13 @@ def test_every_slack_argument_is_exactly_hermitian(monkeypatch, n, p):
     assert len(seen) > cert.newton_steps and all(seen)
 
 
+def _barrier_value(a, signed, p, mu):
+    """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
+    the domain."""
+    point = ncmax._barrier_point(a, signed, p)
+    return math.inf if point is None else point.barrier(mu)
+
+
 @given(n=st.integers(1, 4), count=st.integers(1, 4),
        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -298,17 +304,19 @@ def test_slacks_are_bitwise_the_differences():
 def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
     """The same staged barrier path with no predictor and nothing carried
     between uses: every barrier value from _barrier_value, every tr(a^p)
-    from eigvalsh.  A stage whose start fails the gap test is centred
-    loosely, and again tightly if it then passes.  Returns the envelope and
-    its Newton step count."""
+    from eigvalsh.  It starts at c I, c = (1 + START_MARGIN) max_j rho(x_j),
+    with mu nu = tr(c^p I) - max_j ||x_j||_p^p, and mu falls by MU_FACTOR
+    a stage.  A stage whose start fails the gap test is centred loosely, and
+    again tightly if it then passes.  Returns the envelope and its Newton
+    step count."""
     p, n = float(prob.p), prob.n
     xs = np.stack([x.entries for x in prob.family])
     signed = _signed_stack(xs)
     scale = float(np.abs(np.linalg.eigvalsh(xs)).max())
-    a = sum(matrix_abs(x) for x in xs) + (tol * scale) * np.eye(n)
-    a = 0.5 * (a + a.conj().T)
+    a = (1.0 + ncmax.START_MARGIN) * scale * np.eye(n)
     nu = 2.0 * len(xs) * n
-    mu = float((np.linalg.eigvalsh(a) ** p).sum()) / nu
+    lower = max(schatten_norm(x, p) ** p for x in prob.family)
+    mu = (float((np.linalg.eigvalsh(a) ** p).sum()) - lower) / nu
     steps = 0
 
     def passes(a):
@@ -348,7 +356,7 @@ def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
             a = center(a, 0.0)
         if passes(a):
             return a, steps
-        mu *= 0.125
+        mu *= ncmax.MU_FACTOR
 
 
 def _predictor_problems():
@@ -425,6 +433,72 @@ def test_staged_centering_saves_steps_at_the_same_optimum(monkeypatch):
         assert abs(c.objective - ref.objective) <= 1e-10 * ref.objective
 
 
+def _sum_of_moduli_start(sig, signed, p, nu):
+    """The earlier start: sum_j |x_j| + margin I, the margin DEFAULT_TOL
+    max_j rho(x_j) doubled while roundoff eats it, at mu = tr(a^p) / nu."""
+    dominant = sum(matrix_abs(signed[1::2]))
+    margin = ncmax.DEFAULT_TOL * float(sig.max())
+    while True:
+        a = dominant + margin * np.eye(len(dominant))
+        point = ncmax._barrier_point(0.5 * (a + a.conj().T), signed, p)
+        if point is not None:
+            return point, point.trace_power / nu
+        margin *= 2.0
+
+
+def test_the_scalar_start_saves_newton_steps(monkeypatch):
+    probs = _predictor_problems() + _transfer_problems()
+    scalar = [ncmax_norm(prob) for prob in probs]
+    monkeypatch.setattr(ncmax, "_start", _sum_of_moduli_start)
+    moduli = [ncmax_norm(prob) for prob in probs]
+    assert [c.converged for c in scalar] == [c.converged for c in moduli]
+    assert sum(c.newton_steps for c in scalar) < sum(c.newton_steps for c in moduli)
+    for c, ref in zip(scalar, moduli):
+        assert abs(c.objective - ref.objective) <= c.gap + ref.gap
+
+
+def _rank_one(n):
+    """-2.5 v v* for a random unit vector v: one nonzero eigenvalue."""
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return hermitian_element(-2.5 * np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("family", [
+    (_diag(2, -2, 2),),          # one member, every |eigenvalue| its rho
+    (SZ, SX),                    # two members that share the largest rho
+    (_rank_one(3), _diag(1, -0.5, 0)),
+    (_rank_one(4),),
+])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_the_scalar_start_is_strictly_feasible_with_a_positive_mu(family, p):
+    xs = np.stack([x.entries for x in family])
+    signed = _signed_stack(xs)
+    n = family[0].n
+    nu = 2.0 * len(family) * n
+    point, mu = ncmax._start(np.abs(np.linalg.eigvalsh(xs)), signed, p, nu)
+    rho = max(schatten_norm(x, math.inf) for x in family)
+    c = point.a[0, 0]
+    assert np.array_equal(point.a, c * np.eye(n))
+    assert c == pytest.approx((1.0 + ncmax.START_MARGIN) * rho, rel=1e-14)
+    assert np.linalg.eigvalsh(_slacks(point.a, signed)).min() > 0.0
+    # mu nu is the envelope gap n c^p - max_j ||x_j||_p^p
+    lower = max(schatten_norm(x, p) ** p for x in family)
+    assert mu > 0.0
+    assert mu * nu == pytest.approx(n * c ** p - lower, rel=1e-12)
+    assert ncmax_norm(MaxNormProblem(p=p, family=family)).converged
+
+
+@pytest.mark.parametrize("rho", [1e200, 1e-200, 1e-310])
+def test_a_spectral_radius_whose_power_leaves_the_float_range_is_refused(rho):
+    # c^2 overflows or underflows, so mu would be nan or 0
+    prob = MaxNormProblem(p=2.0, family=(_diag(rho, -rho / 3),))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="out of floating-point range at p = 2.0"):
+        ncmax_norm(prob)
+
+
 def _towards_the_edge(point, tangent, signed, p, mu, mu_next):
     """A prediction that overshoots the path towards the boundary: a - t mu
     tangent at 0.999 of the largest t <= 2^40 inside the domain, found by
@@ -491,9 +565,8 @@ def test_rejected_predictions_change_nothing(monkeypatch):
 
 @pytest.mark.parametrize("tol", [1e-16, 1e-300])
 def test_a_tolerance_below_roundoff_still_starts_inside_the_domain(tol):
-    # tol * scale vanishes against the start's roundoff; the margin grows
-    # until every slack is positive definite, and one member is its own
-    # maximal norm
+    # a gap test below roundoff still ends, from a start inside the domain
+    # whatever tol is, and one member is its own maximal norm
     rng = np.random.default_rng(0)
     m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     x = hermitian_element(0.5 * (m + m.conj().T))
