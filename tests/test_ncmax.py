@@ -499,45 +499,77 @@ def test_a_spectral_radius_whose_power_leaves_the_float_range_is_refused(rho):
         ncmax_norm(prob)
 
 
-def _towards_the_edge(point, tangent, signed, p, mu, mu_next):
-    """A prediction that overshoots the path towards the boundary: a - t mu
-    tangent at 0.999 of the largest t <= 2^40 inside the domain, found by
-    doubling and then bisection."""
-    def inside(t):
-        return ncmax._barrier_point(point.a - t * mu * tangent, signed, p) is not None
+def _a_stage_built_below_its_centre(prob, center):
+    """A start for prob's second stage below its centre, and a tol at which
+    that stage must be centred twice.  The first stage runs as ncmax_norm
+    runs it, loosely from _start at mu_0; the second, at mu_1 = MU_FACTOR
+    mu_0, starts at P, the centre of a 16 times smaller mu, whose tr(a^p)
+    lies below that of the centre at mu_1.  tol puts the gap test's
+    threshold on tr(a^p), mu_1 nu / (1 - (1 - tol)^p), halfway between P
+    and P's loose centre at mu_1: P fails the test and its loose centre
+    passes it.  Returns (P, tol), or None when no tol below 1 does that or
+    the first stage would pass at it.  center is the unpatched _center."""
+    p = float(prob.p)
+    xs = np.stack([x.entries for x in prob.family])
+    signed = _signed_stack(xs)
+    nu = 2.0 * len(xs) * prob.n
+    start, mu0 = ncmax._start(np.abs(np.linalg.eigvalsh(xs)), signed, p, nu)
+    first = center(start, signed, p, mu0, ncmax.LOOSE_DECREMENT * mu0, 0)[0]
+    mu1 = ncmax.MU_FACTOR * mu0
+    below = center(first, signed, p, mu1 / 16.0, 0.0, 0)[0]
+    loose = center(below, signed, p, mu1, ncmax.LOOSE_DECREMENT * mu1, 0)[0]
+    threshold = 0.5 * (below.trace_power + loose.trace_power)
+    if threshold <= mu1 * nu:
+        return None
+    tol = 1.0 - (1.0 - mu1 * nu / threshold) ** (1.0 / p)
 
-    lo, hi = 0.0, 1.0
-    while inside(hi) and hi < 2.0 ** 40:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-    return ncmax._barrier_point(point.a - 0.999 * lo * mu * tangent, signed, p) or point
+    def passes(point, mu):
+        obj, gap = ncmax._objective_gap(point.trace_power, mu, nu, p)
+        return gap <= tol * obj
+
+    if passes(start, mu0) or passes(first, mu0) or passes(below, mu1) or not passes(loose, mu1):
+        return None
+    return below, tol
 
 
 def test_a_loose_stage_that_certifies_is_centred_again(monkeypatch):
     # a stage started below its centre fails the gap test there, yet may
     # pass it once loosely centred; it must be centred tightly at the same
-    # mu before the gap is reported
+    # mu before the gap is reported.  The stage is built so (see
+    # _a_stage_built_below_its_centre), not left to the predictor, so the
+    # branch fires whatever the start and the mu factor: checked at the
+    # module's constants, at MU_FACTOR = 1/16 and at START_MARGIN = 0.2
+    center, predict = ncmax._center, ncmax._predict
     calls = []
-    center = ncmax._center
 
     def spy(point, signed, p, mu, floor, steps):
         calls.append((mu, floor))
         return center(point, signed, p, mu, floor, steps)
 
-    monkeypatch.setattr(ncmax, "_predict", _towards_the_edge)
     monkeypatch.setattr(ncmax, "_center", spy)
-    again = 0
-    for tol in (0.5, 0.3):
-        for prob in _predictor_problems():
-            if math.isinf(prob.p):
-                continue
-            calls.clear()
-            cert = ncmax_norm(prob, tol=tol)
-            assert cert.converged and calls[-1][1] == 0.0
-            again += sum(mu == prev for (mu, _), (prev, _) in zip(calls[1:], calls))
-    assert again > 0
+    for constants in ({}, {"MU_FACTOR": 1.0 / 16.0}, {"START_MARGIN": 0.2}):
+        with monkeypatch.context() as m:
+            for name, value in constants.items():
+                m.setattr(ncmax, name, value)
+            built = 0
+            for prob in _predictor_problems():
+                if math.isinf(prob.p):
+                    continue
+                stage = _a_stage_built_below_its_centre(prob, center)
+                if stage is None:
+                    continue
+                below, tol = stage
+                # the second stage starts at below; later stages predict as usual
+                starts = [below]
+                m.setattr(ncmax, "_predict",
+                          lambda *args: starts.pop() if starts else predict(*args))
+                calls.clear()
+                cert = ncmax_norm(prob, tol=tol)
+                assert cert.converged and calls[-1][1] == 0.0
+                (mu1, loose), (again, tight) = calls[1:3]
+                assert again == mu1 and loose > 0.0 and tight == 0.0
+                built += 1
+            assert built >= 3, constants
 
 
 def test_a_prediction_outside_the_domain_leaves_a_unchanged():

@@ -7,7 +7,9 @@ Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 file in a temporary directory);
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
-machine.  ``truncation_identity_check`` also reports its tracemalloc peak
+machine.  ``heat_request_d2``, ``_d3`` and ``_d5`` time one whole
+``oracle-mix`` heat request: both heat forms at 8 frequencies.
+``truncation_identity_check`` also reports its tracemalloc peak
 from one further call; ``major_arcs_order200`` and ``sphere_shell_d5_k400``
 report the bytes their result keeps and their peak; and the ``ncmax_norm``
 kernels their total Newton step count (``ncmax_norm_transfer_set16`` solves
@@ -204,6 +206,13 @@ def kernels(tmp: Path):
         ("heat_poisson_d5", lambda: heat_multiplier_poisson(heat5, heat_xi5, tol=1e-14)),
         ("gauss_dft_q60", lambda: [gauss_dft(a, 60, (3, -7, 10, 0, -2)) for a in units60]),
     ]
+    # one whole oracle-mix heat request at each dimension: both forms at 8
+    # frequencies, on the same arc point
+    for d in (2, 3, 5):
+        xis = np.random.default_rng(d).uniform(-0.5, 0.5, (8, d))
+        out.append((f"heat_request_d{d}", lambda xis=xis: [
+            (heat_multiplier_direct(heat5, xi, tol=1e-14).value,
+             heat_multiplier_poisson(heat5, xi, tol=1e-14).value) for xi in xis]))
     for n in (4, 8, 24, 32):
         lam, vecs = hessian_point(n)
         out.append((f"power_hessian_n{n}",
