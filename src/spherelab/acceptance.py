@@ -17,7 +17,7 @@ import numpy as np
 
 from .experiments import (CheckResult, ExperimentConfig, RunReport,
                           quadrature_at_radius, run_experiment)
-from .farey import farey_sequence, major_arcs, verify_partition
+from .farey import farey_certificate, farey_sequence, major_arcs, verify_partition
 from .heat import heat_direct_batch
 from .lattice import box_counts_oracle, rep_counts
 from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, \
@@ -45,16 +45,16 @@ def _short(v) -> str:
 def criterion_01_farey_partition() -> tuple[dict, list]:
     """Exact cover of [0,1] by arcs, plus Farey neighbor identities.
 
-    Each sequence is built once; orders <= 50 also get the cover check."""
+    Two independent routes: orders <= 50 walk the exact Fraction endpoints
+    of the arcs (a plain list, so verify_partition does not certify on the
+    pairs), and orders <= 200 run the integer neighbour certificate.  Each
+    sequence is built once."""
     cover_ok = neighbor_ok = True
     for order in range(1, 201):
         seq = farey_sequence(order)
         if order <= 50:
-            cover_ok = cover_ok and verify_partition(major_arcs(seq))
-        nums, dens = seq.numerators, seq.denominators
-        neighbor_ok = neighbor_ok and all(
-            c * b - a * d == 1 and b + d > order
-            for a, b, c, d in zip(nums, dens, nums[1:], dens[1:]))
+            cover_ok = cover_ok and verify_partition(list(major_arcs(seq)))
+        neighbor_ok = neighbor_ok and farey_certificate(seq)
     return ({"cover_orders": 50, "neighbor_orders": 200, "cover_ok": cover_ok,
              "neighbor_ok": neighbor_ok},
             [CheckResult("cover_ok", float(cover_ok), "==", 1.0),

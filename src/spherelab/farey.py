@@ -18,11 +18,24 @@ strictly between 1/2 and 1, and the intervals tile [0,1] exactly.
 major_arcs returns these intervals as a MajorArcs, a read-only sequence
 that keeps only the integer pairs of the Farey sequence and builds each
 MajorArc when it is read, so a partition of order L holds O(L^2) ints
-and no Fraction until its arcs are used.
+and no Fraction until its arcs are used.  The pairs are kept in two
+array.array of the smallest signed code that holds the order ('h', or 'i'
+past 32,767): 2 bytes a pair member where a tuple takes 8.
+
+The partition of a MajorArcs is certified on those pairs alone
+(farey_certificate): a list of pairs that starts at 0/1, ends at 1/1 and
+whose consecutive pairs satisfy a' q - a q' = 1 and q + q' > L, with every
+q in 1..L, is exactly the Farey sequence of order L.  The identity makes
+each pair reduced and the sequence strictly ascending, so every mediant
+lies strictly between its two fractions and the arcs tile [0,1]; a
+fraction of order <= L strictly between two consecutive pairs would have
+a denominator >= q + q' > L, so none is missing.  Any other sequence of
+arcs is checked by walking its exact Fraction endpoints.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -30,17 +43,22 @@ from fractions import Fraction
 from itertools import pairwise
 from operator import attrgetter
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .lattice import DEFAULT_POINT_BUDGET
 
 
 @dataclass(frozen=True)
 class FareySequence:
-    """The reduced pairs (numerators[i], denominators[i]), ascending."""
+    """The reduced pairs (numerators[i], denominators[i]), ascending.
+
+    farey_sequence keeps them in array.array of code 'h' (or 'i' past
+    order 32,767), read-only by convention; indexing yields Python ints."""
 
     order: int
-    numerators: tuple[int, ...]
-    denominators: tuple[int, ...]
+    numerators: Sequence[int]
+    denominators: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -90,8 +108,31 @@ def farey_sequence(order: int) -> FareySequence:
         p, q, p2, q2 = p2, q2, j * p2 - p, j * q2 - q
         nums.append(p2)
         dens.append(q2)
-    return FareySequence(order=order, numerators=tuple(nums),
-                         denominators=tuple(dens))
+    code = "h" if order <= 32_767 else "i"
+    return FareySequence(order=order, numerators=array(code, nums),
+                         denominators=array(code, dens))
+
+
+def farey_certificate(seq: FareySequence) -> bool:
+    """True iff the pairs of seq are exactly the Farey sequence of its
+    order L, ascending and reduced (see the module docstring): the first
+    pair is 0/1 and the last 1/1, every 0 <= a <= q <= L with q > 0, and
+    consecutive pairs satisfy a' q - a q' = 1 and q + q' > L.
+
+    One numpy pass in int64; orders of 2^31 and more are refused, so that
+    with every value bounded by L no product overflows."""
+    L = seq.order
+    if not 1 <= L < 2**31 or len(seq.numerators) < 2 \
+            or len(seq.numerators) != len(seq.denominators):
+        return False
+    a = np.asarray(seq.numerators, dtype=np.int64)
+    q = np.asarray(seq.denominators, dtype=np.int64)
+    if not (a[0] == 0 and q[0] == 1 and a[-1] == 1 and q[-1] == 1):
+        return False
+    if not ((q > 0).all() and (q <= L).all() and (a >= 0).all() and (a <= q).all()):
+        return False
+    return bool((a[1:] * q[:-1] - a[:-1] * q[1:] == 1).all()
+                and (q[:-1] + q[1:] > L).all())
 
 
 class MajorArcs(Sequence):
@@ -145,9 +186,14 @@ def major_arcs(seq: FareySequence) -> MajorArcs:
 
 
 def verify_partition(arcs: Sequence[MajorArc]) -> bool:
-    """True iff the arcs tile [0,1] exactly: consecutive endpoints agree,
-    the first starts at 0 and the last ends at 1 (exact rationals).  The
-    arcs are walked once, so a MajorArcs builds each of them once."""
+    """True iff the arcs tile [0,1] exactly.
+
+    A MajorArcs is certified on its integer pairs (farey_certificate), with
+    no Fraction built.  Any other sequence of arcs is walked once on its
+    exact endpoints: consecutive endpoints agree, the first starts at 0 and
+    the last ends at 1, closed."""
+    if isinstance(arcs, MajorArcs):
+        return farey_certificate(arcs.seq)
     if arcs[0].left != 0 or arcs[-1].right != 1 or not arcs[-1].closed_right:
         return False
     return all(prev.right == cur.left and not prev.closed_right
@@ -158,14 +204,35 @@ def locate_arc(s, arcs: Sequence[MajorArc]) -> tuple[Fraction, Fraction]:
     """Find the arc owning s in [0,1]; return (center, t) with t = s - center.
 
     s may be a Fraction, int, or float (floats are converted exactly).
-    Binary search over left endpoints; |t| < 1/(q L) always holds because
-    both interval weights are < 1.
+    Binary search over left endpoints: on a MajorArcs over its integer
+    mediants, building only the arc it returns, and on any other sequence
+    over the arcs' left ends.  |t| < 1/(q L) always holds because both
+    interval weights are < 1.
     """
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise ValueError(f"s must lie in [0,1], got {s}")
-    i = bisect_right(arcs, s, key=attrgetter("left")) - 1
+    if isinstance(arcs, MajorArcs):
+        i = _last_left_at_most(arcs.seq, s)
+    else:
+        i = bisect_right(arcs, s, key=attrgetter("left")) - 1
     arc = arcs[i]
     if not arc.contains(s):
         raise AssertionError(f"partition lookup failed for s={s}")
     return arc.center, s - arc.center
+
+
+def _last_left_at_most(seq: FareySequence, s: Fraction) -> int:
+    """The last arc index i whose left end is <= s: arc 0 starts at 0, and
+    arc i > 0 at the mediant (a_{i-1} + a_i)/(q_{i-1} + q_i), compared with
+    s = n/m by cross-multiplying (both denominators are positive)."""
+    nums, dens = seq.numerators, seq.denominators
+    n, m = s.numerator, s.denominator
+    lo, hi = 0, len(nums) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if m * (nums[mid - 1] + nums[mid]) <= n * (dens[mid - 1] + dens[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

@@ -15,11 +15,11 @@ check on the implementation).  gauss_sum_1d sums directly and is the
 oracle; the tables over every shift (gauss_sum_1d_all) and over every a
 (gauss_sum_1d_all_a) are each one length-q inverse FFT.  Both are kept in
 LRU caches of GAUSS_ROWS rows each and returned read-only: the rows over
-every shift keyed by (a mod q, q), after the coprimality check, and the
-rows over every a by (q, l mod q).  A row is q complex numbers, 16 q
-bytes, so a cache of rows with q <= 701 holds at most 11.5 MB.  All phase
-arguments are reduced mod q in integer arithmetic before any floating
-multiply by 2 pi / q.
+every shift keyed by (a mod q, q), after the coprimality check, each with
+its largest magnitude beside it (gauss_row_max), and the rows over every a
+by (q, l mod q).  A row is q complex numbers, 16 q bytes, so a cache of
+rows with q <= 701 holds at most 11.5 MB.  All phase arguments are reduced
+mod q in integer arithmetic before any floating multiply by 2 pi / q.
 """
 
 from __future__ import annotations
@@ -49,15 +49,22 @@ def gauss_sum_1d_all(a: int, q: int) -> np.ndarray:
     between callers, so it is read-only: copy it before writing.
     """
     _check_coprime(a, q)
-    return _all_shift_row(a % q, q)
+    return _all_shift_row(a % q, q)[0]
+
+
+def gauss_row_max(a: int, q: int) -> float:
+    """max_l |G(a/q, l)| over the row of gauss_sum_1d_all, computed once
+    per (a mod q, q) and cached beside the row."""
+    _check_coprime(a, q)
+    return _all_shift_row(a % q, q)[1]
 
 
 @lru_cache(maxsize=GAUSS_ROWS)
-def _all_shift_row(a: int, q: int) -> np.ndarray:
+def _all_shift_row(a: int, q: int) -> tuple[np.ndarray, float]:
     n = np.arange(q, dtype=np.int64)
     row = np.fft.ifft(np.exp(2j * np.pi * ((n * n % q) * a % q) / q))
     row.flags.writeable = False
-    return row
+    return row, float(np.abs(row).max())
 
 
 def gauss_sum_1d_all_a(q: int, l: int) -> np.ndarray:

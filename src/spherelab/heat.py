@@ -28,11 +28,12 @@ tol = 1e-12, d = 5 (3161 is the largest Farey order farey_sequence's
 budget allows).
 The (d, s, 2r+1) phases are built in blocks of rows of s of at most
 DEFAULT_POINT_BUDGET entries; the rows are independent, so the blocks do
-not change any value.  The Poisson form reads its Gauss row from
-gauss_sum_1d_all's cache (see gauss) and sums one (d, W) array of images,
-l = lo_i + 0..W-1 on axis i, with one width W = ceil(2 q reach) + 4 that
-covers every axis's window (_image_window); the images it adds beyond an
-axis's reach lie below the per-axis tolerance.  Its tail bound is
+not change any value.  The Poisson form reads its Gauss row and the
+row's largest magnitude from gauss_sum_1d_all's cache (see gauss) and
+sums one (d, W) array of images, l = lo_i + 0..W-1 on axis i, with one
+width W = ceil(2 q reach) + 4 that covers every axis's window
+(_image_window); the images it adds beyond an axis's reach lie below the
+per-axis tolerance.  Its tail bound is
 |prefactor| (prod_i (|F_i| + t_i) - prod_i |F_i|), with F_i the image sum
 of axis i and t_i the bound on what it leaves out: a tail of one axis is
 multiplied by the other factors, whose product is 2.8e4 at eps = 30,
@@ -60,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError
-from .gauss import gauss_sum_1d_all
+from .gauss import gauss_row_max, gauss_sum_1d_all
 from .lattice import DEFAULT_POINT_BUDGET
 
 DEFAULT_TOL = 1e-12
@@ -211,7 +212,7 @@ def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) ->
     inv_z = 1.0 / z
     decay = 0.5 * math.pi * eps / (eps * eps + t * t)  # |exp(-pi u^2/z)| = exp(-decay u^2)
     g1 = gauss_sum_1d_all(a, q)
-    g1_max = float(np.abs(g1).max())
+    g1_max = gauss_row_max(a, q)
     # per-axis reach: beyond it the Gaussian factor alone is below the target
     axis_tol = tol / (d * max(g1_max, 1e-300))
     reach = math.sqrt(max(math.log(1.0 / axis_tol), 0.0) / decay) if axis_tol < 1 else 0.0

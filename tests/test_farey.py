@@ -5,13 +5,14 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherelab.errors import BudgetExceededError
-from spherelab.farey import (MajorArc, farey_sequence, locate_arc, major_arcs,
-                             verify_partition)
+from spherelab.farey import (FareySequence, MajorArc, MajorArcs, farey_certificate,
+                             farey_sequence, locate_arc, major_arcs, verify_partition)
 
 F = Fraction
 
@@ -187,3 +188,120 @@ def test_order_over_budget_is_refused_before_the_recurrence():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("order", list(range(1, 61)) + [200])
+def test_certificate_agrees_with_the_fraction_walk(order):
+    # a MajorArcs is certified on its integer pairs; a plain list of the
+    # same arcs takes the exact Fraction endpoint walk
+    seq = farey_sequence(order)
+    assert farey_certificate(seq)
+    assert verify_partition(major_arcs(seq)) is True
+    assert verify_partition(list(major_arcs(seq))) is True
+
+
+def _with_pairs(seq, pairs, order=None):
+    """seq with its pairs replaced (as tuples, so any int fits)."""
+    return replace(seq, order=seq.order if order is None else order,
+                   numerators=tuple(a for a, _ in pairs),
+                   denominators=tuple(q for _, q in pairs))
+
+
+def _mutations(order):
+    """Sequences that are not the Farey sequence of their order: named
+    edits of farey_sequence(order)."""
+    seq = farey_sequence(order)
+    pairs = list(zip(seq.numerators, seq.denominators))
+    mid = len(pairs) // 2                       # the pair 1/2
+    assert pairs[mid] == (1, 2)
+    swapped = pairs[:mid - 1] + [pairs[mid], pairs[mid - 1]] + pairs[mid + 1:]
+    negated = pairs[:mid - 1] + [(pairs[mid - 1][0], -pairs[mid - 1][1])] + pairs[mid:]
+    return {
+        "swapped": _with_pairs(seq, swapped),
+        "dropped first": _with_pairs(seq, pairs[1:]),
+        "dropped middle": _with_pairs(seq, pairs[:mid - 1] + pairs[mid:]),
+        "dropped last": _with_pairs(seq, pairs[:-1]),
+        "2/4 inserted": _with_pairs(seq, pairs[:mid + 1] + [(2, 4)] + pairs[mid + 1:]),
+        "1/2 written 2/4": _with_pairs(seq, pairs[:mid] + [(2, 4)] + pairs[mid + 1:]),
+        "labelled L+1": replace(seq, order=order + 1),
+        "labelled L-1": replace(seq, order=order - 1),
+        "denominator negated": _with_pairs(seq, negated),
+    }
+
+
+@pytest.mark.parametrize("order", [7, 12, 60])
+def test_certificate_rejects_what_the_endpoint_walk_accepts(order):
+    # the arcs of a MajorArcs are mediants of its own pairs, so the endpoint
+    # walk over them accepts any of these edits; the certificate does not
+    for name, bad in _mutations(order).items():
+        arcs = MajorArcs(bad)
+        assert verify_partition(list(arcs)), name
+        assert not farey_certificate(bad), name
+        assert not verify_partition(arcs), name
+
+
+def test_certificate_rejects_an_extra_fraction_past_the_order():
+    # 0/1, 1/2, 1/1 meets the identity and q + q' > 1 but is not of order 1
+    seq = farey_sequence(1)
+    extra = _with_pairs(seq, [(0, 1), (1, 2), (1, 1)])
+    assert verify_partition(list(MajorArcs(extra)))
+    assert not verify_partition(MajorArcs(extra))
+    assert verify_partition(MajorArcs(replace(extra, order=2)))
+
+
+@pytest.mark.parametrize("order, i, shift", [(4, 2, -2**63), (12, 18, 2**62)])
+def test_certificate_bounds_the_numerators_before_the_int64_products(order, i, shift):
+    # both neighbours' denominators are multiples of 2^64 / |shift|, so the
+    # shifted numerator gives the same int64 neighbour identities
+    seq = farey_sequence(order)
+    pairs = list(zip(seq.numerators, seq.denominators))
+    a, q = pairs[i]
+    assert pairs[i - 1][1] * shift % 2**64 == pairs[i + 1][1] * shift % 2**64 == 0
+    forged = _with_pairs(seq, pairs[:i] + [(a + shift, q)] + pairs[i + 1:])
+    nums = np.array(forged.numerators, dtype=np.int64)
+    dens = np.array(forged.denominators, dtype=np.int64)
+    assert (nums[1:] * dens[:-1] - nums[:-1] * dens[1:] == 1).all()
+    assert not farey_certificate(forged)
+    assert not verify_partition(MajorArcs(forged))
+
+
+def test_certificate_refuses_short_and_ragged_pairs():
+    assert not farey_certificate(FareySequence(order=1, numerators=(0,), denominators=(1,)))
+    assert not farey_certificate(FareySequence(order=1, numerators=(), denominators=()))
+    assert not farey_certificate(FareySequence(order=1, numerators=(0, 1),
+                                               denominators=(1, 1, 1)))
+    assert not farey_certificate(FareySequence(order=0, numerators=(0, 1),
+                                               denominators=(1, 1)))
+    assert farey_certificate(FareySequence(order=1, numerators=(0, 1), denominators=(1, 1)))
+
+
+def test_sequence_keeps_two_byte_pairs():
+    tracemalloc.start()
+    try:
+        seq = farey_sequence(200)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 60_000
+    assert seq.numerators.typecode == seq.denominators.typecode == "h"
+    assert seq.numerators.itemsize == 2
+    for i in (0, 1, len(seq) // 2, -1):
+        assert type(seq.numerators[i]) is int and type(seq.denominators[i]) is int
+    assert type(major_arcs(seq)[7].center.numerator) is int
+
+
+@pytest.mark.parametrize("order", list(range(1, 61)) + [200])
+def test_locate_on_the_pairs_matches_the_bisect_over_arcs(order):
+    # the integer-mediant search on a MajorArcs and the bisect over the
+    # left ends of a plain list of the same arcs
+    arcs = major_arcs(farey_sequence(order))
+    plain = list(arcs)
+    points = [p for arc in plain for p in (arc.left, arc.center, arc.right)]
+    rng = np.random.default_rng(order)
+    points += rng.uniform(0.0, 1.0, 2000).tolist()
+    for s in points:
+        assert locate_arc(s, arcs) == locate_arc(s, plain)
+    # the open right end of arc i belongs to arc i + 1, the closed one of
+    # the last arc to itself
+    assert locate_arc(plain[0].right, arcs)[0] == plain[1].center
+    assert locate_arc(F(1), arcs) == (F(1), F(0))

@@ -395,3 +395,32 @@ def test_a_poisson_window_over_the_box_budget_is_refused(monkeypatch):
     assert peak < 8 * width                      # one int64 row of images
     monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", width)
     assert heat_multiplier_poisson(params, xi).radius > 0
+
+
+def test_the_gauss_row_maximum_is_computed_once_per_row(monkeypatch):
+    # g1_max is cached beside the Gauss row: one computation per (a, q)
+    # over repeated calls, with values and tail bounds bitwise those of
+    # recomputing it from the row on every call
+    from spherelab import gauss
+    gauss._all_shift_row.cache_clear()
+    cases = [(0, 1), (3, 7), (5, 12), (11, 29)]
+    rng = np.random.default_rng(25)
+    got = []
+    for _ in range(3):
+        for a, q in cases:
+            params = on_arc(0.0625, a, q, 0.3 / (q * q))
+            for d in (2, 5):
+                xi = rng.uniform(-0.5, 0.5, d)
+                got.append((params, xi, heat_multiplier_poisson(params, xi, tol=1e-14)))
+    assert gauss._all_shift_row.cache_info().misses == len(cases)
+    for a, q in cases:
+        assert gauss.gauss_row_max(a + 5 * q, q) == float(np.abs(gauss_sum_1d_all(a, q)).max())
+    assert gauss._all_shift_row.cache_info().misses == len(cases)
+    monkeypatch.setattr(heat, "gauss_row_max",
+                        lambda a, q: float(np.abs(gauss_sum_1d_all(a, q)).max()))
+    for params, xi, hv in got:
+        again = heat_multiplier_poisson(params, xi, tol=1e-14)
+        assert (again.value, again.tail_bound, again.radius) == \
+            (hv.value, hv.tail_bound, hv.radius)
+    with pytest.raises(ValueError):
+        gauss.gauss_row_max(2, 4)

@@ -8,7 +8,9 @@ file in a temporary directory);
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``heat_request_d2``, ``_d3`` and ``_d5`` time one whole
-``oracle-mix`` heat request: both heat forms at 8 frequencies.
+``oracle-mix`` heat request: both heat forms at 8 frequencies, and
+``farey_request_order200`` one whole farey request: sequence, arcs,
+partition check and 20 lookups.
 ``truncation_identity_check`` also reports its tracemalloc peak
 from one further call; ``major_arcs_order200`` and ``sphere_shell_d5_k400``
 report the bytes their result keeps and their peak; and the ``ncmax_norm``
@@ -46,7 +48,7 @@ from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
 from spherelab.cache import read_shell, write_shell  # noqa: E402
 from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
                                    random_hermitian_probe)
-from spherelab.farey import farey_sequence, major_arcs, verify_partition  # noqa: E402
+from spherelab.farey import farey_sequence, locate_arc, major_arcs, verify_partition  # noqa: E402
 from spherelab.gauss import gauss_dft  # noqa: E402
 from spherelab.heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc  # noqa: E402
 from spherelab.lattice import _kept_shell, rep_counts, sphere_shell, twisted_counts  # noqa: E402
@@ -111,6 +113,16 @@ def newton_step(prob: MaxNormProblem):
         grad, hess, _ = _newton_system(point, signed, prob.p, mu)
         return _solve_hermitian(hess, -grad)
     return step
+
+
+def farey_request(order: int, lookups) -> list:
+    """One oracle-mix farey request: the sequence, its arcs, the partition
+    check, and one lookup per float and per integer (the left end of the
+    arc it indexes modulo the arc count)."""
+    arcs = major_arcs(farey_sequence(order))
+    verify_partition(arcs)
+    points = [v if isinstance(v, float) else arcs[v % len(arcs)].left for v in lookups]
+    return [locate_arc(v, arcs) for v in points]
 
 
 def call_times(fn) -> list[float]:
@@ -189,13 +201,17 @@ def kernels(tmp: Path):
         ("write_shell_d5_k400", lambda: write_shell(shell400, cached)),
         ("read_shell_d5_k400", lambda: read_shell(cached)),
     ]
-    # the largest oracle-mix quadrature, and its farey request without lookups
+    # the largest oracle-mix quadrature, and its farey request at the
+    # largest order: without lookups, and whole
     xi5 = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
+    farey_lookups = tuple(rng.uniform(0, 1, 16).tolist()) + \
+        tuple(int(v) for v in rng.integers(0, 1 << 30, 4))
     out += [
         ("sphere_ft_quadrature_d5_n48",
          lambda: sphere_ft_quadrature(5, xi5, n_polar=48, n_azimuth=144)),
         ("farey_arcs_order200",
          lambda: verify_partition(major_arcs(farey_sequence(200)))),
+        ("farey_request_order200", lambda: farey_request(200, farey_lookups)),
     ]
     # one frequency of an oracle-mix heat request at its largest radius, and
     # its gauss-dft request at the largest modulus: every unit a mod 60
