@@ -3,8 +3,9 @@
 Each criterion returns (details, checks): the quantities it measured and
 the CheckResults that judge them.  run_criteria wraps them in a RunReport
 whose kind is the criterion's key in CRITERIA; summary_line numbers it by
-its position there.  Criteria 03, 04, 06, 09, 11 and 12 are pinned experiment
-configs judged by their runners' checks, plus any criterion-only check.
+its position there.  Criteria 03, 04, 06, 07, 09, 11 and 12 are pinned
+experiment configs judged by their runners' checks, plus any
+criterion-only check.
 Thresholds and configs are hard-coded on purpose: they are the contract.
 """
 
@@ -15,14 +16,13 @@ import time
 
 import numpy as np
 
-from .experiments import (CheckResult, ExperimentConfig, RunReport,
-                          quadrature_at_radius, run_experiment)
+from .experiments import CheckResult, ExperimentConfig, RunReport, run_experiment
 from .farey import farey_certificate, farey_sequence, major_arcs, verify_partition
 from .heat import heat_direct_batch
 from .lattice import box_counts_oracle, rep_counts
 from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, \
     ncmax_diag_oracle, ncmax_grid_oracle_2x2, ncmax_norm
-from .sphere import j_main, j_main_integral, sphere_ft_montecarlo, unit_sphere_ft
+from .sphere import j_main, j_main_integral, unit_sphere_ft
 from .transfer import TRUNCATION_TOL
 
 
@@ -162,19 +162,13 @@ def criterion_06_arc_reconstruction() -> tuple[dict, list]:
 
 def criterion_07_sphere_ft() -> tuple[dict, list]:
     """Bessel closed form vs quadrature, Monte Carlo, and pinned values."""
-    worst_quad = 0.0
-    worst_mc = 0.0
-    for d in (3, 5):
-        rhos = [0.1, 0.5, 1.0, 2.0, 3.0] if d == 5 else [0.1, 0.5, 1.0, 2.0, 5.0]
-        for rho in rhos:
-            worst_quad = max(worst_quad, quadrature_at_radius(d, rho)[2])
-        mc = sphere_ft_montecarlo(d, 1.0, n_samples=1_000_000, seed=0)
-        worst_mc = max(worst_mc, abs(mc - float(unit_sphere_ft(d, 1.0))))
-    at_zero = float(unit_sphere_ft(5, 0.0))
+    reps = [_pinned("sphere_ft", d=d, L=1_000_000, seed=0, tol=1e-8) for d in (3, 5)]
+    worst_mc = max(r.checks[1].measured for r in reps)
+    at_zero = reps[1].summary["value_at_zero"]
     pin = abs(float(unit_sphere_ft(5, 1.0)) + 3.0 / (4.0 * math.pi ** 2))
-    return ({"max_quad_err": worst_quad, "max_mc_err": worst_mc,
-             "value_at_zero": at_zero, "pinned_d5_err": pin},
-            [CheckResult("max_quad_err", worst_quad, "<", 1e-8),
+    return ({"max_quad_err": max(r.summary["max_quad_err"] for r in reps),
+             "max_mc_err": worst_mc, "value_at_zero": at_zero, "pinned_d5_err": pin},
+            [*(c for r in reps for c in r.checks),
              CheckResult("max_mc_err", worst_mc, "<", 1e-3),
              CheckResult("value_at_zero", at_zero, "==", 1.0),
              CheckResult("pinned_d5_err", pin, "<", 1e-10)])

@@ -38,11 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .cutoff import cutoff
+from .errors import BudgetExceededError
 from .farey import MajorArc
 from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
-from .lattice import SphereShell, rep_count, twisted_counts
-from .sphere import j_main, panel_quadrature, radial_constant
+from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_count, twisted_counts
+from .sphere import j_main, panel_quadrature, radial_constant, undamping
 
 
 def exact_multiplier(shell: SphereShell, xi) -> float:
@@ -52,9 +53,6 @@ def exact_multiplier(shell: SphereShell, xi) -> float:
     phases = shell.points @ xi
     value = np.exp(2j * np.pi * phases).sum() / shell.count
     return float(value.real)
-
-
-MAX_ARC_PANELS = 200_000
 
 
 def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
@@ -75,17 +73,18 @@ def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
 def arc_multiplier(d: int, k: int, arc: MajorArc, xi, eps: float) -> complex:
     """One arc piece of the circle decomposition, by panel quadrature.
 
-    panel_quadrature over the arc, at most MAX_ARC_PANELS panels.  eps must
-    equal order^{-2} for the arc's Farey order.
+    panel_quadrature over the arc, after undamping has checked the
+    prefactor e^{2 pi eps k}.  eps must equal order^{-2} for the arc's
+    Farey order.
     """
     if not math.isclose(eps, arc.order ** -2.0, rel_tol=1e-9):
         raise ValueError(f"eps={eps} does not match arc order {arc.order}")
-    s, w = panel_quadrature(float(arc.left), float(arc.right), k, eps,
-                            MAX_ARC_PANELS)
+    growth = undamping(k, eps)
+    s, w = panel_quadrature(float(arc.left), float(arc.right), k, eps)
     kernel = heat_direct_batch(eps, s, xi).value
     osc = np.exp(-2j * np.pi * np.mod(k * s, 1.0))
     integral = complex((w * osc * kernel).sum())
-    return math.exp(2.0 * math.pi * eps * k) / rep_count(d, k) * integral
+    return growth / rep_count(d, k) * integral
 
 
 class ApproxTotal(NamedTuple):
@@ -155,10 +154,14 @@ def approx_total(d: int, k: int, xi, q_max: int) -> ApproxTotal:
     rows, one per distinct l_i mod q, and the sum over the units is one
     dot product with the cached _unit_phases(q, k mod q).
     approx_arc_multiplier is the per-pair oracle of this sum and shares
-    neither cache.
+    neither cache.  The q_max * d images are checked against
+    DEFAULT_POINT_BUDGET before anything is allocated.
     """
     if q_max < 1:
         raise ValueError(f"q_max={q_max}: need q_max >= 1")
+    if q_max * d > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(f"q_max={q_max} needs {q_max * d} images in "
+                                  f"d={d}, budget {DEFAULT_POINT_BUDGET}")
     # checks d and k before any work
     tail_bound = approx_tail_bound(d, k, q_max)
     xi = np.asarray(xi, dtype=float)

@@ -158,7 +158,10 @@ def _cmd_approx(args) -> int:
         raise SystemExit(f"error: --k {args.k}: the approximant needs k >= 1")
     xis = [_parse_vector(t, args.d) for t in args.xi]
     _refuse_over_count_budget(args.d, args.k)
-    results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
+    try:
+        results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
+    except BudgetExceededError as exc:
+        raise SystemExit(f"error: --q-max {args.q_max}: {exc}") from None
     # each tail_bound bounds the dropped q > q_max part
     _write_multiplier_csv(args, xis, [r.value for r in results],
                           [r.tail_bound for r in results])

@@ -19,8 +19,8 @@ major_arcs returns these intervals as a MajorArcs, a read-only sequence
 that keeps only the integer pairs of the Farey sequence and builds each
 MajorArc when it is read, so a partition of order L holds O(L^2) ints
 and no Fraction until its arcs are used.  The pairs are kept in two
-array.array of the smallest signed code that holds the order ('h', or 'i'
-past 32,767): 2 bytes a pair member where a tuple takes 8.
+array.array of code 'h': 2 bytes a pair member where a tuple takes 8
+(the length budget caps the order at 3,161, well inside 'h').
 
 The partition of a MajorArcs is certified on those pairs alone
 (farey_certificate): a list of pairs that starts at 0/1, ends at 1/1 and
@@ -53,8 +53,8 @@ from .lattice import DEFAULT_POINT_BUDGET
 class FareySequence:
     """The reduced pairs (numerators[i], denominators[i]), ascending.
 
-    farey_sequence keeps them in array.array of code 'h' (or 'i' past
-    order 32,767), read-only by convention; indexing yields Python ints."""
+    farey_sequence keeps them in array.array of code 'h', read-only by
+    convention; indexing yields Python ints."""
 
     order: int
     numerators: Sequence[int]
@@ -108,9 +108,8 @@ def farey_sequence(order: int) -> FareySequence:
         p, q, p2, q2 = p2, q2, j * p2 - p, j * q2 - q
         nums.append(p2)
         dens.append(q2)
-    code = "h" if order <= 32_767 else "i"
-    return FareySequence(order=order, numerators=array(code, nums),
-                         denominators=array(code, dens))
+    return FareySequence(order=order, numerators=array("h", nums),
+                         denominators=array("h", dens))
 
 
 def farey_certificate(seq: FareySequence) -> bool:

@@ -32,12 +32,12 @@ not change any value.  The Poisson form reads its Gauss row and the
 row's largest magnitude from gauss_sum_1d_all's cache (see gauss) and
 sums one (d, W) array of images, l = lo_i + 0..W-1 on axis i, with one
 width W = ceil(2 q reach) + 4 that covers every axis's window
-(_image_window); the images it adds beyond an axis's reach lie below the
-per-axis tolerance.  Its tail bound is
-|prefactor| (prod_i (|F_i| + t_i) - prod_i |F_i|), with F_i the image sum
-of axis i and t_i the bound on what it leaves out: a tail of one axis is
-multiplied by the other factors, whose product is 2.8e4 at eps = 30,
-d = 6, a/q = 0/1, t = 0.
+(_image_window), d W images at most DEFAULT_POINT_BUDGET; the images it
+adds beyond an axis's reach lie below the per-axis tolerance.  Its tail
+bound is |prefactor| (prod_i (|F_i| + t_i) - prod_i |F_i|), with F_i the
+image sum of axis i and t_i the bound on what it leaves out: a tail of one
+axis is multiplied by the other factors, whose product is 2.8e4 at
+eps = 30, d = 6, a/q = 0/1, t = 0.
 
 A tail_bound bounds the truncation only, the terms a form leaves out; it
 does not bound floating roundoff.  At d = 4, eps = 0.01, xi = 0, a/q = 0/1,
@@ -65,7 +65,7 @@ from .gauss import gauss_row_max, gauss_sum_1d_all
 from .lattice import DEFAULT_POINT_BUDGET
 
 DEFAULT_TOL = 1e-12
-DEFAULT_BOX_BUDGET = 10.0**15  # conceptual box volume (2R+1)^d
+DEFAULT_BOX_BUDGET = 10.0**15  # the direct form's total work: s-count x d x (2r+1) terms
 THETA_ENTRIES = 32  # _theta_radius and _theta_data entries kept, keyed by (eps, tol, d)
 
 
@@ -198,8 +198,8 @@ def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) ->
     """Gauss-sum resummation of the heat multiplier at s = a/q + t.
 
     Per coordinate the image sum runs over a window of W integers l that
-    holds every image with Gaussian factor above tol, W at most
-    DEFAULT_BOX_BUDGET; the complex power uses the principal branch.
+    holds every image with Gaussian factor above tol, d W at most
+    DEFAULT_POINT_BUDGET; the complex power uses the principal branch.
     """
     if params.q is None:
         raise ValueError("poisson form needs the rational split (a, q, t)")
@@ -241,9 +241,10 @@ def _image_window(xi: list[float], q: int, reach: float) -> tuple[list[int], int
     """First image lo_i = floor(q (xi_i - reach)) - 1 of each axis, and one
     width W = ceil(2 q reach) + 4 whose window lo_i..lo_i + W - 1 covers
     lo_i..ceil(q (xi_i + reach)) + 1 on every axis: that end minus lo_i is
-    an integer below 2 q reach + 4.  W above DEFAULT_BOX_BUDGET is refused
-    before any array is built."""
+    an integer below 2 q reach + 4.  The d W images of the (d, W) arrays
+    are checked against DEFAULT_POINT_BUDGET before any is built."""
     width = math.ceil(2 * q * reach) + 4
-    if width > DEFAULT_BOX_BUDGET:
-        raise BudgetExceededError(f"poisson image window {width} exceeds budget")
+    if len(xi) * width > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(f"poisson image window {width} on {len(xi)} "
+                                  f"axes exceeds budget {DEFAULT_POINT_BUDGET}")
     return [math.floor(q * (x - reach)) - 1 for x in xi], width

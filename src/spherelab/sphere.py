@@ -41,16 +41,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BudgetExceededError
-from .lattice import rep_count
+from .lattice import DEFAULT_POINT_BUDGET, rep_count
 
 _SERIES_CUTOFF = 0.1  # switch to the power series when pi*rho is below this
 PANEL_NODES = 12      # Gauss-Legendre nodes per panel of panel_quadrature
 J_MAIN_T_MAX = 1.0e3  # j_main_integral integrates over |t| <= this
-J_MAIN_MAX_PANELS = 2_000_000
-# sphere_ft_quadrature: cap on its inner grid n_polar^(d-3) * n_azimuth, and
-# phases per streamed block of the outer polar angle
-QUADRATURE_INNER_BUDGET = 1 << 22
-QUADRATURE_BLOCK_ENTRIES = 1 << 20
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows past it
 
 
 def radial_constant(d: int) -> float:
@@ -126,9 +122,9 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
     for odd n_azimuth) are evaluated: 1/2^(d-1) of the grid.  Levels are
     reduced from the inside out, the cosines of b over phi, then each
     level's cosine factor and weights; the outer angle theta_0 is streamed
-    in blocks of at most QUADRATURE_BLOCK_ENTRIES phases.  The inner grid
+    in blocks of at most DEFAULT_POINT_BUDGET phases.  The inner grid
     n_polar^(d-3) * n_azimuth of the unfolded rule is checked against
-    QUADRATURE_INNER_BUDGET before anything is allocated.
+    DEFAULT_POINT_BUDGET before anything is allocated, so a row fits a block.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -140,9 +136,9 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
     if xi.shape != (d,):
         raise ValueError(f"xi must have shape ({d},)")
     inner = n_polar ** max(d - 3, 0) * n_azimuth
-    if inner > QUADRATURE_INNER_BUDGET:
-        raise BudgetExceededError(f"inner grid of {inner} nodes exceeds cap "
-                                  f"{QUADRATURE_INNER_BUDGET}")
+    if inner > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(f"inner grid of {inner} nodes exceeds the "
+                                  f"budget of {DEFAULT_POINT_BUDGET}")
     # phi < pi, each standing for itself and phi + pi when n_azimuth is even
     folded = n_azimuth % 2 == 0
     phi = 2.0 * np.pi * np.arange(n_azimuth // 2 if folded else n_azimuth) / n_azimuth
@@ -158,7 +154,7 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
         w_theta[-1] *= 0.5                         # the middle node, theta = pi/2
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     w_level = [w_theta * sin_t ** (d - 2 - j) for j in range(d - 2)]
-    rows = max(1, QUADRATURE_BLOCK_ENTRIES // (half ** (d - 3) * len(phi)))
+    rows = DEFAULT_POINT_BUDGET // (half ** (d - 3) * len(phi))
     total = 0.0
     for lo in range(0, half, rows):
         # s_j over the block, and the cosine factor of each level j >= 1
@@ -220,19 +216,31 @@ def heat_phase_factor(d: int, eps: float, t: np.ndarray, xi_norm_sq: float) -> n
     return z ** (-d / 2) * np.exp(-np.pi * xi_norm_sq / z)
 
 
-def panel_quadrature(lo: float, hi: float, k: int, eps: float,
-                     max_panels: int) -> tuple[np.ndarray, np.ndarray]:
+def undamping(k: int, eps: float) -> float:
+    """e^{2 pi eps k}, the factor that undoes the heat damping of eps at
+    radius-squared k; a ValueError naming k and eps where it overflows a
+    float (2 pi eps k above ln(float max) = 709.78)."""
+    exponent = 2.0 * math.pi * eps * k
+    if exponent > _LOG_FLOAT_MAX:
+        raise ValueError(f"k={k}, eps={eps}: e^(2 pi eps k) = e^{exponent:.6g} "
+                         f"overflows a float (2 pi eps k <= {_LOG_FLOAT_MAX:.6g})")
+    return math.exp(exponent)
+
+
+def panel_quadrature(lo: float, hi: float, k: int,
+                     eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [lo, hi] for e^{-2 pi i k s} times
     a heat kernel of damping eps.
 
     Panels span at most a quarter period of the oscillation and at most
     eps/2 (the kernel scale near its center), PANEL_NODES nodes each.  The
-    panel count is checked against max_panels before anything is allocated.
+    nodes are checked against DEFAULT_POINT_BUDGET before any is built.
     """
     width = min(1.0 / (4.0 * max(k, 1)), eps / 2.0)
     n_panels = int(math.ceil((hi - lo) / width))
-    if n_panels > max_panels:
-        raise BudgetExceededError(f"{n_panels} panels exceed cap {max_panels}")
+    if n_panels * PANEL_NODES > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(f"{n_panels} panels of {PANEL_NODES} nodes exceed "
+                                  f"the budget of {DEFAULT_POINT_BUDGET} nodes")
     edges = np.linspace(lo, hi, n_panels + 1)
     gl_x, gl_w = leggauss(PANEL_NODES)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -245,7 +253,8 @@ def panel_quadrature(lo: float, hi: float, k: int, eps: float,
 def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     """Full-line oscillatory integral form of j_main; returns (value, tail_bound).
 
-    panel_quadrature over |t| <= t_max = J_MAIN_T_MAX.  The omitted
+    panel_quadrature over |t| <= t_max = J_MAIN_T_MAX, after undamping
+    has checked the prefactor e^{2 pi eps k}.  The omitted
     |t| > t_max tail is bounded by 2 * Integral (2t)^{-d/2} dt
     = (2/(d-2)) (2 t_max)^{1-d/2} * 2^{...}; the exact expression used is
     below and is returned scaled like the value.
@@ -255,14 +264,14 @@ def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     rd = rep_count(d, k)
     if rd == 0:
         raise ValueError(f"k={k} has no representation as {d} squares")
+    prefactor = undamping(k, eps) / rd  # refused before the panels are built
     xi = np.asarray(xi, dtype=float)
     xi_norm_sq = float(xi @ xi)
     t_max = J_MAIN_T_MAX
-    t, w = panel_quadrature(-t_max, t_max, k, eps, J_MAIN_MAX_PANELS)
+    t, w = panel_quadrature(-t_max, t_max, k, eps)
     osc = np.exp(-2j * np.pi * np.mod(k * t, 1.0))
     integrand = osc * heat_phase_factor(d, eps, t, xi_norm_sq)
     integral = complex((w * integrand).sum())
-    prefactor = math.exp(2.0 * math.pi * eps * k) / rd
     # |heat_phase_factor| <= (2 t)^{-d/2} for |t| >= t_max >> eps
     tail = 2.0 * (2.0 ** (-d / 2)) * t_max ** (1 - d / 2) / (d / 2 - 1)
     return prefactor * integral.real, prefactor * tail

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab import arcs
 from spherelab.arcs import (
-    MAX_ARC_PANELS,
     approx_arc_multiplier,
     approx_tail_bound,
     approx_total,
@@ -22,7 +22,8 @@ from spherelab.arcs import (
 from spherelab.errors import BudgetExceededError
 from spherelab.farey import farey_sequence, major_arcs
 from spherelab.gauss import gauss_magnitude_bound
-from spherelab.lattice import rep_counts, sphere_shell
+from spherelab.experiments import ExperimentConfig, run_experiment
+from spherelab.lattice import DEFAULT_POINT_BUDGET, rep_counts, sphere_shell
 from spherelab.sphere import j_main, radial_constant
 
 
@@ -169,19 +170,71 @@ def test_arc_multiplier_requires_matching_damping():
         arc_multiplier(5, 1, arc, np.zeros(5), eps=1.0)  # order 2 needs 1/4
 
 
-def test_arc_panel_cap_checked_before_allocation():
-    # the order-2 arc [0, 1/3] at k = 200000 needs panels of width 1/800000,
-    # 266,667 of them, over the cap of 200,000
-    arc = major_arcs(farey_sequence(2))[0]
-    assert arc.center == 0 and MAX_ARC_PANELS == 200_000
+def _traced_peak(fn):
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="266667 panels exceed cap 200000"):
-            arc_multiplier(5, 200_000, arc, np.full(5, 0.1), 0.25)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+
+
+def test_arc_panel_cap_checked_before_allocation():
+    # the order-1000 arc [0, 1/1001] at k = 104,270,667 needs panels of
+    # width 1/(4k), 416,667 of them, one over the 416,666 panels of 12 nodes
+    # the point budget holds; 2 pi eps k = 655 is still in a float's range
+    arc = major_arcs(farey_sequence(1000))[0]
+    assert arc.center == 0 and arc.right * 1001 == 1
+    assert 416_666 * 12 <= DEFAULT_POINT_BUDGET < 416_667 * 12
+
+    def over_budget():
+        with pytest.raises(BudgetExceededError,
+                           match=f"416667 panels of 12 nodes exceed the budget of "
+                                 f"{DEFAULT_POINT_BUDGET} nodes"):
+            arc_multiplier(5, 104_270_667, arc, np.full(5, 0.1), 1e-6)
+
+    assert _traced_peak(over_budget) < 1 << 20
+
+
+def test_arc_overflow_is_refused_before_the_panels():
+    # the order-2 arc [0, 1/3] at k = 200,000 fits the point budget with
+    # 266,667 panels, but e^(2 pi eps k) at eps = 1/4 overflows a float
+    arc = major_arcs(farey_sequence(2))[0]
+
+    def overflow():
+        with pytest.raises(ValueError, match=r"k=200000, eps=0\.25: .* overflows a float"):
+            arc_multiplier(5, 200_000, arc, np.full(5, 0.1), 0.25)
+
+    assert _traced_peak(overflow) < 1 << 20
+    # K = 500 at Lambda = 2: 2 pi eps k = 785
+    cfg = ExperimentConfig("reconstruct", {"d": 5, "K": 500, "Lambda": 2, "L": 1,
+                                           "seed": 0, "tol": 1e-6})
+    with pytest.raises(ValueError, match="k=500, eps=0.25"):
+        run_experiment(cfg)
+
+
+def test_approx_total_images_checked_before_allocation(monkeypatch):
+    # q_max * d images against the point budget: at d = 5 a q_max of
+    # 1,000,001 is one modulus over, refused before any array is built
+    def over_budget():
+        with pytest.raises(BudgetExceededError,
+                           match=f"q_max=1000001 needs 5000005 images in d=5, "
+                                 f"budget {DEFAULT_POINT_BUDGET}$"):
+            approx_total(5, 9, np.array([0.5, 0.1, 0, 0, 0]), q_max=1_000_001)
+
+    assert _traced_peak(over_budget) < 1 << 20
+    # with the budget at the images of q_max = 30 the sum is evaluated, and
+    # one modulus more is refused before allocation
+    xi = np.array([0.5, 0.1, 0, 0, 0])
+    full = approx_total(5, 9, xi, q_max=30)
+    monkeypatch.setattr(arcs, "DEFAULT_POINT_BUDGET", 30 * 5)
+    assert approx_total(5, 9, xi, q_max=30) == full
+
+    def one_over():
+        with pytest.raises(BudgetExceededError, match="q_max=31 needs 155 images"):
+            approx_total(5, 9, xi, q_max=31)
+
+    assert _traced_peak(one_over) < 1 << 20
 
 
 

@@ -509,6 +509,25 @@ def test_cli_approx_rejects_bad_arguments():
     assert proc.stdout == "" and proc.stderr.startswith("error: --q-max 0")
 
 
+def test_cli_approx_names_a_q_max_over_the_point_budget():
+    # q_max * d images: at d = 5 a q_max of 1,000,001 is one over the budget
+    proc = run_cli("approx", "--k", "9", "--q-max", "1000001",
+                   "--xi", "0.5,0.1,0,0,0", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: --q-max 1000001: q_max=1000001 needs 5000005 "
+                           "images in d=5, budget 5000000\n")
+
+
+def test_cli_reconstruct_past_float_range_gives_one_error_line(tmp_path):
+    # K = 500 at Lambda = 2: e^(2 pi k / 4) = e^785 overflows a float
+    cfg = tmp_path / "r500.cfg"
+    cfg.write_text("kind = reconstruct\nd = 5\nK = 500\nLambda = 2\nL = 1\n")
+    proc = run_cli("experiment", "run", str(cfg), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: k=500, eps=0.25: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 def test_cli_shell_over_budget():
     proc = run_cli("shell", "--d", "5", "--k", "40", "--budget", "100", expect=1)
     assert proc.stdout == ""

@@ -379,22 +379,40 @@ def test_poisson_tail_bound_covers_the_truncation(eps, tol):
         assert abs(got.value - ref.value) <= got.tail_bound + 64 * ulp * pref * np.prod(sums)
 
 
-def test_a_poisson_window_over_the_box_budget_is_refused(monkeypatch):
+def test_a_poisson_window_over_the_point_budget_is_refused(monkeypatch):
     params, xi = on_arc(1e-6, 3, 997, 1e-3), np.array([0.1, -0.3, 0.45])
     width = heat._image_window(xi.tolist(), 997, _reach(params, 3, 1e-12)[2])[1]
     assert width > 2000
     heat_multiplier_poisson(params, xi)          # warms the Gauss row
-    monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", width - 1)
+    # the (3, W) image arrays hold 3 W entries: one over the budget is
+    # refused before any is built, and at the budget the form is evaluated
+    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", 3 * width - 1)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match=f"window {width} exceeds"):
+        with pytest.raises(BudgetExceededError,
+                           match=f"window {width} on 3 axes exceeds budget {3 * width - 1}$"):
             heat_multiplier_poisson(params, xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * width                      # one int64 row of images
-    monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", width)
+    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", 3 * width)
     assert heat_multiplier_poisson(params, xi).radius > 0
+
+
+def test_a_wide_poisson_window_is_refused_before_allocation():
+    # at eps = 1e-8, a/q = 1/3001, t = 0.3 the window is W = 72,173,395
+    # images an axis: (5, W) int64 images alone would take 2.9 GB
+    params, xi = on_arc(1e-8, 1, 3001, 0.3), np.full(5, 0.1)
+    assert math.ceil(2 * 3001 * _reach(params, 5, 1e-12)[2]) + 4 == 72_173_395
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="on 5 axes exceeds budget"):
+            heat_multiplier_poisson(params, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_the_gauss_row_maximum_is_computed_once_per_row(monkeypatch):

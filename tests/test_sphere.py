@@ -13,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from spherelab import sphere
 from spherelab.errors import BudgetExceededError
+from spherelab.lattice import DEFAULT_POINT_BUDGET
 from spherelab.sphere import (
-    J_MAIN_MAX_PANELS,
-    QUADRATURE_INNER_BUDGET,
+    PANEL_NODES,
     j_main,
     j_main_integral,
+    panel_quadrature,
     radial_constant,
     sphere_ft_montecarlo,
     sphere_ft_quadrature,
+    undamping,
     unit_sphere_ft,
 )
 
@@ -174,12 +177,12 @@ def test_quadrature_rejects_bad_arguments_by_name(d, n_polar, n_azimuth, name):
 
 
 def test_quadrature_inner_grid_checked_before_allocation():
-    # d = 7: the inner grid is 48^4 * 144 nodes, far over the cap
+    # d = 7: the inner grid is 48^4 * 144 nodes, far over the point budget
     inner = 48 ** 4 * 144
-    assert inner > QUADRATURE_INNER_BUDGET
+    assert inner > DEFAULT_POINT_BUDGET
 
     def over_budget():
-        with pytest.raises(BudgetExceededError, match=f"{inner} nodes exceeds cap"):
+        with pytest.raises(BudgetExceededError, match=f"{inner} nodes exceeds the budget"):
             sphere_ft_quadrature(7, np.full(7, 0.1), n_polar=48, n_azimuth=144)
 
     assert _traced_peak(over_budget) < 1 << 20
@@ -187,15 +190,32 @@ def test_quadrature_inner_grid_checked_before_allocation():
 
 @pytest.mark.parametrize("d, n_polar", [(2, 5), (3, 1)])
 def test_quadrature_inner_budget_boundary(d, n_polar):
-    # the cap counts the unfolded inner grid: n_polar^(d-3) * n_azimuth at
-    # the cap is evaluated, one node more is refused
+    # the budget counts the unfolded inner grid: n_polar^(d-3) * n_azimuth
+    # at the budget is evaluated, one node more is refused before allocation
     assert 0.0 < sphere_ft_quadrature(d, np.zeros(d), n_polar=n_polar,
-                                      n_azimuth=QUADRATURE_INNER_BUDGET) <= 1.0 + 1e-15
-    with pytest.raises(BudgetExceededError,
-                       match=f"inner grid of {QUADRATURE_INNER_BUDGET + 1} nodes exceeds cap "
-                             f"{QUADRATURE_INNER_BUDGET}$"):
-        sphere_ft_quadrature(d, np.zeros(d), n_polar=n_polar,
-                             n_azimuth=QUADRATURE_INNER_BUDGET + 1)
+                                      n_azimuth=DEFAULT_POINT_BUDGET) <= 1.0 + 1e-15
+
+    def over_budget():
+        with pytest.raises(BudgetExceededError,
+                           match=f"inner grid of {DEFAULT_POINT_BUDGET + 1} nodes exceeds "
+                                 f"the budget of {DEFAULT_POINT_BUDGET}$"):
+            sphere_ft_quadrature(d, np.zeros(d), n_polar=n_polar,
+                                 n_azimuth=DEFAULT_POINT_BUDGET + 1)
+
+    assert _traced_peak(over_budget) < 1 << 20
+
+
+def test_quadrature_blocks_follow_the_point_budget(monkeypatch):
+    # the outer rows are streamed in blocks of at most DEFAULT_POINT_BUDGET
+    # phases: at d = 5, n_polar 48 the 24 rows of 24^2 * 72 folded phases
+    # are one block, and the smallest budget the inner grid allows,
+    # 48^2 * 144, gives 3 blocks of 8 rows whose sum agrees at roundoff
+    xi = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
+    whole = sphere_ft_quadrature(5, xi, n_polar=48, n_azimuth=144)
+    assert DEFAULT_POINT_BUDGET // (24 ** 2 * 72) >= 24
+    monkeypatch.setattr(sphere, "DEFAULT_POINT_BUDGET", 48 ** 2 * 144)
+    rowwise = sphere_ft_quadrature(5, xi, n_polar=48, n_azimuth=144)
+    assert abs(rowwise - whole) < 1e-15
 
 
 def test_montecarlo_oracle():
@@ -233,14 +253,51 @@ def test_rejects_bad_arguments():
 
 
 def test_main_term_panel_cap_checked_before_allocation():
-    # k = 300 gives panels of width 1/1200 over [-1000, 1000]: 2.4M of them,
-    # over the cap of 2M
-    assert J_MAIN_MAX_PANELS == 2_000_000
+    # the point budget holds 416,666 panels of 12 nodes; at k = 1, eps = 0.0096
+    # panels of width eps/2 = 0.0048 over [-1000, 1000] number 416,667
+    assert 416_666 * PANEL_NODES <= DEFAULT_POINT_BUDGET < 416_667 * PANEL_NODES
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="2400000 panels exceed cap 2000000"):
-            j_main_integral(5, 300, np.array([0.2, 0.1, 0.0, 0.0, 0.0]), 0.25)
+        with pytest.raises(BudgetExceededError,
+                           match=f"416667 panels of 12 nodes exceed the budget of "
+                                 f"{DEFAULT_POINT_BUDGET} nodes"):
+            j_main_integral(5, 1, np.array([0.2, 0.1, 0.0, 0.0, 0.0]), 0.0096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_panel_budget_boundary(monkeypatch):
+    # k = 1, eps = 1/4 gives 16,000 panels of width 1/8 over [-1000, 1000]:
+    # with the budget at their nodes the integral is evaluated, one node
+    # short of them it is refused before allocation
+    nodes = 16_000 * PANEL_NODES
+    xi = np.array([0.2, 0.1, 0.0, 0.0, 0.0])
+    assert len(panel_quadrature(-1e3, 1e3, 1, 0.25)[0]) == nodes
+    monkeypatch.setattr(sphere, "DEFAULT_POINT_BUDGET", nodes)
+    value, _ = j_main_integral(5, 1, xi, 0.25)
+    assert abs(value - j_main(5, 1, xi)) < 1e-6
+    monkeypatch.setattr(sphere, "DEFAULT_POINT_BUDGET", nodes - 1)
+
+    def over_budget():
+        with pytest.raises(BudgetExceededError, match="16000 panels of 12 nodes exceed"):
+            j_main_integral(5, 1, xi, 0.25)
+
+    assert _traced_peak(over_budget) < 1 << 20
+
+
+def test_undamping_overflow_is_refused_before_the_panels():
+    # 2 pi eps k = 980 > ln(float max) = 709.78, while the 416,000 panels of
+    # k = 52 fit the point budget: about 0.48 GB would be built first
+    assert 416_000 * PANEL_NODES <= DEFAULT_POINT_BUDGET
+
+    def overflow():
+        with pytest.raises(ValueError, match=r"k=52, eps=3\.0: .* overflows a float"):
+            j_main_integral(5, 52, np.full(5, 0.1), 3.0)
+
+    assert _traced_peak(overflow) < 1 << 20
+    edge = math.log(1.7976931348623157e308)
+    assert undamping(1, edge / (2.0 * math.pi)) <= 1.7976931348623157e308
+    with pytest.raises(ValueError, match="k=2, eps="):
+        undamping(2, edge / (2.0 * math.pi))

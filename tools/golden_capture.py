@@ -67,6 +67,7 @@ CLI_CALLS = (
     ("mult", "--d", "1", "--k", "2", "--xi", "0.1"),
     ("approx", "--k", "9", "--q-max", "8", "--xi", "0.5,0.1,0,0,0"),
     ("approx", "--d", "3", "--k", "4", "--xi", "0,0,0"),
+    ("approx", "--k", "9", "--q-max", "1000001", "--xi", "0.5,0.1,0,0,0"),
     ("ncmax", "--input", "{tmp}/fam.txt"),
     ("ncmax", "--input", "{tmp}/fam.txt", "--p", "inf"),
     ("ncmax", "--input", "{tmp}/fam3.txt", "--tol", "1e-9"),
@@ -82,6 +83,7 @@ CLI_CALLS = (
     ("experiment", "run", "{tmp}/farey.cfg"),
     ("experiment", "run", "{tmp}/ncmax.cfg"),
     ("experiment", "run", "{tmp}/bad.cfg"),
+    ("experiment", "run", "{tmp}/reconstruct500.cfg"),
     ("--seed", "-1", "transfer"),
 )
 
@@ -102,7 +104,9 @@ def capture(tmp: str) -> list[str]:
              "nan.txt": NAN_PROBLEM, "short.txt": SHORT_PROBLEM,
              "farey.cfg": "kind = farey\nLambda = 5\n",
              "ncmax.cfg": f"kind = ncmax\ninput = {tmp}/fam.txt\n",
-             "bad.cfg": "kind = farey\nLambda = nope\n"}
+             "bad.cfg": "kind = farey\nLambda = nope\n",
+             "reconstruct500.cfg": "kind = reconstruct\nd = 5\nK = 500\n"
+                                   "Lambda = 2\nL = 1\n"}
     for name, text in files.items():
         Path(tmp, name).write_text(text)
     lines = ["[verify]"]
