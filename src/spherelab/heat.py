@@ -39,6 +39,13 @@ image sum of axis i and t_i the bound on what it leaves out: a tail of one
 axis is multiplied by the other factors, whose product is 2.8e4 at
 eps = 30, d = 6, a/q = 0/1, t = 0.
 
+An eps too close to 0 for floats is refused by a ValueError naming it
+before any array is built: in the direct form, where the truncation
+target falls below the smallest normal float or the squared radius
+overflows; in the Poisson form, where |2 (eps - i t)|^{-d/2} overflows or
+the decay pi eps / (2 (eps^2 + t^2)) is not a positive float (at t = 0,
+eps = 1e-300 does both).
+
 A tail_bound bounds the truncation only, the terms a form leaves out; it
 does not bound floating roundoff.  At d = 4, eps = 0.01, xi = 0, a/q = 0/1,
 t = 0 and tol = 1e-15 the two forms differ by 4.5e-13, about eps_mach |H|
@@ -54,6 +61,7 @@ acceptance.envelope_sup.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -67,6 +75,7 @@ from .lattice import DEFAULT_POINT_BUDGET
 DEFAULT_TOL = 1e-12
 DEFAULT_BOX_BUDGET = 10.0**15  # the direct form's total work: s-count x d x (2r+1) terms
 THETA_ENTRIES = 32  # _theta_radius and _theta_data entries kept, keyed by (eps, tol, d)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # e^x is subnormal below it
 
 
 @dataclass(frozen=True)
@@ -107,15 +116,29 @@ class HeatValue(NamedTuple):
 
 @lru_cache(maxsize=THETA_ENTRIES)
 def _theta_radius(eps: float, tol: float, d: int) -> int:
-    """Smallest truncation radius R with the omitted product mass below tol."""
+    """Smallest truncation radius R with the omitted product mass below tol.
+
+    An eps whose target or squared radius is past float range (eps near 0)
+    is refused by name, before the powers below would overflow.
+    """
     theta_full = 1.0 + 1.0 / math.sqrt(2.0 * eps)  # >= sum_n exp(-2 pi eps n^2)
+    denom = -math.expm1(-2.0 * math.pi * eps)
+    # the target, in logs
+    log_target = (math.log(tol) - math.log(2 * d) - (d - 1) * math.log(theta_full)
+                  + math.log(denom))
+    if log_target < _LOG_FLOAT_MIN:
+        raise ValueError(f"eps={eps}, tol={tol}, d={d}: the theta truncation target "
+                         f"e^{log_target:.6g} is below the smallest normal float")
     per_axis = tol / (d * theta_full ** (d - 1))
     # need 2 exp(-2 pi eps (R+1)^2) / (1 - exp(-2 pi eps)) <= per_axis
-    denom = -math.expm1(-2.0 * math.pi * eps)
     target = per_axis * denom / 2.0
     if target >= 1.0:
         return 0
-    return math.isqrt(int(math.log(1.0 / target) / (2.0 * math.pi * eps))) + 1
+    radius_sq = math.log(1.0 / target) / (2.0 * math.pi * eps)
+    if not math.isfinite(radius_sq):
+        raise ValueError(f"eps={eps}, tol={tol}, d={d}: the squared theta radius "
+                         f"{radius_sq} is not a finite float")
+    return math.isqrt(int(radius_sq)) + 1
 
 
 def _theta_tail(eps: float, r: int) -> float:
@@ -209,8 +232,16 @@ def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) ->
         raise ValueError(f"xi needs dimension d >= 1, got d = {d}")
     a, q, t, eps = params.a, params.q, params.t, params.eps
     z = 2.0 * (eps - 1j * t)
+    try:
+        prefactor = z ** (-d / 2)  # principal branch, Re z > 0
+        decay = 0.5 * math.pi * eps / (eps * eps + t * t)  # |exp(-pi u^2/z)| = exp(-decay u^2)
+    except (OverflowError, ZeroDivisionError):  # |z|^{-d/2} overflows, or eps^2 + t^2 is 0
+        decay = math.inf
+    if not 0.0 < decay < math.inf:
+        raise ValueError(f"eps={eps}, t={t}: the prefactor |2 (eps - i t)|^(-d/2) or the "
+                         f"decay pi eps / (2 (eps^2 + t^2)) of the Poisson form is past "
+                         f"float range")
     inv_z = 1.0 / z
-    decay = 0.5 * math.pi * eps / (eps * eps + t * t)  # |exp(-pi u^2/z)| = exp(-decay u^2)
     g1 = gauss_sum_1d_all(a, q)
     g1_max = gauss_row_max(a, q)
     # per-axis reach: beyond it the Gaussian factor alone is below the target
@@ -232,7 +263,6 @@ def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) ->
         t_i = g1_max * (math.exp(-decay * (x - (first - 1) / q) ** 2)
                         + math.exp(-decay * (x - (first + width) / q) ** 2)) / gap
         spread, mass = (f + t_i) * spread + t_i * mass, f * mass
-    prefactor = z ** (-d / 2)  # principal branch, Re z > 0
     value = complex(prefactor * factors.prod())
     return HeatValue(value=value, tail_bound=abs(prefactor) * spread, radius=int(reach * q) + 1)
 
@@ -242,9 +272,12 @@ def _image_window(xi: list[float], q: int, reach: float) -> tuple[list[int], int
     width W = ceil(2 q reach) + 4 whose window lo_i..lo_i + W - 1 covers
     lo_i..ceil(q (xi_i + reach)) + 1 on every axis: that end minus lo_i is
     an integer below 2 q reach + 4.  The d W images of the (d, W) arrays
-    are checked against DEFAULT_POINT_BUDGET before any is built."""
-    width = math.ceil(2 * q * reach) + 4
-    if len(xi) * width > DEFAULT_POINT_BUDGET:
+    are checked against DEFAULT_POINT_BUDGET before any is built, on the
+    float span 2 q reach, so a reach past float range is refused too."""
+    span = 2 * q * reach
+    # len(xi) W > budget exactly when span > budget // len(xi) - 4
+    if not span <= DEFAULT_POINT_BUDGET // len(xi) - 4:
+        width = math.ceil(span) + 4 if math.isfinite(span) else span
         raise BudgetExceededError(f"poisson image window {width} on {len(xi)} "
                                   f"axes exceeds budget {DEFAULT_POINT_BUDGET}")
-    return [math.floor(q * (x - reach)) - 1 for x in xi], width
+    return [math.floor(q * (x - reach)) - 1 for x in xi], math.ceil(span) + 4

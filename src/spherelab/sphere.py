@@ -234,13 +234,18 @@ def panel_quadrature(lo: float, hi: float, k: int,
 
     Panels span at most a quarter period of the oscillation and at most
     eps/2 (the kernel scale near its center), PANEL_NODES nodes each.  The
-    nodes are checked against DEFAULT_POINT_BUDGET before any is built.
+    nodes are checked against DEFAULT_POINT_BUDGET before any is built, on
+    the float panel count, so a width that underflows to 0 or a count past
+    float range is refused by name too.
     """
     width = min(1.0 / (4.0 * max(k, 1)), eps / 2.0)
-    n_panels = int(math.ceil((hi - lo) / width))
-    if n_panels * PANEL_NODES > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(f"{n_panels} panels of {PANEL_NODES} nodes exceed "
+    panels = (hi - lo) / width if width > 0.0 else math.inf
+    # ceil(panels) * PANEL_NODES > budget exactly when panels > budget // PANEL_NODES
+    if not panels <= DEFAULT_POINT_BUDGET // PANEL_NODES:
+        count = math.ceil(panels) if math.isfinite(panels) else panels
+        raise BudgetExceededError(f"{count} panels of {PANEL_NODES} nodes exceed "
                                   f"the budget of {DEFAULT_POINT_BUDGET} nodes")
+    n_panels = int(math.ceil(panels))
     edges = np.linspace(lo, hi, n_panels + 1)
     gl_x, gl_w = leggauss(PANEL_NODES)
     mid = 0.5 * (edges[:-1] + edges[1:])

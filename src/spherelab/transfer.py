@@ -16,9 +16,13 @@ the shell sum S_k.  The ratio tables take every M_k up to the largest shell
 from one lattice.twisted_counts table at the n^2 phase differences, with no
 shell enumerated (shell_averages); auto_spherical_average, the automorphism
 side of the truncation identity, reads one k off the same kernel through
-exact_multiplier_many.  A whole orbit box is rotated back to V B V* by two
-GEMMs per slice of its first axis, peaking at about one box.  gamma_apply,
-by matrix powers, is the independent oracle of all three.
+exact_multiplier_many.  Both sides of the truncation identity are summed
+in the joint eigenbasis, where the lattice sum commutes with conjugation
+by the fixed V, and only their difference on the inner sites is rotated
+back to V B V* (truncation_identity_check); orbit_truncation rotates its
+whole box back, by two GEMMs per slice of its first axis, peaking at about
+one box.  gamma_apply, by matrix powers, is the independent oracle of all
+three.
 """
 
 from __future__ import annotations
@@ -170,32 +174,48 @@ def check_orbit_budget(fam: AutomorphismFamily, span: int) -> None:
             f"budget of {DEFAULT_POINT_BUDGET}")
 
 
-def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
-    """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n).
+def _phase_box(fam: AutomorphismFamily, xt: np.ndarray, span: int) -> np.ndarray:
+    """Grid of xt o e(m . (phi_r - phi_s)) over the box |m|_inf <= span, shape
+    (2s+1,)*d + (n,n): gamma^m in the joint eigenbasis, xt = V*xV.
 
     Its width^d * n^2 entries are checked against DEFAULT_POINT_BUDGET
-    (check_orbit_budget) before anything is allocated.  V*xV times
-    e(m_i (phi_r - phi_s)) is built one axis at a time, as the outer product
-    of the grid over the axes before it with that axis's phases, so each
-    entry takes its factors in axis order.  Each slice of the first axis is then rotated back to V B V* by
-    two GEMMs over all its sites at once, V B and then (V B) V*: O(n^3) a
-    site, and the peak is one box plus two slices.
+    (check_orbit_budget) before anything is allocated.  It is built one axis
+    at a time, as the outer product of the grid over the axes before it with
+    that axis's phases e(m_i (phi_r - phi_s)), so each entry takes its
+    factors in axis order.
     """
     check_orbit_budget(fam, span)
-    width = 2 * span + 1
-    n, v = fam.n, fam.basis
-    box = (v.conj().T @ x.entries @ v)[None]
+    n = fam.n
+    box = xt[None]
     steps = np.arange(-span, span + 1)
     for dphi in fam.phases[:, :, None] - fam.phases[:, None, :]:
         phase = np.exp(2j * np.pi * steps[:, None, None] * dphi)
         box = (box[:, None] * phase[None]).reshape(-1, n, n)
-    box = box.reshape((width,) * fam.d + (n, n))
+    return box.reshape((2 * span + 1,) * fam.d + (n, n))
+
+
+def _rotate_back(v: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Overwrite every n x n site B of a contiguous stack (w, ..., n, n)
+    with V B V*, and return the stack.
+
+    Each slice of the first axis takes two GEMMs over all its sites at
+    once, V B and then (V B) V*: O(n^3) a site, and the peak is the stack
+    plus two slices.
+    """
+    n = v.shape[0]
     vh = v.conj().T
-    for sites in box.reshape(width, -1, n, n):
-        left = v @ sites.transpose(1, 0, 2).reshape(n, -1)
-        sites[...] = (left.reshape(-1, n) @ vh).reshape(n, -1, n).transpose(1, 0, 2)
+    for block in sites.reshape(sites.shape[0], -1, n, n):
+        left = v @ block.transpose(1, 0, 2).reshape(n, -1)
+        block[...] = (left.reshape(-1, n) @ vh).reshape(n, -1, n).transpose(1, 0, 2)
         del left  # else it is a third live slice during the next V product
-    return box
+    return sites
+
+
+def _orbit_box(fam: AutomorphismFamily, x: AlgebraElement, span: int) -> np.ndarray:
+    """Grid of gamma^m x over the box |m|_inf <= span, shape (2s+1,)*d+(n,n):
+    the phase box of V*xV rotated back to V B V*, site by site."""
+    v = fam.basis
+    return _rotate_back(v, _phase_box(fam, v.conj().T @ x.entries @ v, span))
 
 
 def orbit_truncation(fam: AutomorphismFamily, x: AlgebraElement,
@@ -240,25 +260,34 @@ def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
     With g the orbit truncated to |n|_inf <= window and cap = sqrt(k_cap_sq),
     the spherical convolution of g agrees with gamma^n applied to the
     automorphism average, entrywise, at every site |n|_inf <= window - cap
-    and every shell k <= cap^2.  Both sides are computed independently; the
-    return value is pure floating-point roundoff.
+    and every shell k <= cap^2.  Both sides are summed in the joint
+    eigenbasis, where conjugation by the fixed V commutes with the lattice
+    sum: the lattice side is inner_shell_average over the phase box of V*xV
+    on the whole window (enumerated shell slices), the automorphism side
+    the phase box of V* avg V on the inner sites, avg from
+    auto_spherical_average (the twisted theta table).  Only their
+    difference on the inner sites is rotated back to V (lhs - rhs) V*
+    before the max is taken; the return value is pure floating-point
+    roundoff.
     """
     cap = math.isqrt(k_cap_sq)
     if cap * cap != k_cap_sq:
         raise ValueError("k_cap_sq must be a perfect square")
     if cap > window:
         raise ValueError("need cap <= window")
-    box = _orbit_box(fam, x, window)
+    v = fam.basis
+    vh = v.conj().T
+    box = _phase_box(fam, vh @ x.entries @ v, window)
     inner = window - cap
     worst = 0.0
     for k in range(1, k_cap_sq + 1):
         shell = sphere_shell(fam.d, k)
         if shell.count == 0:
             continue
-        lhs = inner_shell_average(box, shell, cap)
+        diff = inner_shell_average(box, shell, cap)
         avg = auto_spherical_average(fam, x, k)
-        rhs = _orbit_box(fam, avg, inner)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        diff -= _phase_box(fam, vh @ avg.entries @ v, inner)
+        worst = max(worst, float(np.abs(_rotate_back(v, diff)).max()))
     return worst
 
 

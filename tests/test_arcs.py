@@ -252,3 +252,23 @@ def test_exact_multiplier_many_names_a_bad_shape(shape):
     shell = sphere_shell(3, 2)
     with pytest.raises(ValueError, match=re.escape(f"(rows, 3) array, got shape {shape}")):
         exact_multiplier_many(shell, np.zeros(shape))
+
+
+def test_an_arc_whose_panel_width_underflows_is_refused_by_name():
+    # order 2^537 gives eps = 2^-1074, the smallest float, and panels of
+    # width eps / 2, which rounds to 0: refused as a budget, not divided by
+    from fractions import Fraction
+
+    from spherelab.farey import MajorArc
+    order = 2 ** 537
+    arc = MajorArc(center=Fraction(0), left=Fraction(0), right=Fraction(1, order + 1),
+                   alpha=Fraction(order, order + 1), beta=Fraction(order, order + 1),
+                   order=order, closed_right=False)
+    eps = 5e-324
+    assert order ** -2.0 == eps and eps / 2.0 == 0.0
+
+    def refused():
+        with pytest.raises(BudgetExceededError, match="^inf panels of 12 nodes exceed"):
+            arc_multiplier(5, 1, arc, np.full(5, 0.1), eps)
+
+    assert _traced_peak(refused) < 1 << 20

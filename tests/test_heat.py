@@ -442,3 +442,40 @@ def test_the_gauss_row_maximum_is_computed_once_per_row(monkeypatch):
             (hv.value, hv.tail_bound, hv.radius)
     with pytest.raises(ValueError):
         gauss.gauss_row_max(2, 4)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-300])
+@pytest.mark.parametrize("form", [heat_multiplier_direct, heat_multiplier_poisson],
+                         ids=["direct", "poisson"])
+def test_an_eps_past_float_range_is_refused_by_name(form, eps):
+    # at t = 0, eps^2 underflows to 0 and (2 eps)^(-3/2) overflows: both
+    # forms name eps before any array is built
+    params = on_arc(eps, 0, 1, 0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^eps={eps}"):
+            form(params, np.zeros(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_a_poisson_reach_past_float_range_is_refused_by_name():
+    # at eps = 5e-324, t = 1 the decay is a subnormal 1e-323, and the image
+    # reach sqrt(log(1/tol) / decay) is inf: refused as a window, not rounded up
+    with pytest.raises(BudgetExceededError, match="window inf on 3 axes exceeds budget"):
+        heat_multiplier_poisson(on_arc(5e-324, 0, 1, 1.0), np.zeros(3))
+
+
+def test_the_direct_radius_near_the_float_range_edge():
+    # at d = 1, tol = 1/2 the target is a normal float down to eps near
+    # 1e-307: at eps = 1e-200 the squared radius is a float, which the
+    # budget then refuses; at eps = 1.6e-307 it overflows (about 7e308) and
+    # is refused by name; at eps = 1e-320 the target is subnormal
+    with pytest.raises(BudgetExceededError):
+        heat_multiplier_direct(on_arc(1e-200, 0, 1, 0.0), np.zeros(1), tol=0.5)
+    with pytest.raises(ValueError, match="^eps=1.6e-307, tol=0.5, d=1: the squared theta radius inf"):
+        heat_multiplier_direct(on_arc(1.6e-307, 0, 1, 0.0), np.zeros(1), tol=0.5)
+    with pytest.raises(ValueError, match="^eps=1e-320, tol=0.5, d=1: the theta truncation target"):
+        heat_multiplier_direct(on_arc(1e-320, 0, 1, 0.0), np.zeros(1), tol=0.5)

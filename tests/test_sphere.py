@@ -301,3 +301,15 @@ def test_undamping_overflow_is_refused_before_the_panels():
     assert undamping(1, edge / (2.0 * math.pi)) <= 1.7976931348623157e308
     with pytest.raises(ValueError, match="k=2, eps="):
         undamping(2, edge / (2.0 * math.pi))
+
+
+def test_a_panel_count_past_float_range_is_refused_by_name():
+    # eps = 1e-310 makes panels of width 5e-311: 2000 / 5e-311 overflows to
+    # inf, compared with the budget before it is rounded up
+    def overflow():
+        with pytest.raises(BudgetExceededError, match="^inf panels of 12 nodes exceed"):
+            j_main_integral(5, 1, np.zeros(5), 1e-310)
+
+    assert _traced_peak(overflow) < 1 << 20
+    with pytest.raises(BudgetExceededError, match="^inf panels"):
+        panel_quadrature(0.0, 1.0, 1, 5e-324)   # eps / 2 underflows to 0

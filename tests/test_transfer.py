@@ -333,3 +333,110 @@ def test_non_commuting_pair_is_rejected():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="do not commute"):
         AutomorphismFamily(n=2, d=2, unitaries=np.stack([z, x]))
+
+
+def _rotated_orbit_box(fam, x, span):
+    """gamma^m x over |m|_inf <= span built site by site in the original
+    basis: the phases of V*xV one axis at a time, each site then rotated
+    back to V B V* before any shell is summed."""
+    n, v = fam.n, fam.basis
+    box = (v.conj().T @ x.entries @ v)[None]
+    steps = np.arange(-span, span + 1)
+    for dphi in fam.phases[:, :, None] - fam.phases[:, None, :]:
+        phase = np.exp(2j * np.pi * steps[:, None, None] * dphi)
+        box = (box[:, None] * phase[None]).reshape(-1, n, n)
+    return np.einsum("ij,mjk,lk->mil", v, box, v.conj()).reshape(
+        (2 * span + 1,) * fam.d + (n, n))
+
+
+def _rotated_box_sides(fam, x, window, cap):
+    """{k: (lattice side, automorphism side)} of the truncation identity on
+    the rotated-box route: the lattice side summed over the rotated orbit
+    box of the whole window, the automorphism side the rotated orbit box of
+    its average on the inner sites."""
+    box = _rotated_orbit_box(fam, x, window)
+    sides = {}
+    for k in range(1, cap * cap + 1):
+        shell = sphere_shell(fam.d, k)
+        if shell.count:
+            avg = auto_spherical_average(fam, x, k)
+            sides[k] = (inner_shell_average(box, shell, cap),
+                        _rotated_orbit_box(fam, avg, window - cap))
+    return sides
+
+
+def _random_commuting_family(d, n, seed):
+    return _conjugated_family(np.random.default_rng(seed).uniform(0, 1, size=(d, n)), seed)
+
+
+IDENTITY_FAMILIES = (
+    [(f"diagonal_d{d}_n{n}", diagonal_phase_family(TRANSFER_THETAS[:d], n))
+     for d, n in ((3, 2), (4, 3), (5, 2), (5, 4))]
+    + [("permutation_d3_n3", permutation_phase_family())]
+    + [(f"conjugated_d{d}_n{n}", _random_commuting_family(d, n, 10 * d + n))
+       for d, n in ((3, 2), (3, 4), (4, 3), (5, 2), (5, 3), (5, 4))])
+
+
+@pytest.mark.parametrize("name,fam", IDENTITY_FAMILIES, ids=[f[0] for f in IDENTITY_FAMILIES])
+def test_eigenbasis_sides_match_the_rotated_box_sides(name, fam):
+    # the lattice side summed in the joint eigenbasis and rotated back
+    # agrees to roundoff with the sum over the rotated box; both deviations
+    # are roundoff
+    x = random_hermitian_probe(fam.n, 27)
+    window, cap = 3, 2
+    v = fam.basis
+    phase_box = transfer._phase_box(fam, v.conj().T @ x.entries @ v, window)
+    oracle_worst = 0.0
+    for k, (lhs, rhs) in _rotated_box_sides(fam, x, window, cap).items():
+        eigen_lhs = transfer._rotate_back(
+            v, inner_shell_average(phase_box, sphere_shell(fam.d, k), cap))
+        assert np.abs(eigen_lhs - lhs).max() < 1e-13, k
+        oracle_worst = max(oracle_worst, float(np.abs(lhs - rhs).max()))
+    assert oracle_worst < 1e-12
+    assert truncation_identity_check(fam, x, window, cap * cap) < 1e-12
+
+
+@pytest.mark.parametrize("name,fam", IDENTITY_FAMILIES, ids=[f[0] for f in IDENTITY_FAMILIES])
+def test_the_check_measures_a_defect_in_the_original_basis(name, fam, monkeypatch):
+    # an automorphism side off by a hermitian e at k = 1 makes the rotated
+    # difference -gamma^m(e) at every inner site m, so the check reads the
+    # largest entry of gamma^m(e) over them, by matrix powers
+    x = random_hermitian_probe(fam.n, 28)
+    e = 1e-3 * random_hermitian_probe(fam.n, 29).entries
+    true_average = transfer.auto_spherical_average
+
+    def off_at_one(fam_, x_, k):
+        avg = true_average(fam_, x_, k)
+        return hermitian_element(avg.entries + e) if k == 1 else avg
+
+    monkeypatch.setattr(transfer, "auto_spherical_average", off_at_one)
+    window, cap = 2, 1
+    inner = window - cap
+    expected = max(np.abs(gamma_apply(fam, np.subtract(m, inner), hermitian_element(e))
+                          .entries).max() for m in np.ndindex(*(2 * inner + 1,) * fam.d))
+    assert abs(truncation_identity_check(fam, x, window, cap * cap) - expected) < 1e-12
+
+
+def test_phase_box_and_rotation_rebuild_the_orbit_box():
+    fam = _random_commuting_family(4, 3, 5)
+    x = random_hermitian_probe(3, 5)
+    v = fam.basis
+    box = transfer._orbit_box(fam, x, 2)
+    assert np.array_equal(
+        box, transfer._rotate_back(v, transfer._phase_box(fam, v.conj().T @ x.entries @ v, 2)))
+    assert np.abs(box - _rotated_orbit_box(fam, x, 2)).max() < 1e-13
+
+
+def test_truncation_identity_refuses_a_wide_box_before_allocation():
+    # 21^5 sites of 16x16 entries: the phase box of the whole window is
+    # refused before x is rotated or any site is built
+    fam = diagonal_phase_family(TRANSFER_THETAS, 16)
+    x = random_hermitian_probe(16, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="21\\^5 orbit sites of 16x16"):
+            truncation_identity_check(fam, x, 10, 4)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1_000_000

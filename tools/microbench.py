@@ -11,8 +11,10 @@ machine.  ``heat_request_d2``, ``_d3`` and ``_d5`` time one whole
 ``oracle-mix`` heat request: both heat forms at 8 frequencies, and
 ``farey_request_order200`` one whole farey request: sequence, arcs,
 partition check and 20 lookups.
-``truncation_identity_check`` also reports its tracemalloc peak
-from one further call; ``major_arcs_order200`` and ``sphere_shell_d5_k400``
+Each ``truncation_identity_check`` kernel (the ``transfer`` workload's d = 5
+diagonal and d = 3 permutation requests, and a d = 5, n = 3 family with a
+non-diagonal eigenbasis) also reports its tracemalloc peak from one
+further call; ``major_arcs_order200`` and ``sphere_shell_d5_k400``
 report the bytes their result keeps and their peak; and the ``ncmax_norm``
 kernels their total Newton step count (``ncmax_norm_transfer_set16`` solves
 16 seeded ratio-table families like those of the ``transfer`` workload).  The result is one
@@ -59,7 +61,8 @@ from spherelab.sphere import sphere_ft_quadrature  # noqa: E402
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
                                 _phase_differences, auto_spherical_average,
                                 diagonal_phase_family, maximal_ratio_experiment,
-                                shell_averages, truncation_identity_check)
+                                permutation_phase_family, shell_averages,
+                                truncation_identity_check)
 
 
 def conjugated_family(d: int, n: int) -> AutomorphismFamily:
@@ -145,12 +148,20 @@ def kernels(tmp: Path):
     x6 = random_hermitian_probe(6, 0)
     fam16 = conjugated_family(3, 16)
     x16 = random_hermitian_probe(16, 0)
+    # the transfer workload's permutation truncation, and a d = 5 family
+    # whose joint eigenbasis is not a signed permutation
+    perm3, fam53 = permutation_phase_family(), conjugated_family(5, 3)
+    x3 = random_hermitian_probe(3, 0)
     out = [
         ("orbit_box_d5_n2_span4", lambda: _orbit_box(fam5, x2, 4)),
         ("orbit_box_d3_n6_span5", lambda: _orbit_box(fam3, x6, 5)),
         ("orbit_box_d3_n16_span3", lambda: _orbit_box(fam16, x16, 3)),
         ("truncation_identity_check_d5_n2_window4_k4",
          lambda: truncation_identity_check(fam5, x2, 4, 4)),
+        ("truncation_identity_check_d3_n3_window5_k4",
+         lambda: truncation_identity_check(perm3, x3, 5, 4)),
+        ("truncation_identity_check_conjugated_d5_n3_window4_k4",
+         lambda: truncation_identity_check(fam53, x3, 4, 4)),
     ]
     dphi16 = _phase_differences(diagonal_phase_family(TRANSFER_THETAS, 16))
     fam4 = diagonal_phase_family(TRANSFER_THETAS, 4)
