@@ -114,6 +114,11 @@ class HeatValue(NamedTuple):
     radius: int
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 @lru_cache(maxsize=THETA_ENTRIES)
 def _theta_radius(eps: float, tol: float, d: int) -> int:
     """Smallest truncation radius R with the omitted product mass below tol.
@@ -174,8 +179,10 @@ def heat_direct_batch(eps: float, s_values: np.ndarray, xi,
 
     Returns HeatValue whose .value is an array aligned with s_values.  The
     term count is checked against DEFAULT_BOX_BUDGET before any allocation,
-    and the d (2r+1) phases of one s against DEFAULT_POINT_BUDGET.
+    and the d (2r+1) phases of one s against DEFAULT_POINT_BUDGET.  A tol
+    that is not finite and > 0 is refused first.
     """
+    _check_tol(tol)
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or xi.size == 0:
         raise ValueError(f"xi must be a flat point (d,) with dimension d >= 1, got {xi.shape}")
@@ -222,8 +229,10 @@ def heat_multiplier_poisson(params: HeatParams, xi, tol: float = DEFAULT_TOL) ->
 
     Per coordinate the image sum runs over a window of W integers l that
     holds every image with Gaussian factor above tol, d W at most
-    DEFAULT_POINT_BUDGET; the complex power uses the principal branch.
+    DEFAULT_POINT_BUDGET; the complex power uses the principal branch.  A
+    tol that is not finite and > 0 is refused first.
     """
+    _check_tol(tol)
     if params.q is None:
         raise ValueError("poisson form needs the rational split (a, q, t)")
     xi = np.asarray(xi, dtype=float)

@@ -11,14 +11,13 @@ p >= 1.  ncmax_norm solves it with a logarithmic-barrier interior-point
 method whose Newton systems are set up on the complex row-major vec of the
 step.  The path starts at the scalar envelope, a multiple of the identity
 just above the largest spectral radius, with mu set by how far its tr(a^p)
-lies above the lower envelope bound max_j ||x_j||_p^p.  Centering is
-staged: a mu stage that cannot certify the gap stops at a loose Newton
-decrement, and only the stage that certifies is centred tightly.  When mu
-drops, a predictor steps along the central path's tangent, solved on the
-last Newton system, and each accepted point keeps the one eigh and
-Cholesky that accepted it for the step, barrier value and gap test that
-follow.  Two exact oracles (diagonal pinching, 2x2 grid refinement) pin
-the solver's accuracy.
+lies above the lower envelope bound max_j ||x_j||_p^p, and mu falls 8x a
+stage.  Centering is staged: a mu stage that cannot certify the gap stops
+at a loose Newton decrement, and only the stage that certifies is centred
+tightly.  Each accepted point keeps the one eigh and Cholesky that
+accepted it for the step, barrier value and gap test that follow.  Two
+exact oracles (diagonal pinching, 2x2 grid refinement) pin the solver's
+accuracy.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ DEFAULT_NEWTON_BUDGET = 20_000
 CENTERING_STEPS = 60
 # A mu stage that cannot be the last stops centering once -slope, the
 # squared Newton decrement, is at most this multiple of mu
-LOOSE_DECREMENT = 1.0
+LOOSE_DECREMENT = 2.0
 # mu falls by this factor from one stage to the next
-MU_FACTOR = 0.25
+MU_FACTOR = 0.125
 # The start c I has c = (1 + START_MARGIN) max_j rho(x_j)
 START_MARGIN = 0.1
 # ncmax_grid_oracle_2x2: refinement stages, grid points per axis and stage
@@ -48,8 +47,6 @@ GRID_POINTS = 15
 # Backtracking constants: Armijo fraction, step shrink factor.
 ARMIJO = 0.25
 SHRINK = 0.5
-# The predictor's shortest move, as a fraction of (mu' - mu) da/dmu
-PREDICTOR_SHORTEST = 1e-3
 
 
 @dataclass(frozen=True)
@@ -211,8 +208,7 @@ def _barrier_hessian(yinvs: np.ndarray) -> np.ndarray:
 
 
 def _newton_system(point: _Point, signed: np.ndarray, p: float, mu: float):
-    """Gradient and Hessian of the barrier at point.a on row-major vec, and
-    sum_j Y_j^{-1} over the slacks, the gradient's derivative in -mu.  A
+    """Gradient and Hessian of the barrier at point.a on row-major vec.  A
     slack that the Cholesky test accepted but LU calls singular is
     pseudo-inverted, as _solve_hermitian falls back to lstsq."""
     slacks = _slacks(point.a, signed)
@@ -221,11 +217,10 @@ def _newton_system(point: _Point, signed: np.ndarray, p: float, mu: float):
     except np.linalg.LinAlgError:
         yinvs = np.linalg.pinv(slacks, hermitian=True)
     yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-    ysum = yinvs.sum(axis=0)
     lam, vecs = point.lam, point.vecs
-    grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T - mu * ysum
+    grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T - mu * yinvs.sum(axis=0)
     hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
-    return grad, hess, ysum
+    return grad, hess
 
 
 def _solve_hermitian(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -241,51 +236,23 @@ def _solve_hermitian(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return 0.5 * (sol + sol.conj().T)
 
 
-def _tangent(hess: np.ndarray, ysum: np.ndarray) -> np.ndarray:
-    """da/dmu along the central path.  Differentiating its condition
-    grad tr(a^p) = mu sum_j Y_j^{-1} in mu gives H da/dmu = sum_j Y_j^{-1},
-    H the Newton system of the barrier at mu (Boyd-Vandenberghe, Convex
-    Optimization, 11.3)."""
-    return _solve_hermitian(hess, ysum)
-
-
-def _predict(point: _Point, tangent: np.ndarray, signed: np.ndarray, p: float,
-             mu: float, mu_next: float) -> _Point:
-    """The first of a + s (mu_next - mu) tangent, s = 1, 1/2, ... down to
-    PREDICTOR_SHORTEST, whose barrier at mu_next is finite and below a's;
-    point itself, unchanged, when there is none.  A hermitian tangent keeps
-    every trial bitwise hermitian."""
-    move = (mu_next - mu) * tangent
-    keep = point.barrier(mu_next)
-    s = 1.0
-    while s >= PREDICTOR_SHORTEST:
-        trial = _barrier_point(point.a + s * move, signed, p)
-        if trial is not None and trial.barrier(mu_next) < keep:
-            return trial
-        s *= SHRINK
-    return point
-
-
 def _center(point: _Point, signed: np.ndarray, p: float, mu: float,
             floor: float, steps: int):
     """Newton centering of the barrier at mu from point, with backtracking
     line search, until -slope (the squared Newton decrement) is at most
     max(1e-12 (1 + |f0|), floor) or the step count reaches
-    DEFAULT_NEWTON_BUDGET.  Returns the last point, the step count, the last
-    Newton system's (hess, ysum) or None when none was built, and False when
-    CENTERING_STEPS steps did not meet the test or the line search could
-    not stay in the domain."""
-    system = None
+    DEFAULT_NEWTON_BUDGET.  Returns the last point, the step count, and
+    False when CENTERING_STEPS steps did not meet the test or the line
+    search could not stay in the domain."""
     f0 = point.barrier(mu)
     for _ in range(CENTERING_STEPS):
         if steps >= DEFAULT_NEWTON_BUDGET:
-            return point, steps, system, True
-        grad, hess, ysum = _newton_system(point, signed, p, mu)
-        system = hess, ysum
+            return point, steps, True
+        grad, hess = _newton_system(point, signed, p, mu)
         step = _solve_hermitian(hess, -grad)
         slope = float(np.vdot(grad, step).real)   # -(Newton decrement)^2
         if slope >= 0.0:
-            return point, steps, system, True
+            return point, steps, True
 
         s = 1.0
         while s > 1e-14:
@@ -296,13 +263,13 @@ def _center(point: _Point, signed: np.ndarray, p: float, mu: float,
         else:
             trial = _barrier_point(point.a + s * step, signed, p)
             if trial is None:   # even the shortest step leaves the domain
-                return point, steps, system, False
+                return point, steps, False
         point = trial
         steps += 1
         if -slope <= max(1e-12 * (1.0 + abs(f0)), floor):
-            return point, steps, system, True
+            return point, steps, True
         f0 = point.barrier(mu)
-    return point, steps, system, False   # out of steps before the test
+    return point, steps, False   # out of steps before the test
 
 
 def _objective_gap(trace_power: float, mu: float, nu: float, p: float):
@@ -357,15 +324,11 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     that is once the Newton decrement lambda^2 / mu of the barrier divided
     by mu is at most LOOSE_DECREMENT.  A loosely centred stage that passes
     the gap test is centred again tightly at the same mu and tested again,
-    so a gap is only reported from a tight center.
-
-    Between stages, as mu drops to mu' = MU_FACTOR mu, a predictor moves a
-    along the central path's tangent (_tangent, on the stage's last Newton
-    system) by (mu' - mu) da/dmu, halved until the barrier at mu' is finite
-    and lower; it is not a Newton step and newton_steps does not count it.
-    Every accepted point carries its eigh(a), tr(a^p) and log dets (_Point,
-    from the trial that accepted it), which serve the next Newton step, the
-    next stage's starting barrier value and the stage's gap test.
+    so a gap is only reported from a tight center.  The next stage starts
+    from the last center.  Every accepted point carries its eigh(a),
+    tr(a^p) and log dets (_Point, from the trial that accepted it), which
+    serve the next Newton step, the next stage's starting barrier value and
+    the stage's gap test.
 
     The constraints -a <= x_j <= a already force a >= 0 (average the
     two sides), so no separate positivity barrier is needed.  For p = inf the
@@ -405,12 +368,12 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     while True:
         obj, gap = _objective_gap(point.trace_power, mu, nu, p)
         loose = gap > tol * obj   # this stage cannot be the last
-        point, steps, system, ok = _center(point, signed, p, mu,
-                                           LOOSE_DECREMENT * mu if loose else 0.0, steps)
+        point, steps, ok = _center(point, signed, p, mu,
+                                   LOOSE_DECREMENT * mu if loose else 0.0, steps)
         centered &= ok
         obj, gap = _objective_gap(point.trace_power, mu, nu, p)
         if loose and gap <= tol * obj:
-            point, steps, system, ok = _center(point, signed, p, mu, 0.0, steps)
+            point, steps, ok = _center(point, signed, p, mu, 0.0, steps)
             centered &= ok
             obj, gap = _objective_gap(point.trace_power, mu, nu, p)
         if gap <= tol * obj:
@@ -419,8 +382,6 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
             break
         if steps >= DEFAULT_NEWTON_BUDGET:
             break
-        # steps < DEFAULT_NEWTON_BUDGET here, so this stage built a system
-        point = _predict(point, _tangent(*system), signed, p, mu, MU_FACTOR * mu)
         mu *= MU_FACTOR
 
     a = point.a

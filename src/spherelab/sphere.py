@@ -183,6 +183,8 @@ def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: i
     which keeps each sample marginally uniform on the sphere while bringing
     the integration error well below the iid-sampling noise floor.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     from scipy.special import betaincinv
     rng = np.random.default_rng(seed)
     v = (np.arange(n_samples) + rng.random(n_samples)) / n_samples
@@ -262,8 +264,11 @@ def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     has checked the prefactor e^{2 pi eps k}.  The omitted
     |t| > t_max tail is bounded by 2 * Integral (2t)^{-d/2} dt
     = (2/(d-2)) (2 t_max)^{1-d/2} * 2^{...}; the exact expression used is
-    below and is returned scaled like the value.
+    below and is returned scaled like the value.  An eps that is not a
+    positive finite float is refused by name.
     """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if d < 3:
         raise ValueError("the full-line integral needs d >= 3 to converge")
     rd = rep_count(d, k)

@@ -109,6 +109,19 @@ def test_poisson_form_names_a_zero_dimension():
         heat_multiplier_poisson(on_arc(0.5, 1, 3, 0.01), np.zeros(0))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_heat_forms_reject_a_tolerance_that_is_not_positive(tol):
+    # refused by name before any radius or reach is derived from tol
+    params, xi = on_arc(0.0625, 3, 7, 0.01), np.zeros(3)
+    misses = heat._theta_radius.cache_info().misses
+    for call in (lambda: heat_direct_batch(params.eps, [params.s], xi, tol),
+                 lambda: heat_multiplier_direct(params, xi, tol),
+                 lambda: heat_multiplier_poisson(params, xi, tol)):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call()
+    assert heat._theta_radius.cache_info().misses == misses
+
+
 def test_budget_refusal(monkeypatch):
     monkeypatch.setattr(heat, "DEFAULT_BOX_BUDGET", 5)
     with pytest.raises(BudgetExceededError):

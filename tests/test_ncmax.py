@@ -301,14 +301,14 @@ def test_slacks_are_bitwise_the_differences():
     assert got.tobytes() == ref.tobytes()
 
 
-def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
-    """The same staged barrier path with no predictor and nothing carried
-    between uses: every barrier value from _barrier_value, every tr(a^p)
-    from eigvalsh.  It starts at c I, c = (1 + START_MARGIN) max_j rho(x_j),
-    with mu nu = tr(c^p I) - max_j ||x_j||_p^p, and mu falls by MU_FACTOR
-    a stage.  A stage whose start fails the gap test is centred loosely, and
-    again tightly if it then passes.  Returns the envelope and its Newton
-    step count."""
+def _plain_barrier_path(prob, tol=ncmax.DEFAULT_TOL):
+    """The same staged barrier path with nothing carried between uses: every
+    barrier value from _barrier_value, every tr(a^p) from eigvalsh.  It
+    starts at c I, c = (1 + START_MARGIN) max_j rho(x_j), with
+    mu nu = tr(c^p I) - max_j ||x_j||_p^p, and mu falls by MU_FACTOR a
+    stage, each stage starting at the last one's centre.  A stage whose
+    start fails the gap test is centred loosely, and again tightly if it
+    then passes.  Returns the envelope and its Newton step count."""
     p, n = float(prob.p), prob.n
     xs = np.stack([x.entries for x in prob.family])
     signed = _signed_stack(xs)
@@ -359,7 +359,7 @@ def _solve_without_predictor(prob, tol=ncmax.DEFAULT_TOL):
         mu *= ncmax.MU_FACTOR
 
 
-def _predictor_problems():
+def _solver_problems():
     """Criterion 10's 100 diagonal problems, then random hermitian families
     of 4 members for n = 1..6 and p in {1, 1.5, 2, 3}."""
     rng = np.random.Generator(np.random.PCG64(10))
@@ -371,37 +371,6 @@ def _predictor_problems():
             family = tuple(hermitian_element(0.5 * (x + x.conj().T)) for x in m)
             probs.append(MaxNormProblem(p=p, family=family))
     return probs
-
-
-def _zero_tangent(hess, ysum):
-    return np.zeros_like(ysum)
-
-
-def test_a_zero_tangent_follows_the_path_without_predictor(monkeypatch):
-    # a zero move leaves the barrier where it is, so every prediction is
-    # rejected and the solve is the plain barrier path, up to the roundoff
-    # of eigh against eigvalsh
-    monkeypatch.setattr(ncmax, "_tangent", _zero_tangent)
-    for prob in _predictor_problems():
-        if math.isinf(prob.p):
-            continue
-        cert = ncmax_norm(prob)
-        ref, steps = _solve_without_predictor(prob)
-        assert cert.newton_steps == steps > 0
-        scale = max(1.0, float(np.abs(ref).max()))
-        assert np.abs(cert.envelope.entries - ref).max() <= 1e-9 * scale
-
-
-def test_the_predictor_saves_newton_steps_within_the_gaps(monkeypatch):
-    probs = _predictor_problems()
-    with_tangent = [ncmax_norm(prob) for prob in probs]
-    monkeypatch.setattr(ncmax, "_tangent", _zero_tangent)
-    without = [ncmax_norm(prob) for prob in probs]
-    assert all(c.converged for c in with_tangent + without)
-    assert (sum(c.newton_steps for c in with_tangent)
-            < sum(c.newton_steps for c in without))
-    for c, ref in zip(with_tangent, without):
-        assert abs(c.objective - ref.objective) <= c.gap + ref.gap
 
 
 def _transfer_problems():
@@ -420,10 +389,25 @@ def _transfer_problems():
     return probs
 
 
+def test_the_solve_follows_the_plain_barrier_path():
+    # ncmax_norm reuses each accepted trial's eigh, tr(a^p) and log dets;
+    # recomputing them at every use takes the same Newton steps to the same
+    # envelope, up to the roundoff of eigh against eigvalsh
+    for prob in _solver_problems() + _transfer_problems():
+        if math.isinf(prob.p):
+            continue
+        cert = ncmax_norm(prob)
+        ref, steps = _plain_barrier_path(prob)
+        assert cert.converged
+        assert cert.newton_steps == steps > 0
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(cert.envelope.entries - ref).max() <= 1e-9 * scale
+
+
 def test_staged_centering_saves_steps_at_the_same_optimum(monkeypatch):
     # LOOSE_DECREMENT = 0 centres every stage tightly; loose stages that
     # cannot certify must not move the certified objective
-    probs = _predictor_problems() + _transfer_problems()
+    probs = _solver_problems() + _transfer_problems()
     staged = [ncmax_norm(prob) for prob in probs]
     monkeypatch.setattr(ncmax, "LOOSE_DECREMENT", 0.0)
     tight = [ncmax_norm(prob) for prob in probs]
@@ -447,7 +431,7 @@ def _sum_of_moduli_start(sig, signed, p, nu):
 
 
 def test_the_scalar_start_saves_newton_steps(monkeypatch):
-    probs = _predictor_problems() + _transfer_problems()
+    probs = _solver_problems() + _transfer_problems()
     scalar = [ncmax_norm(prob) for prob in probs]
     monkeypatch.setattr(ncmax, "_start", _sum_of_moduli_start)
     moduli = [ncmax_norm(prob) for prob in probs]
@@ -536,15 +520,17 @@ def test_a_loose_stage_that_certifies_is_centred_again(monkeypatch):
     # a stage started below its centre fails the gap test there, yet may
     # pass it once loosely centred; it must be centred tightly at the same
     # mu before the gap is reported.  The stage is built so (see
-    # _a_stage_built_below_its_centre), not left to the predictor, so the
-    # branch fires whatever the start and the mu factor: checked at the
-    # module's constants, at MU_FACTOR = 1/16 and at START_MARGIN = 0.2
-    center, predict = ncmax._center, ncmax._predict
-    calls = []
+    # _a_stage_built_below_its_centre) and put in place of the first
+    # stage's centre, so the branch fires whatever the start and the mu
+    # factor: checked at the module's constants, at MU_FACTOR = 1/16 and at
+    # START_MARGIN = 0.2
+    center = ncmax._center
+    calls, replace = [], []
 
     def spy(point, signed, p, mu, floor, steps):
         calls.append((mu, floor))
-        return center(point, signed, p, mu, floor, steps)
+        point, steps, ok = center(point, signed, p, mu, floor, steps)
+        return (replace.pop() if replace else point), steps, ok
 
     monkeypatch.setattr(ncmax, "_center", spy)
     for constants in ({}, {"MU_FACTOR": 1.0 / 16.0}, {"START_MARGIN": 0.2}):
@@ -552,17 +538,15 @@ def test_a_loose_stage_that_certifies_is_centred_again(monkeypatch):
             for name, value in constants.items():
                 m.setattr(ncmax, name, value)
             built = 0
-            for prob in _predictor_problems():
+            for prob in _solver_problems():
                 if math.isinf(prob.p):
                     continue
                 stage = _a_stage_built_below_its_centre(prob, center)
                 if stage is None:
                     continue
                 below, tol = stage
-                # the second stage starts at below; later stages predict as usual
-                starts = [below]
-                m.setattr(ncmax, "_predict",
-                          lambda *args: starts.pop() if starts else predict(*args))
+                # the first stage ends at below, where the second starts
+                replace[:] = [below]
                 calls.clear()
                 cert = ncmax_norm(prob, tol=tol)
                 assert cert.converged and calls[-1][1] == 0.0
@@ -570,29 +554,6 @@ def test_a_loose_stage_that_certifies_is_centred_again(monkeypatch):
                 assert again == mu1 and loose > 0.0 and tight == 0.0
                 built += 1
             assert built >= 3, constants
-
-
-def test_a_prediction_outside_the_domain_leaves_a_unchanged():
-    rng = np.random.default_rng(9)
-    xs, a = _feasible_point(rng, 3, 2)
-    signed = _signed_stack(xs)
-    point = ncmax._barrier_point(a, signed, 2.0)
-    before = a.copy()
-    # mu' - mu < 0, so this tangent pulls a below -a at every length >= 1e-3
-    tangent = 1e9 * np.eye(3)
-    assert ncmax._predict(point, tangent, signed, 2.0, 1.0, 0.125) is point
-    assert np.array_equal(point.a, before)
-
-
-def test_rejected_predictions_change_nothing(monkeypatch):
-    prob = MaxNormProblem(p=1.5, family=(SZ, SX, _diag(0.5, -2)))
-    monkeypatch.setattr(ncmax, "_tangent", _zero_tangent)
-    ref = ncmax_norm(prob)
-    monkeypatch.setattr(ncmax, "_tangent", lambda hess, ysum: 1e9 * np.eye(2))
-    cert = ncmax_norm(prob)
-    assert np.array_equal(cert.envelope.entries, ref.envelope.entries)
-    assert (cert.objective, cert.gap, cert.newton_steps) == \
-        (ref.objective, ref.gap, ref.newton_steps)
 
 
 @pytest.mark.parametrize("tol", [1e-16, 1e-300])
@@ -619,9 +580,10 @@ def test_newton_system_pseudo_inverts_a_slack_that_inv_rejects():
         np.linalg.inv(_slacks(a, signed))
     lam, vecs = np.linalg.eigh(a)
     point = ncmax._Point(a, float((lam ** 2).sum()), 0.0, lam, vecs)
-    grad, hess, ysum = ncmax._newton_system(point, signed, 2.0, 0.5)
-    assert np.allclose(ysum, np.diag([0.5, 0.25]), atol=1e-15, rtol=0)
-    assert np.isfinite(grad).all() and np.isfinite(hess).all()
+    grad, hess = ncmax._newton_system(point, signed, 2.0, 0.5)
+    # 2 a - 0.5 (0 + diag(1/2, 1/4))
+    assert np.allclose(grad, np.diag([1.75, 3.875]), atol=1e-15, rtol=0)
+    assert np.isfinite(hess).all()
 
 
 def test_newton_system_inverts_regular_slacks_with_inv():
@@ -633,4 +595,9 @@ def test_newton_system_inverts_regular_slacks_with_inv():
     point = ncmax._barrier_point(a, signed, 1.5)
     yinvs = np.linalg.inv(_slacks(a, signed))
     yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-    assert np.array_equal(ncmax._newton_system(point, signed, 1.5, 0.3)[2], yinvs.sum(axis=0))
+    lam, vecs = point.lam, point.vecs
+    grad, hess = ncmax._newton_system(point, signed, 1.5, 0.3)
+    assert np.array_equal(grad, (vecs * (1.5 * lam ** 0.5)) @ vecs.conj().T
+                          - 0.3 * yinvs.sum(axis=0))
+    assert np.array_equal(hess, _power_hessian(lam, vecs, 1.5)
+                          + 0.3 * _barrier_hessian(yinvs))

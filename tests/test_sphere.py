@@ -252,6 +252,18 @@ def test_rejects_bad_arguments():
         j_main_integral(2, 1, np.zeros(2), eps=0.25)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.25, math.nan, math.inf])
+def test_the_integral_form_refuses_an_eps_that_is_not_positive_by_name(eps):
+    with pytest.raises(ValueError, match="eps must be finite and > 0"):
+        j_main_integral(5, 4, np.zeros(5), eps)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_montecarlo_refuses_fewer_than_one_sample_by_name(n_samples):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        sphere_ft_montecarlo(5, 1.0, n_samples=n_samples)
+
+
 def test_main_term_panel_cap_checked_before_allocation():
     # the point budget holds 416,666 panels of 12 nodes; at k = 1, eps = 0.0096
     # panels of width eps/2 = 0.0048 over [-1000, 1000] number 416,667

@@ -17,8 +17,9 @@ non-diagonal eigenbasis) also reports its tracemalloc peak from one
 further call; ``major_arcs_order200`` and ``sphere_shell_d5_k400``
 report the bytes their result keeps and their peak; and the ``ncmax_norm``
 kernels their total Newton step count (``ncmax_norm_transfer_set16`` solves
-16 seeded ratio-table families like those of the ``transfer`` workload).  The result is one
-JSON object:
+16 seeded ratio-table families like those of the ``transfer`` workload, and
+``ncmax_norm_n12_members6_p2`` and ``_n24_`` one family of 6 seeded random
+hermitian members each).  The result is one JSON object:
 
     python tools/microbench.py bench.json
 
@@ -113,7 +114,7 @@ def newton_step(prob: MaxNormProblem):
     mu = point.trace_power / (2 * len(xs) * prob.n)
 
     def step():
-        grad, hess, _ = _newton_system(point, signed, prob.p, mu)
+        grad, hess = _newton_system(point, signed, prob.p, mu)
         return _solve_hermitian(hess, -grad)
     return step
 
@@ -172,6 +173,9 @@ def kernels(tmp: Path):
     transfer_set = transfer_style_problems()
     prob6 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(
         diagonal_phase_family(TRANSFER_THETAS, 6), x6, 16)))
+    prob12, prob24 = (MaxNormProblem(p=2.0, family=tuple(random_hermitian_probe(n, j)
+                                                         for j in range(6)))
+                      for n in (12, 24))
     out += [
         ("rep_counts_d5_k4", lambda: rep_counts(5, 4)),
         ("rep_counts_d5_k225", lambda: rep_counts(5, 225)),
@@ -181,6 +185,8 @@ def kernels(tmp: Path):
         ("shell_averages_d5_n4_k16", lambda: shell_averages(fam4, x4, 16)),
         ("ncmax_norm_n4_members16_p2", lambda: [ncmax_norm(prob4)]),
         ("ncmax_norm_transfer_set16", lambda: [ncmax_norm(prob) for prob in transfer_set]),
+        ("ncmax_norm_n12_members6_p2", lambda: [ncmax_norm(prob12)]),
+        ("ncmax_norm_n24_members6_p2", lambda: [ncmax_norm(prob24)]),
         ("newton_step_n6_members16_p2", newton_step(prob6)),
         ("maximal_ratio_n8_cap12", lambda: maximal_ratio_experiment(
             fam8, x8, [j * j for j in range(1, 13)], 2.0)),
