@@ -7,46 +7,39 @@ The maximal norm of a finite family x_1..x_N of hermitian n x n matrices is
 the noncommutative analogue of the p-norm of sup_j |x_j|.  The infimum is a
 convex program over the hermitian matrices: the constraint set is an
 intersection of semidefinite order intervals, and tr(a^p) is convex for
-p >= 1.  ncmax_norm solves it with a logarithmic-barrier interior-point
-method whose Newton systems are set up on the complex row-major vec of the
-step.  The path starts at the scalar envelope, a multiple of the identity
-just above the largest spectral radius, with mu set by how far its tr(a^p)
-lies above the lower envelope bound max_j ||x_j||_p^p, and mu falls 8x a
-stage.  Centering is staged: a mu stage that cannot certify the gap stops
-at a loose Newton decrement, and only the stage that certifies is centred
-tightly.  Each accepted point keeps the one eigh and Cholesky that
-accepted it for the step, barrier value and gap test that follow.  Two
-exact oracles (diagonal pinching, 2x2 grid refinement) pin the solver's
-accuracy.
+p >= 1.  ncmax_norm solves it with a primal-dual interior-point method
+(the HKM direction, Mehrotra's predictor-corrector) that keeps a positive
+definite dual slack beside each constraint a -+ x_j >= 0; each iteration
+sets up one n^2 x n^2 system on the complex row-major vec of the step and
+solves it twice.  It starts at the scalar envelope, a multiple of the
+identity just above the largest spectral radius, with mu set by how far
+its tr(a^p) lies above the lower envelope bound max_j ||x_j||_p^p, and
+stops on a weak-duality gap: every iterate's dual slacks give a lower
+bound on the optimum, so the reported gap bounds the error whether or not
+the solve converged.  Two exact oracles (diagonal pinching, 2x2 grid
+refinement) pin the solver's accuracy and lie inside that interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_NEWTON_BUDGET = 20_000
-# Newton steps one centering may take to meet its decrement test
-CENTERING_STEPS = 60
-# A mu stage that cannot be the last stops centering once -slope, the
-# squared Newton decrement, is at most this multiple of mu
-LOOSE_DECREMENT = 2.0
-# mu falls by this factor from one stage to the next
-MU_FACTOR = 0.125
 # The start c I has c = (1 + START_MARGIN) max_j rho(x_j)
 START_MARGIN = 0.1
 # ncmax_grid_oracle_2x2: refinement stages, grid points per axis and stage
 GRID_STAGES = 12
 GRID_POINTS = 15
 
-# Backtracking constants: Armijo fraction, step shrink factor.
-ARMIJO = 0.25
-SHRINK = 0.5
+# Step lengths: the backtracking factor, and the fraction of the longest
+# backtracked step that an iteration takes.
+STEP_SHRINK = 0.8
+STEP_FRACTION = 0.95
 
 
 @dataclass(frozen=True)
@@ -101,12 +94,13 @@ class MaxNormProblem:
 
 @dataclass(frozen=True)
 class MaxNormCertificate:
-    """Solver output: envelope matrix, objective, feasibility margin, gap."""
+    """Solver output: envelope matrix, objective, feasibility margin, gap;
+    newton_steps counts primal-dual iterations."""
 
     envelope: AlgebraElement
     objective: float
     residual: float      # least eigenvalue among {a - x_j, a + x_j}
-    gap: float           # bound on objective minus the true infimum
+    gap: float           # weak-duality bound on objective minus the infimum
     converged: bool
     newton_steps: int
 
@@ -144,40 +138,10 @@ def _signed_stack(xs: np.ndarray) -> np.ndarray:
 
 
 def _slacks(a: np.ndarray, signed: np.ndarray) -> np.ndarray:
-    """The 2N barrier arguments a - x_1, a + x_1, ..., a + x_N as a + signed,
+    """The 2N constraint slacks a - x_1, a + x_1, ..., a + x_N as a + signed,
     signed = _signed_stack(xs): bitwise a - x_j, since IEEE a + (-x) is
     a - x.  Exactly hermitian, as ncmax_norm keeps a and every x_j."""
     return a + signed
-
-
-class _Point(NamedTuple):
-    """An envelope a inside the barrier's domain, with what the solver reads
-    off it: tr(a^p), sum_j log det Y_j over the slacks, and eigh(a)."""
-
-    a: np.ndarray
-    trace_power: float
-    logdet: float
-    lam: np.ndarray
-    vecs: np.ndarray
-
-    def barrier(self, mu: float) -> float:
-        return self.trace_power - mu * self.logdet
-
-
-def _barrier_point(a: np.ndarray, signed: np.ndarray, p: float) -> _Point | None:
-    """The _Point at a, or None outside the domain.  One batched Cholesky
-    Y_j = L_j L_j* both tests every slack for positive definiteness and
-    gives log det Y_j = 2 sum_i log L_j[i,i]; it runs first, so a trial
-    outside the domain costs no eigen-solve of a."""
-    try:
-        chol = np.linalg.cholesky(_slacks(a, signed))
-    except np.linalg.LinAlgError:
-        return None
-    lam, vecs = np.linalg.eigh(a)
-    if lam.min() <= 0.0:
-        return None
-    logdet = 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
-    return _Point(a, float((lam ** p).sum()), logdet, lam, vecs)
 
 
 def _power_hessian(lam: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
@@ -192,96 +156,86 @@ def _power_hessian(lam: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
     return h.reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, n * n)
 
 
-def _barrier_hessian(yinvs: np.ndarray) -> np.ndarray:
-    """sum_j W_j (x) W_j^T over the stack W_j = Y_j^{-1}, the Hessian of
-    -sum_j log det Y_j on row-major vec, which maps vec E to
-    vec(sum_j W_j E W_j) (Boyd-Vandenberghe, Convex Optimization, A.4.1).
-
-    Entry [(a,b),(c,d)] = sum_j W_j[a,c] W_j[d,b] is read off one Gram
-    matrix S[a,b,c,d] = sum_j W_j[a,b] W_j[c,d] at [a,c,d,b], a single GEMM
-    over the stack.
-    """
+def _hkm_operator(yinvs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """E -> 1/2 sum_i (W_i E Z_i + Z_i E W_i) over the stacks W_i = Y_i^{-1}
+    and Z_i on row-major vec: the HKM linearization of Y_i Z_i = mu I,
+    which maps hermitian matrices to hermitian matrices and is positive
+    definite.  The first half's entry [(a,b),(c,d)] = sum_i W_i[a,c] Z_i[d,b]
+    is G[(a,c),(d,b)] of the one Gram product G = W^T Z over the stacks
+    flattened to (2N, n^2), the second half's is G^T there, so both are one
+    index permutation of G + G^T.  At Z_i = W_i it is the Hessian of
+    -sum_i log det Y_i (Boyd-Vandenberghe, Convex Optimization, A.4.1)."""
     n = yinvs.shape[-1]
-    flat = yinvs.reshape(len(yinvs), n * n)
-    gram = (flat.T @ flat).reshape(n, n, n, n)
-    return gram.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    gram = yinvs.reshape(len(yinvs), n * n).T @ zs.reshape(len(zs), n * n)
+    half = 0.5 * (gram + gram.T)
+    return half.reshape((n,) * 4).transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
 
-def _newton_system(point: _Point, signed: np.ndarray, p: float, mu: float):
-    """Gradient and Hessian of the barrier at point.a on row-major vec.  A
-    slack that the Cholesky test accepted but LU calls singular is
-    pseudo-inverted, as _solve_hermitian falls back to lstsq."""
-    slacks = _slacks(point.a, signed)
-    try:
-        yinvs = np.linalg.inv(slacks)
-    except np.linalg.LinAlgError:
-        yinvs = np.linalg.pinv(slacks, hermitian=True)
-    yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-    lam, vecs = point.lam, point.vecs
-    grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T - mu * yinvs.sum(axis=0)
-    hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
-    return grad, hess
+def _sym(m: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 of each matrix of a stack, exactly hermitian."""
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _solve_hermitian(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """hess^{-1} vec(rhs) for a hermitian rhs, as a hermitian matrix.  hess
-    maps hermitian matrices to hermitian matrices and is positive definite,
-    so the solution is hermitian; hermitizing it removes only roundoff."""
+def _solve_hermitian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """matrix^{-1} vec(rhs) for a hermitian rhs, as a hermitian matrix.
+    matrix maps hermitian matrices to hermitian matrices and is positive
+    definite, so the solution is hermitian; hermitizing it removes only
+    roundoff."""
     n = rhs.shape[0]
     try:
-        sol = np.linalg.solve(hess, rhs.ravel())
+        sol = np.linalg.solve(matrix, rhs.ravel())
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(hess, rhs.ravel(), rcond=None)[0]
-    sol = sol.reshape(n, n)
-    return 0.5 * (sol + sol.conj().T)
+        sol = np.linalg.lstsq(matrix, rhs.ravel(), rcond=None)[0]
+    return _sym(sol.reshape(n, n))
 
 
-def _center(point: _Point, signed: np.ndarray, p: float, mu: float,
-            floor: float, steps: int):
-    """Newton centering of the barrier at mu from point, with backtracking
-    line search, until -slope (the squared Newton decrement) is at most
-    max(1e-12 (1 + |f0|), floor) or the step count reaches
-    DEFAULT_NEWTON_BUDGET.  Returns the last point, the step count, and
-    False when CENTERING_STEPS steps did not meet the test or the line
-    search could not stay in the domain."""
-    f0 = point.barrier(mu)
-    for _ in range(CENTERING_STEPS):
-        if steps >= DEFAULT_NEWTON_BUDGET:
-            return point, steps, True
-        grad, hess = _newton_system(point, signed, p, mu)
-        step = _solve_hermitian(hess, -grad)
-        slope = float(np.vdot(grad, step).real)   # -(Newton decrement)^2
-        if slope >= 0.0:
-            return point, steps, True
-
-        s = 1.0
-        while s > 1e-14:
-            trial = _barrier_point(point.a + s * step, signed, p)
-            if trial is not None and trial.barrier(mu) <= f0 + ARMIJO * s * slope:
-                break
-            s *= SHRINK
-        else:
-            trial = _barrier_point(point.a + s * step, signed, p)
-            if trial is None:   # even the shortest step leaves the domain
-                return point, steps, False
-        point = trial
-        steps += 1
-        if -slope <= max(1e-12 * (1.0 + abs(f0)), floor):
-            return point, steps, True
-        f0 = point.barrier(mu)
-    return point, steps, False   # out of steps before the test
+def _dual_bound(zs: np.ndarray, signed: np.ndarray, p: float) -> float:
+    """The weak-duality lower bound g on tr(a^p) over every feasible a, from
+    dual slacks Z_i >= 0 of the constraints Y_i = a + s_i >= 0, s_i the
+    signed stack.  With A = -sum_i tr(Z_i s_i), S = sum_i Z_i and
+    B = tr((S_+ / p)^(p/(p-1))), every t >= 0 and feasible a give
+    tr(a^p) >= tr(a^p) - t sum_i tr(Z_i Y_i) = t A + tr(a^p) - t tr(S a)
+    >= t A - (p - 1) t^(p/(p-1)) B, the last minimum over a >= 0 taken in
+    the eigenbasis of S (Boyd-Vandenberghe, Convex Optimization, 5.9); g
+    takes it at its maximizing t = (A / (p B))^(p-1).  For p = 1 the
+    minimum is -inf unless t S <= I, so g = A / lambda_max(S).  g = 0 when
+    A <= 0, where t = 0 is best."""
+    big_a = -float(np.vdot(signed, zs).real)
+    lam = np.linalg.eigvalsh(zs.sum(axis=0))
+    if p == 1.0:
+        top = float(lam.max())
+        return big_a / top if big_a > 0.0 and top > 0.0 else 0.0
+    big_b = float(((np.maximum(lam, 0.0) / p) ** (p / (p - 1.0))).sum())
+    if big_a <= 0.0 or big_b == 0.0:
+        return 0.0
+    t = (big_a / (p * big_b)) ** (p - 1.0)
+    return t * big_a - (p - 1.0) * t ** (p / (p - 1.0)) * big_b
 
 
-def _objective_gap(trace_power: float, mu: float, nu: float, p: float):
-    """tr(a^p)^(1/p) and its distance to (tr(a^p) - mu nu)^(1/p), the gap
-    that mu nu bounds at a central point."""
-    obj = trace_power ** (1.0 / p)
-    return obj, obj - max(trace_power - mu * nu, 0.0) ** (1.0 / p)
+def _sandwich(yinvs: np.ndarray, d: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """sym(W_i d Z_i) over the stacks W_i and Z_i, W d taken as one GEMM
+    over the W stack flattened to (2N n, n)."""
+    n = d.shape[-1]
+    return _sym((yinvs.reshape(-1, n) @ d).reshape(yinvs.shape) @ zs)
 
 
-def _start(sig: np.ndarray, signed: np.ndarray, p: float, nu: float):
-    """The path's first point and mu, from sig, the moduli of the members'
-    eigenvalues (one row a member).  The point is c I with
+def _step_length(slacks: np.ndarray, steps: np.ndarray) -> float:
+    """The largest s in 1, STEP_SHRINK, STEP_SHRINK^2, ... above 1e-14 at
+    which every slacks[i] + s steps[i] is positive definite, tested by one
+    batched Cholesky a trial; 0.0 when none is."""
+    s = 1.0
+    while s > 1e-14:
+        try:
+            np.linalg.cholesky(slacks + s * steps)
+            return s
+        except np.linalg.LinAlgError:
+            s *= STEP_SHRINK
+    return 0.0
+
+
+def _start(sig: np.ndarray, p: float, nu: float):
+    """The first envelope and mu, from sig, the moduli of the members'
+    eigenvalues (one row a member).  The envelope is c I with
     c = (1 + START_MARGIN) max_j rho(x_j), strictly between every -x_j and
     x_j: every slack c I -+ x_j has its eigenvalues between
     START_MARGIN rho and (2 + START_MARGIN) rho.  c I is exactly hermitian,
@@ -292,50 +246,75 @@ def _start(sig: np.ndarray, signed: np.ndarray, p: float, nu: float):
     tr(a^p) can exceed the optimum's.  It stays positive well above
     roundoff, as n c^p >= (1 + START_MARGIN)^p max_j ||x_j||_p^p, unless
     c^p overflows or underflows, which is refused."""
-    scale = float(sig.max())
-    point = _barrier_point((1.0 + START_MARGIN) * scale * np.eye(sig.shape[-1]),
-                           signed, p)
-    mu = (math.nan if point is None
-          else (point.trace_power - float((sig ** p).sum(axis=1).max())) / nu)
+    n = sig.shape[-1]
+    c = (1.0 + START_MARGIN) * sig.max()
+    mu = (float(n * c ** p) - float((sig ** p).sum(axis=1).max())) / nu
     if not 0.0 < mu < math.inf:
-        raise ValueError(f"max_j rho(x_j) = {scale:.3e} takes tr(a^p) out of "
+        raise ValueError(f"max_j rho(x_j) = {sig.max():.3e} takes tr(a^p) out of "
                          f"floating-point range at p = {p}")
-    return point, mu
+    return c * np.eye(n), mu
+
+
+def _pd_step(lam: np.ndarray, vecs: np.ndarray, ys: np.ndarray,
+             zs: np.ndarray, p: float):
+    """One predictor-corrector step from the envelope a = V diag(lam) V*,
+    its slacks Y_i and the dual slacks Z_i: (da, dZ, s), s the step length
+    the iteration takes, 0.0 when no step keeps every slack definite.
+
+    Linearizing p a^(p-1) = sum_i Z_i and Y_i Z_i = sigma mu I with the HKM
+    direction dZ_i = sigma mu Y_i^{-1} - Z_i - sym(Y_i^{-1} da Z_i) leaves
+    (H + _hkm_operator) da = sigma mu sum_i Y_i^{-1} - p a^(p-1), H the
+    Hessian of tr(a^p), on the row-major vec of da.  Mehrotra's
+    predictor-corrector solves it twice (Mehrotra, SIAM J. Optim. 1992;
+    Boyd-Vandenberghe, Convex Optimization, 11.7): the predictor at
+    sigma = 0 gives mu_aff, the mean of tr(Y_i Z_i) / n after its longest
+    step, and the corrector takes sigma = (mu_aff / mu)^3 with the
+    second-order term sym(Y_i^{-1} da_aff dZ_aff,i) subtracted from its
+    right-hand side.  Both step lengths come from _step_length on the
+    stacked [Y; Z], and the corrector moves STEP_FRACTION of its own."""
+    nu = ys.shape[0] * ys.shape[-1]
+    yinvs = _sym(np.linalg.inv(ys))
+    matrix = _power_hessian(lam, vecs, p) + _hkm_operator(yinvs, zs)
+    grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T
+    mu = float(np.vdot(ys, zs).real) / nu
+    slacks = np.concatenate([ys, zs])
+
+    def length(da, dzs):
+        return _step_length(slacks, np.concatenate([np.broadcast_to(da, ys.shape), dzs]))
+
+    da = _solve_hermitian(matrix, -grad)
+    dzs = -zs - _sandwich(yinvs, da, zs)
+    s = length(da, dzs)
+    sigma_mu = (float(np.vdot(ys + s * da, zs + s * dzs).real) / nu / mu) ** 3 * mu
+    second = _sandwich(yinvs, da, dzs)
+    da = _solve_hermitian(matrix, sigma_mu * yinvs.sum(axis=0) - grad - second.sum(axis=0))
+    dzs = sigma_mu * yinvs - zs - _sandwich(yinvs, da, zs) - second
+    return da, dzs, STEP_FRACTION * length(da, dzs)
 
 
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
-    """Interior-point solve of the maximal-envelope norm, in at most
-    DEFAULT_NEWTON_BUDGET Newton steps.  converged is False when that
-    budget runs out, or when some centering takes CENTERING_STEPS steps
-    without meeting its decrement test: the reported gap mu * nu bounds the
-    error only at a central point.
+    """Primal-dual interior-point solve of the maximal-envelope norm, in at
+    most DEFAULT_NEWTON_BUDGET iterations; newton_steps counts them, each
+    one n^2 x n^2 matrix and two solves.  The reported gap is
+    objective - g^(1/p) for the weak-duality bound g of _dual_bound at the
+    last dual slacks, so it bounds the error at every iterate: a solve that
+    runs out of budget, or whose step length underflows, reports
+    converged False with a gap that still holds.
 
-    Minimizes tr(a^p) - mu * sum_j [logdet(a - x_j) + logdet(a + x_j)] along a
-    decreasing mu-path.  The path starts at the scalar envelope c I just
-    above max_j rho(x_j), with mu nu the envelope gap
-    tr(c^p I) - max_j ||x_j||_p^p (_start), and mu falls by MU_FACTOR from
-    one stage to the next.  Each center is found by Newton's method
-    (_center), one complex n^2 x n^2 system on the row-major vec of the
-    step, with backtracking line search.  Centering is staged: only the
-    stage that certifies needs a tight center (Boyd-Vandenberghe, Convex
-    Optimization, 11.3).  A stage whose starting tr(a^p) already passes the gap test at
-    its mu is centred tightly, to -slope <= 1e-12 (1 + |f0|); any other
-    stage stops at -slope <= max(1e-12 (1 + |f0|), LOOSE_DECREMENT * mu),
-    that is once the Newton decrement lambda^2 / mu of the barrier divided
-    by mu is at most LOOSE_DECREMENT.  A loosely centred stage that passes
-    the gap test is centred again tightly at the same mu and tested again,
-    so a gap is only reported from a tight center.  The next stage starts
-    from the last center.  Every accepted point carries its eigh(a),
-    tr(a^p) and log dets (_Point, from the trial that accepted it), which
-    serve the next Newton step, the next stage's starting barrier value and
-    the stage's gap test.
+    Minimizes tr(a^p) subject to Y_i = a + s_i >= 0, s_i = -+x_j, keeping
+    dual slacks Z_i > 0 beside a, by the predictor-corrector steps of
+    _pd_step.  The iteration starts at the scalar envelope c I just above
+    max_j rho(x_j) with Z_i = mu Y_i^{-1}, mu nu the envelope gap
+    tr(c^p I) - max_j ||x_j||_p^p (_start) for nu = 2 N n, so that mu is
+    the mean eigenvalue of the Y_i Z_i.  Padding Z = 0 beside the
+    members a caller left out gives dual slacks of a larger family, so the
+    bound of a subfamily's solve bounds the larger family's optimum too.
 
     The constraints -a <= x_j <= a already force a >= 0 (average the
-    two sides), so no separate positivity barrier is needed.  For p = inf the
-    optimum is known in closed form: tI is feasible exactly when
+    two sides), so no separate positivity constraint is needed.  For p = inf
+    the optimum is known in closed form: tI is feasible exactly when
     t >= max_j rho(x_j), and any feasible a has v*av >= |v*x_jv| at a peak
-    eigenvector v, so the bisection the barrier method would perform
-    collapses to that threshold.
+    eigenvector v, so the solve collapses to that threshold.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -343,7 +322,6 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     xs = np.stack([x.entries for x in prob.family])
     signed = _signed_stack(xs)
     n = prob.n
-    big_n = len(prob.family)
 
     sig = np.abs(np.linalg.eigvalsh(xs))
     scale = float(sig.max())   # max_j rho(x_j)
@@ -359,33 +337,30 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
         return MaxNormCertificate(envelope=zero, objective=0.0, residual=0.0,
                                   gap=0.0, converged=True, newton_steps=0)
 
-    nu = 2.0 * big_n * n          # total barrier degree, controls the gap
-    point, mu = _start(sig, signed, p, nu)
+    a, mu = _start(sig, p, float(signed.shape[0] * n))
+    ys = _slacks(a, signed)
+    zs = mu * _sym(np.linalg.inv(ys))
     steps = 0
     converged = False
-    centered = True    # no centering has run out of CENTERING_STEPS
-
     while True:
-        obj, gap = _objective_gap(point.trace_power, mu, nu, p)
-        loose = gap > tol * obj   # this stage cannot be the last
-        point, steps, ok = _center(point, signed, p, mu,
-                                   LOOSE_DECREMENT * mu if loose else 0.0, steps)
-        centered &= ok
-        obj, gap = _objective_gap(point.trace_power, mu, nu, p)
-        if loose and gap <= tol * obj:
-            point, steps, ok = _center(point, signed, p, mu, 0.0, steps)
-            centered &= ok
-            obj, gap = _objective_gap(point.trace_power, mu, nu, p)
+        lam, vecs = np.linalg.eigh(a)
+        obj = float((lam ** p).sum()) ** (1.0 / p)
+        # clamped at 0, where roundoff lifts the bound above the objective
+        gap = max(obj - _dual_bound(zs, signed, p) ** (1.0 / p), 0.0)
         if gap <= tol * obj:
-            # mu * nu bounds the gap only at a central point
-            converged = centered
+            converged = True
             break
         if steps >= DEFAULT_NEWTON_BUDGET:
             break
-        mu *= MU_FACTOR
+        da, dzs, s = _pd_step(lam, vecs, ys, zs, p)
+        if s == 0.0:
+            break
+        a = a + s * da
+        zs = zs + s * dzs
+        ys = _slacks(a, signed)
+        steps += 1
 
-    a = point.a
-    res = float(np.linalg.eigvalsh(_slacks(a, signed)).min())
+    res = float(np.linalg.eigvalsh(ys).min())
     return MaxNormCertificate(envelope=hermitian_element(a),
                               objective=schatten_norm(hermitian_element(a), p),
                               residual=res, gap=gap, converged=converged,

@@ -299,8 +299,9 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     ||x||_p, the averages taken from one shell_averages call up to the
     largest K.  Over the row's averages x_j, lower_bound is the trivial
     envelope bound max_j ||x_j||_p / ||x||_p, not the solver's certified
-    lower bound, which is ratio - solver_gap; upper_bound is
-    ||sum_j |x_j| ||_p / ||x||_p.  Growing K only adds family members, so
+    lower bound, which is ratio - solver_gap: solver_gap comes from the
+    weak-duality bound of ncmax_norm's dual slacks, so it holds whether or
+    not the solve converged; upper_bound is ||sum_j |x_j| ||_p / ||x||_p.  Growing K only adds family members, so
     the sequence is monotone nondecreasing; boundedness in K is reported,
     not asserted, since no effective constant is available.
 
@@ -311,8 +312,10 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     most violated join the active set, which is solved again.  A row with
     no violated member keeps the last certificate, whose gap still holds:
     obj - gap <= OPT(active) <= OPT(full) <= obj, the middle step because
-    the active set is a subfamily and the last because a dominates every
-    member.  A certificate that did not converge is reported as it is.
+    the active set is a subfamily (its dual slacks, padded with Z = 0 on
+    the members outside it, are dual slacks of the full family) and the
+    last because a dominates every member.  A certificate that did not
+    converge is reported as it is, its gap still a bound.
     """
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 1:

@@ -2,7 +2,8 @@
 
 Two independent oracles pin the interior-point solver: the commuting case
 has an exact eigenbasis answer, and 2x2 families admit a staged grid
-search over the envelope parameters.
+search over the envelope parameters.  Both must lie in the solver's
+weak-duality interval [objective - gap, objective].
 """
 
 import math
@@ -16,8 +17,9 @@ from spherelab import ncmax
 from spherelab.acceptance import _random_diag_problem
 from spherelab.ncmax import (
     MaxNormProblem,
-    _barrier_hessian,
     _divided_differences,
+    _dual_bound,
+    _hkm_operator,
     _power_hessian,
     _signed_stack,
     _slacks,
@@ -38,6 +40,7 @@ def _diag(*vals):
 
 SZ = hermitian_element(np.diag([1.0, -1.0]))
 SX = hermitian_element(np.array([[0.0, 1.0], [1.0, 0.0]]))
+SY = hermitian_element(np.array([[0.0, -1j], [1j, 0.0]]))
 
 
 def test_schatten_values():
@@ -167,16 +170,24 @@ def _unit(n, c):
 
 @given(n=st.integers(1, 4), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_barrier_hessian_matches_per_term_traces(n, count, seed):
-    # column c of the vec-Hessian is vec(sum_j W_j E_c W_j), E_c the c-th
-    # unit matrix in row-major order
-    xs, a = _feasible_point(np.random.default_rng(seed), n, count)
+def test_hkm_operator_matches_per_term_traces(n, count, seed):
+    # column c of the vec operator is vec(1/2 sum_i (W_i E_c Z_i + Z_i E_c W_i)),
+    # E_c the c-th unit matrix in row-major order; at Z_i = W_i it is the
+    # log-det Hessian, vec(sum_i W_i E_c W_i)
+    rng = np.random.default_rng(seed)
+    xs, a = _feasible_point(rng, n, count)
     yinvs = np.linalg.inv(_slacks(a, _signed_stack(xs)))
     yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-    ref = np.stack([sum(w @ _unit(n, c) @ w for w in yinvs).ravel()
+    zs = np.stack([matrix_abs(m) + np.eye(n) for m in _feasible_point(rng, n, 2 * count)[0]])
+    ref = np.stack([sum(0.5 * (w @ _unit(n, c) @ z + z @ _unit(n, c) @ w)
+                        for w, z in zip(yinvs, zs)).ravel()
                     for c in range(n * n)], axis=1)
-    got = _barrier_hessian(yinvs)
+    got = _hkm_operator(yinvs, zs)
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    log_det = np.stack([sum(w @ _unit(n, c) @ w for w in yinvs).ravel()
+                        for c in range(n * n)], axis=1)
+    got = _hkm_operator(yinvs, yinvs)
+    assert np.abs(got - log_det).max() <= 1e-12 * max(1.0, np.abs(log_det).max())
 
 
 def _point_with_spectrum(rng, n, spectrum):
@@ -216,7 +227,7 @@ def test_power_hessian_matches_the_daleckii_krein_form(n, p, spectrum, seed):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_every_slack_argument_is_exactly_hermitian(monkeypatch, n, p):
     # _slacks does not hermitize: the solver must hand it a bitwise
-    # hermitian a at every step and line-search candidate
+    # hermitian a at every iterate
     seen = []
     slacks = ncmax._slacks
 
@@ -231,33 +242,6 @@ def test_every_slack_argument_is_exactly_hermitian(monkeypatch, n, p):
     cert = ncmax_norm(MaxNormProblem(p=p, family=family))
     assert cert.converged and cert.newton_steps > 0
     assert len(seen) > cert.newton_steps and all(seen)
-
-
-def _barrier_value(a, signed, p, mu):
-    """tr(a^p) - mu * sum_j log det Y_j over the slacks Y_j, or inf outside
-    the domain."""
-    point = ncmax._barrier_point(a, signed, p)
-    return math.inf if point is None else point.barrier(mu)
-
-
-@given(n=st.integers(1, 4), count=st.integers(1, 4),
-       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_barrier_value_is_trace_power_minus_log_dets(n, count, p, seed):
-    rng = np.random.default_rng(seed)
-    xs, a = _feasible_point(rng, n, count)
-    mu = rng.uniform(1e-3, 10.0)
-    lam = np.linalg.eigvalsh(a)
-    signed = _signed_stack(xs)
-    ref = (lam ** p).sum() - mu * np.log(np.linalg.eigvalsh(_slacks(a, signed))).sum()
-    got = _barrier_value(a, signed, p, mu)
-    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
-    # raise x_0[0,0] until a - x_0 has the diagonal entry -1, so that slack
-    # is not positive semidefinite while a and the other slacks stay definite
-    bad = xs.copy()
-    bad[0, 0, 0] += (a - xs[0])[0, 0].real + 1.0
-    assert np.linalg.eigvalsh(a).min() > 0.0
-    assert _barrier_value(a, _signed_stack(bad), p, mu) == math.inf
 
 
 def test_envelope_bounds_of_a_diagonal_family():
@@ -282,15 +266,6 @@ def test_newton_budget_stops_the_solve(monkeypatch):
     assert cert.newton_steps == 3 and not cert.converged
 
 
-def test_capped_centering_is_not_converged(monkeypatch):
-    # two steps cannot centre the first mu stage, so the gap mu * nu that
-    # closes the later stages is not a bound and converged must say so
-    prob = MaxNormProblem(p=2.0, family=(SZ, SX))
-    monkeypatch.setattr(ncmax, "CENTERING_STEPS", 2)
-    cert = ncmax_norm(prob)
-    assert cert.newton_steps > 0 and not cert.converged
-
-
 def test_slacks_are_bitwise_the_differences():
     # a + (-x) is a - x in IEEE arithmetic, signed zeros included
     rng = np.random.default_rng(5)
@@ -299,64 +274,6 @@ def test_slacks_are_bitwise_the_differences():
     ref = np.stack([a - xs, a + xs], axis=1).reshape(-1, 3, 3)
     got = _slacks(a, _signed_stack(xs))
     assert got.tobytes() == ref.tobytes()
-
-
-def _plain_barrier_path(prob, tol=ncmax.DEFAULT_TOL):
-    """The same staged barrier path with nothing carried between uses: every
-    barrier value from _barrier_value, every tr(a^p) from eigvalsh.  It
-    starts at c I, c = (1 + START_MARGIN) max_j rho(x_j), with
-    mu nu = tr(c^p I) - max_j ||x_j||_p^p, and mu falls by MU_FACTOR a
-    stage, each stage starting at the last one's centre.  A stage whose
-    start fails the gap test is centred loosely, and again tightly if it
-    then passes.  Returns the envelope and its Newton step count."""
-    p, n = float(prob.p), prob.n
-    xs = np.stack([x.entries for x in prob.family])
-    signed = _signed_stack(xs)
-    scale = float(np.abs(np.linalg.eigvalsh(xs)).max())
-    a = (1.0 + ncmax.START_MARGIN) * scale * np.eye(n)
-    nu = 2.0 * len(xs) * n
-    lower = max(schatten_norm(x, p) ** p for x in prob.family)
-    mu = (float((np.linalg.eigvalsh(a) ** p).sum()) - lower) / nu
-    steps = 0
-
-    def passes(a):
-        tr_val = float((np.linalg.eigvalsh(a) ** p).sum())
-        obj = tr_val ** (1.0 / p)
-        return obj - max(tr_val - mu * nu, 0.0) ** (1.0 / p) <= tol * obj
-
-    def center(a, floor):
-        nonlocal steps
-        f0 = _barrier_value(a, signed, p, mu)
-        for _ in range(ncmax.CENTERING_STEPS):
-            lam, vecs = np.linalg.eigh(a)
-            yinvs = np.linalg.inv(_slacks(a, signed))
-            yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-            grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T - mu * yinvs.sum(axis=0)
-            hess = _power_hessian(lam, vecs, p) + mu * _barrier_hessian(yinvs)
-            step = np.linalg.solve(hess, -grad.ravel()).reshape(n, n)
-            step = 0.5 * (step + step.conj().T)
-            slope = float(np.vdot(grad, step).real)
-            if slope >= 0.0:
-                break
-            s = 1.0
-            while ((f1 := _barrier_value(a + s * step, signed, p, mu))
-                   > f0 + ncmax.ARMIJO * s * slope and s > 1e-14):
-                s *= ncmax.SHRINK
-            a = a + s * step
-            steps += 1
-            if -slope <= max(1e-12 * (1.0 + abs(f0)), floor):
-                break
-            f0 = f1
-        return a
-
-    while True:
-        loose = not passes(a)
-        a = center(a, ncmax.LOOSE_DECREMENT * mu if loose else 0.0)
-        if loose and passes(a):
-            a = center(a, 0.0)
-        if passes(a):
-            return a, steps
-        mu *= ncmax.MU_FACTOR
 
 
 def _solver_problems():
@@ -389,52 +306,34 @@ def _transfer_problems():
     return probs
 
 
-def test_the_solve_follows_the_plain_barrier_path():
-    # ncmax_norm reuses each accepted trial's eigh, tr(a^p) and log dets;
-    # recomputing them at every use takes the same Newton steps to the same
-    # envelope, up to the roundoff of eigh against eigvalsh
-    for prob in _solver_problems() + _transfer_problems():
-        if math.isinf(prob.p):
-            continue
-        cert = ncmax_norm(prob)
-        ref, steps = _plain_barrier_path(prob)
-        assert cert.converged
-        assert cert.newton_steps == steps > 0
-        scale = max(1.0, float(np.abs(ref).max()))
-        assert np.abs(cert.envelope.entries - ref).max() <= 1e-9 * scale
+def _sum_of_moduli_start(xs):
+    """The earlier start for the members xs, in _start's form: the envelope
+    sum_j |x_j| + margin I, the margin DEFAULT_TOL max_j rho(x_j) doubled
+    while roundoff eats it, at mu = tr(a^p) / nu."""
+    signed, dominant = _signed_stack(xs), sum(matrix_abs(xs))
 
-
-def test_staged_centering_saves_steps_at_the_same_optimum(monkeypatch):
-    # LOOSE_DECREMENT = 0 centres every stage tightly; loose stages that
-    # cannot certify must not move the certified objective
-    probs = _solver_problems() + _transfer_problems()
-    staged = [ncmax_norm(prob) for prob in probs]
-    monkeypatch.setattr(ncmax, "LOOSE_DECREMENT", 0.0)
-    tight = [ncmax_norm(prob) for prob in probs]
-    assert [c.converged for c in staged] == [c.converged for c in tight]
-    assert sum(c.newton_steps for c in staged) < sum(c.newton_steps for c in tight)
-    for c, ref in zip(staged, tight):
-        assert abs(c.objective - ref.objective) <= 1e-10 * ref.objective
-
-
-def _sum_of_moduli_start(sig, signed, p, nu):
-    """The earlier start: sum_j |x_j| + margin I, the margin DEFAULT_TOL
-    max_j rho(x_j) doubled while roundoff eats it, at mu = tr(a^p) / nu."""
-    dominant = sum(matrix_abs(signed[1::2]))
-    margin = ncmax.DEFAULT_TOL * float(sig.max())
-    while True:
-        a = dominant + margin * np.eye(len(dominant))
-        point = ncmax._barrier_point(0.5 * (a + a.conj().T), signed, p)
-        if point is not None:
-            return point, point.trace_power / nu
-        margin *= 2.0
+    def start(sig, p, nu):
+        margin = ncmax.DEFAULT_TOL * float(sig.max())
+        while True:
+            a = dominant + margin * np.eye(len(dominant))
+            a = 0.5 * (a + a.conj().T)
+            try:
+                np.linalg.cholesky(_slacks(a, signed))
+            except np.linalg.LinAlgError:
+                margin *= 2.0
+                continue
+            return a, float((np.linalg.eigvalsh(a) ** p).sum()) / nu
+    return start
 
 
 def test_the_scalar_start_saves_newton_steps(monkeypatch):
     probs = _solver_problems() + _transfer_problems()
     scalar = [ncmax_norm(prob) for prob in probs]
-    monkeypatch.setattr(ncmax, "_start", _sum_of_moduli_start)
-    moduli = [ncmax_norm(prob) for prob in probs]
+    moduli = []
+    for prob in probs:
+        xs = np.stack([x.entries for x in prob.family])
+        monkeypatch.setattr(ncmax, "_start", _sum_of_moduli_start(xs))
+        moduli.append(ncmax_norm(prob))
     assert [c.converged for c in scalar] == [c.converged for c in moduli]
     assert sum(c.newton_steps for c in scalar) < sum(c.newton_steps for c in moduli)
     for c, ref in zip(scalar, moduli):
@@ -461,12 +360,12 @@ def test_the_scalar_start_is_strictly_feasible_with_a_positive_mu(family, p):
     signed = _signed_stack(xs)
     n = family[0].n
     nu = 2.0 * len(family) * n
-    point, mu = ncmax._start(np.abs(np.linalg.eigvalsh(xs)), signed, p, nu)
+    a, mu = ncmax._start(np.abs(np.linalg.eigvalsh(xs)), p, nu)
     rho = max(schatten_norm(x, math.inf) for x in family)
-    c = point.a[0, 0]
-    assert np.array_equal(point.a, c * np.eye(n))
+    c = a[0, 0]
+    assert np.array_equal(a, c * np.eye(n))
     assert c == pytest.approx((1.0 + ncmax.START_MARGIN) * rho, rel=1e-14)
-    assert np.linalg.eigvalsh(_slacks(point.a, signed)).min() > 0.0
+    assert np.linalg.eigvalsh(_slacks(a, signed)).min() > 0.0
     # mu nu is the envelope gap n c^p - max_j ||x_j||_p^p
     lower = max(schatten_norm(x, p) ** p for x in family)
     assert mu > 0.0
@@ -483,79 +382,6 @@ def test_a_spectral_radius_whose_power_leaves_the_float_range_is_refused(rho):
         ncmax_norm(prob)
 
 
-def _a_stage_built_below_its_centre(prob, center):
-    """A start for prob's second stage below its centre, and a tol at which
-    that stage must be centred twice.  The first stage runs as ncmax_norm
-    runs it, loosely from _start at mu_0; the second, at mu_1 = MU_FACTOR
-    mu_0, starts at P, the centre of a 16 times smaller mu, whose tr(a^p)
-    lies below that of the centre at mu_1.  tol puts the gap test's
-    threshold on tr(a^p), mu_1 nu / (1 - (1 - tol)^p), halfway between P
-    and P's loose centre at mu_1: P fails the test and its loose centre
-    passes it.  Returns (P, tol), or None when no tol below 1 does that or
-    the first stage would pass at it.  center is the unpatched _center."""
-    p = float(prob.p)
-    xs = np.stack([x.entries for x in prob.family])
-    signed = _signed_stack(xs)
-    nu = 2.0 * len(xs) * prob.n
-    start, mu0 = ncmax._start(np.abs(np.linalg.eigvalsh(xs)), signed, p, nu)
-    first = center(start, signed, p, mu0, ncmax.LOOSE_DECREMENT * mu0, 0)[0]
-    mu1 = ncmax.MU_FACTOR * mu0
-    below = center(first, signed, p, mu1 / 16.0, 0.0, 0)[0]
-    loose = center(below, signed, p, mu1, ncmax.LOOSE_DECREMENT * mu1, 0)[0]
-    threshold = 0.5 * (below.trace_power + loose.trace_power)
-    if threshold <= mu1 * nu:
-        return None
-    tol = 1.0 - (1.0 - mu1 * nu / threshold) ** (1.0 / p)
-
-    def passes(point, mu):
-        obj, gap = ncmax._objective_gap(point.trace_power, mu, nu, p)
-        return gap <= tol * obj
-
-    if passes(start, mu0) or passes(first, mu0) or passes(below, mu1) or not passes(loose, mu1):
-        return None
-    return below, tol
-
-
-def test_a_loose_stage_that_certifies_is_centred_again(monkeypatch):
-    # a stage started below its centre fails the gap test there, yet may
-    # pass it once loosely centred; it must be centred tightly at the same
-    # mu before the gap is reported.  The stage is built so (see
-    # _a_stage_built_below_its_centre) and put in place of the first
-    # stage's centre, so the branch fires whatever the start and the mu
-    # factor: checked at the module's constants, at MU_FACTOR = 1/16 and at
-    # START_MARGIN = 0.2
-    center = ncmax._center
-    calls, replace = [], []
-
-    def spy(point, signed, p, mu, floor, steps):
-        calls.append((mu, floor))
-        point, steps, ok = center(point, signed, p, mu, floor, steps)
-        return (replace.pop() if replace else point), steps, ok
-
-    monkeypatch.setattr(ncmax, "_center", spy)
-    for constants in ({}, {"MU_FACTOR": 1.0 / 16.0}, {"START_MARGIN": 0.2}):
-        with monkeypatch.context() as m:
-            for name, value in constants.items():
-                m.setattr(ncmax, name, value)
-            built = 0
-            for prob in _solver_problems():
-                if math.isinf(prob.p):
-                    continue
-                stage = _a_stage_built_below_its_centre(prob, center)
-                if stage is None:
-                    continue
-                below, tol = stage
-                # the first stage ends at below, where the second starts
-                replace[:] = [below]
-                calls.clear()
-                cert = ncmax_norm(prob, tol=tol)
-                assert cert.converged and calls[-1][1] == 0.0
-                (mu1, loose), (again, tight) = calls[1:3]
-                assert again == mu1 and loose > 0.0 and tight == 0.0
-                built += 1
-            assert built >= 3, constants
-
-
 @pytest.mark.parametrize("tol", [1e-16, 1e-300])
 def test_a_tolerance_below_roundoff_still_starts_inside_the_domain(tol):
     # a gap test below roundoff still ends, from a start inside the domain
@@ -570,34 +396,116 @@ def test_a_tolerance_below_roundoff_still_starts_inside_the_domain(tol):
     assert cert.residual >= -1e-12 * exact
 
 
-def test_newton_system_pseudo_inverts_a_slack_that_inv_rejects():
-    # the slack a - x_1 of a = x_1 = diag(1, 2) is exactly zero: inv raises
-    # LinAlgError on it, and the Newton system takes its pseudo-inverse, 0,
-    # beside the inverse of a + x_1 = diag(2, 4)
-    a = np.diag([1.0, 2.0]).astype(complex)
-    signed = _signed_stack(a[None])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(_slacks(a, signed))
-    lam, vecs = np.linalg.eigh(a)
-    point = ncmax._Point(a, float((lam ** 2).sum()), 0.0, lam, vecs)
-    grad, hess = ncmax._newton_system(point, signed, 2.0, 0.5)
-    # 2 a - 0.5 (0 + diag(1/2, 1/4))
-    assert np.allclose(grad, np.diag([1.75, 3.875]), atol=1e-15, rtol=0)
-    assert np.isfinite(hess).all()
-
-
-def test_newton_system_inverts_regular_slacks_with_inv():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-    xs = 0.5 * (m + m.conj().swapaxes(-1, -2))
+@given(n=st.integers(1, 4), count=st.integers(1, 4),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_the_dual_bound_lies_below_every_feasible_trace_power(n, count, p, seed):
+    # weak duality: any dual slacks Z_i >= 0 bound tr(a^p) below at every
+    # feasible a, and the bound takes its best scale of Z itself
+    rng = np.random.default_rng(seed)
+    xs, a = _feasible_point(rng, n, count)
     signed = _signed_stack(xs)
-    a = sum(matrix_abs(x) for x in xs) + np.eye(3)
-    point = ncmax._barrier_point(a, signed, 1.5)
-    yinvs = np.linalg.inv(_slacks(a, signed))
-    yinvs = 0.5 * (yinvs + yinvs.conj().swapaxes(-1, -2))
-    lam, vecs = point.lam, point.vecs
-    grad, hess = ncmax._newton_system(point, signed, 1.5, 0.3)
-    assert np.array_equal(grad, (vecs * (1.5 * lam ** 0.5)) @ vecs.conj().T
-                          - 0.3 * yinvs.sum(axis=0))
-    assert np.array_equal(hess, _power_hessian(lam, vecs, 1.5)
-                          + 0.3 * _barrier_hessian(yinvs))
+    m = rng.standard_normal((2 * count, n, n)) + 1j * rng.standard_normal((2 * count, n, n))
+    zs = m @ m.conj().swapaxes(-1, -2) + rng.uniform(0.0, 1.0) * np.eye(n)
+    bound = _dual_bound(zs, signed, p)
+    assert 0.0 <= bound <= float((np.linalg.eigvalsh(a) ** p).sum()) * (1.0 + 1e-12)
+    scaled = _dual_bound(rng.uniform(0.1, 10.0) * zs, signed, p)
+    assert scaled == pytest.approx(bound, rel=1e-12, abs=1e-300)
+
+
+def _in_interval(cert, oracle, rel=1e-12):
+    """objective - gap <= oracle <= objective, up to rel of roundoff."""
+    slack = rel * max(1.0, oracle)
+    return cert.objective - cert.gap - slack <= oracle <= cert.objective + slack
+
+
+def test_the_weak_duality_interval_holds_the_pinching_oracle():
+    # criterion 10's 100 diagonal problems
+    rng = np.random.Generator(np.random.PCG64(10))
+    for _ in range(100):
+        prob = _random_diag_problem(rng)
+        cert = ncmax_norm(prob, tol=1e-7)
+        assert cert.converged
+        assert _in_interval(cert, ncmax_diag_oracle(prob))
+
+
+@pytest.mark.parametrize("family", [(SZ, SX), (SZ, SX, SY)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_the_weak_duality_interval_holds_the_grid_oracle(family, p):
+    prob = MaxNormProblem(p=p, family=family)
+    cert = ncmax_norm(prob, tol=1e-7)
+    assert cert.converged
+    assert _in_interval(cert, ncmax_grid_oracle_2x2(prob))
+
+
+def test_a_capped_solve_reports_a_gap_that_holds(monkeypatch):
+    # the gap is a weak-duality bound at every iterate, not only at the end:
+    # a solve stopped by the iteration budget is not converged, and its
+    # interval still holds the oracle
+    rng = np.random.Generator(np.random.PCG64(10))
+    probs = [(prob, ncmax_diag_oracle(prob))
+             for prob in (_random_diag_problem(rng) for _ in range(40))]
+    probs += [(prob, ncmax_grid_oracle_2x2(prob))
+              for prob in (MaxNormProblem(p=p, family=(SZ, SX)) for p in (1.5, 2.0))]
+    uncapped = [ncmax_norm(prob).newton_steps for prob, _ in probs]
+    for budget in (0, 1, 2, 4):
+        monkeypatch.setattr(ncmax, "DEFAULT_NEWTON_BUDGET", budget)
+        capped = 0
+        for (prob, oracle), steps in zip(probs, uncapped):
+            if steps <= budget:
+                continue
+            cert = ncmax_norm(prob)
+            assert cert.newton_steps == budget and not cert.converged
+            assert cert.gap > 0.0 and _in_interval(cert, oracle)
+            capped += 1
+        assert capped >= 20, budget
+
+
+def test_every_solve_converges_in_few_iterations():
+    # the test problem sets take 9 iterations on average, 13 at most
+    for prob in _solver_problems() + _transfer_problems():
+        cert = ncmax_norm(prob)
+        assert cert.converged and cert.newton_steps <= 20
+
+
+STALLED_RATIO_PROBLEMS = [
+    # (thetas, the probe's upper triangle by rows, K, p) of three ratio
+    # requests that a staged log-barrier path could not certify
+    # n = 2, K = 8, p = 2.0: transfer stream seed 4, request (6, 2)
+    ((0.3444540797947212, 0.4461332671169569, 0.4617530416900434,
+      0.03884502091126796, 0.12151832723133149),
+     [(1.136689800538802+0j), (0.17269637263406395-0.8533627860085795j),
+      (0.20481794945536286+0j)], 8, 2.0),
+    # n = 3, K = 13, p = 1.5: transfer stream seed 6, request (6, 8)
+    ((0.36422607879579794, 0.48980425690294116, 0.43533325534039935,
+      0.4226294851317336, 0.31497433497825333),
+     [(-0.05931986755736629+0j), (-0.012708704317060282-0.4595912801769519j),
+      (0.17857040346672282+0.4121781458874571j), (-0.02423650774065588+0j),
+      (-0.45042923281713615-0.17171917825434402j), (1.3302513224035055+0j)], 13, 1.5),
+    # n = 4, K = 11, p = 2.0: transfer stream seed 8, request (1, 12)
+    ((0.4772668976578074, 0.799018767350289, 0.2631684065244646,
+      0.5284715028141069, 0.3665388257980262),
+     [(-0.7388561553704941+0j), (0.8792661769309028+0.5832378339566593j),
+      (-0.07169793377227018+0.44283382687039957j), (-0.626239786942693-0.3426437908689237j),
+      (1.7259785208237244+0j), (0.8323349341774462+0.8917777310672272j),
+      (0.11451169763483401+0.13921317852125092j), (0.7310385729506801+0j),
+      (-0.6139986342102705+0.007130949756504454j), (0.09543191985573116+0j)], 11, 2.0),
+]
+
+
+@pytest.mark.parametrize("thetas, upper, k_top, p", STALLED_RATIO_PROBLEMS)
+def test_the_stalled_ratio_problems_converge(thetas, upper, k_top, p):
+    n = math.isqrt(2 * len(upper))
+    m = np.zeros((n, n), dtype=complex)
+    m[np.triu_indices(n)] = upper
+    probe = hermitian_element(m + m.conj().T - np.diag(m.diagonal()))
+    averages = shell_averages(diagonal_phase_family(thetas, n), probe, k_top)
+    prob = MaxNormProblem(p=p, family=tuple(averages.values()))
+    cert = ncmax_norm(prob)
+    assert cert.converged and cert.newton_steps <= 20
+    tight = ncmax_norm(prob, tol=1e-10)
+    assert tight.converged
+    assert abs(cert.objective - tight.objective) <= cert.gap + tight.gap
+    if n == 2:
+        grid = ncmax_grid_oracle_2x2(prob)
+        assert abs(cert.objective - grid) <= 1e-4 * max(1.0, grid)
