@@ -164,9 +164,14 @@ def _hkm_operator(yinvs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     is G[(a,c),(d,b)] of the one Gram product G = W^T Z over the stacks
     flattened to (2N, n^2), the second half's is G^T there, so both are one
     index permutation of G + G^T.  At Z_i = W_i it is the Hessian of
-    -sum_i log det Y_i (Boyd-Vandenberghe, Convex Optimization, A.4.1)."""
+    -sum_i log det Y_i (Boyd-Vandenberghe, Convex Optimization, A.4.1).
+
+    G is taken as n stacked (n, 2N) x (2N, n^2) products, one per row a of
+    the W_i, bitwise the single (n^2, 2N) x (2N, n^2) GEMM: that GEMM is
+    large enough at n = 8 for OpenBLAS to hand it to its worker threads,
+    where it can run a hundredfold slower for a whole process."""
     n = yinvs.shape[-1]
-    gram = yinvs.reshape(len(yinvs), n * n).T @ zs.reshape(len(zs), n * n)
+    gram = (yinvs.transpose(1, 2, 0) @ zs.reshape(len(zs), n * n)).reshape(n * n, n * n)
     half = 0.5 * (gram + gram.T)
     return half.reshape((n,) * 4).transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
@@ -212,24 +217,22 @@ def _dual_bound(zs: np.ndarray, signed: np.ndarray, p: float) -> float:
     return t * big_a - (p - 1.0) * t ** (p / (p - 1.0)) * big_b
 
 
-def _sandwich(yinvs: np.ndarray, d: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """sym(W_i d Z_i) over the stacks W_i and Z_i, W d taken as one GEMM
-    over the W stack flattened to (2N n, n)."""
-    n = d.shape[-1]
-    return _sym((yinvs.reshape(-1, n) @ d).reshape(yinvs.shape) @ zs)
-
-
-def _step_length(slacks: np.ndarray, steps: np.ndarray) -> float:
+def _step_length(slacks: np.ndarray, steps: np.ndarray, trial: np.ndarray) -> float:
     """The largest s in 1, STEP_SHRINK, STEP_SHRINK^2, ... above 1e-14 at
     which every slacks[i] + s steps[i] is positive definite, tested by one
-    batched Cholesky a trial; 0.0 when none is."""
+    batched Cholesky a trial; 0.0 when none is.  Each trial is built in the
+    buffer trial, which holds slacks + s steps for the s returned."""
     s = 1.0
     while s > 1e-14:
+        np.multiply(steps, s, out=trial)
+        trial += slacks
         try:
-            np.linalg.cholesky(slacks + s * steps)
+            np.linalg.cholesky(trial)
             return s
         except np.linalg.LinAlgError:
             s *= STEP_SHRINK
+    np.multiply(steps, 0.0, out=trial)
+    trial += slacks
     return 0.0
 
 
@@ -271,24 +274,36 @@ def _pd_step(lam: np.ndarray, vecs: np.ndarray, ys: np.ndarray,
     step, and the corrector takes sigma = (mu_aff / mu)^3 with the
     second-order term sym(Y_i^{-1} da_aff dZ_aff,i) subtracted from its
     right-hand side.  Both step lengths come from _step_length on the
-    stacked [Y; Z], and the corrector moves STEP_FRACTION of its own."""
-    nu = ys.shape[0] * ys.shape[-1]
+    stacked [Y; Z], and the corrector moves STEP_FRACTION of its own.
+    W_i da_aff is formed once, for dZ_aff and the second-order term, and
+    mu_aff is read off the predictor's accepted trial."""
+    m, n = ys.shape[0], ys.shape[-1]
+    nu = m * n
     yinvs = _sym(np.linalg.inv(ys))
     matrix = _power_hessian(lam, vecs, p) + _hkm_operator(yinvs, zs)
     grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T
     mu = float(np.vdot(ys, zs).real) / nu
     slacks = np.concatenate([ys, zs])
+    steps, trial = np.empty_like(slacks), np.empty_like(slacks)
 
     def length(da, dzs):
-        return _step_length(slacks, np.concatenate([np.broadcast_to(da, ys.shape), dzs]))
+        steps[:m] = da
+        steps[m:] = dzs
+        return _step_length(slacks, steps, trial)
+
+    def times_w(d):
+        """W_i d over the stack, one GEMM over W flattened to (2N n, n)."""
+        return (yinvs.reshape(-1, n) @ d).reshape(yinvs.shape)
 
     da = _solve_hermitian(matrix, -grad)
-    dzs = -zs - _sandwich(yinvs, da, zs)
-    s = length(da, dzs)
-    sigma_mu = (float(np.vdot(ys + s * da, zs + s * dzs).real) / nu / mu) ** 3 * mu
-    second = _sandwich(yinvs, da, dzs)
+    w_da = times_w(da)
+    dzs = -zs - _sym(w_da @ zs)
+    length(da, dzs)
+    # trial holds Y_i + s da and Z_i + s dZ_i at the predictor's step
+    sigma_mu = (float(np.vdot(trial[:m], trial[m:]).real) / nu / mu) ** 3 * mu
+    second = _sym(w_da @ dzs)
     da = _solve_hermitian(matrix, sigma_mu * yinvs.sum(axis=0) - grad - second.sum(axis=0))
-    dzs = sigma_mu * yinvs - zs - _sandwich(yinvs, da, zs) - second
+    dzs = sigma_mu * yinvs - zs - _sym(times_w(da) @ zs) - second
     return da, dzs, STEP_FRACTION * length(da, dzs)
 
 

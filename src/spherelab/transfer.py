@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class AutomorphismFamily:
     eigenvectors of the normal matrix sum_i c_i U_i (seeded complex c_i),
     made unitary by QR; distinct joint eigenvalues meet there only on a set
     of real codimension two.  V* U_i V being diagonal is the commutation check.
+    Both checks run over the whole stack at once and name the first matrix
+    that fails.
     """
 
     n: int
@@ -70,22 +73,43 @@ class AutomorphismFamily:
         u = np.asarray(self.unitaries, dtype=complex)
         if u.shape != (self.d, self.n, self.n):
             raise ValueError(f"unitaries must have shape {(self.d, self.n, self.n)}")
-        eye = np.eye(self.n)
-        for i in range(self.d):
-            if not np.isfinite(u[i]).all():
-                raise ValueError(f"matrix {i} has an entry that is not finite")
-            if np.abs(u[i] @ u[i].conj().T - eye).max() > UNITARY_TOL:
-                raise ValueError(f"matrix {i} is not unitary")
-        c = np.random.default_rng(0).standard_normal((self.d, 2)) @ (1.0, 1j)
-        v = np.linalg.qr(np.linalg.eig(np.tensordot(c, u, axes=1))[1])[0]
+        finite = np.isfinite(u).all(axis=(1, 2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(self.n)).max(axis=(1, 2))
+        # not (dev <= tol): a product whose overflow gave nan is refused too
+        bad = ~finite | ~(dev <= UNITARY_TOL)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"matrix {i} has an entry that is not finite" if not finite[i]
+                             else f"matrix {i} is not unitary")
+        v = np.linalg.qr(np.linalg.eig(np.tensordot(_mixing(self.d), u, axes=1))[1])[0]
         diag = v.conj().T @ u @ v
-        for i in range(self.d):
-            if np.abs(diag[i] - np.diag(np.diagonal(diag[i]))).max() > UNITARY_TOL:
-                raise ValueError(f"unitaries do not commute (matrix {i} is not diagonal)")
+        off = np.abs(np.where(np.eye(self.n, dtype=bool), 0.0, diag)).max(axis=(1, 2))
+        mixed = off > UNITARY_TOL
+        if mixed.any():
+            i = int(mixed.argmax())
+            raise ValueError(f"unitaries do not commute (matrix {i} is not diagonal)")
         object.__setattr__(self, "unitaries", u)
         object.__setattr__(self, "basis", v)
         object.__setattr__(self, "phases",
                            np.angle(np.diagonal(diag, axis1=1, axis2=2)) / (2.0 * np.pi))
+
+
+@lru_cache
+def _mixing(d: int) -> np.ndarray:
+    """The seeded complex coefficients c_1..c_d of AutomorphismFamily's
+    normal matrix sum_i c_i U_i, drawn once per d and read-only."""
+    c = np.random.default_rng(0).standard_normal((d, 2)) @ (1.0, 1j)
+    c.flags.writeable = False
+    return c
+
+
+@lru_cache
+def _rep_counts_array(d: int, max_k: int) -> np.ndarray:
+    """rep_counts(d, max_k) as a read-only float array, cached per (d, max_k)."""
+    counts = np.array(rep_counts(d, max_k), dtype=float)
+    counts.flags.writeable = False
+    return counts
 
 
 def diagonal_phase_family(thetas, n: int) -> AutomorphismFamily:
@@ -155,7 +179,7 @@ def shell_averages(fam: AutomorphismFamily, x: AlgebraElement,
     multiplier M_k = table[:, k] / r_d(k); the averages V((V*xV) o M_k)V*
     are then one batched product.  No shell is enumerated.
     """
-    counts = np.array(rep_counts(fam.d, max_k), dtype=float)
+    counts = _rep_counts_array(fam.d, max_k)
     ks = [k for k in range(1, max_k + 1) if counts[k] > 0]
     table = twisted_counts(_phase_differences(fam), max_k)
     mults = (table[:, ks] / counts[ks]).T.reshape(len(ks), fam.n, fam.n)

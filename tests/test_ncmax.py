@@ -509,3 +509,126 @@ def test_the_stalled_ratio_problems_converge(thetas, upper, k_top, p):
     if n == 2:
         grid = ncmax_grid_oracle_2x2(prob)
         assert abs(cert.objective - grid) <= 1e-4 * max(1.0, grid)
+
+
+def _flat_hkm_operator(yinvs, zs):
+    """_hkm_operator with its Gram product G = W^T Z taken as the single
+    (n^2, 2N) x (2N, n^2) GEMM, as the solver first formed it."""
+    n = yinvs.shape[-1]
+    gram = yinvs.reshape(len(yinvs), n * n).T @ zs.reshape(len(zs), n * n)
+    half = 0.5 * (gram + gram.T)
+    return half.reshape((n,) * 4).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+
+
+def _dual_point(rng, n, count):
+    """Stacks W_i = Y_i^{-1} and Z_i > 0 at a strictly feasible envelope
+    of a random family of count members."""
+    xs, a = _feasible_point(rng, n, count)
+    yinvs = ncmax._sym(np.linalg.inv(_slacks(a, _signed_stack(xs))))
+    m = rng.standard_normal((2 * count, n, n)) + 1j * rng.standard_normal((2 * count, n, n))
+    return yinvs, m @ m.conj().swapaxes(-1, -2) + np.eye(n)
+
+
+@pytest.mark.parametrize("count", [1, 4, 8, 11, 16])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_stacked_gram_is_bitwise_the_flat_gemm(n, count):
+    # 2N = 2 .. 32 constraint slacks; the stacked products keep every entry
+    # of the one GEMM, byte for byte
+    yinvs, zs = _dual_point(np.random.default_rng(100 * n + count), n, count)
+    assert _hkm_operator(yinvs, zs).tobytes() == _flat_hkm_operator(yinvs, zs).tobytes()
+
+
+def _reference_step_length(slacks, steps):
+    """_step_length as the solver first took it: a fresh trial array each
+    time."""
+    s = 1.0
+    while s > 1e-14:
+        try:
+            np.linalg.cholesky(slacks + s * steps)
+            return s
+        except np.linalg.LinAlgError:
+            s *= ncmax.STEP_SHRINK
+    return 0.0
+
+
+def _reference_pd_step(lam, vecs, ys, zs, p):
+    """_pd_step as the solver first took it: W da formed once for each
+    of the three sandwiches, the step stacks concatenated afresh, mu_aff
+    from freshly formed Y_i + s da and Z_i + s dZ_i, and the flat Gram."""
+    def sandwich(d, right):
+        n = d.shape[-1]
+        return ncmax._sym((yinvs.reshape(-1, n) @ d).reshape(yinvs.shape) @ right)
+
+    nu = ys.shape[0] * ys.shape[-1]
+    yinvs = ncmax._sym(np.linalg.inv(ys))
+    matrix = _power_hessian(lam, vecs, p) + _flat_hkm_operator(yinvs, zs)
+    grad = (vecs * (p * lam ** (p - 1.0))) @ vecs.conj().T
+    mu = float(np.vdot(ys, zs).real) / nu
+    slacks = np.concatenate([ys, zs])
+
+    def length(da, dzs):
+        return _reference_step_length(
+            slacks, np.concatenate([np.broadcast_to(da, ys.shape), dzs]))
+
+    da = ncmax._solve_hermitian(matrix, -grad)
+    dzs = -zs - sandwich(da, zs)
+    s = length(da, dzs)
+    sigma_mu = (float(np.vdot(ys + s * da, zs + s * dzs).real) / nu / mu) ** 3 * mu
+    second = sandwich(da, dzs)
+    da = ncmax._solve_hermitian(matrix, sigma_mu * yinvs.sum(axis=0) - grad - second.sum(axis=0))
+    dzs = sigma_mu * yinvs - zs - sandwich(da, zs) - second
+    return da, dzs, ncmax.STEP_FRACTION * length(da, dzs)
+
+
+def _bitwise_equal_steps(got, ref):
+    return (got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+            and got[2] == ref[2])
+
+
+def _iteration_point(rng, n, count, p, scale):
+    """(lam, vecs, ys, zs) at the envelope scale * (sum_j |x_j| + c I) of a
+    random family, with Z_i = mu Y_i^{-1}: strictly feasible for scale 1."""
+    xs, a = _feasible_point(rng, n, count)
+    a = scale * a
+    a = 0.5 * (a + a.conj().T)
+    lam, vecs = np.linalg.eigh(a)
+    ys = _slacks(a, _signed_stack(xs))
+    zs = float((lam ** p).sum()) / (2 * count * n) * ncmax._sym(np.linalg.inv(ys))
+    return lam, vecs, ys, zs
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_the_lean_iteration_is_bitwise_the_reference_at_feasible_points(p, seed):
+    rng = np.random.default_rng(3000 + seed)
+    point = _iteration_point(rng, int(rng.integers(1, 7)), int(rng.integers(1, 9)), p, 1.0)
+    got = ncmax._pd_step(*point, p)
+    assert got[2] > 0.0
+    assert _bitwise_equal_steps(got, _reference_pd_step(*point, p))
+
+
+def test_the_lean_iteration_is_bitwise_the_reference_where_no_step_is_definite():
+    # a tenth of a dominating envelope leaves indefinite slacks, so every
+    # trial step fails and mu_aff is read at s = 0.0
+    point = _iteration_point(np.random.default_rng(3100), 3, 4, 2.0, 0.1)
+    assert np.linalg.eigvalsh(point[2]).min() < 0.0
+    got = ncmax._pd_step(*point, 2.0)
+    assert got[2] == 0.0
+    assert _bitwise_equal_steps(got, _reference_pd_step(*point, 2.0))
+
+
+def test_the_lean_iteration_is_bitwise_the_reference_along_every_solve(monkeypatch):
+    lean, compared = ncmax._pd_step, []
+
+    def both(lam, vecs, ys, zs, p):
+        got = lean(lam, vecs, ys, zs, p)
+        compared.append(_bitwise_equal_steps(got, _reference_pd_step(lam, vecs, ys, zs, p)))
+        return got
+
+    probs = _solver_problems() + _transfer_problems()
+    monkeypatch.setattr(ncmax, "_pd_step", both)
+    lean_steps = [ncmax_norm(prob).newton_steps for prob in probs]
+    monkeypatch.setattr(ncmax, "_pd_step", _reference_pd_step)
+    reference_steps = [ncmax_norm(prob).newton_steps for prob in probs]
+    assert len(probs) == 148 and lean_steps == reference_steps
+    assert len(compared) >= sum(lean_steps) > 0 and all(compared)

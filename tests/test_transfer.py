@@ -335,6 +335,41 @@ def test_non_commuting_pair_is_rejected():
         AutomorphismFamily(n=2, d=2, unitaries=np.stack([z, x]))
 
 
+@pytest.mark.parametrize("i", range(3))
+def test_family_names_the_first_matrix_that_is_not_unitary(i):
+    # identities before it, and a non-finite matrix after it
+    u = np.stack([np.eye(2)] * i + [2.0 * np.eye(2), np.diag([1.0, math.nan])])
+    with pytest.raises(ValueError, match=f"^matrix {i} is not unitary$"):
+        AutomorphismFamily(n=2, d=i + 2, unitaries=u)
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_family_names_the_first_matrix_that_is_not_diagonal(i):
+    # identities are diagonal in every basis; the joint eigenbasis of the
+    # normal matrix mixing Z and X diagonalizes neither
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.stack([np.eye(2)] * i + [z, x])
+    with pytest.raises(ValueError, match=rf"do not commute \(matrix {i} is not diagonal\)"):
+        AutomorphismFamily(n=2, d=i + 2, unitaries=u)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_mixing_coefficients_are_the_seeded_draw_and_read_only(d):
+    c = transfer._mixing(d)
+    ref = np.random.default_rng(0).standard_normal((d, 2)) @ (1.0, 1j)
+    assert c.tobytes() == ref.tobytes() and transfer._mixing(d) is c
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 0.0
+
+
+def test_cached_shell_counts_are_rep_counts_and_read_only():
+    counts = transfer._rep_counts_array(5, 16)
+    assert counts.tolist() == list(rep_counts(5, 16))
+    with pytest.raises(ValueError, match="read-only"):
+        counts[1] = 0.0
+
+
 def _rotated_orbit_box(fam, x, span):
     """gamma^m x over |m|_inf <= span built site by site in the original
     basis: the phases of V*xV one axis at a time, each site then rotated

@@ -20,7 +20,11 @@ kernels their total count of primal-dual iterations, kept under the key
 ``newton_steps`` as the certificates name it (``ncmax_norm_transfer_set16`` solves
 16 seeded ratio-table families like those of the ``transfer`` workload, and
 ``ncmax_norm_n12_members6_p2`` and ``_n24_`` one family of 6 seeded random
-hermitian members each).  The result is one JSON object:
+hermitian members each).  ``ratio_request_n4_k9`` times one whole
+``transfer`` ratio request (family, probe and a one-row ratio table at
+n = 4, K = 9), and ``hkm_gram_n8_members16`` the HKM Gram product of
+ncmax_norm's iteration at n = 8 with 32 constraint slacks.  The result is
+one JSON object:
 
     python tools/microbench.py bench.json
 
@@ -56,9 +60,9 @@ from spherelab.farey import farey_sequence, locate_arc, major_arcs, verify_parti
 from spherelab.gauss import gauss_dft  # noqa: E402
 from spherelab.heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc  # noqa: E402
 from spherelab.lattice import _kept_shell, rep_counts, sphere_shell, twisted_counts  # noqa: E402
-from spherelab.ncmax import (MaxNormProblem, _dual_bound, _pd_step,  # noqa: E402
-                             _power_hessian, _signed_stack, _slacks, _sym,
-                             matrix_abs, ncmax_norm)
+from spherelab.ncmax import (MaxNormProblem, _dual_bound, _hkm_operator,  # noqa: E402
+                             _pd_step, _power_hessian, _signed_stack, _slacks, _sym,
+                             hermitian_element, matrix_abs, ncmax_norm)
 from spherelab.sphere import sphere_ft_quadrature  # noqa: E402
 from spherelab.transfer import (AutomorphismFamily, _orbit_box,  # noqa: E402
                                 _phase_differences, auto_spherical_average,
@@ -105,11 +109,10 @@ def transfer_style_problems() -> list:
     return probs
 
 
-def pd_iteration(prob: MaxNormProblem):
-    """One primal-dual iteration of ncmax_norm, its gap test, matrix, two
-    solves and step lengths, at a fixed strictly feasible point:
-    a = sum_j |x_j| + I with the dual slacks Z_i = mu Y_i^{-1} at
-    mu = tr(a^p) / nu."""
+def pd_point(prob: MaxNormProblem):
+    """A fixed strictly feasible point of ncmax_norm's iteration: the signed
+    stack, a = sum_j |x_j| + I, its slacks Y_i and the dual slacks
+    Z_i = mu Y_i^{-1} at mu = tr(a^p) / nu."""
     xs = np.stack([x.entries for x in prob.family])
     signed = _signed_stack(xs)
     a = sum(matrix_abs(x) for x in xs) + np.eye(prob.n)
@@ -117,12 +120,34 @@ def pd_iteration(prob: MaxNormProblem):
     ys = _slacks(a, signed)
     zs = (float((np.linalg.eigvalsh(a) ** prob.p).sum()) / (len(ys) * prob.n)
           * _sym(np.linalg.inv(ys)))
+    return signed, a, ys, zs
+
+
+def pd_iteration(prob: MaxNormProblem):
+    """One primal-dual iteration of ncmax_norm, its gap test, matrix, two
+    solves and step lengths, at pd_point."""
+    signed, a, ys, zs = pd_point(prob)
 
     def iteration():
         lam, vecs = np.linalg.eigh(a)
         _dual_bound(zs, signed, prob.p)
         return _pd_step(lam, vecs, ys, zs, prob.p)
     return iteration
+
+
+def hkm_gram(prob: MaxNormProblem):
+    """_hkm_operator, the Gram product of the W_i = Y_i^{-1} and Z_i
+    stacks and its index permutation, at pd_point."""
+    _, _, ys, zs = pd_point(prob)
+    yinvs = _sym(np.linalg.inv(ys))
+    return lambda: _hkm_operator(yinvs, zs)
+
+
+def ratio_request(thetas, probe, k_top: int, p: float):
+    """One transfer ratio request: the d = 5 diagonal phase family, the
+    probe's hermitian element and a one-row ratio table."""
+    fam = diagonal_phase_family(thetas, len(probe))
+    return maximal_ratio_experiment(fam, hermitian_element(probe), [k_top], p)
 
 
 def farey_request(order: int, lookups) -> list:
@@ -179,6 +204,10 @@ def kernels(tmp: Path):
     transfer_set = transfer_style_problems()
     prob6 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(
         diagonal_phase_family(TRANSFER_THETAS, 6), x6, 16)))
+    prob8 = MaxNormProblem(p=2.0, family=tuple(per_shell_averages(fam8, x8, 16)))
+    # the thetas and probe of a transfer ratio request at n = 4
+    thetas = tuple(np.random.default_rng(3001).uniform(0.0, 1.0, 5))
+    probe4 = x4.entries
     prob12, prob24 = (MaxNormProblem(p=2.0, family=tuple(random_hermitian_probe(n, j)
                                                          for j in range(6)))
                       for n in (12, 24))
@@ -194,6 +223,8 @@ def kernels(tmp: Path):
         ("ncmax_norm_n12_members6_p2", lambda: [ncmax_norm(prob12)]),
         ("ncmax_norm_n24_members6_p2", lambda: [ncmax_norm(prob24)]),
         ("pd_iteration_n6_members16_p2", pd_iteration(prob6)),
+        ("hkm_gram_n8_members16", hkm_gram(prob8)),
+        ("ratio_request_n4_k9", lambda: ratio_request(thetas, probe4, 9, 2.0)),
         ("maximal_ratio_n8_cap12", lambda: maximal_ratio_experiment(
             fam8, x8, [j * j for j in range(1, 13)], 2.0)),
     ]
