@@ -23,7 +23,7 @@ refinement) pin the solver's accuracy and lie inside that interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,10 +70,13 @@ def hermitian_element(entries) -> AlgebraElement:
 
 @dataclass(frozen=True)
 class MaxNormProblem:
-    """A p-exponent together with a finite family of hermitian matrices."""
+    """A p-exponent together with a finite family of hermitian matrices,
+    stacked once as members with their |eigvalsh| moduli, both read-only."""
 
     p: float
     family: tuple
+    members: np.ndarray = field(init=False, repr=False, compare=False)  # (N, n, n)
+    moduli: np.ndarray = field(init=False, repr=False, compare=False)   # (N, n)
 
     def __post_init__(self):
         if not self.family:
@@ -86,6 +89,11 @@ class MaxNormProblem:
                 raise ValueError("family members must be hermitian AlgebraElements")
             if x.n != n:
                 raise ValueError("family members must share the matrix dimension")
+        xs = np.stack([x.entries for x in self.family])
+        sig = np.abs(np.linalg.eigvalsh(xs))
+        for name, arr in (("members", xs), ("moduli", sig)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -107,11 +115,11 @@ class MaxNormCertificate:
 
 def schatten_norm(x: AlgebraElement, p) -> float:
     """(sum of |lambda_i|^p)^(1/p) over the eigenvalues of x; max for p = inf."""
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
     sig = np.abs(np.linalg.eigvalsh(x.entries))
     if math.isinf(p):
         return float(sig.max())
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     return float((sig ** p).sum() ** (1.0 / p))
 
 
@@ -334,11 +342,10 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     p = float(prob.p)
-    xs = np.stack([x.entries for x in prob.family])
-    signed = _signed_stack(xs)
+    signed = _signed_stack(prob.members)
     n = prob.n
 
-    sig = np.abs(np.linalg.eigvalsh(xs))
+    sig = prob.moduli
     scale = float(sig.max())   # max_j rho(x_j)
     if math.isinf(p):
         a = scale * np.eye(n)
@@ -392,18 +399,18 @@ def matrix_abs(x: np.ndarray) -> np.ndarray:
 def envelope_bounds(prob: MaxNormProblem) -> tuple[float, float]:
     """max_j ||x_j||_p and ||sum_j |x_j| ||_p, between which the maximal
     norm lies: every feasible a dominates each |x_j|, and sum_j |x_j| is
-    feasible.  One batched eigvalsh and one batched eigh over the members
-    run the LAPACK routines of schatten_norm and matrix_abs on each, and
-    each root is a scalar power as in schatten_norm, so both bounds are
-    bitwise those of the per-member calls."""
+    feasible.  The problem's moduli (one batched eigvalsh) and one batched
+    eigh over its members run the LAPACK routines of schatten_norm and
+    matrix_abs on each, and each root is a scalar power as in
+    schatten_norm, so both bounds are bitwise those of the per-member
+    calls."""
     p = prob.p
-    xs = np.stack([x.entries for x in prob.family])
-    sig = np.abs(np.linalg.eigvalsh(xs))
+    sig = prob.moduli
     if math.isinf(p):
         lower = float(sig.max())
     else:
         lower = max(float(t) ** (1.0 / p) for t in (sig ** p).sum(axis=1))
-    upper = schatten_norm(hermitian_element(sum(matrix_abs(xs))), p)
+    upper = schatten_norm(hermitian_element(sum(matrix_abs(prob.members))), p)
     return lower, upper
 
 
@@ -435,7 +442,7 @@ def ncmax_grid_oracle_2x2(prob: MaxNormProblem) -> float:
     """
     if prob.n != 2:
         raise ValueError("grid oracle only covers n = 2")
-    xs = np.stack([x.entries for x in prob.family])
+    xs = prob.members
     radius = sum(float(np.abs(np.linalg.eigvalsh(x)).max()) for x in xs)
 
     center = np.array([radius, radius, 0.0, 0.0])

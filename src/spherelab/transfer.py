@@ -12,17 +12,17 @@ verifies before comparing maximal norms.
 Commuting unitaries share an eigenbasis V, V*U_iV = diag(e(phi_i)), in which
 gamma^n multiplies V*xV entrywise by e(n . (phi_r - phi_s)); the shell
 average is there the multiplier M_k[r, s] = S_k(phi_r - phi_s) / r_d(k) of
-the shell sum S_k.  The ratio tables take every M_k up to the largest shell
-from one lattice.twisted_counts table at the n^2 phase differences, with no
-shell enumerated (shell_averages); auto_spherical_average, the automorphism
-side of the truncation identity, reads one k off the same kernel through
-exact_multiplier_many.  Both sides of the truncation identity are summed
-in the joint eigenbasis, where the lattice sum commutes with conjugation
-by the fixed V, and only their difference on the inner sites is rotated
-back to V B V* (truncation_identity_check); orbit_truncation rotates its
-whole box back, by two GEMMs per slice of its first axis, peaking at about
-one box.  gamma_apply, by matrix powers, is the independent oracle of all
-three.
+the shell sum S_k.  The ratio tables and the automorphism side of the
+truncation identity take every M_k up to the largest shell from one
+lattice.twisted_counts table at the n^2 phase differences, with no shell
+enumerated (shell_averages); auto_spherical_average reads one k off the
+same kernel through exact_multiplier_many.  Both sides of the truncation
+identity are summed in the joint eigenbasis, where the lattice sum commutes
+with conjugation by the fixed V, and only their difference on the inner
+sites is rotated back to V B V* (truncation_identity_check);
+orbit_truncation rotates its whole box back, by two GEMMs per slice of its
+first axis, peaking at about one box.  gamma_apply, by matrix powers, is
+the independent oracle of all three.
 """
 
 from __future__ import annotations
@@ -288,12 +288,14 @@ def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
     eigenbasis, where conjugation by the fixed V commutes with the lattice
     sum: the lattice side is inner_shell_average over the phase box of V*xV
     on the whole window (enumerated shell slices), the automorphism side
-    the phase box of V* avg V on the inner sites, avg from
-    auto_spherical_average (the twisted theta table).  Only their
+    the phase box of V* avg V on the inner sites, every avg from one
+    shell_averages table (the twisted theta table).  Only their
     difference on the inner sites is rotated back to V (lhs - rhs) V*
     before the max is taken; the return value is pure floating-point
-    roundoff.
+    roundoff.  k_cap_sq must be a perfect square >= 1.
     """
+    if k_cap_sq < 1:
+        raise ValueError(f"k_cap_sq must be >= 1, got {k_cap_sq}")
     cap = math.isqrt(k_cap_sq)
     if cap * cap != k_cap_sq:
         raise ValueError("k_cap_sq must be a perfect square")
@@ -304,12 +306,8 @@ def truncation_identity_check(fam: AutomorphismFamily, x: AlgebraElement,
     box = _phase_box(fam, vh @ x.entries @ v, window)
     inner = window - cap
     worst = 0.0
-    for k in range(1, k_cap_sq + 1):
-        shell = sphere_shell(fam.d, k)
-        if shell.count == 0:
-            continue
-        diff = inner_shell_average(box, shell, cap)
-        avg = auto_spherical_average(fam, x, k)
+    for k, avg in shell_averages(fam, x, k_cap_sq).items():
+        diff = inner_shell_average(box, sphere_shell(fam.d, k), cap)
         diff -= _phase_box(fam, vh @ avg.entries @ v, inner)
         worst = max(worst, float(np.abs(_rotate_back(v, diff)).max()))
     return worst
@@ -348,24 +346,19 @@ def maximal_ratio_experiment(fam: AutomorphismFamily, x: AlgebraElement,
     if base == 0.0:
         raise ValueError("x must be nonzero")
     averages = shell_averages(fam, x, k_list[-1])
-    members = list(averages.values())
-    xs = np.stack([avg.entries for avg in members])
-
-    def solve(active):
-        return ncmax_norm(MaxNormProblem(p=p, family=tuple(members[j] for j in active)),
-                          tol=tol)
-
+    members = tuple(averages.values())
     cert = None
     rows = []
     for k_top in k_list:
-        size = sum(1 for k in averages if k <= k_top)
+        prob = MaxNormProblem(p=p, family=members[:sum(1 for k in averages if k <= k_top)])
         if cert is None:
-            active = list(range(size))
-            cert = solve(active)
-        while violated := _violated_members(cert.envelope.entries, xs[:size], active):
+            active = list(range(len(prob.family)))
+            cert = ncmax_norm(prob, tol=tol)
+        while violated := _violated_members(cert.envelope.entries, prob.members, active):
             active = sorted(active + violated)
-            cert = solve(active)
-        lower, upper = envelope_bounds(MaxNormProblem(p=p, family=tuple(members[:size])))
+            cert = ncmax_norm(MaxNormProblem(p=p, family=tuple(members[j] for j in active)),
+                              tol=tol)
+        lower, upper = envelope_bounds(prob)
         rows.append((k_top, cert.objective / base, lower / base, upper / base,
                      cert.gap / base))
     return rows

@@ -50,6 +50,16 @@ def test_schatten_values():
     assert schatten_norm(m, math.inf) == 4.0
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -math.inf, math.nan])
+def test_schatten_norm_refuses_p_below_one_before_any_work(p, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("eigvalsh ran before p was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
+    with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
+        schatten_norm(SX, p)
+
+
 def test_scalar_family():
     prob = MaxNormProblem(p=2.0, family=[_diag(3), _diag(-5)])
     assert ncmax_diag_oracle(prob) == 5.0
@@ -135,6 +145,39 @@ def test_certificate_soundness():
     assert cert.gap >= 0.0
     lower = max(schatten_norm(x, 2.0) for x in prob.family)
     assert cert.objective >= lower - cert.gap - 1e-9
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (3, 4), (5, 9)])
+def test_members_and_moduli_are_the_stack_and_its_spectra_read_only(n, count):
+    rng = np.random.default_rng(40 + n)
+    m = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    prob = MaxNormProblem(p=2.0, family=tuple(hermitian_element(x + x.conj().T) for x in m))
+    fresh = np.stack([x.entries for x in prob.family])
+    assert prob.members.tobytes() == fresh.tobytes()
+    assert prob.moduli.tobytes() == np.abs(np.linalg.eigvalsh(fresh)).tobytes()
+    for arr in (prob.members, prob.moduli):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert "members" not in repr(prob) and prob == MaxNormProblem(2.0, prob.family)
+
+
+def test_a_prefix_problem_has_the_envelope_bounds_of_its_members():
+    # the ladder's row problem, a prefix of one shell_averages table, and a
+    # problem built from copies of the same members, against the
+    # per-member schatten_norm and matrix_abs calls
+    fam = diagonal_phase_family((0.11, 0.23, 0.37, 0.41, 0.53), 4)
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    members = tuple(shell_averages(fam, hermitian_element(m + m.conj().T), 16).values())
+    for p in (1.5, 2.0, math.inf):
+        for size in (1, 5, len(members)):
+            prefix = MaxNormProblem(p=p, family=members[:size])
+            copies = MaxNormProblem(p=p, family=tuple(hermitian_element(x.entries.copy())
+                                                      for x in members[:size]))
+            per_member = (max(schatten_norm(x, p) for x in members[:size]),
+                          schatten_norm(hermitian_element(
+                              sum(matrix_abs(x.entries) for x in members[:size])), p))
+            assert envelope_bounds(prefix) == envelope_bounds(copies) == per_member
 
 
 def test_rejects_mixed_dimensions():

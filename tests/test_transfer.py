@@ -13,7 +13,8 @@ from spherelab import transfer
 from spherelab.errors import BudgetExceededError
 from spherelab.experiments import TRANSFER_THETAS, random_hermitian_probe
 from spherelab.lattice import rep_counts, sphere_shell
-from spherelab.ncmax import MaxNormProblem, hermitian_element, ncmax_norm, schatten_norm
+from spherelab.ncmax import (MaxNormProblem, hermitian_element, matrix_abs, ncmax_norm,
+                             schatten_norm)
 from spherelab.torus import LatticeFunction, spherical_convolve
 from spherelab.transfer import (
     AutomorphismFamily,
@@ -137,6 +138,28 @@ def test_truncation_identity():
     assert truncation_identity_check(FAM5, x, 4, 4) < 1e-10
 
 
+@pytest.mark.parametrize("k_cap_sq", [0, -1, -4])
+def test_truncation_identity_refuses_a_cap_below_one_by_name(k_cap_sq):
+    with pytest.raises(ValueError, match=f"k_cap_sq must be >= 1, got {k_cap_sq}"):
+        truncation_identity_check(FAM5, random_hermitian_probe(2, 7), 2, k_cap_sq)
+
+
+@pytest.mark.parametrize("fam,window,k_cap_sq", [(FAM5, 3, 4), (permutation_phase_family(), 5, 9),
+                                                 (trivial_family(2, 3), 2, 1)])
+def test_truncation_identity_takes_its_averages_from_one_table(fam, window, k_cap_sq,
+                                                               monkeypatch):
+    calls = []
+
+    def spy(fam_, x_, max_k):
+        calls.append(max_k)
+        return shell_averages(fam_, x_, max_k)
+
+    monkeypatch.setattr(transfer, "shell_averages", spy)
+    assert truncation_identity_check(fam, random_hermitian_probe(fam.n, 8),
+                                     window, k_cap_sq) < 1e-10
+    assert calls == [k_cap_sq]
+
+
 def test_truncation_identity_budget_checked_before_allocation():
     # 23^5 orbit sites are over the default budget of 5,000,000
     with pytest.raises(BudgetExceededError, match="23\\^5"):
@@ -199,6 +222,55 @@ def test_ladder_rows_agree_with_full_solves_within_the_gaps(p):
         full = ncmax_norm(MaxNormProblem(p=p, family=family))
         assert full.converged
         assert abs(ratio * base - full.objective) <= gap * base + full.gap
+
+
+def _parent_ladder(fam, x, k_list, p, tol=1e-7):
+    """maximal_ratio_experiment as it was before its row problems held
+    their stacked members: a per-row stack, a solve closure over member
+    indices and envelope_bounds' own stack and eigvalsh."""
+    def bounds(family):
+        xs = np.stack([m.entries for m in family])
+        sig = np.abs(np.linalg.eigvalsh(xs))
+        lower = (float(sig.max()) if math.isinf(p)
+                 else max(float(t) ** (1.0 / p) for t in (sig ** p).sum(axis=1)))
+        return lower, schatten_norm(hermitian_element(sum(matrix_abs(xs))), p)
+
+    k_list = sorted(int(k) for k in k_list)
+    base = schatten_norm(x, p)
+    averages = shell_averages(fam, x, k_list[-1])
+    members = list(averages.values())
+    xs = np.stack([avg.entries for avg in members])
+
+    def solve(active):
+        return ncmax_norm(MaxNormProblem(p=p, family=tuple(members[j] for j in active)),
+                          tol=tol)
+
+    cert = None
+    rows = []
+    for k_top in k_list:
+        size = sum(1 for k in averages if k <= k_top)
+        if cert is None:
+            active = list(range(size))
+            cert = solve(active)
+        while violated := transfer._violated_members(cert.envelope.entries, xs[:size],
+                                                     active):
+            active = sorted(active + violated)
+            cert = solve(active)
+        lower, upper = bounds(members[:size])
+        rows.append((k_top, cert.objective / base, lower / base, upper / base,
+                     cert.gap / base))
+    return rows
+
+
+@pytest.mark.parametrize("n,p,cap", [(2, 1.5, 4), (3, 2.0, 5), (4, 3.0, 6), (5, 1.5, 6),
+                                     (6, 2.0, 4), (6, 3.0, 5)])
+def test_multi_row_tables_are_bitwise_the_parent_ladder(n, p, cap):
+    rng = np.random.default_rng(100 * n + cap)
+    fam = diagonal_phase_family(rng.uniform(0.0, 1.0, 5), n)
+    x = random_hermitian_probe(n, cap)
+    k_list = [j * j for j in range(1, cap + 1)]
+    assert repr(maximal_ratio_experiment(fam, x, k_list, p)) == \
+        repr(_parent_ladder(fam, x, k_list, p))
 
 
 def test_a_one_row_table_is_one_solve_of_the_whole_family(monkeypatch):
@@ -438,13 +510,14 @@ def test_the_check_measures_a_defect_in_the_original_basis(name, fam, monkeypatc
     # largest entry of gamma^m(e) over them, by matrix powers
     x = random_hermitian_probe(fam.n, 28)
     e = 1e-3 * random_hermitian_probe(fam.n, 29).entries
-    true_average = transfer.auto_spherical_average
+    true_averages = transfer.shell_averages
 
-    def off_at_one(fam_, x_, k):
-        avg = true_average(fam_, x_, k)
-        return hermitian_element(avg.entries + e) if k == 1 else avg
+    def off_at_one(fam_, x_, max_k):
+        averages = true_averages(fam_, x_, max_k)
+        averages[1] = hermitian_element(averages[1].entries + e)
+        return averages
 
-    monkeypatch.setattr(transfer, "auto_spherical_average", off_at_one)
+    monkeypatch.setattr(transfer, "shell_averages", off_at_one)
     window, cap = 2, 1
     inner = window - cap
     expected = max(np.abs(gamma_apply(fam, np.subtract(m, inner), hermitian_element(e))

@@ -113,9 +113,8 @@ def pd_point(prob: MaxNormProblem):
     """A fixed strictly feasible point of ncmax_norm's iteration: the signed
     stack, a = sum_j |x_j| + I, its slacks Y_i and the dual slacks
     Z_i = mu Y_i^{-1} at mu = tr(a^p) / nu."""
-    xs = np.stack([x.entries for x in prob.family])
-    signed = _signed_stack(xs)
-    a = sum(matrix_abs(x) for x in xs) + np.eye(prob.n)
+    signed = _signed_stack(prob.members)
+    a = sum(matrix_abs(x) for x in prob.members) + np.eye(prob.n)
     a = 0.5 * (a + a.conj().T)
     ys = _slacks(a, signed)
     zs = (float((np.linalg.eigvalsh(a) ** prob.p).sum()) / (len(ys) * prob.n)
