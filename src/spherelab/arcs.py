@@ -70,16 +70,25 @@ def exact_multiplier_many(shell: SphereShell, xis: np.ndarray) -> np.ndarray:
     return twisted_counts(xis, shell.k)[:, shell.k] / shell.count
 
 
+def _frequency(d: int, xi) -> np.ndarray:
+    """xi as a float array, refused unless its shape is (d,)."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (d,):
+        raise ValueError(f"xi must have shape ({d},) in d={d}, got shape {xi.shape}")
+    return xi
+
+
 def arc_multiplier(d: int, k: int, arc: MajorArc, xi, eps: float) -> complex:
     """One arc piece of the circle decomposition, by panel quadrature.
 
     panel_quadrature over the arc, after undamping has checked the
     prefactor e^{2 pi eps k}.  eps must equal order^{-2} for the arc's
-    Farey order.
+    Farey order, and xi must have shape (d,).
     """
     if not math.isclose(eps, arc.order ** -2.0, rel_tol=1e-9):
         raise ValueError(f"eps={eps} does not match arc order {arc.order}")
     growth = undamping(k, eps)
+    xi = _frequency(d, xi)
     s, w = panel_quadrature(float(arc.left), float(arc.right), k, eps)
     kernel = heat_direct_batch(eps, s, xi).value
     osc = np.exp(-2j * np.pi * np.mod(k * s, 1.0))
@@ -101,7 +110,7 @@ def approx_arc_multiplier(d: int, k: int, a: int, q: int, xi) -> complex:
     """
     if q < 1 or math.gcd(a, q) != 1:
         raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got a={a}, q={q}")
-    xi = np.asarray(xi, dtype=float)
+    xi = _frequency(d, xi)
     l = np.rint(q * xi).astype(np.int64)
     u = xi - l / q
     w = cutoff(q * u)
@@ -164,7 +173,7 @@ def approx_total(d: int, k: int, xi, q_max: int) -> ApproxTotal:
                                   f"d={d}, budget {DEFAULT_POINT_BUDGET}")
     # checks d and k before any work
     tail_bound = approx_tail_bound(d, k, q_max)
-    xi = np.asarray(xi, dtype=float)
+    xi = _frequency(d, xi)
     qs = np.arange(1, q_max + 1)
     ls = np.rint(qs[:, None] * xi).astype(np.int64)
     us = xi - ls / qs[:, None]

@@ -35,31 +35,12 @@ from .transfer import (TRUNCATION_TOL, AutomorphismFamily, check_orbit_budget,
                        permutation_phase_family, trivial_family,
                        truncation_identity_check)
 
-_INT_KEYS = ("d", "L", "K", "Lambda", "q_max", "n", "seed", "J")
-_FLOAT_KEYS = ("p", "tol")
-_STR_KEYS = ("family", "input", "theta")
-
-# Each kind's required keys and optional keys with defaults (None: a key left
-# out is not echoed); a key not listed for the kind is rejected by name.
-_SCHEMA = {
-    "farey": ({"Lambda"}, {}),
-    "gauss": (set(), {"d": 5, "q_max": 12, "L": 20, "seed": 0, "tol": 1e-12}),
-    "poisson_check": ({"d"}, {"L": 20, "seed": 0, "tol": 1e-8}),
-    "decay": (set(), {"q_max": 30, "Lambda": 8}),
-    "sphere_ft": ({"d"}, {"L": 200_000, "seed": 0, "tol": 1e-8}),
-    "ncmax": ({"input"}, {"tol": 1e-7, "p": None}),
-    "transfer": (set(), {"family": "diagonal", "n": 2, "p": 2.0, "K": 16,
-                         "seed": 7, "tol": 1e-7, "theta": None, "d": None,
-                         "J": None}),
-    "reconstruct": ({"d", "K"}, {"Lambda": 2, "L": 8, "seed": 0, "tol": 1e-6}),
-}
-
-# Smallest accepted value of each bounded key (tol must be finite and > 0),
-# then the kinds that differ: sphere_ft needs a sphere in d >= 2, and L = 0
-# there skips the Monte Carlo run; a transfer table needs at least K = 1.
-_LOWER_BOUNDS = {"d": 1, "L": 1, "q_max": 1, "Lambda": 1, "K": 0, "n": 1,
-                 "seed": 0, "p": 1}
-_KIND_LOWER_BOUNDS = {"sphere_ft": {"d": 2, "L": 0}, "transfer": {"K": 1}}
+# Each key's type and smallest accepted value (None: unbounded); _KINDS may
+# set another bound for its kind, and tol must be finite and > 0.
+_KEYS = {"d": (int, 1), "L": (int, 1), "K": (int, 0), "Lambda": (int, 1),
+         "q_max": (int, 1), "n": (int, 1), "seed": (int, 0), "J": (int, None),
+         "p": (float, 1), "tol": (float, None), "family": (str, None),
+         "input": (str, None), "theta": (str, None)}
 
 # Fixed evaluation grid for the decay experiment: rational base frequencies
 # with small denominators (where the rational approximants are actually
@@ -223,18 +204,13 @@ def parse_config(text: str) -> ExperimentConfig:
             kind = value
         elif key == "out":
             out = value
-        elif key in _INT_KEYS:
+        elif key in _KEYS:
+            convert = _KEYS[key][0]
             try:
-                params[key] = int(value)
+                params[key] = convert(value)
             except ValueError:
-                raise ConfigError(key, f"expected an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                params[key] = math.inf if value == "inf" else float(value)
-            except ValueError:
-                raise ConfigError(key, f"expected a number, got {value!r}") from None
-        elif key in _STR_KEYS:
-            params[key] = value
+                expected = "an integer" if convert is int else "a number"
+                raise ConfigError(key, f"expected {expected}, got {value!r}") from None
         else:
             raise ConfigError(key, "unknown key")
     return make_config(kind, params, Path(out) if out else None)
@@ -243,10 +219,10 @@ def parse_config(text: str) -> ExperimentConfig:
 def make_config(kind: str, params: dict, output: Path | None = None) -> ExperimentConfig:
     """kind's config of params over its defaults (None leaves a key out), every
     key checked: the step parse_config ends in and the CLI's flags go through."""
-    if kind not in _SCHEMA:
+    if kind not in _KINDS:
         got = "missing" if kind is None else f"unknown kind {kind!r}"
-        raise ConfigError("kind", f"{got} (one of: {', '.join(_SCHEMA)})")
-    required, defaults = _SCHEMA[kind]
+        raise ConfigError("kind", f"{got} (one of: {', '.join(_KINDS)})")
+    _, required, defaults, kind_bounds = _KINDS[kind]
     for key in required:
         if key not in params:
             raise ConfigError(key, f"required for kind = {kind}")
@@ -255,10 +231,10 @@ def make_config(kind: str, params: dict, output: Path | None = None) -> Experime
             raise ConfigError(key, f"not a parameter of kind = {kind}")
     merged = {k: v for k, v in defaults.items() if v is not None}
     merged.update((k, v) for k, v in params.items() if v is not None)
-    lower = {**_LOWER_BOUNDS, **_KIND_LOWER_BOUNDS.get(kind, {})}
     for key, value in merged.items():
-        if key in lower and not value >= lower[key]:
-            raise ConfigError(key, f"must be >= {lower[key]}, got {value}")
+        bound = kind_bounds.get(key, _KEYS[key][1])
+        if bound is not None and not value >= bound:
+            raise ConfigError(key, f"must be >= {bound}, got {value}")
     if not merged.get("tol", 1.0) > 0.0:
         raise ConfigError("tol", "need tol > 0")
     if not math.isfinite(merged.get("tol", 1.0)):
@@ -276,9 +252,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    runner = _RUNNERS[cfg.kind]
     t0 = time.perf_counter()
-    report = runner(cfg)
+    report = _KINDS[cfg.kind][0](cfg)
     report.wall_time = time.perf_counter() - t0
     if cfg.output is not None:
         report.write(cfg.output)
@@ -575,7 +550,11 @@ def _run_transfer(cfg: ExperimentConfig) -> RunReport:
             raise ConfigError("J", str(exc)) from exc
     x = random_hermitian_probe(fam.n, P["seed"])
     k_list = [j * j for j in range(1, radius + 1)]
-    rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)
+    try:
+        rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)
+    except BudgetExceededError as exc:
+        # the count and twisted tables up to K, built before any solve
+        raise ConfigError("K", str(exc)) from exc
     min_step = min((b[1] - a[1] + a[4] + b[4] for a, b in zip(rows, rows[1:])),
                    default=0.0)
     checks = [
@@ -621,13 +600,23 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
     return RunReport(cfg, cols, rows, summary, checks, rng=rng_label)
 
 
-_RUNNERS = {
-    "farey": _run_farey,
-    "gauss": _run_gauss,
-    "poisson_check": _run_poisson,
-    "decay": _run_decay,
-    "sphere_ft": _run_sphere_ft,
-    "ncmax": _run_ncmax,
-    "transfer": _run_transfer,
-    "reconstruct": _run_reconstruct,
+# Each kind's runner, required keys, optional keys with defaults (None: a key
+# left out is not echoed) and the bounds that differ from _KEYS': sphere_ft
+# needs a sphere in d >= 2, and L = 0 there skips the Monte Carlo run; a
+# transfer table needs at least K = 1.  A key not listed for the kind is
+# rejected by name.
+_KINDS = {
+    "farey": (_run_farey, ("Lambda",), {}, {}),
+    "gauss": (_run_gauss, (), {"d": 5, "q_max": 12, "L": 20, "seed": 0,
+                               "tol": 1e-12}, {}),
+    "poisson_check": (_run_poisson, ("d",), {"L": 20, "seed": 0, "tol": 1e-8}, {}),
+    "decay": (_run_decay, (), {"q_max": 30, "Lambda": 8}, {}),
+    "sphere_ft": (_run_sphere_ft, ("d",), {"L": 200_000, "seed": 0, "tol": 1e-8},
+                  {"d": 2, "L": 0}),
+    "ncmax": (_run_ncmax, ("input",), {"tol": 1e-7, "p": None}, {}),
+    "transfer": (_run_transfer, (), {"family": "diagonal", "n": 2, "p": 2.0,
+                                     "K": 16, "seed": 7, "tol": 1e-7, "theta": None,
+                                     "d": None, "J": None}, {"K": 1}),
+    "reconstruct": (_run_reconstruct, ("d", "K"), {"Lambda": 2, "L": 8, "seed": 0,
+                                                   "tol": 1e-6}, {}),
 }

@@ -83,12 +83,10 @@ class MaxNormProblem:
             raise ValueError("family must be nonempty")
         if not (1.0 <= self.p):
             raise ValueError("p must lie in [1, inf]")
-        n = self.family[0].n
-        for x in self.family:
-            if not isinstance(x, AlgebraElement):
-                raise ValueError("family members must be hermitian AlgebraElements")
-            if x.n != n:
-                raise ValueError("family members must share the matrix dimension")
+        if not all(isinstance(x, AlgebraElement) for x in self.family):
+            raise ValueError("family members must be hermitian AlgebraElements")
+        if len({x.n for x in self.family}) > 1:
+            raise ValueError("family members must share the matrix dimension")
         xs = np.stack([x.entries for x in self.family])
         sig = np.abs(np.linalg.eigvalsh(xs))
         for name, arr in (("members", xs), ("moduli", sig)):

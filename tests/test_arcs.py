@@ -254,6 +254,39 @@ def test_exact_multiplier_many_names_a_bad_shape(shape):
         exact_multiplier_many(shell, np.zeros(shape))
 
 
+WRONG_LENGTH = "xi must have shape (5,) in d=5, got shape (3,)"
+
+
+def test_approx_total_refuses_a_frequency_of_the_wrong_length():
+    with pytest.raises(ValueError) as err:
+        approx_total(5, 4, [0.1, 0.2, 0.0], q_max=10)
+    assert str(err.value) == WRONG_LENGTH
+    # the q_max, d and k refusals still come first
+    for d, k, q_max, what in ((5, 4, 0, "q_max=0"), (3, 4, 10, "d=3"), (5, 0, 10, "k=0")):
+        with pytest.raises(ValueError, match=what):
+            approx_total(d, k, [0.1, 0.2, 0.0], q_max=q_max)
+
+
+def test_approx_arc_multiplier_refuses_a_frequency_of_the_wrong_length():
+    with pytest.raises(ValueError) as err:
+        approx_arc_multiplier(5, 4, 1, 3, [0.1, 0.2, 0.0])
+    assert str(err.value) == WRONG_LENGTH
+    with pytest.raises(ValueError, match="q=0"):
+        approx_arc_multiplier(5, 4, 1, 0, [0.1, 0.2, 0.0])
+
+
+def test_arc_multiplier_refuses_a_frequency_of_the_wrong_length(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arcs, "panel_quadrature", lambda *a: calls.append(a))
+    for arc in major_arcs(farey_sequence(2)):
+        with pytest.raises(ValueError) as err:
+            arc_multiplier(5, 2, arc, [0.1, 0.2, 0.0], 0.25)
+        assert str(err.value) == WRONG_LENGTH
+    assert calls == []
+    with pytest.raises(ValueError, match="does not match arc order 2"):
+        arc_multiplier(5, 2, arc, [0.1, 0.2, 0.0], 1.0)
+
+
 def test_an_arc_whose_panel_width_underflows_is_refused_by_name():
     # order 2^537 gives eps = 2^-1074, the smallest float, and panels of
     # width eps / 2, which rounds to 0: refused as a budget, not divided by

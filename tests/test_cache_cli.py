@@ -518,6 +518,22 @@ def test_cli_approx_names_a_q_max_over_the_point_budget():
                            "images in d=5, budget 5000000\n")
 
 
+def test_cli_names_a_ratio_table_over_budget_by_cap_or_K(tmp_path):
+    counts = "r_5(k) for k <= 90000 takes 135001500 theta-product terms, budget is 5000000"
+    twisted = "twisted table of 1600 rows x 3970 shells exceeds the budget of 5000000"
+    for argv, text, reason in [(("--cap", "300"), "K = 90000\n", counts),
+                               (("--n", "40", "--cap", "63"), "n = 40\nK = 3970\n",
+                                twisted)]:
+        proc = run_cli("transfer", *argv, expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --cap {argv[-1]}: {reason}\n"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f"kind = transfer\n{text}")
+        proc = run_cli("experiment", "run", str(cfg), expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: config key 'K': {reason}\n"
+
+
 def test_cli_reconstruct_past_float_range_gives_one_error_line(tmp_path):
     # K = 500 at Lambda = 2: e^(2 pi k / 4) = e^785 overflows a float
     cfg = tmp_path / "r500.cfg"

@@ -99,6 +99,58 @@ def test_parse_rejects_a_repeated_key_with_both_lines(text, key, lines):
     assert f"repeated on lines {lines[0]} and {lines[1]}" in str(err.value)
 
 
+_KINDS_LISTED = ("(one of: farey, gauss, poisson_check, decay, sphere_ft, ncmax, "
+                 "transfer, reconstruct)")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("kind farey\n", "config key 'kind': line 1 is not 'key = value'"),
+        ("kind = farey\nLambda =\n", "config key 'Lambda': empty value on line 2"),
+        ("kind = farey\nLambda = 3\nwidgets = 1\n", "config key 'widgets': unknown key"),
+        ("kind = farey\nLambda = x\n",
+         "config key 'Lambda': expected an integer, got 'x'"),
+        ("kind = gauss\nseed = 1.5\n",
+         "config key 'seed': expected an integer, got '1.5'"),
+        ("kind = ncmax\ntol = big\ninput = f\n",
+         "config key 'tol': expected a number, got 'big'"),
+        ("Lambda = 3\n", f"config key 'kind': missing {_KINDS_LISTED}"),
+        ("kind = frobnicate\n",
+         f"config key 'kind': unknown kind 'frobnicate' {_KINDS_LISTED}"),
+        ("kind = farey\n", "config key 'Lambda': required for kind = farey"),
+        ("kind = reconstruct\nd = 5\n",
+         "config key 'K': required for kind = reconstruct"),
+        ("kind = farey\nLambda = 3\nseed = 1\n",
+         "config key 'seed': not a parameter of kind = farey"),
+        ("kind = farey\nLambda = 0\n", "config key 'Lambda': must be >= 1, got 0"),
+        ("kind = gauss\nseed = -1\n", "config key 'seed': must be >= 0, got -1"),
+        ("kind = reconstruct\nd = 5\nK = -1\n", "config key 'K': must be >= 0, got -1"),
+        ("kind = transfer\np = 0.5\n", "config key 'p': must be >= 1, got 0.5"),
+        ("kind = transfer\np = nan\n", "config key 'p': must be >= 1, got nan"),
+        ("kind = sphere_ft\nd = 1\n", "config key 'd': must be >= 2, got 1"),
+        ("kind = sphere_ft\nd = 3\nL = -1\n", "config key 'L': must be >= 0, got -1"),
+        ("kind = transfer\nK = 0\n", "config key 'K': must be >= 1, got 0"),
+        ("kind = transfer\ntol = 0\n", "config key 'tol': need tol > 0"),
+        ("kind = gauss\ntol = nan\n", "config key 'tol': need tol > 0"),
+        ("kind = transfer\ntol = inf\n", "config key 'tol': need a finite tol"),
+        ("kind = transfer\nfamily = permutation\nn = 2\n",
+         "config key 'n': the permutation family has n = 3, got 2"),
+    ],
+)
+def test_every_config_refusal_has_its_exact_message(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+def test_config_values_parse_to_their_keys_types():
+    cfg = parse_config("kind = transfer\np = inf\ntol = 1e-9\nK = 4\ntheta = 1/3\n")
+    assert cfg.parameters["p"] == math.inf and cfg.parameters["tol"] == 1e-9
+    assert type(cfg.parameters["K"]) is int and cfg.parameters["theta"] == "1/3"
+    assert parse_config("kind = sphere_ft\nd = 2\nL = 0\n").parameters["L"] == 0
+
+
 def test_echo_lines_order(tmp_path):
     cfg = parse_config(f"kind = farey\nLambda = 4\nout = {tmp_path / 'o.csv'}\n")
     lines = cfg.echo_lines()
@@ -209,6 +261,26 @@ def test_transfer_window_over_the_orbit_budget_is_refused_before_any_solve(monke
     assert err.value.key == "J"
     assert err.value.reason == ("17^5 orbit sites of 2x2 entries exceed the budget "
                                 "of 5000000")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("kind = transfer\nK = 90000\n",
+         "r_5(k) for k <= 90000 takes 135001500 theta-product terms, budget is 5000000"),
+        ("kind = transfer\nn = 40\nK = 3970\n",
+         "twisted table of 1600 rows x 3970 shells exceeds the budget of 5000000"),
+    ],
+)
+def test_a_ratio_table_over_budget_is_refused_as_K_before_any_solve(monkeypatch, text,
+                                                                     reason):
+    calls, solve = [], transfer.ncmax_norm
+    monkeypatch.setattr(transfer, "ncmax_norm",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    with pytest.raises(ConfigError) as err:
+        run_experiment(parse_config(text))
+    assert err.value.key == "K" and err.value.reason == reason
     assert calls == []
 
 

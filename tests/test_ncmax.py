@@ -185,6 +185,24 @@ def test_rejects_mixed_dimensions():
         MaxNormProblem(p=2.0, family=[SZ, hermitian_element(np.eye(3))])
 
 
+@pytest.mark.parametrize(
+    "p, family, message",
+    [
+        (2.0, (), "family must be nonempty"),
+        (0.5, (SZ,), "p must lie in [1, inf]"),
+        (math.nan, (SZ,), "p must lie in [1, inf]"),
+        (2.0, (SZ, SX.entries), "family members must be hermitian AlgebraElements"),
+        (2.0, (np.eye(2), SZ), "family members must be hermitian AlgebraElements"),
+        (2.0, (SZ, SX, hermitian_element(np.eye(3))),
+         "family members must share the matrix dimension"),
+    ],
+)
+def test_max_norm_problem_refusals_have_their_messages(p, family, message):
+    with pytest.raises(ValueError) as err:
+        MaxNormProblem(p=p, family=family)
+    assert str(err.value) == message
+
+
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_element(np.array([[0.0, 1.0], [0.0, 0.0]]))

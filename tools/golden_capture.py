@@ -84,6 +84,10 @@ CLI_CALLS = (
     ("experiment", "run", "{tmp}/ncmax.cfg"),
     ("experiment", "run", "{tmp}/bad.cfg"),
     ("experiment", "run", "{tmp}/reconstruct500.cfg"),
+    ("transfer", "--cap", "300"),
+    ("experiment", "run", "{tmp}/ratio90000.cfg"),
+    ("experiment", "run", "{tmp}/ptwo.cfg"),
+    ("experiment", "run", "{tmp}/sphere_d1.cfg"),
     ("--seed", "-1", "transfer"),
 )
 
@@ -106,7 +110,10 @@ def capture(tmp: str) -> list[str]:
              "ncmax.cfg": f"kind = ncmax\ninput = {tmp}/fam.txt\n",
              "bad.cfg": "kind = farey\nLambda = nope\n",
              "reconstruct500.cfg": "kind = reconstruct\nd = 5\nK = 500\n"
-                                   "Lambda = 2\nL = 1\n"}
+                                   "Lambda = 2\nL = 1\n",
+             "ratio90000.cfg": "kind = transfer\nK = 90000\n",
+             "ptwo.cfg": "kind = transfer\np = two\n",
+             "sphere_d1.cfg": "kind = sphere_ft\nd = 1\n"}
     for name, text in files.items():
         Path(tmp, name).write_text(text)
     lines = ["[verify]"]
