@@ -38,11 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .cutoff import cutoff
-from .errors import BudgetExceededError
 from .farey import MajorArc
 from .gauss import gauss_sum, gauss_sum_1d_all_a
 from .heat import heat_direct_batch
-from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_count, twisted_counts
+from .lattice import SphereShell, check_budget, rep_count, twisted_counts
 from .sphere import j_main, panel_quadrature, radial_constant, undamping
 
 
@@ -168,9 +167,7 @@ def approx_total(d: int, k: int, xi, q_max: int) -> ApproxTotal:
     """
     if q_max < 1:
         raise ValueError(f"q_max={q_max}: need q_max >= 1")
-    if q_max * d > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(f"q_max={q_max} needs {q_max * d} images in "
-                                  f"d={d}, budget {DEFAULT_POINT_BUDGET}")
+    check_budget(q_max * d, f"q_max={q_max} needs {q_max * d} images in d={d}")
     # checks d and k before any work
     tail_bound = approx_tail_bound(d, k, q_max)
     xi = _frequency(d, xi)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheFormatError, ShellCountMismatchError
-from .lattice import DEFAULT_POINT_BUDGET, SphereShell, rep_count, shell_dtype, sphere_shell
+from .lattice import SphereShell, rep_count, shell_dtype, sphere_shell
 
 
 def shell_path(cache_dir, d: int, k: int) -> Path:
@@ -131,7 +131,7 @@ def _read_rows(lines, d: int, k: int, count: int) -> SphereShell:
 
 
 def load_or_enumerate(d: int, k: int, cache_dir,
-                      budget: int = DEFAULT_POINT_BUDGET) -> SphereShell:
+                      budget: int | None = None) -> SphereShell:
     """Read the cached shell if present, else enumerate and persist it."""
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
     path = shell_path(cache_dir, d, k)

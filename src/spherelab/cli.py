@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -72,32 +73,30 @@ def _run_kind(args, kind: str, params: dict):
     return report
 
 
-def _refuse_over_count_budget(d: int, k: int) -> None:
-    """r_d(k)'s theta table has its own budget, refused naming --k."""
+@contextmanager
+def _naming(flag: str, value):
+    """A BudgetExceededError inside ends in one error line naming the flag."""
     try:
-        rep_count(d, k)
+        yield
     except BudgetExceededError as exc:
-        raise SystemExit(f"error: --k {k}: {exc}") from None
+        raise SystemExit(f"error: {flag} {value}: {exc}") from None
 
 
 def _cmd_rd(args) -> int:
-    try:
+    with _naming("--max-k", args.max_k):
         counts = rep_counts(args.d, args.max_k)
-    except BudgetExceededError as exc:
-        raise SystemExit(f"error: --max-k {args.max_k}: {exc}") from None
     _write_csv(args, ("k", "count"), list(enumerate(counts)))
     return 0
 
 
 def _cmd_shell(args) -> int:
-    _refuse_over_count_budget(args.d, args.k)
-    try:
+    with _naming("--k", args.k):  # r_d(k)'s theta table has its own budget
+        rep_count(args.d, args.k)
+    with _naming("--budget", args.budget):
         if args.cache:
             shell = load_or_enumerate(args.d, args.k, args.cache, budget=args.budget)
         else:
             shell = sphere_shell(args.d, args.k, point_budget=args.budget)
-    except BudgetExceededError as exc:
-        raise SystemExit(f"error: --budget {args.budget}: {exc}") from None
     _write_csv(args, [f"x_{i + 1}" for i in range(args.d)], shell.points.tolist())
     print(f"d={args.d} k={args.k} count={shell.count}", file=sys.stderr)
     return 0
@@ -122,7 +121,8 @@ def _cmd_gauss(args) -> int:
         l_vec = tuple([0] * d)
     if math.gcd(args.a, args.q) != 1:
         raise SystemExit(f"error: a/q = {args.a}/{args.q} is not reduced")
-    val = gauss_sum(args.a, args.q, l_vec)
+    with _naming("--q", args.q):
+        val = gauss_sum(args.a, args.q, l_vec)
     bound = gauss_magnitude_bound(args.q, d)
     normalized = abs(val) * args.q ** (d / 2.0)
     row = (args.a, args.q, *l_vec, val.real, val.imag, abs(val),
@@ -144,7 +144,8 @@ def _write_multiplier_csv(args, xis, values, envelopes) -> None:
 
 def _cmd_mult(args) -> int:
     xis = [_parse_vector(t, args.d) for t in args.xi]
-    _refuse_over_count_budget(args.d, args.k)
+    with _naming("--k", args.k):
+        rep_count(args.d, args.k)
     values = exact_multiplier_many(sphere_shell(args.d, args.k), np.array(xis))
     # the exact multiplier is an average of unit phases
     _write_multiplier_csv(args, xis, values, [1.0] * len(values))
@@ -157,11 +158,10 @@ def _cmd_approx(args) -> int:
     if args.k < 1:
         raise SystemExit(f"error: --k {args.k}: the approximant needs k >= 1")
     xis = [_parse_vector(t, args.d) for t in args.xi]
-    _refuse_over_count_budget(args.d, args.k)
-    try:
+    with _naming("--k", args.k):
+        rep_count(args.d, args.k)
+    with _naming("--q-max", args.q_max):
         results = [approx_total(args.d, args.k, xi, q_max=args.q_max) for xi in xis]
-    except BudgetExceededError as exc:
-        raise SystemExit(f"error: --q-max {args.q_max}: {exc}") from None
     # each tail_bound bounds the dropped q > q_max part
     _write_multiplier_csv(args, xis, [r.value for r in results],
                           [r.tail_bound for r in results])

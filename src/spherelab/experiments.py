@@ -27,8 +27,9 @@ from .errors import BudgetExceededError, ConfigError
 from .farey import MajorArcs, farey_sequence, major_arcs, verify_partition
 from .gauss import gauss_dft, gauss_magnitude_bound, gauss_sum
 from .heat import heat_multiplier_direct, heat_multiplier_poisson, on_arc
-from .lattice import sphere_shell
-from .ncmax import MaxNormProblem, envelope_bounds, hermitian_element, ncmax_norm
+from .lattice import check_budget, sphere_shell
+from .ncmax import (MaxNormProblem, check_system_budget, envelope_bounds,
+                    hermitian_element, ncmax_norm)
 from .sphere import sphere_ft_montecarlo, sphere_ft_quadrature, unit_sphere_ft
 from .transfer import (TRUNCATION_TOL, AutomorphismFamily, check_orbit_budget,
                        diagonal_phase_family, maximal_ratio_experiment,
@@ -262,12 +263,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 # ---------------------------------------------------------------- runners
 
+def _keyed(key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a BudgetExceededError refused as a ConfigError naming key."""
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _lambda_arcs(order: int) -> MajorArcs:
     """major_arcs of the Farey order set by the config key Lambda."""
-    try:
-        return major_arcs(farey_sequence(order))
-    except BudgetExceededError as exc:
-        raise ConfigError("Lambda", str(exc)) from exc
+    return major_arcs(_keyed("Lambda", farey_sequence, order))
 
 
 def _run_farey(cfg: ExperimentConfig) -> RunReport:
@@ -288,6 +294,7 @@ def _run_farey(cfg: ExperimentConfig) -> RunReport:
 def _run_gauss(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     d, q_max, n_k, tol = P["d"], P["q_max"], P["L"], P["tol"]
+    _keyed("L", check_budget, n_k * d, f"{n_k} k-samples in d={d} take {n_k * d} entries")
     rng, rng_label = _rng_for(P["seed"])
     ks = rng.integers(-10, 11, size=(n_k, d))
     rows = []
@@ -320,6 +327,7 @@ def _run_gauss(cfg: ExperimentConfig) -> RunReport:
 def _run_poisson(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     d, n_draws, tol = P["d"], P["L"], P["tol"]
+    _keyed("L", check_budget, 3 * n_draws, f"{n_draws} draws at 3 eps take {3 * n_draws} rows")
     rng, rng_label = _rng_for(P["seed"])
     rows = []
     worst = 0.0
@@ -416,7 +424,7 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
     summary = {"d": d, "max_quad_err": worst,
                "value_at_zero": float(unit_sphere_ft(d, 0.0))}
     if n_mc > 0:
-        mc = sphere_ft_montecarlo(d, 1.0, n_samples=n_mc, seed=P["seed"])
+        mc = _keyed("L", sphere_ft_montecarlo, d, 1.0, n_samples=n_mc, seed=P["seed"])
         closed1 = float(unit_sphere_ft(d, 1.0))
         mc_err = abs(mc - closed1)
         mc_tol = 30.0 / math.sqrt(n_mc)
@@ -478,7 +486,7 @@ def _run_ncmax(cfg: ExperimentConfig) -> RunReport:
         raise ConfigError("input", str(exc)) from None
     if "p" in P:
         prob = MaxNormProblem(p=P["p"], family=prob.family)
-    cert = ncmax_norm(prob, tol=P["tol"])
+    cert = _keyed("input", ncmax_norm, prob, tol=P["tol"])
     lower = envelope_bounds(prob)[0]
     checks = [
         CheckResult("converged", float(cert.converged), "==", 1.0),
@@ -523,9 +531,11 @@ def _transfer_family(P: dict) -> AutomorphismFamily:
     thetas = TRANSFER_THETAS[:P.get("d")]
     if "theta" in P:
         try:
-            thetas = [Fraction(t) for t in P["theta"].replace(",", " ").split()]
+            thetas = [float(Fraction(t)) for t in P["theta"].replace(",", " ").split()]
         except (ValueError, ZeroDivisionError):
             thetas = []
+        except OverflowError:
+            raise ConfigError("theta", "a phase is too large for a float") from None
         if not thetas:
             raise ConfigError("theta", "expected fractions or decimals like 1/3,0.2")
     if P.get("d", len(thetas)) != len(thetas):
@@ -539,22 +549,17 @@ def _run_transfer(cfg: ExperimentConfig) -> RunReport:
     ratio]); with J, also the truncation identity on |n|_inf <= J."""
     P = cfg.parameters
     family_name, p, k_cap, tol = P["family"], P["p"], P["K"], P["tol"]
-    fam = _transfer_family(P)
+    _keyed("n", check_system_budget, P["n"])  # the step system of every solve
+    fam = _keyed("theta", _transfer_family, P)  # d n^2 entries, d phases from theta
     radius = math.isqrt(k_cap)
     if P.get("J", radius) < radius:
         raise ConfigError("J", f"needs J >= {radius}, the largest shell radius")
     if "J" in P:
-        try:
-            check_orbit_budget(fam, P["J"])
-        except BudgetExceededError as exc:
-            raise ConfigError("J", str(exc)) from exc
+        _keyed("J", check_orbit_budget, fam, P["J"])
     x = random_hermitian_probe(fam.n, P["seed"])
     k_list = [j * j for j in range(1, radius + 1)]
-    try:
-        rows = maximal_ratio_experiment(fam, x, k_list, p, tol=tol)
-    except BudgetExceededError as exc:
-        # the count and twisted tables up to K, built before any solve
-        raise ConfigError("K", str(exc)) from exc
+    # the count and twisted tables up to K, built before any solve
+    rows = _keyed("K", maximal_ratio_experiment, fam, x, k_list, p, tol=tol)
     min_step = min((b[1] - a[1] + a[4] + b[4] for a, b in zip(rows, rows[1:])),
                    default=0.0)
     checks = [
@@ -579,6 +584,7 @@ def _run_transfer(cfg: ExperimentConfig) -> RunReport:
 def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
     P = cfg.parameters
     d, k, order, n_xi, tol = P["d"], P["K"], P["Lambda"], P["L"], P["tol"]
+    _keyed("L", check_budget, n_xi * d, f"{n_xi} frequencies in d={d} take {n_xi * d} entries")
     rng, rng_label = _rng_for(P["seed"])
     xis = rng.uniform(-0.5, 0.5, size=(n_xi, d))
     arcs = _lambda_arcs(order)

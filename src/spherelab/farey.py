@@ -45,8 +45,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .lattice import DEFAULT_POINT_BUDGET
+from .lattice import check_budget
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,7 @@ def farey_sequence(order: int) -> FareySequence:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     bound = 1 + order * (order + 1) // 2
-    if bound > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"Farey order {order} has up to {bound} fractions, budget is "
-            f"{DEFAULT_POINT_BUDGET}")
+    check_budget(bound, f"Farey order {order} has up to {bound} fractions")
     p, q, p2, q2 = 0, 1, 1, order
     nums, dens = [0, 1], [1, order]
     while p2 != q2:

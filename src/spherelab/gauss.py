@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .lattice import check_budget
+
 REL_TOL_DFT = 1e-12
 GAUSS_ROWS = 1024  # rows kept by each of the two row caches
 
@@ -61,6 +63,7 @@ def gauss_row_max(a: int, q: int) -> float:
 
 @lru_cache(maxsize=GAUSS_ROWS)
 def _all_shift_row(a: int, q: int) -> tuple[np.ndarray, float]:
+    check_budget(q, f"modulus q={q} needs arrays of {q} entries")
     n = np.arange(q, dtype=np.int64)
     row = np.fft.ifft(np.exp(2j * np.pi * ((n * n % q) * a % q) / q))
     row.flags.writeable = False
@@ -84,6 +87,7 @@ def gauss_sum_1d_all_a(q: int, l: int) -> np.ndarray:
 
 @lru_cache(maxsize=GAUSS_ROWS)
 def _all_a_row(q: int, l: int) -> np.ndarray:
+    check_budget(q, f"modulus q={q} needs arrays of {q} entries")
     n = np.arange(q, dtype=np.int64)
     linear = np.exp(2j * np.pi * (l * n % q) / q)
     squares = n * n % q
@@ -97,6 +101,7 @@ def _all_a_row(q: int, l: int) -> np.ndarray:
 def gauss_sum_1d(a: int, q: int, l: int) -> complex:
     """q^{-1} sum_n e((n^2 a + n l)/q)."""
     _check_coprime(a, q)
+    check_budget(q, f"modulus q={q} needs arrays of {q} entries")
     n = np.arange(q, dtype=np.int64)
     args = ((n * n % q) * (a % q) + n * (l % q)) % q
     return complex(np.exp(2j * np.pi * args / q).mean())

@@ -68,12 +68,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .gauss import gauss_row_max, gauss_sum_1d_all
-from .lattice import DEFAULT_POINT_BUDGET
+from .lattice import check_budget
 
 DEFAULT_TOL = 1e-12
-DEFAULT_BOX_BUDGET = 10.0**15  # the direct form's total work: s-count x d x (2r+1) terms
+DEFAULT_BOX_BUDGET = 10**15  # the direct form's total work: s-count x d x (2r+1) terms
 THETA_ENTRIES = 32  # _theta_radius and _theta_data entries kept, keyed by (eps, tol, d)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)  # e^x is subnormal below it
 
@@ -192,17 +191,13 @@ def heat_direct_batch(eps: float, s_values: np.ndarray, xi,
     # the lattice cube is never materialized: the sum over Z^d splits into a
     # product of d one-axis sums, so the cost is s-count x d x (2r+1)
     width = d * (2 * r + 1)
-    work = float(s_values.size) * width
-    if work > DEFAULT_BOX_BUDGET:
-        raise BudgetExceededError(
-            f"theta evaluation needs {work:g} terms, budget {DEFAULT_BOX_BUDGET:g}")
-    if width > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"one theta row needs {width} phase terms, budget {DEFAULT_POINT_BUDGET}")
+    work = s_values.size * width
+    check_budget(work, f"theta evaluation needs {work} terms", DEFAULT_BOX_BUDGET)
+    budget = check_budget(width, f"one theta row needs {width} phase terms")
     theta = _theta_data(eps, tol, d)
     lin = np.mod(np.multiply.outer(xi, theta.n), 1.0)  # (d, 2r+1)
     # phases e(n^2 s + n xi_i) per (axis, s, n), in blocks of rows of s
-    rows = DEFAULT_POINT_BUDGET // width
+    rows = budget // width
     blocks = [_theta_rows(theta, lin, s_values[i:i + rows])
               for i in range(0, max(s_values.size, 1), rows)]
     vals = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -281,12 +276,9 @@ def _image_window(xi: list[float], q: int, reach: float) -> tuple[list[int], int
     width W = ceil(2 q reach) + 4 whose window lo_i..lo_i + W - 1 covers
     lo_i..ceil(q (xi_i + reach)) + 1 on every axis: that end minus lo_i is
     an integer below 2 q reach + 4.  The d W images of the (d, W) arrays
-    are checked against DEFAULT_POINT_BUDGET before any is built, on the
-    float span 2 q reach, so a reach past float range is refused too."""
+    are checked against DEFAULT_POINT_BUDGET before any is built, W a non-
+    finite span as it is, so a reach past float range is refused too."""
     span = 2 * q * reach
-    # len(xi) W > budget exactly when span > budget // len(xi) - 4
-    if not span <= DEFAULT_POINT_BUDGET // len(xi) - 4:
-        width = math.ceil(span) + 4 if math.isfinite(span) else span
-        raise BudgetExceededError(f"poisson image window {width} on {len(xi)} "
-                                  f"axes exceeds budget {DEFAULT_POINT_BUDGET}")
-    return [math.floor(q * (x - reach)) - 1 for x in xi], math.ceil(span) + 4
+    width = math.ceil(span) + 4 if math.isfinite(span) else span
+    check_budget(len(xi) * width, f"poisson image window {width} on {len(xi)} axes")
+    return [math.floor(q * (x - reach)) - 1 for x in xi], width

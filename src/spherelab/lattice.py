@@ -34,6 +34,17 @@ SHELL_MEMO_ENTRIES = 64
 SHELL_MEMO_MAX_POINTS = DEFAULT_POINT_BUDGET // SHELL_MEMO_ENTRIES
 
 
+def check_budget(count, what: str, budget=None):
+    """Refuse count (NaN and inf too) over budget, by default DEFAULT_POINT_BUDGET
+    read at call time, by BudgetExceededError "<what>, over the budget of
+    <budget>", what stating the count.  Returns the budget, to size blocks by."""
+    if budget is None:
+        budget = DEFAULT_POINT_BUDGET
+    if not count <= budget:
+        raise BudgetExceededError(f"{what}, over the budget of {budget}")
+    return budget
+
+
 @dataclass(frozen=True)
 class SphereShell:
     """All integer points on the sphere |m|^2 = k in Z^d, lexicographic order."""
@@ -93,10 +104,7 @@ def rep_counts(d: int, max_k: int) -> tuple[int, ...]:
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     terms = d * math.isqrt(max_k) * (max_k + 1)
-    if terms > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"r_{d}(k) for k <= {max_k} takes {terms} theta-product terms, budget is "
-            f"{DEFAULT_POINT_BUDGET}")
+    check_budget(terms, f"r_{d}(k) for k <= {max_k} takes {terms} theta-product terms")
     twos = np.full((1, d, math.isqrt(max_k)), 2, dtype=object)
     return tuple(_theta_product(twos, max_k)[0])
 
@@ -125,27 +133,23 @@ def twisted_counts(xis, max_k: int) -> np.ndarray:
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     rows = len(xis)
-    if rows * (max_k + 1) > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"twisted table of {rows} rows x {max_k + 1} shells exceeds the "
-            f"budget of {DEFAULT_POINT_BUDGET}")
+    check_budget(rows * (max_k + 1), f"twisted table of {rows} rows x {max_k + 1} shells")
     roots = np.arange(1, math.isqrt(max_k) + 1)
     return _theta_product(2.0 * np.cos(2.0 * np.pi * xis[:, :, None] * roots), max_k)
 
 
-def sphere_shell(d: int, k: int, point_budget: int = DEFAULT_POINT_BUDGET) -> SphereShell:
+def sphere_shell(d: int, k: int, point_budget: int | None = None) -> SphereShell:
     """The shell {m in Z^d : |m|^2 = k} in lexicographic order.
 
-    The exact count is checked against point_budget on every call, before
-    any enumeration and before the memo is consulted.  Shells of at most
+    The exact count is checked against point_budget (None: the point
+    budget) on every call, before any enumeration and before the memo is
+    consulted.  Shells of at most
     SHELL_MEMO_MAX_POINTS points are enumerated once and kept, the last
     SHELL_MEMO_ENTRIES of them, so one (d, k) gives the same shared object
     each time; its points are read-only.
     """
     expected = rep_count(d, k)
-    if expected > point_budget:
-        raise BudgetExceededError(
-            f"shell d={d}, k={k} has {expected} points, budget is {point_budget}")
+    check_budget(expected, f"shell d={d}, k={k} has {expected} points", point_budget)
     if expected > SHELL_MEMO_MAX_POINTS:
         return _enumerate_shell(d, k)
     return _kept_shell(d, k)

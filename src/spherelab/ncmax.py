@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lattice import check_budget
+
 HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_NEWTON_BUDGET = 20_000
@@ -109,6 +111,11 @@ class MaxNormCertificate:
     gap: float           # weak-duality bound on objective minus the infimum
     converged: bool
     newton_steps: int
+
+
+def check_system_budget(n: int) -> None:
+    """Refuse an n whose n^2 x n^2 step system is over the point budget."""
+    check_budget(n ** 4, f"the n^2 x n^2 step system at n={n} has {n ** 4} entries")
 
 
 def schatten_norm(x: AlgebraElement, p) -> float:
@@ -316,11 +323,11 @@ def _pd_step(lam: np.ndarray, vecs: np.ndarray, ys: np.ndarray,
 def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertificate:
     """Primal-dual interior-point solve of the maximal-envelope norm, in at
     most DEFAULT_NEWTON_BUDGET iterations; newton_steps counts them, each
-    one n^2 x n^2 matrix and two solves.  The reported gap is
-    objective - g^(1/p) for the weak-duality bound g of _dual_bound at the
-    last dual slacks, so it bounds the error at every iterate: a solve that
-    runs out of budget, or whose step length underflows, reports
-    converged False with a gap that still holds.
+    one n^2 x n^2 matrix (check_system_budget) and two solves.  The
+    reported gap is objective - g^(1/p) for the weak-duality bound g of
+    _dual_bound at the last dual slacks, so it bounds the error at every
+    iterate: a solve that runs out of iterations, or whose step length
+    underflows, reports converged False with a gap that still holds.
 
     Minimizes tr(a^p) subject to Y_i = a + s_i >= 0, s_i = -+x_j, keeping
     dual slacks Z_i > 0 beside a, by the predictor-corrector steps of
@@ -357,6 +364,7 @@ def ncmax_norm(prob: MaxNormProblem, tol: float = DEFAULT_TOL) -> MaxNormCertifi
         return MaxNormCertificate(envelope=zero, objective=0.0, residual=0.0,
                                   gap=0.0, converged=True, newton_steps=0)
 
+    check_system_budget(n)
     a, mu = _start(sig, p, float(signed.shape[0] * n))
     ys = _slacks(a, signed)
     zs = mu * _sym(np.linalg.inv(ys))

@@ -40,8 +40,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import BudgetExceededError
-from .lattice import DEFAULT_POINT_BUDGET, rep_count
+from .lattice import check_budget, rep_count
 
 _SERIES_CUTOFF = 0.1  # switch to the power series when pi*rho is below this
 PANEL_NODES = 12      # Gauss-Legendre nodes per panel of panel_quadrature
@@ -136,9 +135,7 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
     if xi.shape != (d,):
         raise ValueError(f"xi must have shape ({d},)")
     inner = n_polar ** max(d - 3, 0) * n_azimuth
-    if inner > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(f"inner grid of {inner} nodes exceeds the "
-                                  f"budget of {DEFAULT_POINT_BUDGET}")
+    budget = check_budget(inner, f"inner grid of {inner} nodes")
     # phi < pi, each standing for itself and phi + pi when n_azimuth is even
     folded = n_azimuth % 2 == 0
     phi = 2.0 * np.pi * np.arange(n_azimuth // 2 if folded else n_azimuth) / n_azimuth
@@ -154,7 +151,7 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
         w_theta[-1] *= 0.5                         # the middle node, theta = pi/2
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     w_level = [w_theta * sin_t ** (d - 2 - j) for j in range(d - 2)]
-    rows = DEFAULT_POINT_BUDGET // (half ** (d - 3) * len(phi))
+    rows = budget // (half ** (d - 3) * len(phi))
     total = 0.0
     for lo in range(0, half, rows):
         # s_j over the block, and the cosine factor of each level j >= 1
@@ -185,6 +182,7 @@ def sphere_ft_montecarlo(d: int, rho: float, n_samples: int = 1_000_000, seed: i
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_budget(n_samples, f"{n_samples} Monte Carlo samples")
     from scipy.special import betaincinv
     rng = np.random.default_rng(seed)
     v = (np.arange(n_samples) + rng.random(n_samples)) / n_samples
@@ -236,18 +234,14 @@ def panel_quadrature(lo: float, hi: float, k: int,
 
     Panels span at most a quarter period of the oscillation and at most
     eps/2 (the kernel scale near its center), PANEL_NODES nodes each.  The
-    nodes are checked against DEFAULT_POINT_BUDGET before any is built, on
-    the float panel count, so a width that underflows to 0 or a count past
-    float range is refused by name too.
+    nodes are checked against DEFAULT_POINT_BUDGET before any is built, the
+    panel count kept as a float when it is not finite, so a width that
+    underflows to 0 or a count past float range is refused by name too.
     """
     width = min(1.0 / (4.0 * max(k, 1)), eps / 2.0)
     panels = (hi - lo) / width if width > 0.0 else math.inf
-    # ceil(panels) * PANEL_NODES > budget exactly when panels > budget // PANEL_NODES
-    if not panels <= DEFAULT_POINT_BUDGET // PANEL_NODES:
-        count = math.ceil(panels) if math.isfinite(panels) else panels
-        raise BudgetExceededError(f"{count} panels of {PANEL_NODES} nodes exceed "
-                                  f"the budget of {DEFAULT_POINT_BUDGET} nodes")
-    n_panels = int(math.ceil(panels))
+    n_panels = math.ceil(panels) if math.isfinite(panels) else panels
+    check_budget(n_panels * PANEL_NODES, f"{n_panels} panels of {PANEL_NODES} nodes")
     edges = np.linspace(lo, hi, n_panels + 1)
     gl_x, gl_w = leggauss(PANEL_NODES)
     mid = 0.5 * (edges[:-1] + edges[1:])

@@ -34,9 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arcs import exact_multiplier_many
-from .errors import BudgetExceededError
-from .lattice import (DEFAULT_POINT_BUDGET, SphereShell, rep_counts, sphere_shell,
-                      twisted_counts)
+from .lattice import SphereShell, check_budget, rep_counts, sphere_shell, twisted_counts
 from .ncmax import (AlgebraElement, MaxNormProblem, envelope_bounds,
                     hermitian_element, ncmax_norm, schatten_norm)
 from .torus import LatticeFunction
@@ -113,10 +111,13 @@ def _rep_counts_array(d: int, max_k: int) -> np.ndarray:
 
 
 def diagonal_phase_family(thetas, n: int) -> AutomorphismFamily:
-    """U_i = diag(1, e^{2 pi i theta_i}, ..., e^{2 pi i theta_i (n-1)})."""
+    """U_i = diag(1, e^{2 pi i theta_i}, ..., e^{2 pi i theta_i (n-1)}), d n^2
+    entries checked against DEFAULT_POINT_BUDGET before any is built."""
     thetas = [float(t) for t in thetas]
+    d = len(thetas)
+    check_budget(d * n * n, f"{d} unitaries of {n}x{n} take {d * n * n} entries")
     rows = [np.diag(np.exp(2j * np.pi * th * np.arange(n))) for th in thetas]
-    return AutomorphismFamily(n=n, d=len(thetas), unitaries=np.stack(rows))
+    return AutomorphismFamily(n=n, d=d, unitaries=np.stack(rows))
 
 
 def permutation_phase_family() -> AutomorphismFamily:
@@ -132,7 +133,8 @@ def permutation_phase_family() -> AutomorphismFamily:
 
 
 def trivial_family(n: int, d: int) -> AutomorphismFamily:
-    return AutomorphismFamily(n=n, d=d, unitaries=np.stack([np.eye(n)] * d))
+    """d identities on C^n: the diagonal family at theta = 0, bit for bit."""
+    return diagonal_phase_family([0.0] * d, n)
 
 
 def gamma_apply(fam: AutomorphismFamily, n_vec, x: AlgebraElement) -> AlgebraElement:
@@ -189,13 +191,9 @@ def shell_averages(fam: AutomorphismFamily, x: AlgebraElement,
 
 
 def check_orbit_budget(fam: AutomorphismFamily, span: int) -> None:
-    """Refuse an orbit box |m|_inf <= span whose (2 span + 1)^d sites of
-    n x n entries exceed DEFAULT_POINT_BUDGET."""
-    width = 2 * span + 1
-    if width ** fam.d * fam.n ** 2 > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"{width}^{fam.d} orbit sites of {fam.n}x{fam.n} entries exceed the "
-            f"budget of {DEFAULT_POINT_BUDGET}")
+    """Refuse an orbit box |m|_inf <= span over DEFAULT_POINT_BUDGET."""
+    w = 2 * span + 1
+    check_budget(w ** fam.d * fam.n ** 2, f"{w}^{fam.d} orbit sites of {fam.n}x{fam.n} entries")
 
 
 def _phase_box(fam: AutomorphismFamily, xt: np.ndarray, span: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherelab import arcs
+from spherelab import arcs, lattice
 from spherelab.arcs import (
     approx_arc_multiplier,
     approx_tail_bound,
@@ -189,8 +189,8 @@ def test_arc_panel_cap_checked_before_allocation():
 
     def over_budget():
         with pytest.raises(BudgetExceededError,
-                           match=f"416667 panels of 12 nodes exceed the budget of "
-                                 f"{DEFAULT_POINT_BUDGET} nodes"):
+                           match=f"^416667 panels of 12 nodes, over the budget of "
+                                 f"{DEFAULT_POINT_BUDGET}$"):
             arc_multiplier(5, 104_270_667, arc, np.full(5, 0.1), 1e-6)
 
     assert _traced_peak(over_budget) < 1 << 20
@@ -219,7 +219,7 @@ def test_approx_total_images_checked_before_allocation(monkeypatch):
     def over_budget():
         with pytest.raises(BudgetExceededError,
                            match=f"q_max=1000001 needs 5000005 images in d=5, "
-                                 f"budget {DEFAULT_POINT_BUDGET}$"):
+                                 f"over the budget of {DEFAULT_POINT_BUDGET}$"):
             approx_total(5, 9, np.array([0.5, 0.1, 0, 0, 0]), q_max=1_000_001)
 
     assert _traced_peak(over_budget) < 1 << 20
@@ -227,7 +227,7 @@ def test_approx_total_images_checked_before_allocation(monkeypatch):
     # one modulus more is refused before allocation
     xi = np.array([0.5, 0.1, 0, 0, 0])
     full = approx_total(5, 9, xi, q_max=30)
-    monkeypatch.setattr(arcs, "DEFAULT_POINT_BUDGET", 30 * 5)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 30 * 5)
     assert approx_total(5, 9, xi, q_max=30) == full
 
     def one_over():
@@ -301,7 +301,7 @@ def test_an_arc_whose_panel_width_underflows_is_refused_by_name():
     assert order ** -2.0 == eps and eps / 2.0 == 0.0
 
     def refused():
-        with pytest.raises(BudgetExceededError, match="^inf panels of 12 nodes exceed"):
+        with pytest.raises(BudgetExceededError, match="^inf panels of 12 nodes, over the budget"):
             arc_multiplier(5, 1, arc, np.full(5, 0.1), eps)
 
     assert _traced_peak(refused) < 1 << 20

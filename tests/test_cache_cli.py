@@ -515,12 +515,37 @@ def test_cli_approx_names_a_q_max_over_the_point_budget():
                    "--xi", "0.5,0.1,0,0,0", expect=1)
     assert proc.stdout == ""
     assert proc.stderr == ("error: --q-max 1000001: q_max=1000001 needs 5000005 "
-                           "images in d=5, budget 5000000\n")
+                           "images in d=5, over the budget of 5000000\n")
+
+
+def test_cli_names_the_flag_or_key_of_each_allocation_over_the_point_budget(tmp_path):
+    big = tmp_path / "big.txt"
+    rows = np.add.outer(np.arange(48), np.arange(48))
+    big.write_text("48 1 2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    cfg = tmp_path / "big_L.cfg"
+    cfg.write_text("kind = gauss\nL = 1000001\n")
+    system = "the n^2 x n^2 step system at n=48 has 5308416 entries, over the budget of 5000000"
+    for argv, text in [
+            (("ncmax", "--input", str(big)), f"--input {big}: {system}"),
+            (("transfer", "--n", "48"), f"--n 48: {system}"),
+            (("gauss", "--a", "1", "--q", "5000001"),
+             "--q 5000001: modulus q=5000001 needs arrays of 5000001 entries, "
+             "over the budget of 5000000"),
+            (("transfer", "--theta", "1e400"), "--theta 1e400: a phase is too large for a float"),
+            (("experiment", "run", str(cfg)),
+             "config key 'L': 1000001 k-samples in d=5 take 5000005 entries, "
+             "over the budget of 5000000")]:
+        proc = run_cli(*argv, expect=1)
+        assert proc.stdout == "" and proc.stderr == f"error: {text}\n"
+    # p = inf builds no step system: the same file solves
+    proc = run_cli("ncmax", "--input", str(big), "--p", "inf")
+    assert parse_csv(proc.stdout)[1][0][:3] == ["48", "1", "inf"]
 
 
 def test_cli_names_a_ratio_table_over_budget_by_cap_or_K(tmp_path):
-    counts = "r_5(k) for k <= 90000 takes 135001500 theta-product terms, budget is 5000000"
-    twisted = "twisted table of 1600 rows x 3970 shells exceeds the budget of 5000000"
+    counts = ("r_5(k) for k <= 90000 takes 135001500 theta-product terms, "
+              "over the budget of 5000000")
+    twisted = "twisted table of 1600 rows x 3970 shells, over the budget of 5000000"
     for argv, text, reason in [(("--cap", "300"), "K = 90000\n", counts),
                                (("--n", "40", "--cap", "63"), "n = 40\nK = 3970\n",
                                 twisted)]:

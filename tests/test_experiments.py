@@ -1,6 +1,7 @@
 """Config parsing, deterministic report bytes, and quick runner checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ def test_transfer_window_over_the_orbit_budget_is_refused_before_any_solve(monke
     with pytest.raises(ConfigError) as err:
         run_experiment(parse_config("kind = transfer\nK = 16\nJ = 8\n"))
     assert err.value.key == "J"
-    assert err.value.reason == ("17^5 orbit sites of 2x2 entries exceed the budget "
+    assert err.value.reason == ("17^5 orbit sites of 2x2 entries, over the budget "
                                 "of 5000000")
     assert calls == []
 
@@ -268,9 +269,10 @@ def test_transfer_window_over_the_orbit_budget_is_refused_before_any_solve(monke
     "text,reason",
     [
         ("kind = transfer\nK = 90000\n",
-         "r_5(k) for k <= 90000 takes 135001500 theta-product terms, budget is 5000000"),
+         "r_5(k) for k <= 90000 takes 135001500 theta-product terms, over the budget "
+         "of 5000000"),
         ("kind = transfer\nn = 40\nK = 3970\n",
-         "twisted table of 1600 rows x 3970 shells exceeds the budget of 5000000"),
+         "twisted table of 1600 rows x 3970 shells, over the budget of 5000000"),
     ],
 )
 def test_a_ratio_table_over_budget_is_refused_as_K_before_any_solve(monkeypatch, text,
@@ -342,3 +344,66 @@ def test_decay_grid_geometry():
     # surface-measure factor cannot blow up the normalized statistic
     dist = np.linalg.norm(grid - np.round(grid), axis=1)
     assert dist.min() >= 1.0 / 3.0 - 1e-12
+
+
+def _refusal_and_peak(text):
+    """The ConfigError that run_experiment raises on the config text, and the
+    tracemalloc peak of the run."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            run_experiment(parse_config(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return err.value, peak
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        # the smallest refused L of each runner, its L-sized arrays 40 MB or more
+        ("kind = gauss\nL = 1000001\n",
+         "1000001 k-samples in d=5 take 5000005 entries"),
+        ("kind = reconstruct\nd = 5\nK = 2\nL = 1000001\n",
+         "1000001 frequencies in d=5 take 5000005 entries"),
+        ("kind = poisson_check\nd = 3\nL = 1666667\n",
+         "1666667 draws at 3 eps take 5000001 rows"),
+        ("kind = sphere_ft\nd = 3\nL = 5000001\n", "5000001 Monte Carlo samples"),
+    ],
+)
+def test_an_L_over_the_point_budget_is_refused_as_L_before_allocation(text, reason):
+    err, peak = _refusal_and_peak(text)
+    assert err.key == "L" and err.reason == f"{reason}, over the budget of 5000000"
+    assert peak < 1 << 20
+
+
+def test_a_transfer_n_whose_step_system_is_over_budget_is_refused_as_n(monkeypatch):
+    # n = 48: the 48^2 x 48^2 system of every solve, before the family is built
+    calls, solve = [], transfer.ncmax_norm
+    monkeypatch.setattr(transfer, "ncmax_norm",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    err, peak = _refusal_and_peak("kind = transfer\nn = 48\n")
+    assert err.key == "n" and err.reason == ("the n^2 x n^2 step system at n=48 has 5308416 "
+                                             "entries, over the budget of 5000000")
+    assert calls == [] and peak < 1 << 20
+
+
+def test_an_ncmax_input_whose_step_system_is_over_budget_is_refused_as_input(tmp_path):
+    rng = np.random.default_rng(48)
+    xs = [rng.standard_normal((48, 48)) for _ in range(2)]
+    write_ncmax_problem(MaxNormProblem(p=2.0, family=tuple(hermitian_element(x + x.T)
+                                                            for x in xs)),
+                        tmp_path / "big.txt")
+    err, peak = _refusal_and_peak(f"kind = ncmax\ninput = {tmp_path / 'big.txt'}\n")
+    assert err.key == "input" and err.reason.startswith("the n^2 x n^2 step system at n=48")
+    assert peak < 8 << 20    # the parsed file, not the 85 MB system
+    report = run_experiment(parse_config(f"kind = ncmax\ninput = {tmp_path / 'big.txt'}\n"
+                                         f"p = inf\n"))
+    assert report.passed
+
+
+@pytest.mark.parametrize("theta", ["1e400", "1/3,-1e309"])
+def test_a_theta_too_large_for_a_float_is_refused_as_theta(theta):
+    err, _ = _refusal_and_peak(f"kind = transfer\ntheta = {theta}\n")
+    assert err.key == "theta" and err.reason == "a phase is too large for a float"

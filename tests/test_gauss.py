@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab import gauss
+from spherelab.errors import BudgetExceededError
 from spherelab.gauss import (
     gauss_dft,
     gauss_magnitude_bound,
@@ -232,3 +234,36 @@ def test_shift_row_checks_coprimality_before_its_cache():
     for a, q in [(2, 4), (6, 4), (-2, 4), (3, 9), (1, 0)]:
         with pytest.raises(ValueError):
             gauss_sum_1d_all(a, q)
+
+
+@pytest.mark.parametrize("call", [lambda q: gauss_sum_1d(1, q, 0),
+                                  lambda q: gauss_sum_1d_all(1, q),
+                                  lambda q: gauss_sum_1d_all_a(q, 0),
+                                  lambda q: gauss_sum(1, q, (0,) * 5)],
+                         ids=["1d", "all_shift", "all_a", "d5"])
+def test_a_modulus_over_the_point_budget_is_refused_before_allocation(call):
+    # q = 5,000,001: each length-q array would take 40-80 MB
+    q = 5_000_001
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=f"^modulus q={q} needs arrays of {q} entries, "
+                                 f"over the budget of 5000000$"):
+            call(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_cached_gauss_row_is_not_checked_again(monkeypatch):
+    # the row builders check q on a cache miss only
+    gauss.gauss_sum_1d_all(3, 7)
+    gauss.gauss_sum_1d_all_a(7, 2)
+    checked = []
+    monkeypatch.setattr(gauss, "check_budget", lambda *args: checked.append(args))
+    gauss.gauss_sum_1d_all(3, 7)
+    gauss.gauss_sum_1d_all_a(7, 2)
+    assert checked == []
+    gauss.gauss_sum_1d(3, 7, 1)
+    assert len(checked) == 1

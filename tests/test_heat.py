@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spherelab import heat
+from spherelab import heat, lattice
 from spherelab.errors import BudgetExceededError
 from spherelab.gauss import gauss_sum_1d_all
 from spherelab.heat import (
@@ -184,7 +184,7 @@ def test_phase_blocks_stay_inside_the_point_budget(monkeypatch):
     width = 5 * (2 * heat._theta_radius(eps, tol, 5) + 1)
     whole = heat_direct_batch(eps, s, xi, tol)    # one block; warms the cache
     assert s.size * width * 16 > 4 << 20          # its phases alone: over 4 MiB
-    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", 10 * width)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 10 * width)
     sizes = []
     real_rows = heat._theta_rows
     monkeypatch.setattr(heat, "_theta_rows",
@@ -203,10 +203,11 @@ def test_phase_blocks_stay_inside_the_point_budget(monkeypatch):
 
 def test_a_row_over_the_point_budget_is_refused(monkeypatch):
     width = 5 * (2 * heat._theta_radius(0.25, 1e-12, 5) + 1)
-    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", width - 1)
-    with pytest.raises(BudgetExceededError, match=f"{width} phase terms"):
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", width - 1)
+    with pytest.raises(BudgetExceededError,
+                       match=f"{width} phase terms, over the budget of {width - 1}$"):
         heat_direct_batch(0.25, np.array([0.1]), np.zeros(5))
-    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", width)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", width)
     assert heat_direct_batch(0.25, np.array([0.1, 0.2]), np.zeros(5)).value.shape == (2,)
 
 
@@ -399,17 +400,17 @@ def test_a_poisson_window_over_the_point_budget_is_refused(monkeypatch):
     heat_multiplier_poisson(params, xi)          # warms the Gauss row
     # the (3, W) image arrays hold 3 W entries: one over the budget is
     # refused before any is built, and at the budget the form is evaluated
-    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", 3 * width - 1)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 3 * width - 1)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError,
-                           match=f"window {width} on 3 axes exceeds budget {3 * width - 1}$"):
+                           match=f"window {width} on 3 axes, over the budget of {3 * width - 1}$"):
             heat_multiplier_poisson(params, xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * width                      # one int64 row of images
-    monkeypatch.setattr(heat, "DEFAULT_POINT_BUDGET", 3 * width)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 3 * width)
     assert heat_multiplier_poisson(params, xi).radius > 0
 
 
@@ -420,7 +421,7 @@ def test_a_wide_poisson_window_is_refused_before_allocation():
     assert math.ceil(2 * 3001 * _reach(params, 5, 1e-12)[2]) + 4 == 72_173_395
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="on 5 axes exceeds budget"):
+        with pytest.raises(BudgetExceededError, match="on 5 axes, over the budget"):
             heat_multiplier_poisson(params, xi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -477,7 +478,7 @@ def test_an_eps_past_float_range_is_refused_by_name(form, eps):
 def test_a_poisson_reach_past_float_range_is_refused_by_name():
     # at eps = 5e-324, t = 1 the decay is a subnormal 1e-323, and the image
     # reach sqrt(log(1/tol) / decay) is inf: refused as a window, not rounded up
-    with pytest.raises(BudgetExceededError, match="window inf on 3 axes exceeds budget"):
+    with pytest.raises(BudgetExceededError, match="window inf on 3 axes, over the budget"):
         heat_multiplier_poisson(on_arc(5e-324, 0, 1, 1.0), np.zeros(3))
 
 

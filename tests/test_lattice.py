@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherelab import lattice
 from spherelab.arcs import exact_multiplier
 from spherelab.errors import BudgetExceededError
 from spherelab.lattice import (DEFAULT_POINT_BUDGET, _kept_shell, box_counts_oracle,
-                               rep_count, rep_counts, shell_dtype, sphere_shell,
-                               twisted_counts)
+                               check_budget, rep_count, rep_counts, shell_dtype,
+                               sphere_shell, twisted_counts)
 
 
 def test_one_dimensional_counts():
@@ -268,3 +269,29 @@ def test_twisted_counts_reject_a_negative_max_k_by_name():
             twisted_counts(xis, -1)
 
     assert _peak_bytes(call) < 100_000
+
+
+@pytest.mark.parametrize("count", [math.nan, math.inf, DEFAULT_POINT_BUDGET + 1])
+def test_check_budget_refuses_nan_inf_and_one_over(count):
+    with pytest.raises(BudgetExceededError,
+                       match=f"^{count} things, over the budget of {DEFAULT_POINT_BUDGET}$"):
+        check_budget(count, f"{count} things")
+
+
+def test_check_budget_accepts_the_budget_and_returns_it():
+    assert check_budget(DEFAULT_POINT_BUDGET, "x") == DEFAULT_POINT_BUDGET
+    assert check_budget(0, "x") == DEFAULT_POINT_BUDGET
+    assert check_budget(7, "x", 7) == 7
+    with pytest.raises(BudgetExceededError, match="^x, over the budget of 6$"):
+        check_budget(7, "x", 6)
+
+
+def test_check_budget_reads_the_point_budget_at_call_time(monkeypatch):
+    # one name moves every check: the shell count and the twisted table here
+    assert rep_count(5, 1) == 10   # cached before the budget moves
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 9)
+    assert check_budget(9, "x") == 9
+    with pytest.raises(BudgetExceededError, match="has 10 points, over the budget of 9$"):
+        sphere_shell(5, 1)
+    with pytest.raises(BudgetExceededError, match="5 shells, over the budget of 9$"):
+        twisted_counts(np.zeros((2, 3)), 4)

@@ -7,6 +7,7 @@ weak-duality interval [objective - gap, objective].
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherelab import ncmax
+from spherelab.errors import BudgetExceededError
 from spherelab.acceptance import _random_diag_problem
 from spherelab.ncmax import (
     MaxNormProblem,
@@ -693,3 +695,34 @@ def test_the_lean_iteration_is_bitwise_the_reference_along_every_solve(monkeypat
     reference_steps = [ncmax_norm(prob).newton_steps for prob in probs]
     assert len(probs) == 148 and lean_steps == reference_steps
     assert len(compared) >= sum(lean_steps) > 0 and all(compared)
+
+
+def _problem_48(p):
+    rng = np.random.default_rng(48)
+    xs = [rng.standard_normal((48, 48)) for _ in range(4)]
+    return MaxNormProblem(p=p, family=tuple(hermitian_element(x + x.T) for x in xs))
+
+
+def test_a_48x48_solve_is_refused_before_its_step_system():
+    # 48^4 = 5,308,416 entries of the n^2 x n^2 system, over the point
+    # budget (47^4 = 4,879,681 is under it): 85 MB a matrix, refused first
+    prob = _problem_48(2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="^the n\\^2 x n\\^2 step system at n=48 has 5308416 "
+                                 "entries, over the budget of 5000000$"):
+            ncmax_norm(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_48x48_problem_that_builds_no_system_still_solves():
+    # p = inf has a closed form and an all-zero family returns at once
+    prob = _problem_48(math.inf)
+    cert = ncmax_norm(prob)
+    assert cert.converged and cert.objective == float(prob.moduli.max())
+    zero = MaxNormProblem(p=2.0, family=(hermitian_element(np.zeros((48, 48))),))
+    assert ncmax_norm(zero).objective == 0.0

@@ -19,7 +19,8 @@ from spherelab.sphere import j_main
 def test_repeat_shell_call_still_checks_the_budget():
     shell = sphere_shell(5, 100)
     assert shell.count > 10
-    with pytest.raises(BudgetExceededError, match="budget is 10"):
+    with pytest.raises(BudgetExceededError,
+                       match=f"has {shell.count} points, over the budget of 10$"):
         sphere_shell(5, 100, point_budget=10)
     assert sphere_shell(5, 100, point_budget=shell.count) is shell
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from spherelab import sphere
+from spherelab import lattice
 from spherelab.errors import BudgetExceededError
 from spherelab.lattice import DEFAULT_POINT_BUDGET
 from spherelab.sphere import (
@@ -182,7 +182,7 @@ def test_quadrature_inner_grid_checked_before_allocation():
     assert inner > DEFAULT_POINT_BUDGET
 
     def over_budget():
-        with pytest.raises(BudgetExceededError, match=f"{inner} nodes exceeds the budget"):
+        with pytest.raises(BudgetExceededError, match=f"{inner} nodes, over the budget"):
             sphere_ft_quadrature(7, np.full(7, 0.1), n_polar=48, n_azimuth=144)
 
     assert _traced_peak(over_budget) < 1 << 20
@@ -197,7 +197,7 @@ def test_quadrature_inner_budget_boundary(d, n_polar):
 
     def over_budget():
         with pytest.raises(BudgetExceededError,
-                           match=f"inner grid of {DEFAULT_POINT_BUDGET + 1} nodes exceeds "
+                           match=f"inner grid of {DEFAULT_POINT_BUDGET + 1} nodes, over "
                                  f"the budget of {DEFAULT_POINT_BUDGET}$"):
             sphere_ft_quadrature(d, np.zeros(d), n_polar=n_polar,
                                  n_azimuth=DEFAULT_POINT_BUDGET + 1)
@@ -213,7 +213,7 @@ def test_quadrature_blocks_follow_the_point_budget(monkeypatch):
     xi = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
     whole = sphere_ft_quadrature(5, xi, n_polar=48, n_azimuth=144)
     assert DEFAULT_POINT_BUDGET // (24 ** 2 * 72) >= 24
-    monkeypatch.setattr(sphere, "DEFAULT_POINT_BUDGET", 48 ** 2 * 144)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 48 ** 2 * 144)
     rowwise = sphere_ft_quadrature(5, xi, n_polar=48, n_azimuth=144)
     assert abs(rowwise - whole) < 1e-15
 
@@ -271,8 +271,8 @@ def test_main_term_panel_cap_checked_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError,
-                           match=f"416667 panels of 12 nodes exceed the budget of "
-                                 f"{DEFAULT_POINT_BUDGET} nodes"):
+                           match=f"^416667 panels of 12 nodes, over the budget of "
+                                 f"{DEFAULT_POINT_BUDGET}$"):
             j_main_integral(5, 1, np.array([0.2, 0.1, 0.0, 0.0, 0.0]), 0.0096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -287,13 +287,14 @@ def test_panel_budget_boundary(monkeypatch):
     nodes = 16_000 * PANEL_NODES
     xi = np.array([0.2, 0.1, 0.0, 0.0, 0.0])
     assert len(panel_quadrature(-1e3, 1e3, 1, 0.25)[0]) == nodes
-    monkeypatch.setattr(sphere, "DEFAULT_POINT_BUDGET", nodes)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", nodes)
     value, _ = j_main_integral(5, 1, xi, 0.25)
     assert abs(value - j_main(5, 1, xi)) < 1e-6
-    monkeypatch.setattr(sphere, "DEFAULT_POINT_BUDGET", nodes - 1)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", nodes - 1)
 
     def over_budget():
-        with pytest.raises(BudgetExceededError, match="16000 panels of 12 nodes exceed"):
+        with pytest.raises(BudgetExceededError,
+                           match=f"16000 panels of 12 nodes, over the budget of {nodes - 1}$"):
             j_main_integral(5, 1, xi, 0.25)
 
     assert _traced_peak(over_budget) < 1 << 20
@@ -319,7 +320,7 @@ def test_a_panel_count_past_float_range_is_refused_by_name():
     # eps = 1e-310 makes panels of width 5e-311: 2000 / 5e-311 overflows to
     # inf, compared with the budget before it is rounded up
     def overflow():
-        with pytest.raises(BudgetExceededError, match="^inf panels of 12 nodes exceed"):
+        with pytest.raises(BudgetExceededError, match="^inf panels of 12 nodes, over the budget"):
             j_main_integral(5, 1, np.zeros(5), 1e-310)
 
     assert _traced_peak(overflow) < 1 << 20

@@ -548,3 +548,27 @@ def test_truncation_identity_refuses_a_wide_box_before_allocation():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("build", [lambda: diagonal_phase_family(TRANSFER_THETAS, 1001),
+                                   lambda: trivial_family(1001, 5)],
+                         ids=["diagonal", "trivial"])
+def test_a_family_over_the_point_budget_is_refused_before_allocation(build):
+    # d n^2 = 5 * 1001^2 = 5,010,005 entries, 80 MB of unitaries
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="^5 unitaries of 1001x1001 take 5010005 entries, "
+                                 "over the budget of 5000000$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_trivial_family_is_the_diagonal_family_at_theta_zero():
+    for n, d in [(1, 1), (3, 5), (4, 2)]:
+        fam = trivial_family(n, d)
+        assert np.array_equal(fam.unitaries, np.stack([np.eye(n)] * d))
+        assert fam.unitaries.dtype == complex and (fam.n, fam.d) == (n, d)

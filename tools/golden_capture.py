@@ -36,6 +36,9 @@ PROBLEM = "2 2 2\n1 0\n0 -2\n\n-3 0\n0 1\n"
 PROBLEM_3X3 = "3 2 1.5\n2 1 0\n1 0 1j\n0 -1j 1\n\n0 0 1\n0 1 0\n1 0 -1\n"
 NAN_PROBLEM = "2 1 2\nnan 0\n0 1\n"
 SHORT_PROBLEM = "2 1 2\n1 0\n"
+# 48 x 48: its step system, 48^4 entries, is over the point budget
+BIG_PROBLEM = "48 1 2\n" + "".join(" ".join(str(r + c) for c in range(48)) + "\n"
+                                   for r in range(48))
 
 RUNNER_CONFIGS = (
     "kind = farey\nLambda = 6\n",
@@ -89,6 +92,11 @@ CLI_CALLS = (
     ("experiment", "run", "{tmp}/ptwo.cfg"),
     ("experiment", "run", "{tmp}/sphere_d1.cfg"),
     ("--seed", "-1", "transfer"),
+    ("ncmax", "--input", "{tmp}/big.txt"),
+    ("transfer", "--n", "48"),
+    ("gauss", "--a", "1", "--q", "5000001"),
+    ("transfer", "--theta", "1e400"),
+    ("experiment", "run", "{tmp}/gauss_big_L.cfg"),
 )
 
 _WALL = re.compile(r"\(\d+\.\ds\)|wall_time = \d+\.\d+s")
@@ -113,7 +121,9 @@ def capture(tmp: str) -> list[str]:
                                    "Lambda = 2\nL = 1\n",
              "ratio90000.cfg": "kind = transfer\nK = 90000\n",
              "ptwo.cfg": "kind = transfer\np = two\n",
-             "sphere_d1.cfg": "kind = sphere_ft\nd = 1\n"}
+             "sphere_d1.cfg": "kind = sphere_ft\nd = 1\n",
+             "big.txt": BIG_PROBLEM,
+             "gauss_big_L.cfg": "kind = gauss\nL = 1000001\n"}
     for name, text in files.items():
         Path(tmp, name).write_text(text)
     lines = ["[verify]"]
