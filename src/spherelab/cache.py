@@ -1,15 +1,16 @@
 """Plain-text persistence for sphere shells.
 
 Format: a header line ``d k count``, then ``count`` lines of d integers one
-space apart, which write_shell formats with one ``%d`` template and writes
-through a temporary file in the target directory and an atomic rename, so
-readers never observe a partial file.  Reads validate the header against
-the counting table, every line against the claimed squared radius, and the
-order of the lines: each point must come strictly after the one before it
-in lexicographic order.  So the points are distinct, and r_d(k) distinct
-points on the sphere are the whole shell, in lattice.sphere_shell's order,
-given in shell_dtype(k).  A file in write_shell's form is parsed in bulk,
-any other line by line, which accepts it or names the line at fault.
+space apart, which write_shell formats with one ``%d`` row template,
+WRITE_BLOCK_ROWS rows at a time, and writes through a temporary file in the
+target directory and an atomic rename, so readers never observe a partial
+file.  Reads validate the header against the counting table, every line
+against the claimed squared radius, and the order of the lines: each point
+must come strictly after the one before it in lexicographic order.  So the
+points are distinct, and r_d(k) distinct points on the sphere are the whole
+shell, in lattice.sphere_shell's order, given in shell_dtype(k).  A file in
+write_shell's form is parsed in bulk, any other line by line, which accepts
+it or names the line at fault.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheFormatError, ShellCountMismatchError
-from .lattice import SphereShell, rep_count, shell_dtype, sphere_shell
+from .lattice import SphereShell, check_shell_budget, rep_count, shell_dtype, sphere_shell
+
+
+WRITE_BLOCK_ROWS = 8192  # rows write_shell formats at a time
 
 
 def shell_path(cache_dir, d: int, k: int) -> Path:
@@ -30,13 +34,17 @@ def shell_path(cache_dir, d: int, k: int) -> Path:
 
 
 def write_shell(shell: SphereShell, path) -> None:
+    """The shell's file at path, formatted a block of rows at a time, so the
+    text and Python ints held at once stay those of one block."""
     path = Path(path)
     row = " ".join(["%d"] * shell.dimension) + "\n"
-    body = (row * shell.count) % tuple(shell.points.ravel().tolist())
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(f"{shell.dimension} {shell.k} {shell.count}\n" + body)
+            fh.write(f"{shell.dimension} {shell.k} {shell.count}\n")
+            for lo in range(0, shell.count, WRITE_BLOCK_ROWS):
+                block = shell.points[lo:lo + WRITE_BLOCK_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -132,7 +140,10 @@ def _read_rows(lines, d: int, k: int, count: int) -> SphereShell:
 
 def load_or_enumerate(d: int, k: int, cache_dir,
                       budget: int | None = None) -> SphereShell:
-    """Read the cached shell if present, else enumerate and persist it."""
+    """Read the cached shell if present, else enumerate and persist it; its
+    point count is checked against budget (None: the point budget) first,
+    either way."""
+    check_shell_budget(d, k, budget)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
     path = shell_path(cache_dir, d, k)
     if path.exists():

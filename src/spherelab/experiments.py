@@ -416,7 +416,8 @@ def _run_sphere_ft(cfg: ExperimentConfig) -> RunReport:
     for rho in rhos:
         closed = float(unit_sphere_ft(d, rho))
         n = n_polar(d, rho)
-        quad = sphere_ft_quadrature(d, np.eye(d)[0] * rho, n_polar=n, n_azimuth=3 * n)
+        quad = _keyed("d", sphere_ft_quadrature, d, np.eye(d)[0] * rho,
+                      n_polar=n, n_azimuth=3 * n)
         err = abs(closed - quad)
         worst = max(worst, err)
         rows.append((rho, closed, quad, err))
@@ -588,7 +589,8 @@ def _run_reconstruct(cfg: ExperimentConfig) -> RunReport:
     rng, rng_label = _rng_for(P["seed"])
     xis = rng.uniform(-0.5, 0.5, size=(n_xi, d))
     arcs = _lambda_arcs(order)
-    exact = exact_multiplier_many(sphere_shell(d, k), xis)
+    shell = _keyed("K", sphere_shell, d, k)
+    exact = _keyed("L", exact_multiplier_many, shell, xis)  # an L x (K+1) table
     eps = float(order) ** -2.0
     rows = []
     worst = 0.0

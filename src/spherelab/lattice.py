@@ -138,6 +138,14 @@ def twisted_counts(xis, max_k: int) -> np.ndarray:
     return _theta_product(2.0 * np.cos(2.0 * np.pi * xis[:, :, None] * roots), max_k)
 
 
+def check_shell_budget(d: int, k: int, point_budget: int | None = None) -> int:
+    """r_d(k), the shell's point count, refused over point_budget (None: the
+    point budget)."""
+    count = rep_count(d, k)
+    check_budget(count, f"shell d={d}, k={k} has {count} points", point_budget)
+    return count
+
+
 def sphere_shell(d: int, k: int, point_budget: int | None = None) -> SphereShell:
     """The shell {m in Z^d : |m|^2 = k} in lexicographic order.
 
@@ -148,9 +156,7 @@ def sphere_shell(d: int, k: int, point_budget: int | None = None) -> SphereShell
     SHELL_MEMO_ENTRIES of them, so one (d, k) gives the same shared object
     each time; its points are read-only.
     """
-    expected = rep_count(d, k)
-    check_budget(expected, f"shell d={d}, k={k} has {expected} points", point_budget)
-    if expected > SHELL_MEMO_MAX_POINTS:
+    if check_shell_budget(d, k, point_budget) > SHELL_MEMO_MAX_POINTS:
         return _enumerate_shell(d, k)
     return _kept_shell(d, k)
 

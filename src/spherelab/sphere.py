@@ -36,6 +36,7 @@ prefactor.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -46,6 +47,17 @@ _SERIES_CUTOFF = 0.1  # switch to the power series when pi*rho is below this
 PANEL_NODES = 12      # Gauss-Legendre nodes per panel of panel_quadrature
 J_MAIN_T_MAX = 1.0e3  # j_main_integral integrates over |t| <= this
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp overflows past it
+
+
+@lru_cache(maxsize=64)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n), the n-node Gauss-Legendre nodes and weights on [-1, 1],
+    built once per size (the last 64 sizes kept) and read-only, since every
+    caller shares them."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def radial_constant(d: int) -> float:
@@ -143,7 +155,7 @@ def sphere_ft_quadrature(d: int, xi, n_polar: int = 32, n_azimuth: int = 96) -> 
     arm = 2.0 * np.pi * (xi[d - 2] * np.cos(phi) + xi[d - 1] * np.sin(phi))
     if d == 2:
         return float(np.cos(arm) @ w_phi) / n_azimuth
-    nodes, weights = leggauss(n_polar)
+    nodes, weights = gauss_legendre(n_polar)
     half = (n_polar + 1) // 2                      # theta <= pi/2
     theta = 0.5 * np.pi * (nodes[:half] + 1.0)
     w_theta = np.pi * weights[:half]               # twice the weight of one node
@@ -211,9 +223,10 @@ def j_main(d: int, k: int, xi) -> float | np.ndarray:
 
 
 def heat_phase_factor(d: int, eps: float, t: np.ndarray, xi_norm_sq: float) -> np.ndarray:
-    """(2(eps - i t))^{-d/2} exp(-pi |xi|^2 / (2(eps - i t))), principal branch."""
+    """(2(eps - i t))^{-d/2} exp(-pi |xi|^2 / (2(eps - i t))), principal branch,
+    the power taken as (z^{-1/2})^d = (1/sqrt z)^d, exact for integer d."""
     z = 2.0 * (eps - 1j * np.asarray(t, dtype=float))
-    return z ** (-d / 2) * np.exp(-np.pi * xi_norm_sq / z)
+    return (1.0 / np.sqrt(z)) ** d * np.exp(-np.pi * xi_norm_sq / z)
 
 
 def undamping(k: int, eps: float) -> float:
@@ -243,7 +256,7 @@ def panel_quadrature(lo: float, hi: float, k: int,
     n_panels = math.ceil(panels) if math.isfinite(panels) else panels
     check_budget(n_panels * PANEL_NODES, f"{n_panels} panels of {PANEL_NODES} nodes")
     edges = np.linspace(lo, hi, n_panels + 1)
-    gl_x, gl_w = leggauss(PANEL_NODES)
+    gl_x, gl_w = gauss_legendre(PANEL_NODES)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
@@ -255,7 +268,11 @@ def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     """Full-line oscillatory integral form of j_main; returns (value, tail_bound).
 
     panel_quadrature over |t| <= t_max = J_MAIN_T_MAX, after undamping
-    has checked the prefactor e^{2 pi eps k}.  The omitted
+    has checked the prefactor e^{2 pi eps k}, summed folded over t <-> -t:
+    z(-t) = conj z(t), so the integrand at -t is the conjugate of the one at
+    t, and the panel rule is symmetric about 0 (to the last bit where the
+    panel width is a power of 2) with no node at 0, so the real part is
+    twice that of the sum over the nodes t > 0.  The omitted
     |t| > t_max tail is bounded by 2 * Integral (2t)^{-d/2} dt
     = (2/(d-2)) (2 t_max)^{1-d/2} * 2^{...}; the exact expression used is
     below and is returned scaled like the value.  An eps that is not a
@@ -273,9 +290,12 @@ def j_main_integral(d: int, k: int, xi, eps: float) -> tuple[float, float]:
     xi_norm_sq = float(xi @ xi)
     t_max = J_MAIN_T_MAX
     t, w = panel_quadrature(-t_max, t_max, k, eps)
-    osc = np.exp(-2j * np.pi * np.mod(k * t, 1.0))
-    integrand = osc * heat_phase_factor(d, eps, t, xi_norm_sq)
-    integral = complex((w * integrand).sum())
+    upper = t > 0.0  # half the nodes, each standing for its mirror too
+    t, w = t[upper], w[upper]
+    # Re(e^{-i theta} h) = cos(theta) Re h + sin(theta) Im h
+    theta = 2.0 * np.pi * np.mod(k * t, 1.0)
+    h = heat_phase_factor(d, eps, t, xi_norm_sq)
+    integral = 2.0 * float(w @ (np.cos(theta) * h.real + np.sin(theta) * h.imag))
     # |heat_phase_factor| <= (2 t)^{-d/2} for |t| >= t_max >> eps
     tail = 2.0 * (2.0 ** (-d / 2)) * t_max ** (1 - d / 2) / (d / 2 - 1)
-    return prefactor * integral.real, prefactor * tail
+    return prefactor * integral, prefactor * tail

@@ -9,15 +9,17 @@ import subprocess
 import sys
 import time
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spherelab
-from spherelab import cli, lattice
+from spherelab import cache, cli, lattice
 from spherelab.cache import _read_rows, load_or_enumerate, read_shell, shell_path, write_shell
-from spherelab.errors import CacheFormatError, ConfigError, ShellCountMismatchError
+from spherelab.errors import (BudgetExceededError, CacheFormatError, ConfigError,
+                              ShellCountMismatchError)
 from spherelab.experiments import parse_config, run_experiment
 from spherelab.lattice import sphere_shell
 
@@ -190,6 +192,73 @@ def test_write_shell_bytes_match_the_per_coordinate_format(tmp_path, d, k):
     back = read_shell(tmp_path / "old.txt")
     assert back.points.dtype == shell.points.dtype
     assert np.array_equal(back.points, shell.points)
+
+
+def _one_string_text(shell):
+    """A shell file as write_shell first formatted it in one string, the %d
+    row template over every coordinate at once, kept here as the reference
+    for the bytes of its blocks."""
+    row = " ".join(["%d"] * shell.dimension) + "\n"
+    return (f"{shell.dimension} {shell.k} {shell.count}\n"
+            + (row * shell.count) % tuple(shell.points.ravel().tolist()))
+
+
+# d = 1..5, an empty shell (r_3(7) = 0) and 152,560 rows in 19 blocks
+@pytest.mark.parametrize("d, k", [(1, 49), (2, 25), (3, 14), (4, 30), (5, 40), (3, 7),
+                                  (5, 394)])
+def test_write_shell_bytes_match_the_one_string_form(tmp_path, d, k):
+    shell = sphere_shell(d, k)
+    write_shell(shell, tmp_path / "s.txt")
+    assert (tmp_path / "s.txt").read_bytes() == _one_string_text(shell).encode()
+
+
+# the 48 rows of (3, 14) in exactly one block, one block and one row, and a
+# block a row
+@pytest.mark.parametrize("block_rows", [48, 47, 1])
+def test_write_shell_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
+                                                           block_rows):
+    shell = sphere_shell(3, 14)
+    assert shell.count == 48
+    monkeypatch.setattr(cache, "WRITE_BLOCK_ROWS", block_rows)
+    write_shell(shell, tmp_path / "s.txt")
+    assert (tmp_path / "s.txt").read_bytes() == _one_string_text(shell).encode()
+
+
+def test_writing_a_large_shell_holds_one_block_at_a_time(tmp_path):
+    # d = 5, k = 394: 152,560 rows, a 1.5 MB file; formatted in one string
+    # its temporaries peaked at 21.7 MB
+    shell = sphere_shell(5, 394)
+    tracemalloc.start()
+    try:
+        write_shell(shell, tmp_path / "s.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def test_a_cache_hit_checks_the_budget_before_reading(tmp_path, monkeypatch):
+    load_or_enumerate(5, 40, tmp_path)
+    reads, real = [], cache.read_shell
+    monkeypatch.setattr(cache, "read_shell", lambda path: reads.append(path) or real(path))
+    with pytest.raises(BudgetExceededError,
+                       match="^shell d=5, k=40 has 2800 points, over the budget of 100$"):
+        load_or_enumerate(5, 40, tmp_path, budget=100)
+    monkeypatch.setattr(lattice, "DEFAULT_POINT_BUDGET", 2799)
+    with pytest.raises(BudgetExceededError, match="2800 points, over the budget of 2799$"):
+        load_or_enumerate(5, 40, tmp_path)
+    assert reads == []
+    assert load_or_enumerate(5, 40, tmp_path, budget=2800).count == 2800
+    assert reads == [shell_path(tmp_path, 5, 40)]
+
+
+def test_cli_shell_over_budget_on_a_cache_hit(tmp_path):
+    run_cli("shell", "--d", "5", "--k", "40", "--cache", str(tmp_path))
+    proc = run_cli("shell", "--d", "5", "--k", "40", "--budget", "100",
+                   "--cache", str(tmp_path), expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: --budget 100: shell d=5, k=40 has 2800 points, "
+                           "over the budget of 100\n")
 
 
 def test_cli_refuses_rows_that_split_a_point_across_lines(tmp_path):

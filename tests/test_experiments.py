@@ -378,6 +378,25 @@ def test_an_L_over_the_point_budget_is_refused_as_L_before_allocation(text, reas
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "text,key,reason",
+    [
+        # the d = 9 quadrature grid, whatever L is
+        ("kind = sphere_ft\nd = 9\nL = 0\n", "d", "inner grid of 103079215104 nodes"),
+        # the L x (K+1) table of the exact multipliers, and the shell of K
+        ("kind = reconstruct\nd = 5\nK = 1000\nL = 10000\n", "L",
+         "twisted table of 10000 rows x 1001 shells"),
+        ("kind = reconstruct\nd = 5\nK = 9999\nL = 1\n", "K",
+         "shell d=5, k=9999 has 17128000 points"),
+    ],
+)
+def test_a_runner_array_over_the_point_budget_is_refused_by_its_key(text, key, reason):
+    with pytest.raises(ConfigError) as err:
+        run_experiment(parse_config(text))
+    assert err.value.key == key
+    assert err.value.reason == f"{reason}, over the budget of 5000000"
+
+
 def test_a_transfer_n_whose_step_system_is_over_budget_is_refused_as_n(monkeypatch):
     # n = 48: the 48^2 x 48^2 system of every solve, before the family is built
     calls, solve = [], transfer.ncmax_norm

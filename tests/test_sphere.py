@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from spherelab import lattice
+from spherelab import lattice, sphere
 from spherelab.errors import BudgetExceededError
-from spherelab.lattice import DEFAULT_POINT_BUDGET
+from spherelab.lattice import DEFAULT_POINT_BUDGET, rep_count
 from spherelab.sphere import (
+    J_MAIN_T_MAX,
     PANEL_NODES,
+    gauss_legendre,
     j_main,
     j_main_integral,
     panel_quadrature,
@@ -326,3 +328,75 @@ def test_a_panel_count_past_float_range_is_refused_by_name():
     assert _traced_peak(overflow) < 1 << 20
     with pytest.raises(BudgetExceededError, match="^inf panels"):
         panel_quadrature(0.0, 1.0, 1, 5e-324)   # eps / 2 underflows to 0
+
+
+# ------------------------------------------------- shared Gauss-Legendre rules
+
+
+def test_a_gauss_legendre_rule_is_built_once_and_shared():
+    nodes, weights = gauss_legendre(12)
+    again = gauss_legendre(12)
+    assert again[0] is nodes and again[1] is weights
+
+
+def test_a_shared_gauss_legendre_rule_is_read_only():
+    nodes, weights = gauss_legendre(12)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+
+@pytest.mark.parametrize("n", [12, 32, 40, 48, 120])
+def test_the_shared_rule_is_bitwise_leggauss(n):
+    nodes, weights = gauss_legendre(n)
+    ref_nodes, ref_weights = leggauss(n)
+    assert nodes.dtype == ref_nodes.dtype and weights.dtype == ref_weights.dtype
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+
+
+def test_panel_quadrature_and_the_surface_quadrature_use_the_shared_rule(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sphere, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    sphere.gauss_legendre.cache_clear()
+    try:
+        for _ in range(3):
+            panel_quadrature(0.0, 1.0, 1, 0.25)
+            sphere_ft_quadrature(3, np.array([0.3, 0.1, -0.2]), n_polar=16, n_azimuth=48)
+        assert sorted(calls) == [PANEL_NODES, 16]
+    finally:
+        sphere.gauss_legendre.cache_clear()
+
+
+# ------------------------------------------- the main-term integral, folded
+
+
+def _unfolded_j_main_integral(d, k, xi, eps):
+    """j_main_integral's value summed over every node of [-T, T], with the
+    complex oscillation and z^(-d/2) taken directly: the form before the
+    fold, kept here as its reference."""
+    t, w = panel_quadrature(-J_MAIN_T_MAX, J_MAIN_T_MAX, k, eps)
+    z = 2.0 * (eps - 1j * t)
+    f = np.exp(-2j * np.pi * np.mod(k * t, 1.0)) * z ** (-d / 2) * np.exp(-np.pi * (xi @ xi) / z)
+    return undamping(k, eps) / rep_count(d, k) * complex((w * f).sum()).real
+
+
+@pytest.mark.parametrize("d, k, eps", [(5, 1, 0.25), (5, 4, 0.0625), (3, 2, 0.1),
+                                       (4, 3, 0.25), (3, 1, 0.01), (6, 2, 0.3)])
+def test_the_folded_main_term_integral_matches_the_unfolded_sum(d, k, eps):
+    # measured at most 3.2e-16; panel widths that are not powers of 2 make
+    # the rule symmetric only to roundoff, which the fold may not move either
+    xi = np.random.default_rng(k).uniform(-0.5, 0.5, d)
+    ref = _unfolded_j_main_integral(d, k, xi, eps)
+    assert abs(j_main_integral(d, k, xi, eps)[0] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("k, eps", [(1, 0.25), (1, 0.0625), (4, 0.25), (4, 0.0625)])
+def test_the_main_term_rule_of_criterion_08_is_exactly_symmetric(k, eps):
+    # the fold keeps the nodes t > 0: exactly half of them, each the mirror
+    # of a node t < 0 at the same weight
+    t, w = panel_quadrature(-J_MAIN_T_MAX, J_MAIN_T_MAX, k, eps)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert 2 * int((t > 0.0).sum()) == len(t)

@@ -4,13 +4,17 @@ Each kernel runs at fixed sizes, once to warm up and then REPEAT times
 (so the shell memo, the Gauss rows and the unit phases are warm, except in
 ``sphere_shell_d5_k225_cold``, which clears the shell memo before each call;
 ``write_shell_d5_k400`` and ``read_shell_d5_k400`` write and read one cache
-file in a temporary directory);
+file in a temporary directory, and report the tracemalloc peak of one
+further call);
 the best time is kept, and the median and quartiles of the REPEAT calls
 beside it, since the best alone can move by 1.5x between runs on a busy
 machine.  ``heat_request_d2``, ``_d3`` and ``_d5`` time one whole
 ``oracle-mix`` heat request: both heat forms at 8 frequencies, and
 ``farey_request_order200`` one whole farey request: sequence, arcs,
-partition check and 20 lookups.
+partition check and 20 lookups.  ``arc_multiplier_order4_k9`` sums the
+d = 5 arc pieces over every arc of Farey order 4, as an ``oracle-mix``
+arc-sum request does, and ``sphere_ft_quadrature_d3_n120`` is that
+workload's largest d = 3 quadrature.
 Each ``truncation_identity_check`` kernel (the ``transfer`` workload's d = 5
 diagonal and d = 3 permutation requests, and a d = 5, n = 3 family with a
 non-diagonal eigenbasis) also reports its tracemalloc peak from one
@@ -52,7 +56,7 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
-from spherelab.arcs import approx_total, exact_multiplier_many  # noqa: E402
+from spherelab.arcs import approx_total, arc_multiplier, exact_multiplier_many  # noqa: E402
 from spherelab.cache import read_shell, write_shell  # noqa: E402
 from spherelab.experiments import (TRANSFER_THETAS, decay_grid,  # noqa: E402
                                    random_hermitian_probe)
@@ -254,14 +258,20 @@ def kernels(tmp: Path):
         ("write_shell_d5_k400", lambda: write_shell(shell400, cached)),
         ("read_shell_d5_k400", lambda: read_shell(cached)),
     ]
-    # the largest oracle-mix quadrature, and its farey request at the
-    # largest order: without lookups, and whole
-    xi5 = np.array([1.3, -0.4, 0.7, 0.2, -0.9])
+    # the largest oracle-mix quadratures, its arc sum at the largest order
+    # and k, and its farey request at the largest order: without lookups,
+    # and whole
+    xi5, xi3 = np.array([1.3, -0.4, 0.7, 0.2, -0.9]), np.array([3.1, -2.2, 2.9])
+    arcs4, arc_xi = major_arcs(farey_sequence(4)), np.array([0.1, -0.4, 0.25, 0.05, -0.3])
     farey_lookups = tuple(rng.uniform(0, 1, 16).tolist()) + \
         tuple(int(v) for v in rng.integers(0, 1 << 30, 4))
     out += [
         ("sphere_ft_quadrature_d5_n48",
          lambda: sphere_ft_quadrature(5, xi5, n_polar=48, n_azimuth=144)),
+        ("sphere_ft_quadrature_d3_n120",
+         lambda: sphere_ft_quadrature(3, xi3, n_polar=120, n_azimuth=360)),
+        ("arc_multiplier_order4_k9",
+         lambda: sum(arc_multiplier(5, 9, arc, arc_xi, 4.0 ** -2.0) for arc in arcs4)),
         ("farey_arcs_order200",
          lambda: verify_partition(major_arcs(farey_sequence(200)))),
         ("farey_request_order200", lambda: farey_request(200, farey_lookups)),
@@ -344,7 +354,7 @@ def main(argv=None) -> int:
             note = f", {result['newton_steps'][name]} iterations"
         print(f"{name}: best {1e3 * min(times):.3f} ms, median {1e3 * median:.3f} ms "
               f"({1e3 * q1:.3f}-{1e3 * q3:.3f}){note}", flush=True)
-        if name.startswith("truncation_identity_check"):
+        if name.startswith(("truncation_identity_check", "write_shell", "read_shell")):
             result[f"{name}_tracemalloc_peak_bytes"] = traced_peak(fn)
     tmp.cleanup()
     for name, fn in kept_results():
